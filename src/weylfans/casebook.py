@@ -27,7 +27,7 @@ from .isotropic import (
     tau_fixed_locus_check,
 )
 from .jsonio import encode_vector
-from .linalg import qv
+from .linalg import _unit, qv
 from .polyhedra import contains, covered_by, is_smooth
 from .rootsys import (
     build_root_system,
@@ -450,7 +450,7 @@ def _case_type_c_contraction(seed: int) -> CaseReport:
         rs = build_root_system(f"C{n}")
         for k in range(1, n + 1):
             ck = sph.chain_cone(rs, k)
-            minus_k = tuple(Q(-1 if i == k - 1 else 0) for i in range(n))
+            minus_k = _unit(n, k - 1, -1)
             if not contains(ck.cone, minus_k, strict=True):
                 interior_ok = False
     forward = True

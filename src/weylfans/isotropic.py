@@ -17,14 +17,14 @@ from fractions import Fraction as Q
 from .errors import InvalidInput, InvariantViolation
 from .linalg import (
     Matrix,
-    Vector,
+    _unit,
     identity_matrix,
-    int_rank,
     inverse,
     mat_mul,
     primitive_direction,
     qm,
     qv,
+    rank,
     transpose,
     vadd,
 )
@@ -120,36 +120,26 @@ class IsotropicSubspace:
     basis: Matrix  # rows span the subspace
 
 
-def _block_unit(space: DoubledSpace, block: int, i: int) -> Vector:
-    v = [Q(0)] * space.dim
-    v[block * space.block_dim + i] = Q(1)
-    return tuple(v)
-
-
 def diagonal_subspace(space: DoubledSpace) -> IsotropicSubspace:
     """The graph of the identity: the base point with invariant zero."""
-    rows = [
-        vadd(_block_unit(space, 0, i), _block_unit(space, 1, i))
-        for i in range(space.block_dim)
-    ]
+    m = space.block_dim
+    rows = [vadd(_unit(space.dim, i), _unit(space.dim, m + i)) for i in range(m)]
     return IsotropicSubspace(space=space, basis=qm(rows))
 
 
 def split_subspace(space: DoubledSpace) -> IsotropicSubspace:
     """A direct sum of maximal isotropics from each factor: invariant n."""
-    n = space.half_rank
-    rows = [_block_unit(space, 0, i) for i in range(n)]
-    rows += [_block_unit(space, 1, i) for i in range(n)]
+    n, m = space.half_rank, space.block_dim
+    rows = [_unit(space.dim, i) for i in range(n)]
+    rows += [_unit(space.dim, m + i) for i in range(n)]
     if space.kind == "orthogonal":
         # the middle diagonal direction completes an odd-dimensional maximal
-        rows.append(
-            vadd(_block_unit(space, 0, n), _block_unit(space, 1, n))
-        )
+        rows.append(vadd(_unit(space.dim, n), _unit(space.dim, m + n)))
     return IsotropicSubspace(space=space, basis=qm(rows))
 
 
 def _assert_maximal_isotropic(rows: list[list[int]], space: DoubledSpace) -> None:
-    if len(rows) != space.block_dim or int_rank(rows) != space.block_dim:
+    if len(rows) != space.block_dim or rank(rows) != space.block_dim:
         raise InvalidInput("subspace is not of maximal isotropic dimension")
     images = [_form_apply(space, r) for r in rows]
     for i, r in enumerate(rows):
@@ -169,8 +159,8 @@ def intersection_invariant(v: IsotropicSubspace) -> int:
     space = v.space
     _assert_maximal_isotropic(rows, space)
     m = space.block_dim
-    k1 = m - int_rank([row[m:] for row in rows])  # kernel of the second projection
-    k2 = m - int_rank([row[:m] for row in rows])
+    k1 = m - rank([row[m:] for row in rows])  # kernel of the second projection
+    k2 = m - rank([row[:m] for row in rows])
     if k1 != k2:
         raise InvariantViolation(
             f"intersection dimensions differ: {k1} versus {k2}"
@@ -241,7 +231,7 @@ def tau_image(v: IsotropicSubspace) -> IsotropicSubspace:
 
 def subspaces_equal(a: IsotropicSubspace, b: IsotropicSubspace) -> bool:
     stacked = _int_rows(a.basis) + _int_rows(b.basis)
-    return int_rank(stacked) == len(a.basis) == len(b.basis)
+    return rank(stacked) == len(a.basis) == len(b.basis)
 
 
 @dataclass(frozen=True)

@@ -66,12 +66,17 @@ def fan_to_json(f: Fan) -> dict:
 
 def fan_from_json(data: Mapping) -> Fan:
     try:
-        dim = int(data["ambient_dim"])
+        dim = data["ambient_dim"]
         lattice = None if data["lattice"] == "standard" else decode_matrix(data["lattice"])
         rays = [decode_vector(r) for r in data["rays"]]
-        cone_indices = data["maximal_cones"]
+        cone_indices = [list(ids) for ids in data["maximal_cones"]]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed fan document: {exc}") from exc
+    if type(dim) is not int:
+        raise InvalidInput(f"fan ambient_dim must be an integer, not {dim!r}")
+    for ids in cone_indices:
+        if any(type(i) is not int or not 0 <= i < len(rays) for i in ids):
+            raise InvalidInput(f"fan cone {ids} needs integer ray indices in 0..{len(rays) - 1}")
     cones = [
         cone([rays[i] for i in ids], lattice=lattice, ambient_dim=dim)
         for ids in cone_indices

@@ -1,16 +1,20 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything in the package funnels through this module: Gaussian elimination
-and matrix inverses over Fraction, Smith normal form over the integers, and
-a Fourier-Motzkin feasibility test that doubles as the witness generator for
-all cone computations.  No floating point anywhere.
+Everything in the package funnels through this module.  Rank, determinant,
+inverse, solve, null space, the equality step of feasibility and minor gcds
+all run on one fraction-free core, `_echelon`: rational rows are scaled to
+integer rows and reduced by Bareiss elimination with exact divisions, and
+`_rref` reads the reduced row echelon form over Fraction off its result.
+Beside it sit Smith normal form over the integers and a Fourier-Motzkin
+feasibility test that doubles as the witness generator for all cone
+computations.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInput
@@ -77,56 +81,77 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def _rref(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def _unit(dim: int, i: int, value=1) -> Vector:
+    """The i-th standard basis vector of Q^dim, scaled by value."""
+    v = [Q(0)] * dim
+    v[i] = Q(value)
+    return tuple(v)
+
+
+def _row_scale(row: Sequence) -> int:
+    """The lcm of a row's denominators: the least integer making it integral."""
+    return lcm(*(x.denominator for x in row))
+
+
+def _echelon(rows: Iterable[Sequence], reduced: bool = True) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) row reduction; returns (int rows, pivot columns, d).
+
+    Each rational row is first scaled by the lcm of its denominators, which
+    keeps the row span.  Every update then divides exactly by the previous
+    pivot, so all entries stay integer minors of the scaled rows.  Swapping
+    two rows negates one of them, which makes d, the last pivot (1 if there
+    is none), the determinant of the scaled rows when they are square and
+    nonsingular.  With ``reduced`` all other rows are cleared at each pivot
+    (fraction-free Gauss-Jordan) and the pivot rows equal d times the reduced
+    row echelon form; otherwise only the rows below it are.
+    """
+    a = []
+    for row in rows:
+        s = _row_scale(row)
+        a.append([x.numerator * (s // x.denominator) for x in row])
     pivots: list[int] = []
+    d = 1
+    nrows = len(a)
     r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
+    for c in range(len(a[0]) if a else 0):
+        p = next((i for i in range(r, nrows) if a[i][c]), None)
+        if p is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = Q(1) / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        if p != r:
+            a[r], a[p] = a[p], [-x for x in a[r]]
+        prow = a[r]
+        pv = prow[c]
+        for i in range(0 if reduced else r + 1, nrows):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(pv * x - f * y) // d for x, y in zip(a[i], prow)]
         pivots.append(c)
+        d = pv
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
-    return rows, pivots
+    return a, pivots, d
+
+
+def _rref(rows: Iterable[Sequence]) -> tuple[list[list[Q]], list[int]]:
+    """Reduced row echelon form over Fraction; returns (rows, pivot column list)."""
+    a, pivots, d = _echelon(rows)
+    return [[Q(x, d) for x in row] for row in a], pivots
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = _rref([list(row) for row in m])
-    return len(pivots)
+    """Rank of a matrix given by rational or integer rows."""
+    return len(_echelon(m, reduced=False)[1])
 
 
 def det(m: Matrix) -> Q:
     n = len(m)
     if any(len(row) != n for row in m):
         raise InvalidInput("determinant of a non-square matrix")
-    a = [list(row) for row in m]
-    result = Q(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pr is None:
-            return Q(0)
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            result = -result
-        result *= a[c][c]
-        inv = Q(1) / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result
+    _, pivots, d = _echelon(m, reduced=False)
+    if len(pivots) < n:
+        return Q(0)
+    return Q(d, prod(_row_scale(row) for row in m))
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -177,7 +202,7 @@ def nullspace(m: Matrix) -> list[Vector]:
     if not m:
         return []
     ncols = len(m[0])
-    rows, pivots = _rref([list(row) for row in m])
+    rows, pivots = _rref(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -494,43 +519,16 @@ def feasible(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constrain
     return tuple(x)
 
 
-def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by gcd-reduced integer elimination."""
-    a = []
-    for row in rows:
-        r = [int(x) for x in row]
-        g = _int_gcd(r)
-        a.append([x // g for x in r] if g > 1 else r)
-    if not a:
-        return 0
-    ncols = len(a[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, len(a)):
-            if a[i][c] != 0:
-                g = gcd(a[r][c], a[i][c])
-                f1, f2 = a[r][c] // g, a[i][c] // g
-                a[i] = [f1 * x - f2 * y for x, y in zip(a[i], a[r])]
-                g2 = _int_gcd(a[i])
-                if g2 > 1:
-                    a[i] = [x // g2 for x in a[i]]
-        r += 1
-        if r == len(a):
-            break
-    return r
-
-
 def minors_gcd(m: Sequence[Sequence[int]], k: int) -> int:
     """gcd of all k x k minors of an integer matrix with k rows."""
+    if len(m) != k:
+        raise InvalidInput("minors_gcd needs a matrix with exactly k rows")
     cols = len(m[0]) if m else 0
     g = 0
     for sel in combinations(range(cols), k):
-        sub = qm([[row[c] for c in sel] for row in m])
-        g = gcd(g, abs(int(det(sub))))
-        if g == 1:
-            return 1
+        _, pivots, d = _echelon([[row[c] for c in sel] for row in m], reduced=False)
+        if len(pivots) == k:
+            g = gcd(g, abs(d))
+            if g == 1:
+                return 1
     return g

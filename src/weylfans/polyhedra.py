@@ -20,6 +20,7 @@ from .errors import InvalidInput
 from .linalg import (
     Matrix,
     Vector,
+    _unit,
     as_int_matrix,
     coords_in_basis,
     dot,
@@ -39,10 +40,6 @@ from .linalg import (
     vscale,
     vsub,
 )
-
-
-def _unit(dim: int, i: int) -> Vector:
-    return tuple(Q(1 if j == i else 0) for j in range(dim))
 
 
 @dataclass(frozen=True)
@@ -168,10 +165,6 @@ def is_smooth(c: RationalCone) -> bool:
     return minors_gcd(int_rows, len(c.gens)) == 1
 
 
-def _same_lattice(a: Optional[Matrix], b: Optional[Matrix]) -> bool:
-    return a == b
-
-
 @dataclass(frozen=True)
 class Fan:
     """A finite collection of cones closed under faces, faces left implicit."""
@@ -252,7 +245,7 @@ def fan(cones: Iterable[RationalCone], validate: bool = True) -> Fan:
     dim = cones[0].ambient_dim
     lattice = cones[0].lattice
     for c in cones:
-        if c.ambient_dim != dim or not _same_lattice(c.lattice, lattice):
+        if c.ambient_dim != dim or c.lattice != lattice:
             raise InvalidInput("fan cones must share one ambient space and lattice")
     # drop duplicates and cones that are faces of others; a proper face has
     # strictly fewer generators, so only smaller cones need the subset scan

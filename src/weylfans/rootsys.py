@@ -19,6 +19,7 @@ from .errors import BoundExceeded, InvalidInput, InvariantViolation
 from .linalg import (
     Matrix,
     Vector,
+    _unit,
     det,
     dot,
     identity_matrix,
@@ -27,7 +28,6 @@ from .linalg import (
     mat_vec,
     qm,
     qv,
-    solve,
     transpose,
     vadd,
     vneg,
@@ -36,12 +36,6 @@ from .linalg import (
 )
 
 FAMILIES = "ABCDEFG"
-
-
-def _unit(dim: int, i: int, value=1) -> Vector:
-    v = [Q(0)] * dim
-    v[i] = Q(value)
-    return tuple(v)
 
 
 def _simple_root_model(family: str, n: int) -> tuple[int, Matrix]:
@@ -172,29 +166,25 @@ def build_root_system(type_label: str) -> RootSystem:
         if det(tuple(row[:k] for row in gram[:k])) <= 0:
             raise InvariantViolation(f"symmetrized Cartan form not positive definite in {label}")
 
-    # close the simple roots under simple reflections to get the full root set
+    # close the simple roots under simple reflections to get the full root
+    # set; s_i sends beta to beta - k alpha_i, so its simple-root coordinates
+    # are beta's with k subtracted in slot i
     coroots = tuple(_coroot(a) for a in simple)
-    roots: set[Vector] = set(simple)
+    simple_coords = {a: _unit(n, i) for i, a in enumerate(simple)}
     queue = list(simple)
     while queue:
         beta = queue.pop()
-        for a, av in zip(simple, coroots):
-            image = vsub(beta, vscale(dot(beta, av), a))
-            if image not in roots:
-                roots.add(image)
+        for i, (a, av) in enumerate(zip(simple, coroots)):
+            k = dot(beta, av)
+            if k.denominator != 1:
+                raise InvariantViolation(f"non-integral root coordinates in {label}")
+            image = vsub(beta, vscale(k, a))
+            if image not in simple_coords:
+                coords = list(simple_coords[beta])
+                coords[i] -= k
+                simple_coords[image] = tuple(coords)
                 queue.append(image)
-    root_list = tuple(sorted(roots))
-
-    # integral simple-root coordinates for every root, via one exact solve each
-    basis_t = transpose(simple)
-    simple_coords = {}
-    for beta in root_list:
-        coords = solve(basis_t, beta)
-        if coords is None or mat_vec(basis_t, coords) != beta:
-            raise InvariantViolation(f"root outside the simple-root span in {label}")
-        if any(c.denominator != 1 for c in coords):
-            raise InvariantViolation(f"non-integral root coordinates in {label}")
-        simple_coords[beta] = coords
+    root_list = tuple(sorted(simple_coords))
 
     cartan_inv = inverse(cartan)
     weights = tuple(

@@ -19,6 +19,7 @@ from .errors import InvalidInput, InvariantViolation
 from .linalg import (
     Matrix,
     Vector,
+    _unit,
     feasible,
     mat_vec,
     qv,
@@ -42,10 +43,6 @@ def valuation_cone(rs: RootSystem) -> RationalCone:
     """The negative chamber cone spanned by the negated coweight basis vectors."""
     n = rs.rank
     return cone([vneg(_unit(n, i)) for i in range(n)], ambient_dim=n)
-
-
-def _unit(n: int, i: int) -> Vector:
-    return tuple(Q(1 if j == i else 0) for j in range(n))
 
 
 def coroot_coords(rs: RootSystem, j: int) -> Vector:
@@ -104,8 +101,8 @@ def _relint_meets_valuation(c: RationalCone, vcone: RationalCone) -> bool:
     for coord in range(n):
         row = [g[coord] for g in c.gens] + [-v[coord] for v in vcone.gens]
         eqs.append((qv(row), Q(0)))
-    ineqs = [(qv([1 if t == i else 0 for t in range(k + m)]), Q(1)) for i in range(k)]
-    ineqs += [(qv([1 if t == k + j else 0 for t in range(k + m)]), Q(0)) for j in range(m)]
+    ineqs = [(_unit(k + m, i), Q(1)) for i in range(k)]
+    ineqs += [(_unit(k + m, k + j), Q(0)) for j in range(m)]
     return feasible(k + m, eqs, ineqs) is not None
 
 

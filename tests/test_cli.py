@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from weylfans.cli import main
 
 
@@ -71,6 +73,30 @@ def test_malformed_json_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "fan", "check", "--input", str(path))
     assert code == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("maximal_cones", [[0, 5]]),  # index past the last ray
+        ("maximal_cones", [[0, -1]]),  # negative index, not "the last ray"
+        ("ambient_dim", "2.5"),
+    ],
+)
+def test_malformed_fan_document_exit_2(capsys, tmp_path, field, value):
+    doc = {
+        "ambient_dim": 2,
+        "lattice": "standard",
+        "rays": [["-1/1", "-1/1"], ["0/1", "1/1"], ["1/1", "0/1"]],
+        "maximal_cones": [[0, 1], [0, 2], [1, 2]],
+        field: value,
+    }
+    path = tmp_path / "bad_fan.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "fan", "check", "--input", str(path))
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_spherical_commands(capsys):

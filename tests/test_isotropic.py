@@ -17,9 +17,8 @@ from weylfans.isotropic import (
     symplectic_doubled,
     tau_fixed_locus_check,
     tau_image,
-    _block_unit,
 )
-from weylfans.linalg import qm, vadd, vscale
+from weylfans.linalg import _unit, qm, vadd, vscale
 
 
 def test_dimension_formulas_to_25():
@@ -57,7 +56,7 @@ def test_base_point_invariants():
 
 def test_non_isotropic_rejected():
     space = symplectic_doubled(2)
-    rows = [_block_unit(space, 0, i) for i in range(4)]  # a whole summand: not isotropic
+    rows = [_unit(space.dim, i) for i in range(4)]  # a whole summand: not isotropic
     with pytest.raises(InvalidInput):
         intersection_invariant(IsotropicSubspace(space=space, basis=qm(rows)))
     short = IsotropicSubspace(space=space, basis=qm(rows[:2]))
@@ -98,10 +97,10 @@ def test_degeneration_family_raises_invariant():
 
     def member(t):
         t = Q(t)
-        a1, b1 = _block_unit(space, 0, 0), _block_unit(space, 0, 2)
-        a2, b2 = _block_unit(space, 0, 1), _block_unit(space, 0, 3)
-        a1r, b1r = _block_unit(space, 1, 0), _block_unit(space, 1, 2)
-        a2r, b2r = _block_unit(space, 1, 1), _block_unit(space, 1, 3)
+        a1, b1 = _unit(space.dim, 0), _unit(space.dim, 2)
+        a2, b2 = _unit(space.dim, 1), _unit(space.dim, 3)
+        a1r, b1r = _unit(space.dim, 4), _unit(space.dim, 6)  # the second summand starts at 4
+        a2r, b2r = _unit(space.dim, 5), _unit(space.dim, 7)
         rows = [
             vadd(a1, vscale(t, a1r)),
             vadd(vscale(t, b1), b1r),
@@ -121,9 +120,9 @@ def test_orthogonal_split_stratum_by_hand():
     # diagonal complement inside their common perpendicular
     space = orthogonal_doubled(2)
     m = space.block_dim  # 5
-    rows = [_block_unit(space, 0, 0), _block_unit(space, 1, 0)]
+    rows = [_unit(space.dim, 0), _unit(space.dim, m)]
     for i in range(1, m - 1):
-        rows.append(vadd(_block_unit(space, 0, i), _block_unit(space, 1, i)))
+        rows.append(vadd(_unit(space.dim, i), _unit(space.dim, m + i)))
     v = IsotropicSubspace(space=space, basis=qm(rows))
     assert intersection_invariant(v) == 1
 

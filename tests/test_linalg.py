@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as Q
-from itertools import product
+from math import gcd
+from itertools import combinations, product
 
 import pytest
 
+from weylfans import linalg
 from weylfans.errors import InvalidInput
 from weylfans.linalg import (
     coords_in_basis,
@@ -11,7 +13,6 @@ from weylfans.linalg import (
     dot,
     feasible,
     identity_matrix,
-    int_rank,
     inverse,
     mat_mul,
     mat_vec,
@@ -72,12 +73,193 @@ def test_smith_normal_form_randomized():
                 assert (c == 0) if d == 0 else (int(c) % d == 0)
 
 
-def test_int_rank_matches_rational_rank():
-    rng = random.Random(5)
-    for _ in range(200):
-        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
-        m = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
-        assert int_rank(m) == rank(qm(m))
+# --- the Fraction and integer eliminations that the fraction-free core
+# replaced, kept verbatim as the oracle for the differential test below ---
+
+
+def _old_rref(rows):
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = Q(1) / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _old_det(m):
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise InvalidInput("determinant of a non-square matrix")
+    a = [list(row) for row in m]
+    result = Q(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pr is None:
+            return Q(0)
+        if pr != c:
+            a[c], a[pr] = a[pr], a[c]
+            result = -result
+        result *= a[c][c]
+        inv = Q(1) / a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = a[i][c] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return result
+
+
+def _old_int_rank(rows):
+    a = []
+    for row in rows:
+        r = [int(x) for x in row]
+        g = linalg._int_gcd(r)
+        a.append([x // g for x in r] if g > 1 else r)
+    if not a:
+        return 0
+    ncols = len(a[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, len(a)):
+            if a[i][c] != 0:
+                g = gcd(a[r][c], a[i][c])
+                f1, f2 = a[r][c] // g, a[i][c] // g
+                a[i] = [f1 * x - f2 * y for x, y in zip(a[i], a[r])]
+                g2 = linalg._int_gcd(a[i])
+                if g2 > 1:
+                    a[i] = [x // g2 for x in a[i]]
+        r += 1
+        if r == len(a):
+            break
+    return r
+
+
+def _old_minors_gcd(m, k):
+    cols = len(m[0]) if m else 0
+    g = 0
+    for sel in combinations(range(cols), k):
+        sub = qm([[row[c] for c in sel] for row in m])
+        g = gcd(g, abs(int(_old_det(sub))))
+        if g == 1:
+            return 1
+    return g
+
+
+def _old_inverse(m):
+    n = len(m)
+    aug = [list(row) + [Q(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
+    aug, pivots = _old_rref(aug)
+    if pivots != list(range(n)):
+        raise InvalidInput("matrix is singular")
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def _old_solve(a, b):
+    ncols = len(a[0])
+    aug, pivots = _old_rref([list(row) + [Q(bi)] for row, bi in zip(a, b)])
+    for row in aug:
+        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
+            return None
+    x = [Q(0)] * ncols
+    for r, c in enumerate(pivots):
+        if c < ncols:
+            x[c] = aug[r][ncols]
+        elif aug[r][ncols] != 0:
+            return None
+    return tuple(x)
+
+
+def _old_nullspace(m):
+    ncols = len(m[0])
+    rows, pivots = _old_rref([list(row) for row in m])
+    basis = []
+    for f in [c for c in range(ncols) if c not in pivots]:
+        v = [Q(0)] * ncols
+        v[f] = Q(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def _random_matrix(rng):
+    """A seeded rational matrix of shape 1-8 x 1-8, square half the time;
+    a scaled duplicate row or a zeroed column makes two thirds singular."""
+    nrows = rng.randint(1, 8)
+    ncols = nrows if rng.random() < 0.5 else rng.randint(1, 8)
+    rows = [
+        [Q(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.8 else Q(0) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    kind = rng.choice(("plain", "duplicate", "zero column"))
+    if kind == "duplicate" and nrows > 1:
+        i, j = rng.sample(range(nrows), 2)
+        scale = Q(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
+        rows[j] = [scale * x for x in rows[i]]
+    elif kind == "zero column":
+        c = rng.randrange(ncols)
+        for row in rows:
+            row[c] = Q(0)
+    return qm(rows)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvalidInput:
+        return InvalidInput
+
+
+def test_elimination_core_matches_old_routines(monkeypatch):
+    rng = random.Random(2024)
+    for _ in range(400):
+        m = _random_matrix(rng)
+        nrows, ncols = len(m), len(m[0])
+        old = _old_rref([list(r) for r in m])
+        assert linalg._rref(m) == old
+        assert rank(m) == len(old[1])
+        assert _outcome(det, m) == _outcome(_old_det, m)
+        if nrows == ncols:
+            assert _outcome(inverse, m) == _outcome(_old_inverse, m)
+        assert nullspace(m) == _old_nullspace(m)
+        x0 = qv([Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ncols)])
+        for b in (mat_vec(m, x0), qv([rng.randint(-4, 4) for _ in range(nrows)])):
+            assert solve(m, b) == _old_solve(m, b)
+
+        # integer rows: rank against the old integer elimination, and the gcd
+        # of maximal minors of the first min(rows, cols) rows
+        ints = [[x.numerator for x in row] for row in m]
+        assert rank(ints) == _old_int_rank(ints) == rank(qm(ints))
+        k = min(nrows, ncols)
+        assert minors_gcd(ints[:k], k) == _old_minors_gcd(ints[:k], k)
+
+        # feasible: the equality step runs on _rref, so the old elimination
+        # must give the same witness
+        if ncols <= 5:
+            eqs = [(row, dot(row, x0)) for row in m[:3]]
+            ineqs = [(qv([rng.randint(-3, 3) for _ in range(ncols)]), Q(rng.randint(-4, 2))) for _ in range(rng.randint(0, 3))]
+            witness = feasible(ncols, eqs, ineqs)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_rref", _old_rref)
+                assert witness == feasible(ncols, eqs, ineqs)
 
 
 def test_saturation_basis():
