@@ -244,6 +244,8 @@ class SampleReport:
 
 def check_equal_intersections(space: DoubledSpace, sample_count: int, seed: int) -> SampleReport:
     """Sample maximal isotropics and verify equal intersection dimensions."""
+    if sample_count < 0:
+        raise InvalidInput(f"sample count must be nonnegative, not {sample_count}")
     violations = 0
     for i in range(sample_count):
         v = random_maximal_isotropic(space, seed * 1_000_003 + i)
@@ -264,6 +266,8 @@ def tau_fixed_locus_check(space: DoubledSpace, sample_count: int, seed: int) -> 
     its invariant is maximal."""
     if space.kind != "symplectic":
         raise InvalidInput("the involution check applies to symplectic doubled spaces")
+    if sample_count < 0:
+        raise InvalidInput(f"sample count must be nonnegative, not {sample_count}")
     violations = 0
     checked = 0
     samples = [random_maximal_isotropic(space, seed * 2_000_003 + i) for i in range(sample_count)]

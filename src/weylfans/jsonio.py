@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 from typing import Mapping, Sequence
 
 from .errors import InvalidInput
-from .linalg import Matrix, Vector, qm, qv
+from .linalg import Matrix, Vector, qm, qv, rank
 from .polyhedra import Fan, cone, fan
 from .rootsys import RootSystem, WeylElement, build_root_system
 
@@ -74,6 +74,10 @@ def fan_from_json(data: Mapping) -> Fan:
         raise InvalidInput(f"malformed fan document: {exc}") from exc
     if type(dim) is not int:
         raise InvalidInput(f"fan ambient_dim must be an integer, not {dim!r}")
+    if lattice is not None and (
+        any(len(row) != dim for row in lattice) or rank(lattice) != len(lattice)
+    ):
+        raise InvalidInput(f"fan lattice rows must be {dim} long and linearly independent")
     for ids in cone_indices:
         if any(type(i) is not int or not 0 <= i < len(rays) for i in ids):
             raise InvalidInput(f"fan cone {ids} needs integer ray indices in 0..{len(rays) - 1}")
@@ -136,15 +140,16 @@ def ledger_from_json(data: Mapping):
     from .toric import SurfaceBlowupLedger
 
     try:
-        components = tuple(
-            (str(c["name"]), int(c["coefficient"])) for c in data["components"]
-        )
+        components = tuple((str(c["name"]), c["coefficient"]) for c in data["components"])
         history = tuple(
             (str(h["point"]), tuple(str(t) for t in h["through"]), str(h["exceptional"]))
             for h in data["history"]
         )
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed ledger document: {exc}") from exc
+    for name, coefficient in components:
+        if type(coefficient) is not int:
+            raise InvalidInput(f"ledger coefficient {coefficient!r} of {name!r} is not an integer")
     return SurfaceBlowupLedger(components=components, history=history)
 
 

@@ -13,7 +13,18 @@ from math import gcd
 from typing import Sequence
 
 from .errors import BasisChangeError, InvalidInput
-from .linalg import Matrix, Vector, dot, is_zero_vector, mat_vec, qv, transpose, vadd, vscale
+from .linalg import (
+    Matrix,
+    Vector,
+    coords_in_basis,
+    dot,
+    is_zero_vector,
+    mat_vec,
+    qv,
+    transpose,
+    vadd,
+    vscale,
+)
 from .rootsys import RootSystem
 
 BASIS_TAGS = ("ambient", "simple_root", "fund_weight", "simple_coroot", "fund_coweight")
@@ -29,25 +40,6 @@ def _basis_rows(rs: RootSystem, tag: str) -> Matrix:
     if tag == "fund_coweight":
         return rs.fundamental_coweights
     raise InvalidInput(f"unknown basis tag {tag!r}")
-
-
-# coordinate extraction matrices, cached per root system and basis:
-# for basis rows B the solution of B^T c = v is c = (B B^T)^{-1} B v when it
-# exists, and existence is certified by substituting back
-_COORD_CACHE: dict[tuple[str, str], Matrix] = {}
-
-
-def _coord_matrix(rs: RootSystem, tag: str) -> Matrix:
-    key = (rs.label, tag)
-    cached = _COORD_CACHE.get(key)
-    if cached is None:
-        from .linalg import inverse, mat_mul
-
-        rows = _basis_rows(rs, tag)
-        gram = mat_mul(rows, transpose(rows))
-        cached = mat_mul(inverse(gram), rows)
-        _COORD_CACHE[key] = cached
-    return cached
 
 
 @dataclass(frozen=True)
@@ -69,11 +61,7 @@ class LatticeVector:
     def ambient(self) -> Vector:
         if self.basis == "ambient":
             return self.coords
-        rows = _basis_rows(self.rs, self.basis)
-        out = qv([0] * self.rs.ambient_dim)
-        for c, row in zip(self.coords, rows):
-            out = vadd(out, vscale(c, row))
-        return out
+        return mat_vec(transpose(_basis_rows(self.rs, self.basis)), self.coords)
 
 
 def vector(rs: RootSystem, coords: Sequence, basis: str = "ambient") -> LatticeVector:
@@ -130,9 +118,8 @@ def to_basis(v: LatticeVector, target_tag: str) -> LatticeVector:
     amb = v.ambient()
     if target_tag == "ambient":
         return LatticeVector(v.rs, "ambient", amb)
-    rows = _basis_rows(v.rs, target_tag)
-    coords = mat_vec(_coord_matrix(v.rs, target_tag), amb)
-    if mat_vec(transpose(rows), coords) != amb:
+    coords = coords_in_basis(_basis_rows(v.rs, target_tag), amb)
+    if coords is None:
         raise BasisChangeError(
             f"vector {amb} of {v.rs.label} lies outside the span of the {target_tag} basis"
         )

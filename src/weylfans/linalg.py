@@ -5,6 +5,7 @@ inverse, solve, null space, the equality step of feasibility and minor gcds
 all run on one fraction-free core, `_echelon`: rational rows are scaled to
 integer rows and reduced by Bareiss elimination with exact divisions, and
 `_rref` reads the reduced row echelon form over Fraction off its result.
+Every change of coordinates reads one cached dual basis, `_dual_basis`.
 Beside it sit Smith normal form over the integers and a Fourier-Motzkin
 feasibility test that doubles as the witness generator for all cone
 computations.  No floating point anywhere.
@@ -13,6 +14,7 @@ computations.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
@@ -185,16 +187,38 @@ def solve(a: Matrix, b: Sequence[Q]) -> Optional[Vector]:
     return tuple(x)
 
 
+@lru_cache(maxsize=8192)
+def _dual_basis(rows: Matrix) -> Matrix:
+    """Row i evaluates the i-th coordinate of a vector in an extended basis.
+
+    The independent rows are completed to a basis of the ambient space by
+    unit vectors, taken greedily in index order.  The first len(rows) output
+    rows give the coordinates in the rows; the others vanish exactly on
+    their span.  Cached because the same bases (root-system bases, cone
+    generators, reference lattices) are asked about over and over.
+    """
+    dim = len(rows[0])
+    extended = list(rows)
+    for j in range(dim):
+        if len(extended) == dim:
+            break
+        candidate = extended + [_unit(dim, j)]
+        if rank(candidate) > len(extended):
+            extended = candidate
+    return inverse(transpose(qm(extended)))
+
+
 def coords_in_basis(basis_rows: Matrix, v: Sequence[Q]) -> Optional[Vector]:
     """Coordinates of v in a linearly independent spanning set, or None if off-span."""
     if not basis_rows:
         return () if is_zero_vector(v) else None
-    sol = solve(transpose(basis_rows), v)
-    if sol is None:
+    if len(v) != len(basis_rows[0]):
         return None
-    if mat_vec(transpose(basis_rows), sol) != tuple(Q(x) for x in v):
+    coords = mat_vec(_dual_basis(basis_rows), v)
+    k = len(basis_rows)
+    if not is_zero_vector(coords[k:]):
         return None
-    return sol
+    return coords[:k]
 
 
 def nullspace(m: Matrix) -> list[Vector]:

@@ -2,17 +2,16 @@
 
 Cones are given by linearly independent generator lists, stored primitive
 with respect to a reference lattice (the standard integer lattice unless a
-basis is supplied).  Everything is decided exactly: membership by solving in
-the generator basis, fan validity by separating functionals, coverage by
-enumerating the open cells of a hyperplane arrangement and testing one
-rational witness per cell.
+basis is supplied).  Everything is decided exactly: membership by reading
+coordinates off the cached dual basis of the generators, fan validity by
+separating functionals, coverage by enumerating the open cells of a
+hyperplane arrangement and testing one rational witness per cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
@@ -20,12 +19,12 @@ from .errors import InvalidInput
 from .linalg import (
     Matrix,
     Vector,
+    _dual_basis,
     _unit,
     as_int_matrix,
     coords_in_basis,
     dot,
     feasible,
-    inverse,
     is_zero_vector,
     mat_vec,
     minors_gcd,
@@ -72,11 +71,7 @@ def _primitivize(g: Vector, lattice: Optional[Matrix]) -> Vector:
     coords = coords_in_basis(lattice, g)
     if coords is None:
         raise InvalidInput(f"generator {g} lies outside the span of the reference lattice")
-    prim = primitive_direction(coords)
-    out = qv([0] * len(lattice[0]))
-    for c, row in zip(prim, lattice):
-        out = vadd(out, vscale(c, row))
-    return out
+    return mat_vec(transpose(lattice), primitive_direction(coords))
 
 
 def cone(
@@ -104,44 +99,17 @@ def zero_cone(ambient_dim: int, lattice: Optional[Matrix] = None) -> RationalCon
     return RationalCone(ambient_dim=ambient_dim, gens=(), lattice=qm(lattice) if lattice else None)
 
 
-def _extended_basis(c: RationalCone) -> Matrix:
-    """The generators completed to a basis of the ambient space."""
-    rows = list(c.gens)
-    r = len(rows)
-    for j in range(c.ambient_dim):
-        if r == c.ambient_dim:
-            break
-        candidate = rows + [_unit(c.ambient_dim, j)]
-        if rank(qm(candidate)) > r:
-            rows = candidate
-            r += 1
-    return qm(rows)
-
-
-@lru_cache(maxsize=8192)
-def _dual_rows(c: RationalCone) -> Matrix:
-    """Row i evaluates the i-th extended-basis coordinate of a vector.
-
-    The first dim(c) rows are the facet functionals of the cone; cached
-    because membership tests hit the same cones over and over.
-    """
-    return inverse(transpose(_extended_basis(c)))
-
-
 def contains(c: RationalCone, v: Sequence, strict: bool = False) -> bool:
     """Exact membership; strict means membership in the relative interior."""
     v = qv(v)
     if len(v) != c.ambient_dim:
         raise InvalidInput("dimension mismatch in cone membership")
-    if not c.gens:
-        return is_zero_vector(v)
-    coords = mat_vec(_dual_rows(c), v)
-    k = len(c.gens)
-    if any(x != 0 for x in coords[k:]):
+    coords = coords_in_basis(c.gens, v)
+    if coords is None:
         return False
     if strict:
-        return all(x > 0 for x in coords[:k])
-    return all(x >= 0 for x in coords[:k])
+        return all(x > 0 for x in coords)
+    return all(x >= 0 for x in coords)
 
 
 def faces(c: RationalCone) -> list[RationalCone]:
@@ -185,10 +153,7 @@ class Fan:
 
 
 def _face_compatible(
-    c1: RationalCone,
-    c2: RationalCone,
-    rays_in_c1: Optional[frozenset] = None,
-    rays_in_c2: Optional[frozenset] = None,
+    c1: RationalCone, c2: RationalCone, rays_in_c1: frozenset, rays_in_c2: frozenset
 ) -> bool:
     """Whether the two cones intersect in a common face.
 
@@ -196,16 +161,10 @@ def _face_compatible(
     shared generators and is strictly positive (negative) on the remaining
     generators of the first (second) cone; for polyhedral cones such a
     functional exists exactly when the intersection is a common face.
-    Precomputed ray-membership sets may be passed to skip the solves.
+    The ray-membership sets name the rays of the fan lying in each cone.
     """
-    if rays_in_c2 is None:
-        s1 = {g for g in c1.gens if contains(c2, g)}
-    else:
-        s1 = {g for g in c1.gens if g in rays_in_c2}
-    if rays_in_c1 is None:
-        s2 = {g for g in c2.gens if contains(c1, g)}
-    else:
-        s2 = {g for g in c2.gens if g in rays_in_c1}
+    s1 = {g for g in c1.gens if g in rays_in_c2}
+    s2 = {g for g in c2.gens if g in rays_in_c1}
     if s1 != s2:
         return False
     extras1 = [g for g in c1.gens if g not in s1]
@@ -335,10 +294,7 @@ def _membership_functionals(c: RationalCone) -> tuple[list[Vector], list[Vector]
     equation vanishes at x and every inequality is nonnegative at x."""
     if not c.gens:
         return [_unit(c.ambient_dim, j) for j in range(c.ambient_dim)], []
-    normals = nullspace(qm(c.gens))
-    dual = _dual_rows(c)
-    facet_funcs = [dual[i] for i in range(len(c.gens))]
-    return normals, facet_funcs
+    return nullspace(qm(c.gens)), list(_dual_basis(c.gens)[: len(c.gens)])
 
 
 def covered_by(
@@ -388,9 +344,7 @@ def covered_by(
         if witness is None:
             return True
         if depth == len(funcs):
-            point = qv([0] * target.ambient_dim)
-            for lam, g in zip(witness, gens):
-                point = vadd(point, vscale(lam, g))
+            point = mat_vec(transpose(gens), witness)
             return any(contains(c, point) for c in cover)
         psi = funcs[depth]
         return cell_covered(depth + 1, constraints + [(psi, Q(1))]) and cell_covered(

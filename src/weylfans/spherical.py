@@ -89,21 +89,36 @@ class ColoredFan:
         return any(cc.cone.dim == 0 for cc in self.cones)
 
 
+def _relints_share_valuation_point(cones: Sequence[RationalCone], vcone: RationalCone) -> bool:
+    """Exact test of the relative interiors of the cones meeting inside the valuation cone.
+
+    The variables are the generator weights of each cone in turn, then those
+    of the valuation cone: the first cone's combination must equal each
+    later cone's and then a valuation-cone combination, with cone weights at
+    least 1 and valuation weights at least 0.
+    """
+    blocks = [c.gens for c in cones] + [vcone.gens]
+    total = sum(len(b) for b in blocks)
+    eqs = []
+    for t in range(1, len(blocks)):
+        for coord in range(cones[0].ambient_dim):
+            row = []
+            for s, block in enumerate(blocks):
+                sign = 1 if s == 0 else -1 if s == t else 0
+                row += [sign * g[coord] for g in block]
+            eqs.append((qv(row), Q(0)))
+    free = total - len(vcone.gens)
+    ineqs = [(_unit(total, i), Q(1 if i < free else 0)) for i in range(total)]
+    return feasible(total, eqs, ineqs) is not None
+
+
 def _relint_meets_valuation(c: RationalCone, vcone: RationalCone) -> bool:
     """Exact test of relint(c) meeting the valuation cone."""
     if not c.gens:
         return True  # the origin lies in every cone
     if all(contains(vcone, g) for g in c.gens):
         return True  # the generator sum is an interior witness inside the cone
-    n = c.ambient_dim
-    k, m = len(c.gens), len(vcone.gens)
-    eqs = []
-    for coord in range(n):
-        row = [g[coord] for g in c.gens] + [-v[coord] for v in vcone.gens]
-        eqs.append((qv(row), Q(0)))
-    ineqs = [(_unit(k + m, i), Q(1)) for i in range(k)]
-    ineqs += [(_unit(k + m, k + j), Q(0)) for j in range(m)]
-    return feasible(k + m, eqs, ineqs) is not None
+    return _relints_share_valuation_point([c], vcone)
 
 
 def validate_colored_cone(cc: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vector]) -> None:
@@ -194,27 +209,7 @@ def _relints_overlap_in_valuation(
         return True
     if not c1.gens or not c2.gens:
         return False  # the origin is nobody's relative interior except its own
-    n = c1.ambient_dim
-    k1, k2, m = len(c1.gens), len(c2.gens), len(vcone.gens)
-    total = k1 + k2 + m
-    eqs = []
-    for coord in range(n):
-        row = (
-            [g[coord] for g in c1.gens]
-            + [-g[coord] for g in c2.gens]
-            + [Q(0)] * m
-        )
-        eqs.append((qv(row), Q(0)))
-    for coord in range(n):
-        row = (
-            [g[coord] for g in c1.gens]
-            + [Q(0)] * k2
-            + [-v[coord] for v in vcone.gens]
-        )
-        eqs.append((qv(row), Q(0)))
-    ineqs = [(_unit(total, i), Q(1)) for i in range(k1 + k2)]
-    ineqs += [(_unit(total, k1 + k2 + j), Q(0)) for j in range(m)]
-    return feasible(total, eqs, ineqs) is not None
+    return _relints_share_valuation_point([c1, c2], vcone)
 
 
 def wonderful_colored_fan(rs: RootSystem) -> ColoredFan:

@@ -81,6 +81,8 @@ def test_malformed_json_exit_2(capsys, tmp_path):
         ("maximal_cones", [[0, 5]]),  # index past the last ray
         ("maximal_cones", [[0, -1]]),  # negative index, not "the last ray"
         ("ambient_dim", "2.5"),
+        ("lattice", [["1/1", "0/1"], ["0/1", "1/1"], ["1/1", "1/1"]]),  # dependent rows
+        ("lattice", [["1/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"]]),  # rows too long
     ],
 )
 def test_malformed_fan_document_exit_2(capsys, tmp_path, field, value):
@@ -124,6 +126,14 @@ def test_orbits_command(capsys):
     code, out, _ = run_cli(capsys, "orbits", "og", "--n", "2", "--samples", "5", "--seed", "3", "--json")
     assert code == 0
     assert json.loads(out)["sampled_checks"][0]["violations"] == 0
+
+
+@pytest.mark.parametrize("kind", ["lg", "og"])
+def test_orbits_negative_samples_exit_2(capsys, kind):
+    code, out, err = run_cli(capsys, "orbits", kind, "--n", "2", "--samples", "-5")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_verify_command(capsys):

@@ -88,6 +88,8 @@ def test_tau_fixed_locus():
     assert rep.violations == 0
     with pytest.raises(InvalidInput):
         tau_fixed_locus_check(orthogonal_doubled(2), 5, seed=0)
+    with pytest.raises(InvalidInput):
+        tau_fixed_locus_check(space, -1, seed=0)
 
 
 def test_degeneration_family_raises_invariant():

@@ -72,6 +72,11 @@ def test_ledger_round_trip():
     assert jsonio.dumps(jsonio.ledger_to_json(again)) == emitted
     with pytest.raises(InvalidInput):
         jsonio.ledger_from_json({"components": [{}], "history": []})
+    # a coefficient must be a JSON integer: no string, no float, no boolean
+    for coefficient in ("2.5", 2.5, True):
+        doc = {"components": [{"name": "H", "coefficient": coefficient}], "history": []}
+        with pytest.raises(InvalidInput):
+            jsonio.ledger_from_json(doc)
 
 
 def test_colored_fan_serialization():

@@ -43,6 +43,7 @@ def test_coords_in_basis():
     basis = qm([[1, 0, 0], [0, 1, 0]])
     assert coords_in_basis(basis, qv([3, 4, 0])) == qv([3, 4])
     assert coords_in_basis(basis, qv([3, 4, 1])) is None
+    assert coords_in_basis(basis, qv([3, 4])) is None
     assert coords_in_basis((), qv([0, 0])) == ()
 
 
@@ -260,6 +261,115 @@ def test_elimination_core_matches_old_routines(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(linalg, "_rref", _old_rref)
                 assert witness == feasible(ncols, eqs, ineqs)
+
+
+# --- the three change-of-coordinates routines that the cached dual basis
+# replaced, kept as the oracle for the differential test below ---
+
+
+def _old_coords_in_basis(basis_rows, v):
+    """A fresh solve, certified by substituting back."""
+    if not basis_rows:
+        return () if all(x == 0 for x in v) else None
+    sol = solve(transpose(basis_rows), v)
+    if sol is None or mat_vec(transpose(basis_rows), sol) != tuple(Q(x) for x in v):
+        return None
+    return sol
+
+
+def _old_coord_matrix(rows):
+    """lattice's Gram-inverse formula (B B^T)^-1 B."""
+    return mat_mul(inverse(mat_mul(rows, transpose(rows))), rows)
+
+
+def _old_dual_rows(gens):
+    """polyhedra's generators padded greedily by unit vectors, then inverted."""
+    dim = len(gens[0])
+    rows = list(gens)
+    r = len(rows)
+    for j in range(dim):
+        if r == dim:
+            break
+        candidate = rows + [linalg._unit(dim, j)]
+        if rank(qm(candidate)) > r:
+            rows = candidate
+            r += 1
+    return inverse(transpose(qm(rows)))
+
+
+def _old_contains(dual_rows, k, v, strict):
+    coords = mat_vec(dual_rows, v)
+    if any(x != 0 for x in coords[k:]):
+        return False
+    if strict:
+        return all(x > 0 for x in coords[:k])
+    return all(x >= 0 for x in coords[:k])
+
+
+BUNDLED_TYPES = (
+    [f"A{n}" for n in range(1, 13)]
+    + [f"{f}{n}" for f in "BC" for n in range(2, 13)]
+    + [f"D{n}" for n in range(4, 13)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def test_dual_basis_matches_old_coordinate_routines():
+    from weylfans import lattice as lat
+    from weylfans.errors import BasisChangeError
+    from weylfans.polyhedra import _membership_functionals, cone, contains
+    from weylfans.rootsys import build_root_system
+
+    rng = random.Random(2007)
+    seen = {"in": 0, "off": 0, "inside": 0, "boundary": 0}
+    for _ in range(200):
+        dim = rng.randint(1, 6)
+        k = rng.randint(1, dim)
+        while True:
+            basis = qm(
+                [[Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim)] for _ in range(k)]
+            )
+            if rank(basis) == k:
+                break
+        c = cone(basis)
+        old_dual = _old_dual_rows(c.gens)
+        assert _membership_functionals(c)[1] == list(old_dual[:k])
+        for _ in range(4):
+            lam = [Q(rng.randint(-1, 4), rng.randint(1, 2)) for _ in range(k)]
+            v = mat_vec(transpose(basis), lam)
+            if k < dim and rng.random() < 0.5:
+                v = tuple(x + Q(rng.randint(-2, 2)) for x in v)
+            coords = coords_in_basis(basis, v)
+            assert coords == _old_coords_in_basis(basis, v)
+            seen["in" if coords is not None else "off"] += 1
+            for w in (v, mat_vec(transpose(c.gens), [abs(x) for x in lam])):
+                for strict in (False, True):
+                    assert contains(c, w, strict) == _old_contains(old_dual, k, w, strict)
+                if contains(c, w):
+                    seen["inside" if contains(c, w, strict=True) else "boundary"] += 1
+    assert min(seen.values()) > 40
+
+    # to_basis on every bundled type: root-lattice vectors and ambient unit
+    # vectors, which may lie off the root span when the ambient space is bigger
+    rejected = 0
+    for label in BUNDLED_TYPES:
+        rs = build_root_system(label)
+        for tag in ("simple_root", "fund_weight", "simple_coroot", "fund_coweight"):
+            rows = lat._basis_rows(rs, tag)
+            old = _old_coord_matrix(rows)
+            vectors = [linalg._unit(rs.ambient_dim, rng.randrange(rs.ambient_dim)) for _ in range(2)]
+            for _ in range(3):
+                coeffs = [rng.randint(-9, 9) for _ in range(rs.rank)]
+                vectors.append(mat_vec(transpose(rs.simple_roots), coeffs))
+            for amb in vectors:
+                expected = mat_vec(old, amb)
+                if mat_vec(transpose(rows), expected) != amb:
+                    rejected += 1
+                    with pytest.raises(BasisChangeError):
+                        lat.to_basis(lat.vector(rs, amb), tag)
+                else:
+                    assert lat.to_basis(lat.vector(rs, amb), tag).coords == expected
+    assert rejected > 0
 
 
 def test_saturation_basis():
