@@ -72,8 +72,8 @@ def fan_from_json(data: Mapping) -> Fan:
         cone_indices = [list(ids) for ids in data["maximal_cones"]]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed fan document: {exc}") from exc
-    if type(dim) is not int:
-        raise InvalidInput(f"fan ambient_dim must be an integer, not {dim!r}")
+    if type(dim) is not int or dim < 0:
+        raise InvalidInput(f"fan ambient_dim must be a nonnegative integer, not {dim!r}")
     if lattice is not None and (
         any(len(row) != dim for row in lattice) or rank(lattice) != len(lattice)
     ):

@@ -5,10 +5,12 @@ inverse, solve, null space, the equality step of feasibility and minor gcds
 all run on one fraction-free core, `_echelon`: rational rows are scaled to
 integer rows and reduced by Bareiss elimination with exact divisions, and
 `_rref` reads the reduced row echelon form over Fraction off its result.
-Every change of coordinates reads one cached dual basis, `_dual_basis`.
-Beside it sit Smith normal form over the integers and a Fourier-Motzkin
-feasibility test that doubles as the witness generator for all cone
-computations.  No floating point anywhere.
+Every change of coordinates reads one cached dual basis, `_dual_basis`,
+held as integer rows over one denominator, so a coordinate is one integer
+dot product.  Beside it sit Smith normal form over the integers and a
+Fourier-Motzkin feasibility test on primitive integer rows that doubles as
+the witness generator for all cone computations.  Fraction stays at every
+public function's inputs and outputs.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -95,6 +97,11 @@ def _row_scale(row: Sequence) -> int:
     return lcm(*(x.denominator for x in row))
 
 
+def _scaled_ints(row: Sequence, s: int) -> list[int]:
+    """The integers s * x for a rational row whose denominators divide s."""
+    return [x.numerator * (s // x.denominator) for x in row]
+
+
 def _echelon(rows: Iterable[Sequence], reduced: bool = True) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free (Bareiss) row reduction; returns (int rows, pivot columns, d).
 
@@ -107,10 +114,7 @@ def _echelon(rows: Iterable[Sequence], reduced: bool = True) -> tuple[list[list[
     (fraction-free Gauss-Jordan) and the pivot rows equal d times the reduced
     row echelon form; otherwise only the rows below it are.
     """
-    a = []
-    for row in rows:
-        s = _row_scale(row)
-        a.append([x.numerator * (s // x.denominator) for x in row])
+    a = [_scaled_ints(row, _row_scale(row)) for row in rows]
     pivots: list[int] = []
     d = 1
     nrows = len(a)
@@ -188,14 +192,18 @@ def solve(a: Matrix, b: Sequence[Q]) -> Optional[Vector]:
 
 
 @lru_cache(maxsize=8192)
-def _dual_basis(rows: Matrix) -> Matrix:
-    """Row i evaluates the i-th coordinate of a vector in an extended basis.
+def _dual_basis(rows: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows N and one denominator d > 0; row i of N/d evaluates the
+    i-th coordinate of a vector in an extended basis.
 
-    The independent rows are completed to a basis of the ambient space by
-    unit vectors, taken greedily in index order.  The first len(rows) output
-    rows give the coordinates in the rows; the others vanish exactly on
-    their span.  Cached because the same bases (root-system bases, cone
-    generators, reference lattices) are asked about over and over.
+    The independent rows are completed to a basis E of the ambient space by
+    unit vectors, taken greedily in index order, and N/d is the inverse of
+    the transpose of E.  The first len(rows) rows of N/d give the
+    coordinates in the rows; the others vanish exactly on their span.  Both
+    are read off the fraction-free Gauss-Jordan form of [E^T | I], whose
+    pivot rows are d * [I | (E^T)^-1].  Cached because the same bases
+    (root-system bases, cone generators, reference lattices) are asked about
+    over and over.
     """
     dim = len(rows[0])
     extended = list(rows)
@@ -205,7 +213,13 @@ def _dual_basis(rows: Matrix) -> Matrix:
         candidate = extended + [_unit(dim, j)]
         if rank(candidate) > len(extended):
             extended = candidate
-    return inverse(transpose(qm(extended)))
+    if len(extended) == dim:
+        aug = [[*col, *_unit(dim, i)] for i, col in enumerate(zip(*extended))]
+        a, pivots, d = _echelon(aug)
+        if pivots == list(range(dim)):
+            sign = 1 if d > 0 else -1
+            return tuple(tuple(sign * x for x in row[dim:]) for row in a), sign * d
+    raise InvalidInput("basis rows are linearly dependent")
 
 
 def coords_in_basis(basis_rows: Matrix, v: Sequence[Q]) -> Optional[Vector]:
@@ -214,11 +228,15 @@ def coords_in_basis(basis_rows: Matrix, v: Sequence[Q]) -> Optional[Vector]:
         return () if is_zero_vector(v) else None
     if len(v) != len(basis_rows[0]):
         return None
-    coords = mat_vec(_dual_basis(basis_rows), v)
+    rows, d = _dual_basis(basis_rows)
+    s = _row_scale(v)
+    w = _scaled_ints(v, s)
+    dots = [sum(a * b for a, b in zip(row, w)) for row in rows]
     k = len(basis_rows)
-    if not is_zero_vector(coords[k:]):
+    if any(dots[k:]):
         return None
-    return coords[:k]
+    ds = d * s
+    return tuple(Q(x, ds) for x in dots[:k])
 
 
 def nullspace(m: Matrix) -> list[Vector]:
@@ -241,23 +259,13 @@ def nullspace(m: Matrix) -> list[Vector]:
 # --- integer lattice utilities ---------------------------------------------
 
 
-def _int_gcd(values: Iterable[int]) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, abs(int(v)))
-    return g
-
-
 def primitive_direction(v: Sequence[Q]) -> Vector:
     """Scale a nonzero rational vector to a coprime integer vector, same direction."""
     v = qv(v)
     if is_zero_vector(v):
         raise InvalidInput("zero vector has no direction")
-    denom_lcm = 1
-    for a in v:
-        denom_lcm = denom_lcm * a.denominator // gcd(denom_lcm, a.denominator)
-    ints = [int(a * denom_lcm) for a in v]
-    g = _int_gcd(ints)
+    ints = _scaled_ints(v, _row_scale(v))
+    g = gcd(*ints)
     return tuple(Q(x // g) for x in ints)
 
 
@@ -414,28 +422,40 @@ def saturation_basis(vectors: Sequence[Sequence[Q]]) -> Matrix:
 # --- exact linear feasibility (Fourier-Motzkin) -----------------------------
 
 Constraint = tuple[Vector, Q]  # (coeffs, rhs), meaning coeffs . x >= rhs
+# inside feasible, inequalities are held as primitive integer rows (coeffs, rhs)
+IntConstraint = tuple[tuple[int, ...], int]
 
 
-def _normalize_ineq(coeffs: Sequence[Q], rhs: Q) -> Optional[Constraint]:
+def _primitive_ineq(coeffs: list[int], rhs: int) -> Optional[IntConstraint]:
+    """Divide an integer row by the gcd of its entries; None means trivially
+    satisfied, and a zero row with rhs 1 encodes an infeasible one."""
+    if not any(coeffs):
+        return None if rhs <= 0 else (tuple(coeffs), 1)
+    g = gcd(*coeffs, rhs)
+    return tuple(x // g for x in coeffs), rhs // g
+
+
+def _normalize_ineq(coeffs: Sequence[Q], rhs: Q) -> Optional[IntConstraint]:
     """Scale to primitive integers; None means trivially satisfied."""
-    coeffs = qv(coeffs)
-    rhs = Q(rhs)
-    if is_zero_vector(coeffs):
-        return None if rhs <= 0 else (coeffs, Q(1))  # (0 >= 1) encodes infeasible
-    denom = 1
-    for a in list(coeffs) + [rhs]:
-        denom = denom * a.denominator // gcd(denom, a.denominator)
-    ints = [int(a * denom) for a in coeffs]
-    r = int(rhs * denom)
-    g = _int_gcd(ints + ([r] if r else []))
-    return tuple(Q(x // g) for x in ints), Q(r // g if g else r)
+    row = qv((*coeffs, rhs))
+    ints = _scaled_ints(row, _row_scale(row))
+    return _primitive_ineq(ints[:-1], ints[-1])
+
+
+def _tight_value(row: IntConstraint, v: int, x: Sequence[Q]) -> Q:
+    """The x_v at which the row holds with equality, the other coordinates
+    (x_v itself still zero) taken from x."""
+    c, r = row
+    return (r - sum((cj * xj for cj, xj in zip(c, x) if cj), Q(0))) / c[v]
 
 
 def feasible(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constraint]) -> Optional[Vector]:
     """Exact witness for {x : eq . x = rhs, ineq . x >= rhs}, or None.
 
     Equalities are removed by Gaussian elimination, the remaining system by
-    Fourier-Motzkin elimination with back substitution for the witness.
+    Fourier-Motzkin elimination on primitive integer rows (Schrijver, Theory
+    of Linear and Integer Programming, 12.2) with back substitution over
+    Fraction for the witness.
     """
     if eqs:
         aug = [list(c) + [r] for c, r in eqs]
@@ -481,11 +501,11 @@ def feasible(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constrain
             x[c] = c0 + sum((expr[j] * x[j] for j in range(num_vars)), Q(0))
         return tuple(x)
 
-    system: set[Constraint] = set()
+    system: set[IntConstraint] = set()
     for coeffs, rhs in ineqs:
         n = _normalize_ineq(coeffs, rhs)
         if n is not None:
-            if is_zero_vector(n[0]):
+            if not any(n[0]):
                 return None
             system.add(n)
 
@@ -501,23 +521,21 @@ def feasible(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constrain
             if best_cost is None or cost < best_cost:
                 best, best_cost = v, cost
         v = best
-        lowers = []  # x_v >= expr
-        uppers = []  # x_v <= expr
+        lowers = []  # c[v] > 0: x_v >= (rhs - sum of the other terms) / c[v]
+        uppers = []  # c[v] < 0: x_v <= the same
         rest = []
-        for coeffs, rhs in system:
-            a = coeffs[v]
-            if a == 0:
-                rest.append((coeffs, rhs))
-            else:
-                expr = (tuple(-coeffs[j] / a if j != v else Q(0) for j in range(num_vars)), rhs / a)
-                (lowers if a > 0 else uppers).append(expr)
-        new_system: set[Constraint] = set(rest)
+        for row in system:
+            a = row[0][v]
+            (rest if a == 0 else lowers if a > 0 else uppers).append(row)
+        new_system: set[IntConstraint] = set(rest)
         for lc, lr in lowers:
+            a = lc[v]
             for uc, ur in uppers:
-                # lower <= upper: (uc - lc) . x >= lr - ur
-                n = _normalize_ineq(vsub(uc, lc), lr - ur)
+                # lower <= upper, scaled by a*b > 0: (b*lc + a*uc) . x >= b*lr + a*ur
+                b = -uc[v]
+                n = _primitive_ineq([b * x + a * y for x, y in zip(lc, uc)], b * lr + a * ur)
                 if n is not None:
-                    if is_zero_vector(n[0]):
+                    if not any(n[0]):
                         return None
                     new_system.add(n)
         stack.append((v, lowers, uppers))
@@ -530,8 +548,8 @@ def feasible(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constrain
 
     x = [Q(0)] * num_vars
     for v, lowers, uppers in reversed(stack):
-        lo = max((r + dot(c, x) for c, r in lowers), default=None)
-        hi = min((r + dot(c, x) for c, r in uppers), default=None)
+        lo = max((_tight_value(row, v, x) for row in lowers), default=None)
+        hi = min((_tight_value(row, v, x) for row in uppers), default=None)
         if lo is None and hi is None:
             x[v] = Q(0)
         elif lo is None:

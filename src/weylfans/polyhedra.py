@@ -294,7 +294,8 @@ def _membership_functionals(c: RationalCone) -> tuple[list[Vector], list[Vector]
     equation vanishes at x and every inequality is nonnegative at x."""
     if not c.gens:
         return [_unit(c.ambient_dim, j) for j in range(c.ambient_dim)], []
-    return nullspace(qm(c.gens)), list(_dual_basis(c.gens)[: len(c.gens)])
+    rows, d = _dual_basis(c.gens)
+    return nullspace(qm(c.gens)), [tuple(Q(x, d) for x in row) for row in rows[: len(c.gens)]]
 
 
 def covered_by(

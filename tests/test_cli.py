@@ -83,6 +83,11 @@ def test_malformed_json_exit_2(capsys, tmp_path):
         ("ambient_dim", "2.5"),
         ("lattice", [["1/1", "0/1"], ["0/1", "1/1"], ["1/1", "1/1"]]),  # dependent rows
         ("lattice", [["1/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"]]),  # rows too long
+        pytest.param(  # a whole document: no rays, so no cone checks the dimension
+            None,
+            {"ambient_dim": -1, "lattice": "standard", "rays": [], "maximal_cones": [[]]},
+            id="negative-ambient_dim",
+        ),
     ],
 )
 def test_malformed_fan_document_exit_2(capsys, tmp_path, field, value):
@@ -91,8 +96,8 @@ def test_malformed_fan_document_exit_2(capsys, tmp_path, field, value):
         "lattice": "standard",
         "rays": [["-1/1", "-1/1"], ["0/1", "1/1"], ["1/1", "0/1"]],
         "maximal_cones": [[0, 1], [0, 2], [1, 2]],
-        field: value,
     }
+    doc.update(value if field is None else {field: value})
     path = tmp_path / "bad_fan.json"
     path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "fan", "check", "--input", str(path))

@@ -128,7 +128,7 @@ def _old_int_rank(rows):
     a = []
     for row in rows:
         r = [int(x) for x in row]
-        g = linalg._int_gcd(r)
+        g = gcd(*r)
         a.append([x // g for x in r] if g > 1 else r)
     if not a:
         return 0
@@ -144,7 +144,7 @@ def _old_int_rank(rows):
                 g = gcd(a[r][c], a[i][c])
                 f1, f2 = a[r][c] // g, a[i][c] // g
                 a[i] = [f1 * x - f2 * y for x, y in zip(a[i], a[r])]
-                g2 = linalg._int_gcd(a[i])
+                g2 = gcd(*a[i])
                 if g2 > 1:
                     a[i] = [x // g2 for x in a[i]]
         r += 1
@@ -439,3 +439,224 @@ def test_feasible_against_grid_search():
         else:
             for point in product(grid, repeat=n):
                 assert not all(dot(c, point) >= r for c, r in ineqs)
+
+
+# --- the Fraction Fourier-Motzkin loop that the integer rows replaced, kept
+# verbatim as the oracle for the differential test below; the Fraction dual
+# basis it pairs with is _old_dual_rows above ---
+
+
+def _old_normalize_ineq(coeffs, rhs):
+    coeffs = qv(coeffs)
+    rhs = Q(rhs)
+    if all(a == 0 for a in coeffs):
+        return None if rhs <= 0 else (coeffs, Q(1))
+    denom = 1
+    for a in list(coeffs) + [rhs]:
+        denom = denom * a.denominator // gcd(denom, a.denominator)
+    ints = [int(a * denom) for a in coeffs]
+    r = int(rhs * denom)
+    g = gcd(*ints, *([r] if r else []))
+    return tuple(Q(x // g) for x in ints), Q(r // g if g else r)
+
+
+def _old_feasible(num_vars, eqs, ineqs):
+    if eqs:
+        aug = [list(c) + [r] for c, r in eqs]
+        aug, pivots = linalg._rref(aug)
+        for row in aug:
+            if all(x == 0 for x in row[:num_vars]) and row[num_vars] != 0:
+                return None
+        pivot_expr = {}
+        for r, c in enumerate(pivots):
+            if c >= num_vars:
+                return None
+            pivot_expr[c] = ([-aug[r][j] for j in range(num_vars)], aug[r][num_vars])
+            pivot_expr[c][0][c] = Q(0)
+        free_vars = [j for j in range(num_vars) if j not in pivot_expr]
+        index_of = {v: i for i, v in enumerate(free_vars)}
+
+        def project(coeffs, rhs):
+            out = [Q(0)] * len(free_vars)
+            const = Q(0)
+            for j, a in enumerate(coeffs):
+                if a == 0:
+                    continue
+                if j in pivot_expr:
+                    expr, c0 = pivot_expr[j]
+                    const += a * c0
+                    for f in free_vars:
+                        out[index_of[f]] += a * expr[f]
+                else:
+                    out[index_of[j]] += a
+            return out, Q(rhs) - const
+
+        reduced = []
+        for coeffs, rhs in ineqs:
+            c, r = project(coeffs, rhs)
+            reduced.append((tuple(c), r))
+        sub = _old_feasible(len(free_vars), (), reduced)
+        if sub is None:
+            return None
+        x = [Q(0)] * num_vars
+        for f, val in zip(free_vars, sub):
+            x[f] = val
+        for c, (expr, c0) in pivot_expr.items():
+            x[c] = c0 + sum((expr[j] * x[j] for j in range(num_vars)), Q(0))
+        return tuple(x)
+
+    system = set()
+    for coeffs, rhs in ineqs:
+        n = _old_normalize_ineq(coeffs, rhs)
+        if n is not None:
+            if all(a == 0 for a in n[0]):
+                return None
+            system.add(n)
+
+    active = list(range(num_vars))
+    stack = []
+    while active:
+        best, best_cost = None, None
+        for v in active:
+            pos = sum(1 for c, _ in system if c[v] > 0)
+            neg = sum(1 for c, _ in system if c[v] < 0)
+            cost = pos * neg - pos - neg
+            if best_cost is None or cost < best_cost:
+                best, best_cost = v, cost
+        v = best
+        lowers = []
+        uppers = []
+        rest = []
+        for coeffs, rhs in system:
+            a = coeffs[v]
+            if a == 0:
+                rest.append((coeffs, rhs))
+            else:
+                expr = (tuple(-coeffs[j] / a if j != v else Q(0) for j in range(num_vars)), rhs / a)
+                (lowers if a > 0 else uppers).append(expr)
+        new_system = set(rest)
+        for lc, lr in lowers:
+            for uc, ur in uppers:
+                n = _old_normalize_ineq(tuple(u - l for u, l in zip(uc, lc)), lr - ur)
+                if n is not None:
+                    if all(a == 0 for a in n[0]):
+                        return None
+                    new_system.add(n)
+        stack.append((v, lowers, uppers))
+        active.remove(v)
+        system = new_system
+
+    for coeffs, rhs in system:
+        if rhs > 0:
+            return None
+
+    x = [Q(0)] * num_vars
+    for v, lowers, uppers in reversed(stack):
+        lo = max((r + dot(c, x) for c, r in lowers), default=None)
+        hi = min((r + dot(c, x) for c, r in uppers), default=None)
+        if lo is None and hi is None:
+            x[v] = Q(0)
+        elif lo is None:
+            x[v] = min(hi, Q(0))
+        elif hi is None:
+            x[v] = max(lo, Q(0))
+        else:
+            x[v] = (lo + hi) / 2
+    return tuple(x)
+
+
+def _random_system(rng):
+    """A seeded system in at most 5 variables around a random point: tight
+    and slack rows, a third of them pushed past the point (often making the
+    system infeasible), zero rows, duplicate rows and equalities."""
+    n = rng.randint(1, 5)
+    x0 = [Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+    ineqs = []
+    for _ in range(rng.randint(0, 7)):
+        coeffs = qv([Q(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(n)])
+        shift = Q(rng.randint(-3, 4), rng.randint(1, 2))
+        ineqs.append((coeffs, dot(coeffs, x0) - shift))
+    if rng.random() < 0.2:
+        ineqs.append((qv([0] * n), Q(rng.randint(-2, 2))))
+    if ineqs and rng.random() < 0.3:
+        coeffs, rhs = rng.choice(ineqs)
+        scale = Q(rng.randint(1, 4), rng.randint(1, 3))
+        ineqs.append((tuple(scale * c for c in coeffs), scale * rhs))
+    rng.shuffle(ineqs)
+    eqs = []
+    if rng.random() < 0.4:
+        for _ in range(rng.randint(1, n)):
+            coeffs = qv([rng.randint(-3, 3) for _ in range(n)])
+            eqs.append((coeffs, dot(coeffs, x0) + (rng.randint(-1, 1) if rng.random() < 0.2 else 0)))
+    return n, eqs, ineqs
+
+
+def _recorded_colored_fan_systems(monkeypatch):
+    """Every feasible system asked by covered_by and the valuation-point
+    test while building, covering and pairing the type-C colored fans of
+    ranks 2-4."""
+    from weylfans import polyhedra, spherical
+    from weylfans.rootsys import build_root_system
+
+    recorded = []
+
+    def record(num_vars, eqs, ineqs):
+        recorded.append((num_vars, list(eqs), list(ineqs)))
+        return feasible(num_vars, eqs, ineqs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polyhedra, "feasible", record)
+        patch.setattr(spherical, "feasible", record)
+        for n in range(2, 5):
+            fans = spherical.blowup_chain_fans(n)
+            fans += [spherical.z_colored_fan(n), spherical.wonderful_colored_fan(build_root_system(f"C{n}"))]
+            for f in fans:
+                cones = [cc.cone for cc in f.cones]
+                spherical.is_complete_embedding(f)
+                polyhedra.covered_by(f.valuation_cone, cones, shortcut=False)
+                for c1, c2 in combinations(cones, 2):
+                    spherical._relints_overlap_in_valuation(c1, c2, f.valuation_cone)
+    return recorded
+
+
+def test_integer_rows_match_old_fraction_routines(monkeypatch):
+    rng = random.Random(1968)
+    seen = {"feasible": 0, "infeasible": 0, "with equalities": 0, "zero row": 0}
+    for _ in range(1500):
+        n, eqs, ineqs = _random_system(rng)
+        witness = feasible(n, eqs, ineqs)
+        assert witness == _old_feasible(n, eqs, ineqs)
+        seen["feasible" if witness is not None else "infeasible"] += 1
+        seen["with equalities"] += bool(eqs)
+        seen["zero row"] += any(all(c == 0 for c in coeffs) for coeffs, _ in ineqs)
+    assert min(seen.values()) > 150
+
+    recorded = _recorded_colored_fan_systems(monkeypatch)
+    assert len(recorded) > 500
+    assert any(eqs for _, eqs, _ in recorded) and any(not eqs for _, eqs, _ in recorded)
+    outcomes = set()
+    for n, eqs, ineqs in recorded:
+        witness = feasible(n, eqs, ineqs)
+        assert witness == _old_feasible(n, eqs, ineqs)
+        outcomes.add(witness is None)
+    assert outcomes == {True, False}
+
+    # the integer dual basis against the Fraction one, with a positive d,
+    # and dependent rows refused
+    negative = 0
+    for _ in range(300):
+        dim = rng.randint(1, 6)
+        k = rng.randint(1, dim)
+        rows = qm([[Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim)] for _ in range(k)])
+        if rank(rows) < k:
+            with pytest.raises(InvalidInput, match="linearly dependent"):
+                linalg._dual_basis(rows)
+            continue
+        n_rows, d = linalg._dual_basis(rows)
+        old = _old_dual_rows(rows)
+        assert d > 0 and all(type(x) is int for row in n_rows for x in row)
+        assert tuple(tuple(Q(x, d) for x in row) for row in n_rows) == old
+        negative += det(old) < 0
+    assert negative > 50
+    with pytest.raises(InvalidInput, match="linearly dependent"):
+        linalg._dual_basis(qm([[1, 0], [0, 1], [1, 1]]))

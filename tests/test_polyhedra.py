@@ -80,6 +80,8 @@ def test_cone_construction():
     assert c.gens == (qv([0, 0, 0, 1]), qv([1, 0, 0, 0]))
     with pytest.raises(InvalidInput):
         cone([[0, 1, 0, 0]], lattice=lat)
+    with pytest.raises(InvalidInput, match="linearly dependent"):
+        cone([[1, 0]], lattice=[[1, 0], [2, 0]])
 
 
 def test_is_smooth():
