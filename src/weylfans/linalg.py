@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals and the integers.
 
 Everything in the package funnels through this module.  Rank, determinant,
-inverse, solve, null space, the equality step of feasibility and minor gcds
-all run on one fraction-free core, `_echelon`: rational rows are scaled to
-integer rows and reduced by Bareiss elimination with exact divisions, and
-`_rref` reads the reduced row echelon form over Fraction off its result.
-Every change of coordinates reads one cached dual basis, `_dual_basis`,
-held as integer rows over one denominator, so a coordinate is one integer
-dot product.  Beside it sit Smith normal form over the integers and a
-Fourier-Motzkin feasibility test on primitive integer rows that doubles as
-the witness generator for all cone computations.  Fraction stays at every
+inverse, the equality step of feasibility and minor gcds all run on one
+fraction-free core, `_echelon`: rational rows are scaled to integer rows and
+reduced by Bareiss elimination with exact divisions, and `_rref` reads the
+reduced row echelon form over Fraction off its result.  Every change of
+coordinates and every cone question reads one cached dual basis,
+`_dual_basis`, held as integer rows over one denominator, so a coordinate is
+one integer dot product.  Beside it sit Smith normal form over the integers
+and a Fourier-Motzkin feasibility test on primitive integer rows that
+doubles as the witness generator for all cone computations.  Fraction stays at every
 public function's inputs and outputs.  No floating point anywhere.
 """
 
@@ -28,8 +28,8 @@ Matrix = tuple[Vector, ...]
 
 
 def qv(entries: Iterable) -> Vector:
-    """Coerce a sequence to an exact rational vector."""
-    return tuple(Q(x) for x in entries)
+    """Coerce a sequence to an exact rational vector; Fraction entries are kept."""
+    return tuple(x if type(x) is Q else Q(x) for x in entries)
 
 
 def qm(rows: Iterable[Iterable]) -> Matrix:
@@ -61,10 +61,6 @@ def vneg(x: Sequence[Q]) -> Vector:
 
 def is_zero_vector(x: Sequence[Q]) -> bool:
     return all(a == 0 for a in x)
-
-
-def zero_vector(n: int) -> Vector:
-    return (Q(0),) * n
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -169,28 +165,6 @@ def inverse(m: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def solve(a: Matrix, b: Sequence[Q]) -> Optional[Vector]:
-    """One exact solution of A x = b (A given by rows), or None if inconsistent.
-
-    Free variables, if any, are set to zero.
-    """
-    if not a:
-        return zero_vector(0) if is_zero_vector(b) else None
-    ncols = len(a[0])
-    aug = [list(row) + [Q(bi)] for row, bi in zip(a, b)]
-    aug, pivots = _rref(aug)
-    for row in aug:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
-    x = [Q(0)] * ncols
-    for r, c in enumerate(pivots):
-        if c < ncols:
-            x[c] = aug[r][ncols]
-        elif aug[r][ncols] != 0:
-            return None
-    return tuple(x)
-
-
 @lru_cache(maxsize=8192)
 def _dual_basis(rows: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Integer rows N and one denominator d > 0; row i of N/d evaluates the
@@ -237,23 +211,6 @@ def coords_in_basis(basis_rows: Matrix, v: Sequence[Q]) -> Optional[Vector]:
         return None
     ds = d * s
     return tuple(Q(x, ds) for x in dots[:k])
-
-
-def nullspace(m: Matrix) -> list[Vector]:
-    """Basis of the right null space of a matrix given by rows."""
-    if not m:
-        return []
-    ncols = len(m[0])
-    rows, pivots = _rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Q(0)] * ncols
-        v[f] = Q(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        basis.append(tuple(v))
-    return basis
 
 
 # --- integer lattice utilities ---------------------------------------------
@@ -436,8 +393,9 @@ def _primitive_ineq(coeffs: list[int], rhs: int) -> Optional[IntConstraint]:
 
 
 def _normalize_ineq(coeffs: Sequence[Q], rhs: Q) -> Optional[IntConstraint]:
-    """Scale to primitive integers; None means trivially satisfied."""
-    row = qv((*coeffs, rhs))
+    """Scale an int or Fraction row to primitive integers; None means
+    trivially satisfied."""
+    row = (*coeffs, rhs)
     ints = _scaled_ints(row, _row_scale(row))
     return _primitive_ineq(ints[:-1], ints[-1])
 

@@ -2,10 +2,13 @@
 
 Cones are given by linearly independent generator lists, stored primitive
 with respect to a reference lattice (the standard integer lattice unless a
-basis is supplied).  Everything is decided exactly: membership by reading
-coordinates off the cached dual basis of the generators, fan validity by
-separating functionals, coverage by enumerating the open cells of a
-hyperplane arrangement and testing one rational witness per cell.
+basis is supplied).  Every cone question reads one description of the
+cone, the cached integer dual basis of its generators: its first rows are
+the facet functionals and the remaining rows the equations of the span.
+Everything is decided exactly: membership by reading coordinates off it,
+fan validity by a separating functional combined from its rows, coverage by
+enumerating the open cells of the arrangement of the cover's rows read on
+the target's generator weights and testing one rational witness per cell.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations, product
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInput
@@ -20,24 +24,22 @@ from .linalg import (
     Matrix,
     Vector,
     _dual_basis,
+    _row_scale,
+    _scaled_ints,
     _unit,
     as_int_matrix,
     coords_in_basis,
-    dot,
     feasible,
     is_zero_vector,
     mat_vec,
     minors_gcd,
-    nullspace,
     primitive_direction,
     qm,
     qv,
     rank,
     transpose,
-    vadd,
     vneg,
     vscale,
-    vsub,
 )
 
 
@@ -167,33 +169,20 @@ def _face_compatible(
     s2 = {g for g in c2.gens if g in rays_in_c1}
     if s1 != s2:
         return False
-    extras1 = [g for g in c1.gens if g not in s1]
     extras2 = [h for h in c2.gens if h not in s1]
-    if not extras1 and not extras2:
+    if not extras2 and len(s1) == len(c1.gens):
         return True
-    # cheap candidate before the exact search: the difference of the two
-    # generator centroids, with its span(S) component removed, vanishes on
-    # the shared generators and usually separates the rest on sight
-    u = qv([0] * c1.ambient_dim)
-    for g in extras1:
-        u = vadd(u, g)
-    for h in extras2:
-        u = vsub(u, h)
-    ortho: list[Vector] = []
-    for f in s1:
-        v = f
-        for o in ortho:
-            v = vsub(v, vscale(dot(v, o) / dot(o, o), o))
-        if not is_zero_vector(v):
-            ortho.append(v)
-    for o in ortho:
-        u = vsub(u, vscale(dot(u, o) / dot(o, o), o))
-    if all(dot(u, g) > 0 for g in extras1) and all(dot(u, h) < 0 for h in extras2):
-        return True
-    eqs = [(f, Q(0)) for f in sorted(s1)]
-    ineqs = [(g, Q(1)) for g in extras1]
-    ineqs += [(vneg(h), Q(1)) for h in extras2]
-    return feasible(c1.ambient_dim, eqs, ineqs) is not None
+    # the functional is u = sum a_j N_j over the rows N_j of c1's dual basis:
+    # u . g_j = d a_j on c1's generators and the equation rows vanish there,
+    # so a_j is 0 on shared generators, at least 1 on the others, and free
+    # on the equation rows; every other generator h of c2 needs u . h <= -1
+    k = len(c1.gens)
+    free = [j for j, g in enumerate(c1.gens) if g not in s1]
+    free += range(k, c1.ambient_dim)
+    on_h = _rows_on_weights(c1, extras2)
+    ineqs = [(_unit(len(free), i), 1) for i, j in enumerate(free) if j < k]
+    ineqs += [(tuple(-on_h[j][t] for j in free), 1) for t in range(len(extras2))]
+    return feasible(len(free), [], ineqs) is not None
 
 
 def fan(cones: Iterable[RationalCone], validate: bool = True) -> Fan:
@@ -289,13 +278,26 @@ def star_subdivision(f: Fan, ray: Sequence) -> Fan:
     return fan(new_cones)
 
 
-def _membership_functionals(c: RationalCone) -> tuple[list[Vector], list[Vector]]:
-    """(equations, inequalities) cutting out the cone: x lies in c iff every
-    equation vanishes at x and every inequality is nonnegative at x."""
+def _membership_functionals(c: RationalCone) -> tuple[tuple[int, ...], ...]:
+    """Integer rows cutting out the cone: x lies in c iff the rows from
+    len(c.gens) on (the span equations) vanish at x and the first len(c.gens)
+    rows (the facets) are nonnegative at x.  They are the rows of the cone's
+    cached dual basis, whose positive denominator changes no sign."""
     if not c.gens:
-        return [_unit(c.ambient_dim, j) for j in range(c.ambient_dim)], []
-    rows, d = _dual_basis(c.gens)
-    return nullspace(qm(c.gens)), [tuple(Q(x, d) for x in row) for row in rows[: len(c.gens)]]
+        return tuple(tuple(int(i == j) for j in range(c.ambient_dim)) for i in range(c.ambient_dim))
+    return _dual_basis(c.gens)[0]
+
+
+def _rows_on_weights(c: RationalCone, gens: Sequence[Vector]) -> list[tuple[int, ...]]:
+    """The cone's membership rows as integer linear forms in generator weights.
+
+    Row r holds rows[r] . (s g) for each g in gens, where s is the one lcm of
+    all the generators' denominators: a positive multiple of rows[r] read at
+    the point sum_g w_g g, as a function of the weights w.
+    """
+    s = lcm(*(_row_scale(g) for g in gens))
+    cols = [_scaled_ints(g, s) for g in gens]
+    return [tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in _membership_functionals(c)]
 
 
 def covered_by(
@@ -326,10 +328,8 @@ def covered_by(
     funcs: list[Vector] = []
     seen: set[Vector] = set()
     for c in cover:
-        eq_funcs, ineq_funcs = _membership_functionals(c)
-        for phi in eq_funcs + ineq_funcs:
-            psi = tuple(dot(phi, g) for g in gens)
-            if is_zero_vector(psi):
+        for psi in _rows_on_weights(c, gens):
+            if not any(psi):
                 continue
             key = primitive_direction(psi)
             if key[next(i for i, x in enumerate(key) if x != 0)] < 0:

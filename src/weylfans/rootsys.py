@@ -340,7 +340,7 @@ def weyl_enumerate(rs: RootSystem, bound: int = 2000) -> list[WeylElement]:
             f"Weyl group of {rs.label} has order {order}, above the bound {bound}"
         )
     gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
-    elements = subgroup_closure(gens, bound=order, _identity_dim=rs.ambient_dim)
+    elements = subgroup_closure(gens, bound=order)
     if len(elements) != order:
         raise InvariantViolation(
             f"enumerated {len(elements)} elements of W({rs.label}), expected {order}"
@@ -352,20 +352,19 @@ def subgroup_closure(
     generators: Sequence[WeylElement],
     bound: int = 2000,
     root_system: Optional[RootSystem] = None,
-    _identity_dim: Optional[int] = None,
 ) -> list[WeylElement]:
     """Close a set of orthogonal matrices under composition, refused past the bound.
 
     When a root system is supplied, every generator is checked to permute its
     root set first.  The result is sorted by matrix for determinism.
     """
-    if not generators and _identity_dim is None:
+    if not generators:
         raise InvalidInput("cannot close an empty generating set of unknown dimension")
     if root_system is not None:
         for g in generators:
             if not preserves_root_set(root_system, g):
                 raise InvalidInput("generator does not preserve the root set")
-    dim = _identity_dim if _identity_dim is not None else len(generators[0].matrix)
+    dim = len(generators[0].matrix)
     seen: dict[Matrix, WeylElement] = {}
     ident = identity_element(dim)
     seen[ident.matrix] = ident

@@ -22,11 +22,10 @@ from .linalg import (
     _unit,
     feasible,
     mat_vec,
-    qv,
     smith_normal_form,
     vneg,
 )
-from .polyhedra import RationalCone, cone, contains, covered_by, faces, zero_cone
+from .polyhedra import RationalCone, _rows_on_weights, cone, contains, covered_by, faces, zero_cone
 from .rootsys import RootSystem, build_root_system, longest_element
 from .lattice import LatticeVector, fundamental_weight, to_basis, vector
 
@@ -92,32 +91,25 @@ class ColoredFan:
 def _relints_share_valuation_point(cones: Sequence[RationalCone], vcone: RationalCone) -> bool:
     """Exact test of the relative interiors of the cones meeting inside the valuation cone.
 
-    The variables are the generator weights of each cone in turn, then those
-    of the valuation cone: the first cone's combination must equal each
-    later cone's and then a valuation-cone combination, with cone weights at
-    least 1 and valuation weights at least 0.
+    The variables are the generator weights of the first cone, each at least
+    1.  On the point they give, every later cone's span equations vanish and
+    its facets are at least 1, and the valuation cone's facets are at least
+    0.  All rows are read on the weights up to a positive scale, which keeps
+    the answer: scaling a solution up satisfies the scaled rows.
     """
-    blocks = [c.gens for c in cones] + [vcone.gens]
-    total = sum(len(b) for b in blocks)
-    eqs = []
-    for t in range(1, len(blocks)):
-        for coord in range(cones[0].ambient_dim):
-            row = []
-            for s, block in enumerate(blocks):
-                sign = 1 if s == 0 else -1 if s == t else 0
-                row += [sign * g[coord] for g in block]
-            eqs.append((qv(row), Q(0)))
-    free = total - len(vcone.gens)
-    ineqs = [(_unit(total, i), Q(1 if i < free else 0)) for i in range(total)]
-    return feasible(total, eqs, ineqs) is not None
+    gens = cones[0].gens
+    eqs, ineqs = [], [(_unit(len(gens), i), 1) for i in range(len(gens))]
+    for c, bound in [*((c, 1) for c in cones[1:]), (vcone, 0)]:
+        rows = _rows_on_weights(c, gens)
+        eqs += [(row, 0) for row in rows[len(c.gens):]]
+        ineqs += [(row, bound) for row in rows[: len(c.gens)]]
+    return feasible(len(gens), eqs, ineqs) is not None
 
 
 def _relint_meets_valuation(c: RationalCone, vcone: RationalCone) -> bool:
     """Exact test of relint(c) meeting the valuation cone."""
     if not c.gens:
         return True  # the origin lies in every cone
-    if all(contains(vcone, g) for g in c.gens):
-        return True  # the generator sum is an interior witness inside the cone
     return _relints_share_valuation_point([c], vcone)
 
 
@@ -158,7 +150,6 @@ def colored_fan_from_tops(
     tops: Sequence[ColoredCone],
     boundary_names: Optional[Mapping[Vector, str]] = None,
     rho: Optional[Mapping[str, Vector]] = None,
-    check_disjoint: bool = True,
 ) -> ColoredFan:
     """Close the given colored cones under colored faces and validate.
 
@@ -176,7 +167,7 @@ def colored_fan_from_tops(
                 raise InvalidInput("one cone carries two different color sets")
             collected[cc.cone.gens] = cc
     cones = tuple(collected[k] for k in sorted(collected))
-    if check_disjoint and len(tops) > 1:
+    if len(tops) > 1:
         for i in range(len(cones)):
             for j in range(i + 1, len(cones)):
                 if _relints_overlap_in_valuation(cones[i].cone, cones[j].cone, vcone):

@@ -17,14 +17,12 @@ from weylfans.linalg import (
     mat_mul,
     mat_vec,
     minors_gcd,
-    nullspace,
     primitive_direction,
     qm,
     qv,
     rank,
     saturation_basis,
     smith_normal_form,
-    solve,
     transpose,
 )
 
@@ -33,10 +31,7 @@ def test_basic_solvers():
     a = qm([[2, -1], [-3, 2]])
     assert det(a) == 1
     assert inverse(a) == qm([[2, 1], [3, 2]])
-    assert solve(a, qv([1, 0])) == qv([2, 3])
-    assert solve(qm([[1, 1], [1, 1]]), qv([0, 1])) is None
     assert rank(qm([[1, 2], [2, 4]])) == 1
-    assert nullspace(qm([[1, 2]])) == [qv([-2, 1])]
 
 
 def test_coords_in_basis():
@@ -240,10 +235,7 @@ def test_elimination_core_matches_old_routines(monkeypatch):
         assert _outcome(det, m) == _outcome(_old_det, m)
         if nrows == ncols:
             assert _outcome(inverse, m) == _outcome(_old_inverse, m)
-        assert nullspace(m) == _old_nullspace(m)
         x0 = qv([Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ncols)])
-        for b in (mat_vec(m, x0), qv([rng.randint(-4, 4) for _ in range(nrows)])):
-            assert solve(m, b) == _old_solve(m, b)
 
         # integer rows: rank against the old integer elimination, and the gcd
         # of maximal minors of the first min(rows, cols) rows
@@ -271,7 +263,7 @@ def _old_coords_in_basis(basis_rows, v):
     """A fresh solve, certified by substituting back."""
     if not basis_rows:
         return () if all(x == 0 for x in v) else None
-    sol = solve(transpose(basis_rows), v)
+    sol = _old_solve(transpose(basis_rows), v)
     if sol is None or mat_vec(transpose(basis_rows), sol) != tuple(Q(x) for x in v):
         return None
     return sol
@@ -333,7 +325,8 @@ def test_dual_basis_matches_old_coordinate_routines():
                 break
         c = cone(basis)
         old_dual = _old_dual_rows(c.gens)
-        assert _membership_functionals(c)[1] == list(old_dual[:k])
+        d = linalg._dual_basis(c.gens)[1]
+        assert [tuple(Q(x, d) for x in row) for row in _membership_functionals(c)[:k]] == list(old_dual[:k])
         for _ in range(4):
             lam = [Q(rng.randint(-1, 4), rng.randint(1, 2)) for _ in range(k)]
             v = mat_vec(transpose(basis), lam)
