@@ -24,6 +24,8 @@ def fraction_to_str(x) -> str:
 
 
 def str_to_fraction(s: str) -> Q:
+    if not isinstance(s, str):
+        raise InvalidInput(f"malformed rational {s!r}")
     try:
         if "/" in s:
             p, q = s.split("/")
@@ -96,8 +98,22 @@ def weyl_element_to_json(w: WeylElement) -> dict:
 
 
 def weyl_element_from_json(data: Mapping) -> WeylElement:
-    word = data.get("word")
-    return WeylElement(decode_matrix(data["matrix"]), tuple(word) if word is not None else None)
+    try:
+        rows = data["matrix"]
+        word = data.get("word")
+    except (KeyError, TypeError) as exc:
+        raise InvalidInput(f"malformed Weyl element document: {exc}") from exc
+    if not (
+        isinstance(rows, list)
+        and rows
+        and all(isinstance(row, list) and len(row) == len(rows) for row in rows)
+    ):
+        raise InvalidInput("Weyl element matrix must be a nonempty square array of arrays")
+    if word is not None and (
+        not isinstance(word, list) or any(type(i) is not int or i < 1 for i in word)
+    ):
+        raise InvalidInput(f"Weyl element word {word!r} is not a list of positive integers")
+    return WeylElement(decode_matrix(rows), word)
 
 
 def root_system_to_json(rs: RootSystem) -> dict:
@@ -116,7 +132,13 @@ def root_system_to_json(rs: RootSystem) -> dict:
 
 def root_system_from_json(data: Mapping) -> RootSystem:
     """Rebuild from the type label and cross-check every serialized field."""
-    rs = build_root_system(str(data["type"]))
+    try:
+        label = data["type"]
+    except (KeyError, TypeError) as exc:
+        raise InvalidInput(f"malformed root system document: {exc}") from exc
+    if not isinstance(label, str):
+        raise InvalidInput(f"root system type {label!r} is not a string")
+    rs = build_root_system(label)
     emitted = root_system_to_json(rs)
     for key, value in data.items():
         if key not in emitted or emitted[key] != value:

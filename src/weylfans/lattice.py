@@ -1,8 +1,13 @@
 """Weight, root and coweight lattice arithmetic.
 
 A LatticeVector is an exact rational coordinate tuple tagged with the basis
-it is written in.  All conversions route through the ambient model, where
-the Cartan pairing is literally the standard inner product.
+it is written in.  Each change of basis is one integer matrix over one
+denominator per (source, target) pair, held on the root system and filled
+on first use.  Into the ambient model it is the transposed basis rows.
+Between two bases it is the target's dual rows times the source rows, with
+no ambient round trip.  Out of the ambient model it is the target's cached
+dual basis, whose span equations reject vectors off the root span.  The
+Cartan pairing is the standard inner product of ambient coordinates.
 """
 
 from __future__ import annotations
@@ -10,18 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .errors import BasisChangeError, InvalidInput
 from .linalg import (
     Matrix,
     Vector,
-    coords_in_basis,
-    dot,
+    _common_ints,
+    _dual_basis,
+    _int_mat_vec,
+    _row_scale,
+    _scaled_ints,
     is_zero_vector,
-    mat_vec,
     qv,
-    transpose,
     vadd,
     vscale,
 )
@@ -61,7 +68,42 @@ class LatticeVector:
     def ambient(self) -> Vector:
         if self.basis == "ambient":
             return self.coords
-        return mat_vec(transpose(_basis_rows(self.rs, self.basis)), self.coords)
+        return _convert(self, "ambient")
+
+
+def _change(rs: RootSystem, source: str, target: str) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows N and one denominator d > 0 taking source coordinates c
+    to target coordinates N c / d; out of the ambient model, the rows past
+    the rank vanish exactly on the root span."""
+    key = (source, target)
+    change = rs._basis_changes.get(key)
+    if change is not None:
+        return change
+    if source == "ambient":
+        change = _dual_basis(_basis_rows(rs, target))
+    else:
+        ints, s = _common_ints(_basis_rows(rs, source))
+        if target == "ambient":
+            change = tuple(zip(*ints)), s
+        else:
+            dual, d = _dual_basis(_basis_rows(rs, target))
+            product = [[sum(map(mul, row, b)) for b in ints] for row in dual[: rs.rank]]
+            g = gcd(d * s, *(x for row in product for x in row))
+            change = tuple(tuple(x // g for x in row) for row in product), d * s // g
+    rs._basis_changes[key] = change
+    return change
+
+
+def _convert(v: LatticeVector, target: str) -> Vector:
+    """The coordinates of v in the target basis; off the root span an
+    ambient vector raises BasisChangeError."""
+    dots, den = _int_mat_vec(*_change(v.rs, v.basis, target), v.coords)
+    k = v.rs.ambient_dim if target == "ambient" else v.rs.rank
+    if any(dots[k:]):
+        raise BasisChangeError(
+            f"vector {v.coords} of {v.rs.label} lies outside the span of the {target} basis"
+        )
+    return tuple(Q(x, den) for x in dots[:k])
 
 
 def vector(rs: RootSystem, coords: Sequence, basis: str = "ambient") -> LatticeVector:
@@ -115,15 +157,7 @@ def to_basis(v: LatticeVector, target_tag: str) -> LatticeVector:
         raise InvalidInput(f"unknown basis tag {target_tag!r}")
     if target_tag == v.basis:
         return v
-    amb = v.ambient()
-    if target_tag == "ambient":
-        return LatticeVector(v.rs, "ambient", amb)
-    coords = coords_in_basis(_basis_rows(v.rs, target_tag), amb)
-    if coords is None:
-        raise BasisChangeError(
-            f"vector {amb} of {v.rs.label} lies outside the span of the {target_tag} basis"
-        )
-    return LatticeVector(v.rs, target_tag, coords)
+    return LatticeVector(v.rs, target_tag, _convert(v, target_tag))
 
 
 def pair(weight_side: LatticeVector, coweight_side: LatticeVector) -> Q:
@@ -132,7 +166,17 @@ def pair(weight_side: LatticeVector, coweight_side: LatticeVector) -> Q:
         raise InvalidInput(
             f"cannot pair vectors from {weight_side.rs.label} and {coweight_side.rs.label}"
         )
-    return dot(weight_side.ambient(), coweight_side.ambient())
+    a, da = _ambient_ints(weight_side)
+    b, db = _ambient_ints(coweight_side)
+    return Q(sum(map(mul, a, b)), da * db)
+
+
+def _ambient_ints(v: LatticeVector) -> tuple[list[int], int]:
+    """The ambient coordinates of v as integers over one denominator."""
+    if v.basis == "ambient":
+        s = _row_scale(v.coords)
+        return _scaled_ints(v.coords, s), s
+    return _int_mat_vec(*_change(v.rs, v.basis, "ambient"), v.coords)
 
 
 def weight_root_index(rs: RootSystem) -> int:

@@ -19,6 +19,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInput
@@ -96,6 +97,20 @@ def _row_scale(row: Sequence) -> int:
 def _scaled_ints(row: Sequence, s: int) -> list[int]:
     """The integers s * x for a rational row whose denominators divide s."""
     return [x.numerator * (s // x.denominator) for x in row]
+
+
+def _common_ints(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Rational rows as integer rows over their one least common denominator."""
+    s = lcm(*(_row_scale(row) for row in rows))
+    return [_scaled_ints(row, s) for row in rows], s
+
+
+def _int_mat_vec(rows: Sequence[Sequence[int]], d: int, v: Sequence) -> tuple[list[int], int]:
+    """Apply the integer rows over d to a rational vector v: the integer dot
+    products with v scaled to integers, and the one denominator they sit over."""
+    s = _row_scale(v)
+    w = _scaled_ints(v, s)
+    return [sum(map(mul, row, w)) for row in rows], d * s
 
 
 def _echelon(rows: Iterable[Sequence], reduced: bool = True) -> tuple[list[list[int]], list[int], int]:
@@ -202,14 +217,10 @@ def coords_in_basis(basis_rows: Matrix, v: Sequence[Q]) -> Optional[Vector]:
         return () if is_zero_vector(v) else None
     if len(v) != len(basis_rows[0]):
         return None
-    rows, d = _dual_basis(basis_rows)
-    s = _row_scale(v)
-    w = _scaled_ints(v, s)
-    dots = [sum(a * b for a, b in zip(row, w)) for row in rows]
+    dots, ds = _int_mat_vec(*_dual_basis(basis_rows), v)
     k = len(basis_rows)
     if any(dots[k:]):
         return None
-    ds = d * s
     return tuple(Q(x, ds) for x in dots[:k])
 
 

@@ -16,16 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations, product
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInput
 from .linalg import (
     Matrix,
     Vector,
+    _common_ints,
     _dual_basis,
-    _row_scale,
-    _scaled_ints,
     _unit,
     as_int_matrix,
     coords_in_basis,
@@ -295,8 +293,7 @@ def _rows_on_weights(c: RationalCone, gens: Sequence[Vector]) -> list[tuple[int,
     all the generators' denominators: a positive multiple of rows[r] read at
     the point sum_g w_g g, as a function of the weights w.
     """
-    s = lcm(*(_row_scale(g) for g in gens))
-    cols = [_scaled_ints(g, s) for g in gens]
+    cols, _ = _common_ints(gens)
     return [tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in _membership_functionals(c)]
 
 

@@ -5,7 +5,10 @@ classical families use the usual orthonormal models, G2 lives in the
 sum-zero plane of Q^3, F4 in Q^4, and E6/E7/E8 inside the even/half-integer
 model of Q^8.  All derived data (roots, Cartan matrix, fundamental weights
 and coweights, the highest root) is computed once at construction time and
-frozen, so instances are immutable and safe to share between threads.
+frozen, so instances are immutable and safe to share between threads.  The
+roots are closed in integer simple-root coordinates under the integer Cartan
+matrix, and Weyl group elements are integer matrices over one denominator;
+Fraction appears only in the values handed out.
 """
 
 from __future__ import annotations
@@ -13,19 +16,20 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
 from .linalg import (
     Matrix,
     Vector,
+    _common_ints,
+    _echelon,
+    _int_mat_vec,
     _unit,
     det,
     dot,
-    identity_matrix,
-    inverse,
-    mat_mul,
-    mat_vec,
     qm,
     qv,
     transpose,
@@ -80,9 +84,31 @@ def _simple_root_model(family: str, n: int) -> tuple[int, Matrix]:
 
 def parse_label(label: str) -> tuple[str, int]:
     label = label.strip().upper()
-    if len(label) < 2 or label[0] not in FAMILIES or not label[1:].isdigit():
+    digits = label[1:]
+    if len(label) < 2 or label[0] not in FAMILIES or not (digits.isascii() and digits.isdigit()):
         raise InvalidInput(f"cannot parse root system label {label!r}")
-    return label[0], int(label[1:])
+    try:
+        return label[0], int(digits)
+    except ValueError:  # more digits than int() accepts
+        raise InvalidInput(f"root system rank {digits[:20]}... is too large") from None
+
+
+# the largest root system build_root_system closes; A40 (1,640 roots) fits
+MAX_ROOTS = 2000
+
+
+def _root_count(family: str, n: int) -> int:
+    """Closed-form number of roots of a simple type (Bourbaki, Plates I-IX)."""
+    if family == "A" and n >= 1:
+        return n * (n + 1)
+    if family in "BC" and n >= 2:
+        return 2 * n * n
+    if family == "D" and n >= 4:
+        return 2 * n * (n - 1)
+    count = {("E", 6): 72, ("E", 7): 126, ("E", 8): 240, ("F", 4): 48, ("G", 2): 12}.get((family, n))
+    if count is None:
+        raise InvalidInput(f"no simple root system of type {family}{n}")
+    return count
 
 
 def _coroot(beta: Vector) -> Vector:
@@ -107,6 +133,9 @@ class RootSystem:
     highest_root: Vector
     rho: Vector
     _simple_coords: dict = field(repr=False, hash=False, compare=False)
+    # (source tag, target tag) -> (integer rows, denominator), filled on
+    # first use by the lattice module; each write stores the same value
+    _basis_changes: dict = field(default_factory=dict, repr=False, hash=False, compare=False)
 
     def simple_root_coords(self, beta: Vector) -> Vector:
         """Coordinates of a root in the simple-root basis, always integral."""
@@ -119,10 +148,15 @@ class RootSystem:
         return sum(self.simple_root_coords(beta), Q(0))
 
     def positive_root_vectors(self) -> list[Vector]:
-        # ties inside one height level break toward lower simple-root indices
-        pos = [b for b in self.roots if self.height(b) > 0]
-        pos.sort(key=lambda b: (self.height(b), vneg(self.simple_root_coords(b))))
-        return pos
+        # ties inside one height level break toward lower simple-root
+        # indices; the coordinates are integral, so their numerators order them
+        keyed = []
+        for b, c in self._simple_coords.items():
+            ints = [x.numerator for x in c]
+            height = sum(ints)
+            if height > 0:
+                keyed.append((height, [-x for x in ints], b))
+        return [b for _, _, b in sorted(keyed)]
 
     def coroot(self, beta: Vector) -> Vector:
         return _coroot(beta)
@@ -142,73 +176,103 @@ _CACHE: dict[str, RootSystem] = {}
 
 
 def build_root_system(type_label: str) -> RootSystem:
-    """Construct (and cache) the root system for a label such as "B3" or "E8"."""
+    """Construct (and cache) the root system for a label such as "B3" or "E8".
+
+    Types with more than ``MAX_ROOTS`` roots are refused with BoundExceeded
+    before any vector is built.
+    """
     family, n = parse_label(type_label)
+    count = _root_count(family, n)
     label = f"{family}{n}"
+    if count > MAX_ROOTS:
+        raise BoundExceeded(f"{label} has {count} roots, above the bound {MAX_ROOTS}")
     if label in _CACHE:
         return _CACHE[label]
     dim, simple = _simple_root_model(family, n)
 
+    # the simple roots as integer rows over one denominator s, so that
+    # gram[i][j] = s^2 (alpha_i, alpha_j)
+    simple_ints, s = _common_ints(simple)
+    gram = [[sum(map(mul, a, b)) for b in simple_ints] for a in simple_ints]
+
     # Cartan matrix A[i][j] = <alpha_i, alpha_j^vee> = 2(a_i, a_j)/(a_j, a_j)
-    cartan = tuple(
-        tuple(Q(2) * dot(a, b) / dot(b, b) for b in simple) for a in simple
-    )
-    for i, row in enumerate(cartan):
-        for j, x in enumerate(row):
-            if x.denominator != 1:
+    cartan_ints = [[2 * g // gram[j][j] for j, g in enumerate(row)] for row in gram]
+    for i, row in enumerate(gram):
+        for j, g in enumerate(row):
+            x = cartan_ints[i][j]
+            if 2 * g != x * gram[j][j]:
                 raise InvariantViolation(f"non-integral Cartan entry in {label}")
             if i == j and x != 2:
                 raise InvariantViolation(f"Cartan diagonal is not 2 in {label}")
             if i != j and x > 0:
                 raise InvariantViolation(f"positive off-diagonal Cartan entry in {label}")
-    gram = tuple(tuple(dot(a, b) for b in simple) for a in simple)
     for k in range(1, n + 1):
         if det(tuple(row[:k] for row in gram[:k])) <= 0:
             raise InvariantViolation(f"symmetrized Cartan form not positive definite in {label}")
 
-    # close the simple roots under simple reflections to get the full root
-    # set; s_i sends beta to beta - k alpha_i, so its simple-root coordinates
-    # are beta's with k subtracted in slot i
-    coroots = tuple(_coroot(a) for a in simple)
-    simple_coords = {a: _unit(n, i) for i, a in enumerate(simple)}
-    queue = list(simple)
+    # close the simple roots under simple reflections in simple-root
+    # coordinates: s_i(c) = c - <c, alpha_i^vee> e_i with <c, alpha_i^vee> =
+    # sum_j c_j A[j][i]
+    columns = list(zip(*cartan_ints))
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    coords = set(units)
+    queue = list(units)
     while queue:
-        beta = queue.pop()
-        for i, (a, av) in enumerate(zip(simple, coroots)):
-            k = dot(beta, av)
-            if k.denominator != 1:
-                raise InvariantViolation(f"non-integral root coordinates in {label}")
-            image = vsub(beta, vscale(k, a))
-            if image not in simple_coords:
-                coords = list(simple_coords[beta])
-                coords[i] -= k
-                simple_coords[image] = tuple(coords)
-                queue.append(image)
-    root_list = tuple(sorted(simple_coords))
+        c = queue.pop()
+        for i, col in enumerate(columns):
+            k = sum(map(mul, c, col))
+            if k:
+                image = list(c)
+                image[i] -= k
+                image = tuple(image)
+                if image not in coords:
+                    coords.add(image)
+                    queue.append(image)
+    if len(coords) != count:
+        raise InvariantViolation(f"closure found {len(coords)} roots of {label}, expected {count}")
 
-    cartan_inv = inverse(cartan)
-    weights = tuple(
-        tuple(
-            sum((cartan_inv[i][k] * simple[k][j] for k in range(n)), Q(0))
-            for j in range(dim)
-        )
-        for i in range(n)
-    )
-    coweights = tuple(
-        tuple(
-            sum((cartan_inv[k][i] * coroots[k][j] for k in range(n)), Q(0))
-            for j in range(dim)
-        )
-        for i in range(n)
-    )
+    # each root in the ambient model, as integers over s; sorting them sorts
+    # the rational roots
+    ambient_cols = list(zip(*simple_ints))
+    by_ambient = sorted((tuple(sum(map(mul, c, col)) for col in ambient_cols), c) for c in coords)
+    root_list = tuple(tuple(Q(x, s) for x in amb) for amb, _ in by_ambient)
+    simple_coords = {
+        root: tuple(Q(x) for x in c) for root, (_, c) in zip(root_list, by_ambient)
+    }
 
-    positive = [b for b in root_list if sum(simple_coords[b], Q(0)) > 0]
-    theta = max(positive, key=lambda b: (sum(simple_coords[b], Q(0)), simple_coords[b]))
-    rho = qv([0] * dim)
-    for b in positive:
-        rho = vadd(rho, b)
-    rho = vscale(Q(1, 2), rho)
+    # pivot rows of [A | I] in fraction-free Gauss-Jordan form are d [I | A^-1]
+    aug = [[*row, *u] for row, u in zip(cartan_ints, units)]
+    reduced, pivots, d = _echelon(aug)
+    if pivots != list(range(n)):
+        raise InvariantViolation(f"singular Cartan matrix in {label}")
+    if d < 0:
+        reduced, d = [[-x for x in row] for row in reduced], -d
+    inv_ints = [row[n:] for row in reduced]
+    cartan_inv = tuple(tuple(Q(x, d) for x in row) for row in inv_ints)
 
+    # omega_i = sum_k (A^-1)[i][k] alpha_k and omega_i^vee = sum_k (A^-1)[k][i] alpha_k^vee,
+    # as integers over d s and d t
+    coroots = tuple(_coroot(a) for a in simple)
+    coroot_ints, t = _common_ints(coroots)
+    coroot_cols = list(zip(*coroot_ints))
+    weight_ints = [[sum(map(mul, row, col)) for col in ambient_cols] for row in inv_ints]
+    coweight_ints = [[sum(map(mul, row, col)) for col in coroot_cols] for row in zip(*inv_ints)]
+    weights = tuple(tuple(Q(x, d * s) for x in row) for row in weight_ints)
+    coweights = tuple(tuple(Q(x, d * t) for x in row) for row in coweight_ints)
+
+    positive = [(amb, c) for amb, c in by_ambient if sum(c) > 0]
+    theta_amb, _ = max(positive, key=lambda p: (sum(p[1]), p[1]))
+    theta = tuple(Q(x, s) for x in theta_amb)
+    rho = tuple(Q(sum(col), 2 * s) for col in zip(*(amb for amb, _ in positive)))
+
+    for i in range(n):
+        if sum(map(mul, theta_amb, coroot_ints[i])) < 0:
+            raise InvariantViolation(f"highest root of {label} is not dominant")
+        for j in range(n):
+            if sum(map(mul, weight_ints[i], coroot_ints[j])) != (d * s * t if i == j else 0):
+                raise InvariantViolation(f"weight/coroot duality broken in {label}")
+            if sum(map(mul, coweight_ints[i], simple_ints[j])) != (d * t * s if i == j else 0):
+                raise InvariantViolation(f"coweight/root duality broken in {label}")
     rs = RootSystem(
         label=label,
         family=family,
@@ -216,7 +280,7 @@ def build_root_system(type_label: str) -> RootSystem:
         ambient_dim=dim,
         simple_roots=simple,
         roots=root_list,
-        cartan=cartan,
+        cartan=tuple(tuple(Q(x) for x in row) for row in cartan_ints),
         cartan_inverse=cartan_inv,
         fundamental_weights=weights,
         simple_coroots=coroots,
@@ -225,14 +289,6 @@ def build_root_system(type_label: str) -> RootSystem:
         rho=rho,
         _simple_coords=simple_coords,
     )
-    for i in range(n):
-        if dot(theta, coroots[i]) < 0:
-            raise InvariantViolation(f"highest root of {label} is not dominant")
-        for j in range(n):
-            if dot(weights[i], coroots[j]) != (1 if i == j else 0):
-                raise InvariantViolation(f"weight/coroot duality broken in {label}")
-            if dot(coweights[i], simple[j]) != (1 if i == j else 0):
-                raise InvariantViolation(f"coweight/root duality broken in {label}")
     _CACHE[label] = rs
     return rs
 
@@ -240,37 +296,73 @@ def build_root_system(type_label: str) -> RootSystem:
 class WeylElement:
     """An orthogonal matrix in the Weyl group; equality is matrix equality.
 
-    The optional word is a non-canonical witness, a tuple of 1-based simple
-    reflection indices with ``matrix = S[w[0]] @ S[w[1]] @ ...``.
+    The matrix is held as canonical integer rows N over one denominator
+    d > 0, the lcm of its entries' denominators, so each matrix has exactly
+    one (N, d): equality and hashing read it, ``compose`` is one integer
+    matrix product and one gcd reduction, and ``apply`` one integer
+    matrix-vector product.  ``matrix`` is the Fraction view, built on first
+    use; the write is idempotent, so elements stay safe to share between
+    threads.  The optional word is a non-canonical witness, a tuple of
+    1-based simple reflection indices with ``matrix = S[w[0]] @ S[w[1]] @ ...``.
     """
 
-    __slots__ = ("matrix", "word")
+    __slots__ = ("_rows", "_den", "_matrix", "word")
 
     def __init__(self, matrix: Matrix, word: Optional[tuple[int, ...]] = None):
-        self.matrix = qm(matrix)
+        self._matrix = qm(matrix)
+        rows, self._den = _common_ints(self._matrix)
+        self._rows = tuple(map(tuple, rows))
         self.word = tuple(word) if word is not None else None
 
+    @classmethod
+    def _from_ints(cls, rows, den: int, word: Optional[tuple[int, ...]]) -> "WeylElement":
+        """The element with canonical integer rows over den (no checks)."""
+        w = cls.__new__(cls)
+        w._rows, w._den, w._matrix, w.word = rows, den, None, word
+        return w
+
+    @property
+    def matrix(self) -> Matrix:
+        if self._matrix is None:
+            d = self._den
+            self._matrix = tuple(tuple(Q(x, d) for x in row) for row in self._rows)
+        return self._matrix
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        return (
+            isinstance(other, WeylElement)
+            and self._den == other._den
+            and self._rows == other._rows
+        )
 
     def __hash__(self) -> int:
-        return hash(self.matrix)
+        return hash((self._rows, self._den))
 
     def __repr__(self) -> str:
         return f"WeylElement(word={self.word}, matrix={self.matrix})"
 
     def apply(self, v: Sequence[Q]) -> Vector:
-        return mat_vec(self.matrix, v)
+        if len(v) != len(self._rows):
+            raise InvalidInput("dimension mismatch in dot product")
+        dots, den = _int_mat_vec(self._rows, self._den, v)
+        return tuple(Q(x, den) for x in dots)
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         word = None
         if self.word is not None and other.word is not None:
             word = self.word + other.word
-        return WeylElement(mat_mul(self.matrix, other.matrix), word)
+        cols = tuple(zip(*other._rows))
+        rows = [[sum(map(mul, row, col)) for col in cols] for row in self._rows]
+        den = self._den * other._den
+        g = gcd(den, *(x for row in rows for x in row)) if den > 1 else 1
+        return WeylElement._from_ints(
+            tuple(tuple(x // g for x in row) for row in rows), den // g, word
+        )
 
 
 def identity_element(dim: int) -> WeylElement:
-    return WeylElement(identity_matrix(dim), ())
+    rows = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    return WeylElement._from_ints(rows, 1, ())
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
@@ -364,25 +456,28 @@ def subgroup_closure(
         for g in generators:
             if not preserves_root_set(root_system, g):
                 raise InvalidInput("generator does not preserve the root set")
-    dim = len(generators[0].matrix)
-    seen: dict[Matrix, WeylElement] = {}
-    ident = identity_element(dim)
-    seen[ident.matrix] = ident
+    ident = identity_element(len(generators[0]._rows))
+    seen = {ident}
     frontier = [ident]
     while frontier:
         new_frontier = []
         for w in frontier:
             for g in generators:
                 prod = w.compose(g)
-                if prod.matrix not in seen:
+                if prod not in seen:
                     if len(seen) >= bound:
                         raise BoundExceeded(
                             f"subgroup closure exceeded the bound {bound}"
                         )
-                    seen[prod.matrix] = prod
+                    seen.add(prod)
                     new_frontier.append(prod)
         frontier = new_frontier
-    return [seen[m] for m in sorted(seen)]
+    # rescaled to one common denominator, the integer rows sort as the
+    # Fraction matrices do, without building them
+    common = lcm(*(w._den for w in seen))
+    return sorted(
+        seen, key=lambda w: tuple(tuple(x * (common // w._den) for x in row) for row in w._rows)
+    )
 
 
 def orbit(group: Iterable[WeylElement], v) -> tuple[Vector, ...]:
@@ -399,23 +494,20 @@ def longest_element(rs: RootSystem) -> WeylElement:
     """The longest element w0, built by a greedy descent from rho to -rho."""
     target = vneg(rs.rho)
     v = rs.rho
-    word: list[int] = []
-    matrix = identity_matrix(rs.ambient_dim)
+    reflections = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+    w0 = identity_element(rs.ambient_dim)
     num_pos = len(rs.positive_root_vectors())
     while v != target:
         i = next(
             (k for k in range(rs.rank) if dot(v, rs.simple_coroots[k]) > 0),
             None,
         )
-        if i is None or len(word) > num_pos:
+        if i is None or len(w0.word) > num_pos:
             raise InvariantViolation(f"descent from rho to -rho failed in {rs.label}")
-        refl = rs.reflection_matrix(i)
-        v = mat_vec(refl, v)
-        matrix = mat_mul(refl, matrix)
-        word.append(i + 1)
-    if len(word) != num_pos:
+        v = reflections[i].apply(v)
+        w0 = reflections[i].compose(w0)
+    if len(w0.word) != num_pos:
         raise InvariantViolation(f"longest element of {rs.label} has wrong length")
-    w0 = WeylElement(matrix, tuple(reversed(word)))
     pos = set(rs.positive_root_vectors())
     if any(vneg(w0.apply(b)) not in pos for b in pos):
         raise InvariantViolation(f"w0 does not send positive roots to negatives in {rs.label}")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -27,6 +28,25 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "nonsense")[0] == 2
     code, _, err = run_cli(capsys, "root-system", "--type", "Q7")
     assert code == 2 and "Q7" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["root-system", "--type", "A100000"],
+        ["weights", "--type", "A100000", "--to", "simple_root"],
+        ["spherical", "wonderful", "--type", "A100000"],
+        ["root-system", "--type", "B" + "9" * 5000],  # more digits than int() reads
+    ],
+    ids=["root-system", "weights", "spherical-wonderful", "huge-rank"],
+)
+def test_oversized_root_system_exit_2(capsys, args):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *args)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_weights_command(capsys):

@@ -1,0 +1,308 @@
+"""Root data, Weyl group elements and basis changes on integer matrices
+against the Fraction code they replaced.
+
+The oracles below are the previous implementations, kept verbatim in
+spirit: the ambient Fraction reflection closure of ``build_root_system``,
+a ``WeylElement`` holding a Fraction matrix composed by ``mat_mul`` with its
+``subgroup_closure``, and ``to_basis`` through the ambient model.
+"""
+
+import dataclasses
+import random
+import sys
+import threading
+from fractions import Fraction as Q
+
+import pytest
+
+from weylfans import jsonio
+from weylfans import lattice as lat
+from weylfans.errors import BasisChangeError
+from weylfans.linalg import (
+    _unit,
+    coords_in_basis,
+    dot,
+    identity_matrix,
+    inverse,
+    mat_mul,
+    mat_vec,
+    qm,
+    qv,
+    transpose,
+    vadd,
+    vneg,
+    vscale,
+    vsub,
+)
+from weylfans.rootsys import (
+    WeylElement,
+    _coroot,
+    _simple_root_model,
+    build_root_system,
+    coordinate_swap,
+    longest_element,
+    parse_label,
+    sign_flip,
+    subgroup_closure,
+    weyl_enumerate,
+    weyl_order,
+)
+
+BUNDLED_TYPES = (
+    [f"A{n}" for n in range(1, 13)]
+    + [f"{f}{n}" for f in "BC" for n in range(2, 13)]
+    + [f"D{n}" for n in range(4, 13)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+# --- oracles: the Fraction code ---------------------------------------------
+
+
+def _old_root_data(type_label):
+    """The ambient Fraction closure and Fraction derived data."""
+    family, n = parse_label(type_label)
+    dim, simple = _simple_root_model(family, n)
+    cartan = tuple(tuple(Q(2) * dot(a, b) / dot(b, b) for b in simple) for a in simple)
+    coroots = tuple(_coroot(a) for a in simple)
+    simple_coords = {a: _unit(n, i) for i, a in enumerate(simple)}
+    queue = list(simple)
+    while queue:
+        beta = queue.pop()
+        for i, (a, av) in enumerate(zip(simple, coroots)):
+            k = dot(beta, av)
+            image = vsub(beta, vscale(k, a))
+            if image not in simple_coords:
+                coords = list(simple_coords[beta])
+                coords[i] -= k
+                simple_coords[image] = tuple(coords)
+                queue.append(image)
+    roots = tuple(sorted(simple_coords))
+    cartan_inv = inverse(cartan)
+    weights = tuple(
+        tuple(sum((cartan_inv[i][k] * simple[k][j] for k in range(n)), Q(0)) for j in range(dim))
+        for i in range(n)
+    )
+    coweights = tuple(
+        tuple(sum((cartan_inv[k][i] * coroots[k][j] for k in range(n)), Q(0)) for j in range(dim))
+        for i in range(n)
+    )
+    positive = [b for b in roots if sum(simple_coords[b], Q(0)) > 0]
+    theta = max(positive, key=lambda b: (sum(simple_coords[b], Q(0)), simple_coords[b]))
+    rho = qv([0] * dim)
+    for b in positive:
+        rho = vadd(rho, b)
+    return {
+        "roots": roots,
+        "simple_coords": simple_coords,
+        "cartan": cartan,
+        "cartan_inverse": cartan_inv,
+        "fundamental_weights": weights,
+        "simple_coroots": coroots,
+        "fundamental_coweights": coweights,
+        "highest_root": theta,
+        "rho": vscale(Q(1, 2), rho),
+    }
+
+
+class _OldWeylElement:
+    """A Fraction matrix composed by mat_mul; equality is matrix equality."""
+
+    def __init__(self, matrix, word=None):
+        self.matrix = qm(matrix)
+        self.word = tuple(word) if word is not None else None
+
+    def compose(self, other):
+        word = None
+        if self.word is not None and other.word is not None:
+            word = self.word + other.word
+        return _OldWeylElement(mat_mul(self.matrix, other.matrix), word)
+
+
+def _old_subgroup_closure(generators, bound=2000):
+    dim = len(generators[0].matrix)
+    ident = _OldWeylElement(identity_matrix(dim), ())
+    seen = {ident.matrix: ident}
+    frontier = [ident]
+    while frontier:
+        new_frontier = []
+        for w in frontier:
+            for g in generators:
+                prod = w.compose(g)
+                if prod.matrix not in seen:
+                    assert len(seen) < bound
+                    seen[prod.matrix] = prod
+                    new_frontier.append(prod)
+        frontier = new_frontier
+    return [seen[m] for m in sorted(seen)]
+
+
+def _old_to_basis_coords(v, target):
+    """Coordinates through the ambient model; None off the root span."""
+    amb = v.coords
+    if v.basis != "ambient":
+        amb = mat_vec(transpose(lat._basis_rows(v.rs, v.basis)), v.coords)
+    if target == "ambient":
+        return amb
+    return coords_in_basis(lat._basis_rows(v.rs, target), amb)
+
+
+def _random_vector(rng, length):
+    return qv(Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(length))
+
+
+# --- tests ------------------------------------------------------------------
+
+
+def test_root_systems_match_old_fraction_closure():
+    for label in BUNDLED_TYPES:
+        rs = build_root_system(label)
+        old = _old_root_data(label)
+        assert rs.roots == old["roots"], label
+        assert rs._simple_coords == old["simple_coords"], label
+        for key in (
+            "cartan",
+            "cartan_inverse",
+            "fundamental_weights",
+            "simple_coroots",
+            "fundamental_coweights",
+            "highest_root",
+            "rho",
+        ):
+            assert getattr(rs, key) == old[key], (label, key)
+        assert all(type(x) is Q for row in rs.cartan_inverse for x in row)
+        height = {b: sum(c, Q(0)) for b, c in old["simple_coords"].items()}
+        positive = sorted(
+            (b for b in old["roots"] if height[b] > 0),
+            key=lambda b: (height[b], vneg(old["simple_coords"][b])),
+        )
+        assert rs.positive_root_vectors() == positive, label
+
+
+def _groups():
+    """Every bundled Weyl group of order <= 1152, then the casebook's
+    coordinate-swap / sign-flip subgroups of F4 and E8."""
+    for label in BUNDLED_TYPES:
+        rs = build_root_system(label)
+        if weyl_order(rs) <= 1152:
+            old = [_OldWeylElement(rs.reflection_matrix(i), (i + 1,)) for i in range(rs.rank)]
+            yield label, rs, weyl_enumerate(rs, bound=1152), old
+    for label, dim in (("F4", 4), ("E8", 8)):
+        rs = build_root_system(label)
+        gens = [coordinate_swap(dim, 0, dim - 1), sign_flip(dim, [0, 1])]
+        yield f"{label}'", rs, subgroup_closure(gens, root_system=rs), [
+            _OldWeylElement(g.matrix) for g in gens
+        ]
+
+
+def test_weyl_groups_match_old_fraction_elements():
+    rng = random.Random(1994)
+    labels = []
+    for label, rs, elements, old_gens in _groups():
+        labels.append(label)
+        old = _old_subgroup_closure(old_gens)
+        assert [w.matrix for w in elements] == [w.matrix for w in old], label
+        assert [w.word for w in elements] == [w.word for w in old], label
+        for w, o in zip(elements, old):
+            built = WeylElement(o.matrix, o.word)
+            assert built == w and hash(built) == hash(w)
+            assert built.matrix == w.matrix
+        for _ in range(20):
+            w = rng.choice(elements)
+            v = _random_vector(rng, rs.ambient_dim)
+            assert w.apply(v) == mat_vec(w.matrix, v)
+            u = rng.choice(elements)
+            composed = w.compose(u)
+            assert composed.matrix == mat_mul(w.matrix, u.matrix)
+            assert composed == WeylElement(composed.matrix) and hash(composed) == hash(
+                WeylElement(composed.matrix)
+            )
+            again = jsonio.weyl_element_from_json(jsonio.weyl_element_to_json(composed))
+            assert again == composed and again.word == composed.word
+        # an element and its inverse compose to the identity, however the
+        # denominators of the factors cancel
+        ident = WeylElement(identity_matrix(rs.ambient_dim))
+        for w in elements:
+            assert w.compose(WeylElement(transpose(w.matrix))) == ident
+    assert "F4" in labels and "A5" in labels and "E8'" in labels and len(labels) == 16
+
+
+def test_longest_element_matches_old_product():
+    for label in ("A1", "A4", "B3", "C4", "D5", "G2", "F4", "E6", "E8"):
+        rs = build_root_system(label)
+        w0 = longest_element(rs)
+        matrix = identity_matrix(rs.ambient_dim)
+        for i in w0.word:
+            matrix = mat_mul(matrix, rs.reflection_matrix(i - 1))
+        assert w0.matrix == matrix and w0 == WeylElement(matrix)
+
+
+def test_basis_changes_match_old_ambient_route():
+    rng = random.Random(2024)
+    pairs = set()
+    rejected = 0
+    for label in BUNDLED_TYPES:
+        rs = build_root_system(label)
+        for source in lat.BASIS_TAGS:
+            length = rs.ambient_dim if source == "ambient" else rs.rank
+            vectors = [_random_vector(rng, length) for _ in range(2)]
+            if source == "ambient":
+                # one vector on the root span, one ambient unit vector, which
+                # lies off it whenever the ambient space is bigger
+                coeffs = [rng.randint(-9, 9) for _ in range(rs.rank)]
+                vectors[0] = mat_vec(transpose(rs.simple_roots), coeffs)
+                vectors.append(_unit(rs.ambient_dim, rng.randrange(rs.ambient_dim)))
+            for coords in vectors:
+                v = lat.vector(rs, coords, source)
+                assert v.ambient() == _old_to_basis_coords(v, "ambient")
+                for target in lat.BASIS_TAGS:
+                    if target == source:
+                        continue
+                    pairs.add((source, target))
+                    expected = _old_to_basis_coords(v, target)
+                    if expected is None:
+                        rejected += 1
+                        with pytest.raises(BasisChangeError):
+                            lat.to_basis(v, target)
+                    else:
+                        assert lat.to_basis(v, target).coords == expected, (label, source, target)
+                w = lat.vector(rs, _random_vector(rng, rs.rank), "fund_coweight")
+                assert lat.pair(v, w) == dot(v.ambient(), w.ambient())
+    assert len(pairs) == 20
+    assert rejected > 0
+
+
+def test_lazy_views_are_safe_to_share_between_threads():
+    # the basis-change matrices on a root system and the Fraction view of a
+    # composed element are filled on first use by whichever thread asks
+    # first; every thread must read the same answers
+    rs = dataclasses.replace(build_root_system("E7"), _basis_changes={})
+    group = weyl_enumerate(build_root_system("B4"))
+    rng = random.Random(7)
+    vectors = [lat.vector(rs, _random_vector(rng, rs.rank), tag) for tag in lat.BASIS_TAGS[1:]]
+    expected_coords = [
+        [_old_to_basis_coords(v, target) for target in lat.BASIS_TAGS] for v in vectors
+    ]
+    expected_matrices = [WeylElement._from_ints(w._rows, w._den, w.word).matrix for w in group]
+    failures = []
+
+    def work():
+        for v, expected in zip(vectors, expected_coords):
+            if [lat.to_basis(v, target).coords for target in lat.BASIS_TAGS] != expected:
+                failures.append("to_basis")
+        if [w.matrix for w in group] != expected_matrices:
+            failures.append("matrix")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert len(rs._basis_changes) == 4 * 4  # every (source, target) asked for

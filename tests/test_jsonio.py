@@ -50,6 +50,9 @@ def test_root_system_round_trip():
     tampered["root_count"] = 47
     with pytest.raises(InvalidInput):
         jsonio.root_system_from_json(tampered)
+    for bad in ({}, [], None, {"type": 5}, {"type": "A100000"}):
+        with pytest.raises(InvalidInput):
+            jsonio.root_system_from_json(bad)
 
 
 def test_weyl_element_round_trip():
@@ -58,6 +61,21 @@ def test_weyl_element_round_trip():
     doc = jsonio.weyl_element_to_json(w)
     again = jsonio.weyl_element_from_json(doc)
     assert again == w and again.word == w.word
+    assert jsonio.weyl_element_from_json({"matrix": doc["matrix"]}) == w
+    for bad in (
+        {},
+        [],
+        {"matrix": "1/1"},
+        {"matrix": [["1/1", "0/1"]]},  # not square
+        {"matrix": [["1/1", "0/1"], ["0/1"]]},  # ragged
+        {"matrix": []},
+        {"matrix": [[1]]},  # entries are "p/q" strings
+        {"matrix": [["1/1"]], "word": "ab"},
+        {"matrix": [["1/1"]], "word": [0]},
+        {"matrix": [["1/1"]], "word": [True]},
+    ):
+        with pytest.raises(InvalidInput):
+            jsonio.weyl_element_from_json(bad)
 
 
 def test_ledger_round_trip():
