@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage or input
-error, 3 internal invariant violation.  All behavior is flag-driven; there
-is no environment-variable configuration.
+error (an exceeded bound included), 3 internal error: an invariant
+violation or any other exception, reported in one line without a
+traceback.  All behavior is flag-driven; there is no environment-variable
+configuration.
 """
 
 from __future__ import annotations
@@ -287,6 +289,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a library bug: one line, no traceback
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -4,30 +4,28 @@ A doubled space carries the difference form pulled back from two copies of
 a fixed symplectic or split odd orthogonal space.  Maximal isotropic
 subspaces are handled as exact rational basis matrices; the samplers are
 deterministic per seed and stay inside the relevant isometry group, so
-every sampled subspace is maximal isotropic by construction.
+every sampled subspace is maximal isotropic by construction.  Both samplers
+work on integer rows from the draw to the basis: the symplectic one moves
+primitive integer rows by transvections, and the orthogonal one takes its
+Cayley transform from one fraction-free elimination, with one exact
+division per entry when the public Fraction basis is built.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd as _gcd
 from fractions import Fraction as Q
+from functools import lru_cache
+from math import gcd
+from operator import mul
 
-from .errors import InvalidInput, InvariantViolation
-from .linalg import (
-    Matrix,
-    _unit,
-    identity_matrix,
-    inverse,
-    mat_mul,
-    primitive_direction,
-    qm,
-    qv,
-    rank,
-    transpose,
-    vadd,
-)
+from .errors import BoundExceeded, InvalidInput, InvariantViolation
+from .linalg import Matrix, _echelon, _row_scale, _scaled_ints, _unit, qm, rank, vadd
+
+# the largest half rank random_maximal_isotropic samples; the stratum tables
+# themselves are closed formulas and take any half rank
+MAX_HALF_RANK = 10
 
 
 @dataclass(frozen=True)
@@ -81,37 +79,33 @@ def orthogonal_doubled(n: int) -> DoubledSpace:
     return DoubledSpace(half_rank=n, kind="orthogonal")
 
 
-def _form_index(space: DoubledSpace) -> list[tuple[int, int]]:
+@lru_cache(maxsize=64)
+def _form_index(space: DoubledSpace) -> tuple[tuple[int, int], ...]:
     """The form as a permutation with signs: row i of the form matrix has a
-    single nonzero entry, sign at column position."""
-    m = space.block_dim
-    out: list[tuple[int, int]] = []
+    single nonzero entry, sign at column position.  Cached per space."""
+    m, n = space.block_dim, space.half_rank
     if space.kind == "symplectic":
-        n = space.half_rank
-        for i in range(n):
-            out.append((n + i, 1))
-        for i in range(n):
-            out.append((i, -1))
-        for i in range(n):
-            out.append((m + n + i, -1))
-        for i in range(n):
-            out.append((m + i, 1))
+        first = [(n + i, 1) for i in range(n)] + [(i, -1) for i in range(n)]
     else:
-        for i in range(m):
-            out.append((m - 1 - i, 1))
-        for i in range(m):
-            out.append((2 * m - 1 - i, -1))
-    return out
+        first = [(m - 1 - i, 1) for i in range(m)]
+    # the second summand carries the negated form
+    return tuple(first + [(m + j, -sign) for j, sign in first])
 
 
 def _form_apply(space: DoubledSpace, v) -> list:
-    idx = _form_index(space)
-    return [s * v[j] for j, s in idx]
+    return [s * v[j] for j, s in _form_index(space)]
 
 
 def _int_rows(basis: Matrix) -> list[list[int]]:
-    """Primitive integer representatives of the row span."""
-    return [[int(x) for x in primitive_direction(row)] for row in basis]
+    """Primitive integer representatives of the rows, which must be nonzero."""
+    out = []
+    for row in basis:
+        ints = _scaled_ints(row, _row_scale(row))
+        g = gcd(*ints)
+        if g == 0:
+            raise InvalidInput("zero vector has no direction")
+        out.append([x // g for x in ints])
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,7 +138,7 @@ def _assert_maximal_isotropic(rows: list[list[int]], space: DoubledSpace) -> Non
     images = [_form_apply(space, r) for r in rows]
     for i, r in enumerate(rows):
         for img in images[: i + 1]:
-            if sum(a * b for a, b in zip(r, img)) != 0:
+            if sum(map(mul, r, img)) != 0:
                 raise InvalidInput("the difference form does not vanish on the subspace")
 
 
@@ -162,9 +156,7 @@ def intersection_invariant(v: IsotropicSubspace) -> int:
     k1 = m - rank([row[m:] for row in rows])  # kernel of the second projection
     k2 = m - rank([row[:m] for row in rows])
     if k1 != k2:
-        raise InvariantViolation(
-            f"intersection dimensions differ: {k1} versus {k2}"
-        )
+        raise InvariantViolation(f"intersection dimensions differ: {k1} versus {k2}")
     return k1
 
 
@@ -172,53 +164,61 @@ def random_maximal_isotropic(space: DoubledSpace, seed: int) -> IsotropicSubspac
     """Deterministic pseudo-random maximal isotropic subspace.
 
     Symplectic spaces move a split subspace by a product of symplectic
-    transvections; orthogonal spaces move the diagonal by a Cayley transform
-    of a form-antisymmetric matrix, redrawing on the rare singular draw.
+    transvections; orthogonal spaces move the diagonal by the Cayley
+    transform (I - A)(I + A)^-1 of a form-antisymmetric integer matrix A,
+    redrawing on the rare singular draw.  One fraction-free elimination
+    gives d and the integer matrix d (I + A)^-1, so the transform is an
+    integer product over d and each basis entry is one exact division.
+    Half ranks above ``MAX_HALF_RANK`` are refused with BoundExceeded
+    before the first draw.
     """
+    if space.half_rank > MAX_HALF_RANK:
+        raise BoundExceeded(f"half rank {space.half_rank} is above the sampling bound {MAX_HALF_RANK}")
     rng = random.Random(seed)
+    dim, m = space.dim, space.block_dim
     if space.kind == "symplectic":
         # integer rows throughout: a transvection with parameter p/q sends a
         # row r to q*r + p*pairing*v, the same ray as r + (p/q)*pairing*v
         rows = [[int(x) for x in row] for row in split_subspace(space).basis]
         count = space.half_rank * (2 * space.half_rank + 1)
         for _ in range(count):
-            v = [rng.randint(-2, 2) for _ in range(space.dim)]
+            v = [rng.randint(-2, 2) for _ in range(dim)]
             while all(x == 0 for x in v):
-                v = [rng.randint(-2, 2) for _ in range(space.dim)]
+                v = [rng.randint(-2, 2) for _ in range(dim)]
             p, q = rng.randint(-9, 9), rng.randint(1, 4)
             fv = _form_apply(space, v)
             new_rows = []
             for row in rows:
-                pairing = sum(a * b for a, b in zip(row, fv))
+                pairing = sum(map(mul, row, fv))
                 new = [q * x + p * pairing * y for x, y in zip(row, v)]
-                g = 0
-                for x in new:
-                    g = _gcd(g, abs(x))
+                g = gcd(*new)
                 new_rows.append([x // g for x in new] if g > 1 else new)
             rows = new_rows
         return IsotropicSubspace(space=space, basis=qm(rows))
     for _ in range(32):
-        s_rows = [[0] * space.dim for _ in range(space.dim)]
-        for i in range(space.dim):
-            for j in range(i + 1, space.dim):
+        s_rows = [[0] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i + 1, dim):
                 x = rng.randint(-3, 3)
                 s_rows[i][j] = x
                 s_rows[j][i] = -x
-        # the split form squares to the identity, so F^{-1} S = F S is just a
-        # signed row shuffle of S
-        idx = _form_index(space)
-        a = qm([[Q(sign * s_rows[j][c]) for c in range(space.dim)] for j, sign in idx])
-        ident = identity_matrix(space.dim)
-        i_plus = qm([vadd(r1, r2) for r1, r2 in zip(ident, a)])
-        try:
-            i_plus_inv = inverse(i_plus)
-        except InvalidInput:
+        # the split form squares to the identity, so A = F^{-1} S = F S is
+        # just a signed row shuffle of S
+        a = [[sign * x for x in s_rows[j]] for j, sign in _form_index(space)]
+        # Gauss-Jordan on [I + A | I] leaves d * [I | (I + A)^-1]
+        aug = [
+            [int(r == c) + x for c, x in enumerate(row)] + [int(r == c) for c in range(dim)]
+            for r, row in enumerate(a)
+        ]
+        reduced, pivots, d = _echelon(aug)
+        if pivots != list(range(dim)):
             continue
-        i_minus = qm([tuple(x - 2 * y for x, y in zip(r1, a_row)) for r1, a_row in zip(i_plus, a)])
-        # (I - A) = (I + A) - 2A; the Cayley transform lies in the isometry group
-        cayley = mat_mul(i_minus, i_plus_inv)
-        base = diagonal_subspace(space).basis
-        return IsotropicSubspace(space=space, basis=mat_mul(base, transpose(cayley)))
+        # the diagonal's row i is e_i + e_{m+i}, so its image is column i
+        # plus column m+i of the transform (I - A) N / d, N = d (I + A)^-1
+        cols = [[row[dim + i] + row[dim + m + i] for row in reduced] for i in range(m)]
+        i_minus = [[int(r == c) - x for c, x in enumerate(row)] for r, row in enumerate(a)]
+        basis = tuple(tuple(Q(sum(map(mul, row, col)), d) for row in i_minus) for col in cols)
+        return IsotropicSubspace(space=space, basis=basis)
     raise InvariantViolation("all Cayley transform draws were singular")
 
 

@@ -98,6 +98,9 @@ def weyl_element_to_json(w: WeylElement) -> dict:
 
 
 def weyl_element_from_json(data: Mapping) -> WeylElement:
+    """Decode a Weyl element document.  The shape of the matrix and the word
+    are checked, but not the word against the matrix: a document holds no
+    root system, so the word is carried unchecked."""
     try:
         rows = data["matrix"]
         word = data.get("word")

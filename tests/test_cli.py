@@ -161,6 +161,33 @@ def test_orbits_negative_samples_exit_2(capsys, kind):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("kind", ["lg", "og"])
+def test_oversized_sampler_exit_2(capsys, kind):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "orbits", kind, "--n", "24", "--samples", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    # the stratum table alone is a closed formula and stays unbounded
+    code, out, _ = run_cli(capsys, "orbits", kind, "--n", "24", "--json")
+    assert code == 0 and len(json.loads(out)["table"]) == 25
+
+
+def test_unexpected_exception_exit_3(capsys, monkeypatch):
+    import weylfans.cli as cli
+
+    def broken(args):
+        raise ZeroDivisionError("division by zero\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_orbits", broken)
+    code, out, err = run_cli(capsys, "orbits", "lg", "--n", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: ZeroDivisionError: division by zero second line\n"
+    assert "Traceback" not in err
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, "verify", "--case", "e8-weyl-order")
     assert code == 0
