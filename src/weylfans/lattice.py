@@ -139,7 +139,11 @@ def rho(rs: RootSystem) -> LatticeVector:
 
 
 def highest_coroot(rs: RootSystem) -> LatticeVector:
-    return LatticeVector(rs, "ambient", rs.coroot(rs.highest_root))
+    """The coroot 2 theta / (theta, theta) of the highest root theta, read off
+    its integer row t over s as 2 s t / (t . t)."""
+    (t,), s = _common_ints([rs.highest_root])
+    n = sum(x * x for x in t)
+    return LatticeVector(rs, "ambient", tuple(Q(2 * s * x, n) for x in t))
 
 
 def cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:

@@ -4,13 +4,15 @@ Everything in the package funnels through this module.  Rank, determinant,
 inverse, the equality step of feasibility and minor gcds all run on one
 fraction-free core, `_echelon`: rational rows are scaled to integer rows and
 reduced by Bareiss elimination with exact divisions, and `_rref` reads the
-reduced row echelon form over Fraction off its result.  Every change of
-coordinates and every cone question reads one cached dual basis,
-`_dual_basis`, held as integer rows over one denominator, so a coordinate is
-one integer dot product.  Beside it sit Smith normal form over the integers
-and a Fourier-Motzkin feasibility test on primitive integer rows that
-doubles as the witness generator for all cone computations.  Fraction stays at every
-public function's inputs and outputs.  No floating point anywhere.
+reduced row echelon form over Fraction off its result.  A change of
+coordinates reads a dual basis, `_dual_rows`: integer rows over one
+denominator, so a coordinate is one integer dot product.  It is cached as
+`_dual_basis` for the bases asked about over and over, and each cone keeps
+its own.  Beside it sit Smith normal form over the integers and a
+Fourier-Motzkin feasibility test on primitive integer rows.  Its elimination,
+`_eliminate`, answers the yes/no questions of the cone code on its own;
+`feasible` back-substitutes after it for an exact witness.  Fraction stays
+at every public function's inputs and outputs.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -87,6 +89,11 @@ def _unit(dim: int, i: int, value=1) -> Vector:
     v = [Q(0)] * dim
     v[i] = Q(value)
     return tuple(v)
+
+
+def _int_unit(dim: int, i: int) -> tuple[int, ...]:
+    """The i-th standard basis vector of Z^dim."""
+    return tuple(int(i == j) for j in range(dim))
 
 
 def _row_scale(row: Sequence) -> int:
@@ -180,35 +187,36 @@ def inverse(m: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-@lru_cache(maxsize=8192)
-def _dual_basis(rows: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+def _dual_rows(rows: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Integer rows N and one denominator d > 0; row i of N/d evaluates the
     i-th coordinate of a vector in an extended basis.
 
     The independent rows are completed to a basis E of the ambient space by
     unit vectors, taken greedily in index order, and N/d is the inverse of
     the transpose of E.  The first len(rows) rows of N/d give the
-    coordinates in the rows; the others vanish exactly on their span.  Both
+    coordinates in the rows; the others vanish exactly on their span.  The
+    greedy choice takes e_j exactly when column j adds nothing to the rank
+    of the columns after it, that is when j is no pivot of the rows read
+    from the last column backwards, so one elimination finds it.  N and d
     are read off the fraction-free Gauss-Jordan form of [E^T | I], whose
-    pivot rows are d * [I | (E^T)^-1].  Cached because the same bases
-    (root-system bases, cone generators, reference lattices) are asked about
-    over and over.
+    pivot rows are d * [I | (E^T)^-1].
     """
     dim = len(rows[0])
-    extended = list(rows)
-    for j in range(dim):
-        if len(extended) == dim:
-            break
-        candidate = extended + [_unit(dim, j)]
-        if rank(candidate) > len(extended):
-            extended = candidate
-    if len(extended) == dim:
-        aug = [[*col, *_unit(dim, i)] for i, col in enumerate(zip(*extended))]
+    _, back, _ = _echelon([row[::-1] for row in rows], reduced=False)
+    if len(back) == len(rows):
+        skipped = {dim - 1 - c for c in back}
+        extended = [*rows, *(_int_unit(dim, j) for j in range(dim) if j not in skipped)]
+        aug = [[*col, *_int_unit(dim, i)] for i, col in enumerate(zip(*extended))]
         a, pivots, d = _echelon(aug)
         if pivots == list(range(dim)):
             sign = 1 if d > 0 else -1
             return tuple(tuple(sign * x for x in row[dim:]) for row in a), sign * d
     raise InvalidInput("basis rows are linearly dependent")
+
+
+# cached for the bases asked about over and over: root-system bases and the
+# reference lattices of fans; every cone keeps the rows of its own generators
+_dual_basis = lru_cache(maxsize=8192)(_dual_rows)
 
 
 def coords_in_basis(basis_rows: Matrix, v: Sequence[Q]) -> Optional[Vector]:
@@ -407,8 +415,9 @@ def _normalize_ineq(coeffs: Sequence[Q], rhs: Q) -> Optional[IntConstraint]:
     """Scale an int or Fraction row to primitive integers; None means
     trivially satisfied."""
     row = (*coeffs, rhs)
-    ints = _scaled_ints(row, _row_scale(row))
-    return _primitive_ineq(ints[:-1], ints[-1])
+    if not all(type(x) is int for x in row):
+        row = _scaled_ints(row, _row_scale(row))
+    return _primitive_ineq(row[:-1], row[-1])
 
 
 def _tight_value(row: IntConstraint, v: int, x: Sequence[Q]) -> Q:
@@ -418,21 +427,23 @@ def _tight_value(row: IntConstraint, v: int, x: Sequence[Q]) -> Q:
     return (r - sum((cj * xj for cj, xj in zip(c, x) if cj), Q(0))) / c[v]
 
 
-def feasible(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constraint]) -> Optional[Vector]:
-    """Exact witness for {x : eq . x = rhs, ineq . x >= rhs}, or None.
+def _eliminate(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constraint]):
+    """The elimination behind `feasible`, stopped before the witness.
 
-    Equalities are removed by Gaussian elimination, the remaining system by
-    Fourier-Motzkin elimination on primitive integer rows (Schrijver, Theory
-    of Linear and Integer Programming, 12.2) with back substitution over
-    Fraction for the witness.
+    Returns None when {x : eq . x = rhs, ineq . x >= rhs} is empty, and
+    otherwise what back substitution reads: the pivot expressions of the
+    equalities, the free variables left by them, and the Fourier-Motzkin
+    stack of eliminated variables with their lower and upper rows.  Callers
+    that only ask whether a system has a solution test it against None.
     """
+    pivot_expr: dict[int, tuple[list[Q], Q]] = {}
+    free_vars = range(num_vars)
     if eqs:
         aug = [list(c) + [r] for c, r in eqs]
         aug, pivots = _rref(aug)
         for row in aug:
             if all(x == 0 for x in row[:num_vars]) and row[num_vars] != 0:
                 return None
-        pivot_expr = {}
         for r, c in enumerate(pivots):
             if c >= num_vars:
                 return None
@@ -441,7 +452,7 @@ def feasible(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constrain
         free_vars = [j for j in range(num_vars) if j not in pivot_expr]
         index_of = {v: i for i, v in enumerate(free_vars)}
 
-        def project(coeffs: Sequence[Q], rhs: Q) -> tuple[list[Q], Q]:
+        def project(coeffs: Sequence[Q], rhs: Q) -> tuple[tuple[Q, ...], Q]:
             out = [Q(0)] * len(free_vars)
             const = Q(0)
             for j, a in enumerate(coeffs):
@@ -454,21 +465,9 @@ def feasible(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constrain
                         out[index_of[f]] += a * expr[f]
                 else:
                     out[index_of[j]] += a
-            return out, Q(rhs) - const
+            return tuple(out), Q(rhs) - const
 
-        reduced = []
-        for coeffs, rhs in ineqs:
-            c, r = project(coeffs, rhs)
-            reduced.append((tuple(c), r))
-        sub = feasible(len(free_vars), (), reduced)
-        if sub is None:
-            return None
-        x = [Q(0)] * num_vars
-        for f, val in zip(free_vars, sub):
-            x[f] = val
-        for c, (expr, c0) in pivot_expr.items():
-            x[c] = c0 + sum((expr[j] * x[j] for j in range(num_vars)), Q(0))
-        return tuple(x)
+        ineqs = [project(coeffs, rhs) for coeffs, rhs in ineqs]
 
     system: set[IntConstraint] = set()
     for coeffs, rhs in ineqs:
@@ -478,7 +477,7 @@ def feasible(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constrain
                 return None
             system.add(n)
 
-    active = list(range(num_vars))
+    active = list(range(len(free_vars)))
     stack: list[tuple[int, list, list]] = []
     while active:
         # eliminate the variable with the fewest pos*neg pairings
@@ -514,19 +513,40 @@ def feasible(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constrain
     for coeffs, rhs in system:
         if rhs > 0:
             return None
+    return pivot_expr, free_vars, stack
 
-    x = [Q(0)] * num_vars
+
+def feasible(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constraint]) -> Optional[Vector]:
+    """Exact witness for {x : eq . x = rhs, ineq . x >= rhs}, or None.
+
+    Equalities are removed by Gaussian elimination, the remaining system by
+    Fourier-Motzkin elimination on primitive integer rows (Schrijver, Theory
+    of Linear and Integer Programming, 12.2), both in `_eliminate`, followed
+    by back substitution over Fraction for the witness.
+    """
+    elimination = _eliminate(num_vars, eqs, ineqs)
+    if elimination is None:
+        return None
+    pivot_expr, free_vars, stack = elimination
+    sub = [Q(0)] * len(free_vars)
     for v, lowers, uppers in reversed(stack):
-        lo = max((_tight_value(row, v, x) for row in lowers), default=None)
-        hi = min((_tight_value(row, v, x) for row in uppers), default=None)
+        lo = max((_tight_value(row, v, sub) for row in lowers), default=None)
+        hi = min((_tight_value(row, v, sub) for row in uppers), default=None)
         if lo is None and hi is None:
-            x[v] = Q(0)
+            sub[v] = Q(0)
         elif lo is None:
-            x[v] = min(hi, Q(0))
+            sub[v] = min(hi, Q(0))
         elif hi is None:
-            x[v] = max(lo, Q(0))
+            sub[v] = max(lo, Q(0))
         else:
-            x[v] = (lo + hi) / 2
+            sub[v] = (lo + hi) / 2
+    if not pivot_expr:
+        return tuple(sub)
+    x = [Q(0)] * num_vars
+    for f, val in zip(free_vars, sub):
+        x[f] = val
+    for c, (expr, c0) in pivot_expr.items():
+        x[c] = c0 + sum((expr[j] * x[j] for j in range(num_vars)), Q(0))
     return tuple(x)
 
 

@@ -2,52 +2,58 @@
 
 Cones are given by linearly independent generator lists, stored primitive
 with respect to a reference lattice (the standard integer lattice unless a
-basis is supplied).  Every cone question reads one description of the
-cone, the cached integer dual basis of its generators: its first rows are
-the facet functionals and the remaining rows the equations of the span.
-Everything is decided exactly: membership by reading coordinates off it,
-fan validity by a separating functional combined from its rows, coverage by
-enumerating the open cells of the arrangement of the cover's rows read on
-the target's generator weights and testing one rational witness per cell.
+basis is supplied).  Each cone carries its integer description, the dual
+basis (N, d) of its generators: integer rows over one denominator d > 0,
+whose first rows are the facet functionals and the remaining rows the
+equations of the span.  Every cone question reads these rows exactly:
+membership by the signs of integer dot products with the query scaled to
+integers, fan validity by a separating functional combined from the rows,
+coverage by enumerating the open cells of the arrangement of the cover's
+rows read on the target's generator weights, with one rational witness per
+leaf cell.  A fan compares its cones by generator indices into its ray list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from itertools import combinations, product
+from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInput
 from .linalg import (
-    Matrix,
-    Vector,
-    _common_ints,
-    _dual_basis,
-    _unit,
-    as_int_matrix,
-    coords_in_basis,
-    feasible,
-    is_zero_vector,
-    mat_vec,
-    minors_gcd,
-    primitive_direction,
-    qm,
-    qv,
-    rank,
-    transpose,
-    vneg,
-    vscale,
+    Matrix, Vector, _common_ints, _dual_rows, _eliminate, _int_unit, _row_scale, _scaled_ints,
+    as_int_matrix, coords_in_basis, feasible, is_zero_vector, mat_vec, minors_gcd,
+    primitive_direction, qm, qv, rank, transpose, vscale,
 )
 
 
 @dataclass(frozen=True)
 class RationalCone:
-    """A simplicial cone: independent generators, primitive in the lattice."""
+    """A simplicial cone: independent generators, primitive in the lattice.
+
+    The integer dual basis of the generators is kept on the cone, out of
+    equality, hashing and repr: `cone` fills it, and `dual_basis` fills it on
+    first use for a cone built directly.  The write is idempotent, so cones
+    stay safe to share between threads.
+    """
 
     ambient_dim: int
     gens: Matrix
     lattice: Optional[Matrix] = None
+    _dual: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def dual_basis(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(N, d): the rows of N/d read the coordinates of a vector in the
+        generators, then the equations of their span; unit rows over 1 for
+        the zero cone."""
+        if self._dual is None:
+            n = self.ambient_dim
+            units = tuple(_int_unit(n, i) for i in range(n))
+            object.__setattr__(self, "_dual", _dual_rows(self.gens) if self.gens else (units, 1))
+        return self._dual
 
     @property
     def dim(self) -> int:
@@ -89,36 +95,56 @@ def cone(
         raise InvalidInput("cone generators of mixed dimension")
     if lattice is not None:
         lattice = qm(lattice)
-    prim = sorted({_primitivize(g, lattice) for g in gens if not is_zero_vector(g)})
-    if rank(qm(prim)) != len(prim):
-        raise InvalidInput("cone generators must be linearly independent (simplicial cones only)")
-    return RationalCone(ambient_dim=ambient_dim, gens=tuple(prim), lattice=lattice)
+    prim = tuple(sorted({_primitivize(g, lattice) for g in gens if not is_zero_vector(g)}))
+    result = RationalCone(ambient_dim=ambient_dim, gens=prim, lattice=lattice)
+    if prim:
+        try:
+            object.__setattr__(result, "_dual", _dual_rows(prim))
+        except InvalidInput:
+            raise InvalidInput("cone generators must be linearly independent (simplicial cones only)") from None
+    return result
 
 
 def zero_cone(ambient_dim: int, lattice: Optional[Matrix] = None) -> RationalCone:
     return RationalCone(ambient_dim=ambient_dim, gens=(), lattice=qm(lattice) if lattice else None)
 
 
+def _point_ints(v: Sequence) -> list[int]:
+    """A positive integer multiple of a rational point."""
+    if not all(type(x) is int or type(x) is Q for x in v):
+        v = qv(v)
+    return _scaled_ints(v, _row_scale(v))
+
+
+def _holds(c: RationalCone, w: Sequence[int], strict: bool = False) -> bool:
+    """Membership of a point given by integers up to a positive scale: the
+    span rows vanish at it and the facet rows are nonnegative (positive when
+    strict); the positive d and scale change no sign."""
+    k = len(c.gens)
+    dots = [sum(map(mul, row, w)) for row in c.dual_basis()[0]]
+    if any(dots[k:]):
+        return False
+    return all(x > 0 for x in dots[:k]) if strict else all(x >= 0 for x in dots[:k])
+
+
 def contains(c: RationalCone, v: Sequence, strict: bool = False) -> bool:
     """Exact membership; strict means membership in the relative interior."""
-    v = qv(v)
     if len(v) != c.ambient_dim:
         raise InvalidInput("dimension mismatch in cone membership")
-    coords = coords_in_basis(c.gens, v)
-    if coords is None:
-        return False
-    if strict:
-        return all(x > 0 for x in coords)
-    return all(x >= 0 for x in coords)
+    return _holds(c, _point_ints(v), strict)
+
+
+def _face_subsets(k: int) -> Iterable[tuple[int, ...]]:
+    """Generator index subsets of a k-generator simplicial cone, by size."""
+    return (s for size in range(k + 1) for s in combinations(range(k), size))
 
 
 def faces(c: RationalCone) -> list[RationalCone]:
     """Every face; for a simplicial cone these are the generator subsets."""
-    out = []
-    for size in range(len(c.gens) + 1):
-        for subset in combinations(c.gens, size):
-            out.append(RationalCone(c.ambient_dim, subset, c.lattice))
-    return out
+    return [
+        RationalCone(c.ambient_dim, tuple(c.gens[i] for i in s), c.lattice)
+        for s in _face_subsets(len(c.gens))
+    ]
 
 
 def is_smooth(c: RationalCone) -> bool:
@@ -153,7 +179,8 @@ class Fan:
 
 
 def _face_compatible(
-    c1: RationalCone, c2: RationalCone, rays_in_c1: frozenset, rays_in_c2: frozenset
+    c1: RationalCone, c2: RationalCone, ids1: Sequence[int], ids2: Sequence[int],
+    rays_in_c1: frozenset, rays_in_c2: frozenset,
 ) -> bool:
     """Whether the two cones intersect in a common face.
 
@@ -161,13 +188,14 @@ def _face_compatible(
     shared generators and is strictly positive (negative) on the remaining
     generators of the first (second) cone; for polyhedral cones such a
     functional exists exactly when the intersection is a common face.
-    The ray-membership sets name the rays of the fan lying in each cone.
+    Rays are named by their indices into the fan's ray list: ids1 and ids2
+    name each cone's generators, and the ray-membership sets the rays of the
+    fan lying in each cone.
     """
-    s1 = {g for g in c1.gens if g in rays_in_c2}
-    s2 = {g for g in c2.gens if g in rays_in_c1}
-    if s1 != s2:
+    s1 = {r for r in ids1 if r in rays_in_c2}
+    if s1 != {r for r in ids2 if r in rays_in_c1}:
         return False
-    extras2 = [h for h in c2.gens if h not in s1]
+    extras2 = [h for h, r in zip(c2.gens, ids2) if r not in s1]
     if not extras2 and len(s1) == len(c1.gens):
         return True
     # the functional is u = sum a_j N_j over the rows N_j of c1's dual basis:
@@ -175,12 +203,11 @@ def _face_compatible(
     # so a_j is 0 on shared generators, at least 1 on the others, and free
     # on the equation rows; every other generator h of c2 needs u . h <= -1
     k = len(c1.gens)
-    free = [j for j, g in enumerate(c1.gens) if g not in s1]
-    free += range(k, c1.ambient_dim)
+    free = [*(j for j, r in enumerate(ids1) if r not in s1), *range(k, c1.ambient_dim)]
     on_h = _rows_on_weights(c1, extras2)
-    ineqs = [(_unit(len(free), i), 1) for i, j in enumerate(free) if j < k]
+    ineqs = [(_int_unit(len(free), i), 1) for i, j in enumerate(free) if j < k]
     ineqs += [(tuple(-on_h[j][t] for j in free), 1) for t in range(len(extras2))]
-    return feasible(len(free), [], ineqs) is not None
+    return _eliminate(len(free), [], ineqs) is not None
 
 
 def fan(cones: Iterable[RationalCone], validate: bool = True) -> Fan:
@@ -193,34 +220,23 @@ def fan(cones: Iterable[RationalCone], validate: bool = True) -> Fan:
     for c in cones:
         if c.ambient_dim != dim or c.lattice != lattice:
             raise InvalidInput("fan cones must share one ambient space and lattice")
-    # drop duplicates and cones that are faces of others; a proper face has
-    # strictly fewer generators, so only smaller cones need the subset scan
-    unique: dict[Matrix, RationalCone] = {c.gens: c for c in cones}
-    bigger_keys = sorted(unique, key=len, reverse=True)
-    maximal = []
-    for key, c in unique.items():
-        key_set = set(key)
-        absorbed = False
-        for other in bigger_keys:
-            if len(other) <= len(key):
-                break
-            if key_set <= set(other):
-                absorbed = True
-                break
-        if not absorbed:
-            maximal.append(c)
-    maximal.sort(key=lambda c: c.gens)
+    # name each cone by its generators' indices into the sorted ray list,
+    # which orders the keys as the generator tuples; drop duplicates and
+    # cones that are faces of others, which have strictly fewer generators
+    rays = sorted({g for c in cones for g in c.gens})
+    index = {r: i for i, r in enumerate(rays)}
+    unique = {tuple(index[g] for g in c.gens): c for c in cones}
+    keys = sorted(k for k in unique if not any(len(o) > len(k) and set(k) <= set(o) for o in unique))
+    maximal = [unique[key] for key in keys]
     result = Fan(ambient_dim=dim, maximal_cones=tuple(maximal), lattice=lattice)
     if validate:
-        all_rays = sorted({g for c in maximal for g in c.gens})
-        membership = [
-            frozenset(r for r in all_rays if contains(c, r)) for c in maximal
-        ]
-        for (i, a), (j, b) in combinations(enumerate(maximal), 2):
-            if not _face_compatible(a, b, membership[i], membership[j]):
-                raise InvalidInput(
-                    f"cones {a.gens} and {b.gens} do not intersect in a common face"
-                )
+        # the absorbed cones' generators are rays of maximal cones too
+        points = [_point_ints(r) for r in rays]
+        membership = [frozenset(i for i, w in enumerate(points) if _holds(c, w)) for c in maximal]
+        for i, j in combinations(range(len(maximal)), 2):
+            a, b = maximal[i], maximal[j]
+            if not _face_compatible(a, b, keys[i], keys[j], membership[i], membership[j]):
+                raise InvalidInput(f"cones {a.gens} and {b.gens} do not intersect in a common face")
     return result
 
 
@@ -246,11 +262,7 @@ def is_complete(f: Fan) -> bool:
         return all(n == 2 for n in count.values())
     lattice = f.lattice if f.lattice is not None else identity_lattice(f.ambient_dim)
     for signs in product((1, -1), repeat=r):
-        orthant = cone(
-            [vscale(s, row) for s, row in zip(signs, lattice)],
-            lattice=f.lattice,
-            ambient_dim=f.ambient_dim,
-        )
+        orthant = cone([vscale(s, row) for s, row in zip(signs, lattice)], f.lattice, f.ambient_dim)
         if not covered_by(orthant, f.maximal_cones):
             return False
     return True
@@ -277,13 +289,8 @@ def star_subdivision(f: Fan, ray: Sequence) -> Fan:
 
 
 def _membership_functionals(c: RationalCone) -> tuple[tuple[int, ...], ...]:
-    """Integer rows cutting out the cone: x lies in c iff the rows from
-    len(c.gens) on (the span equations) vanish at x and the first len(c.gens)
-    rows (the facets) are nonnegative at x.  They are the rows of the cone's
-    cached dual basis, whose positive denominator changes no sign."""
-    if not c.gens:
-        return tuple(tuple(int(i == j) for j in range(c.ambient_dim)) for i in range(c.ambient_dim))
-    return _dual_basis(c.gens)[0]
+    """Integer rows cutting out the cone: the rows of its dual basis (see `_holds`)."""
+    return c.dual_basis()[0]
 
 
 def _rows_on_weights(c: RationalCone, gens: Sequence[Vector]) -> list[tuple[int, ...]]:
@@ -294,20 +301,18 @@ def _rows_on_weights(c: RationalCone, gens: Sequence[Vector]) -> list[tuple[int,
     the point sum_g w_g g, as a function of the weights w.
     """
     cols, _ = _common_ints(gens)
-    return [tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in _membership_functionals(c)]
+    return [tuple(sum(map(mul, row, col)) for col in cols) for row in _membership_functionals(c)]
 
 
-def covered_by(
-    target: RationalCone,
-    cover: Sequence[RationalCone],
-    shortcut: bool = True,
-) -> bool:
+def covered_by(target: RationalCone, cover: Sequence[RationalCone], shortcut: bool = True) -> bool:
     """Exact decision of target being contained in the union of the cover.
 
     The target's relative interior is cut into open cells by every facet
-    hyperplane and span of the cover cones; one rational witness per
-    nonempty cell is tested for membership.  Membership of a whole cell in
-    any cover cone is constant, so the verdict is exact.
+    hyperplane and span of the cover cones, each kept as a primitive integer
+    row on the generator weights.  A cell is split only while its system is
+    feasible, and one rational witness per nonempty leaf cell is tested for
+    membership.  Membership of a whole cell in any cover cone is constant,
+    so the verdict is exact.
     """
     cover = list(cover)
     for c in cover:
@@ -315,38 +320,33 @@ def covered_by(
             raise InvalidInput("cover cones live in a different ambient space")
     if not target.gens:
         return bool(cover)
+    gens, k = target.gens, len(target.gens)
     if shortcut:
-        for c in cover:
-            if all(contains(c, g) for g in target.gens):
-                return True
-    gens = target.gens
-    k = len(gens)
+        points = [_point_ints(g) for g in gens]
+        if any(all(_holds(c, w) for w in points) for c in cover):
+            return True
 
-    funcs: list[Vector] = []
-    seen: set[Vector] = set()
+    # the distinct nonzero rows in order, primitive with a positive first entry
+    distinct: dict[tuple[int, ...], None] = {}
     for c in cover:
         for psi in _rows_on_weights(c, gens):
-            if not any(psi):
-                continue
-            key = primitive_direction(psi)
-            if key[next(i for i, x in enumerate(key) if x != 0)] < 0:
-                key = vneg(key)
-            if key not in seen:
-                seen.add(key)
-                funcs.append(key)
-
-    base = [(_unit(k, i), Q(1)) for i in range(k)]
+            if any(psi):
+                g = gcd(*psi) * (1 if next(x for x in psi if x) > 0 else -1)
+                distinct[tuple(x // g for x in psi)] = None
+    funcs = list(distinct)
 
     def cell_covered(depth: int, constraints) -> bool:
-        witness = feasible(k, [], constraints)
-        if witness is None:
-            return True
         if depth == len(funcs):
+            witness = feasible(k, [], constraints)
+            if witness is None:
+                return True
             point = mat_vec(transpose(gens), witness)
             return any(contains(c, point) for c in cover)
+        if _eliminate(k, [], constraints) is None:
+            return True
         psi = funcs[depth]
-        return cell_covered(depth + 1, constraints + [(psi, Q(1))]) and cell_covered(
-            depth + 1, constraints + [(vneg(psi), Q(1))]
+        return cell_covered(depth + 1, constraints + [(psi, 1)]) and cell_covered(
+            depth + 1, constraints + [(tuple(-x for x in psi), 1)]
         )
 
-    return cell_covered(0, base)
+    return cell_covered(0, [(_int_unit(k, i), 1) for i in range(k)])

@@ -369,10 +369,19 @@ def identity_element(dim: int) -> WeylElement:
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    """The reflection s_i, 1-based as in the usual numbering."""
+    """The reflection s_i, 1-based as in the usual numbering.
+
+    x - <x, alpha_i^vee> alpha_i is x - 2 (a . x) a / n for the integer
+    row a of alpha_i scaled by any positive factor and n = a . a, so s_i is
+    the integer rows n I - 2 a a^T over n, reduced to canonical form.
+    """
     if not 1 <= i <= rs.rank:
         raise InvalidInput(f"simple reflection index {i} out of range for {rs.label}")
-    return WeylElement(rs.reflection_matrix(i - 1), (i,))
+    (a,), _ = _common_ints([rs.simple_roots[i - 1]])
+    n = sum(x * x for x in a)
+    rows = [[n * (r == c) - 2 * x * y for c, y in enumerate(a)] for r, x in enumerate(a)]
+    g = gcd(n, *(x for row in rows for x in row))
+    return WeylElement._from_ints(tuple(tuple(x // g for x in row) for row in rows), n // g, (i,))
 
 
 def coordinate_swap(dim: int, i: int, j: int) -> WeylElement:

@@ -15,19 +15,34 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InvalidInput, InvariantViolation
+from .errors import BoundExceeded, InvalidInput, InvariantViolation
 from .linalg import (
     Matrix,
     Vector,
+    _eliminate,
+    _int_unit,
     _unit,
-    feasible,
     mat_vec,
     smith_normal_form,
     vneg,
 )
-from .polyhedra import RationalCone, _rows_on_weights, cone, contains, covered_by, faces, zero_cone
+from .polyhedra import (
+    RationalCone,
+    _face_subsets,
+    _rows_on_weights,
+    cone,
+    contains,
+    covered_by,
+    zero_cone,
+)
 from .rootsys import RootSystem, build_root_system, longest_element
 from .lattice import LatticeVector, fundamental_weight, to_basis, vector
+
+
+# the most faces a colored cone may have for its colored faces to be
+# enumerated: a simplicial cone on k generators has 2^k faces, so this keeps
+# every type up to rank 12 (E8 has 256)
+MAX_COLORED_FACES = 2**12
 
 
 def color_symbol(j: int) -> str:
@@ -98,12 +113,12 @@ def _relints_share_valuation_point(cones: Sequence[RationalCone], vcone: Rationa
     the answer: scaling a solution up satisfies the scaled rows.
     """
     gens = cones[0].gens
-    eqs, ineqs = [], [(_unit(len(gens), i), 1) for i in range(len(gens))]
+    eqs, ineqs = [], [(_int_unit(len(gens), i), 1) for i in range(len(gens))]
     for c, bound in [*((c, 1) for c in cones[1:]), (vcone, 0)]:
         rows = _rows_on_weights(c, gens)
         eqs += [(row, 0) for row in rows[len(c.gens):]]
         ineqs += [(row, bound) for row in rows[: len(c.gens)]]
-    return feasible(len(gens), eqs, ineqs) is not None
+    return _eliminate(len(gens), eqs, ineqs) is not None
 
 
 def _relint_meets_valuation(c: RationalCone, vcone: RationalCone) -> bool:
@@ -131,18 +146,40 @@ def validate_colored_cone(cc: ColoredCone, vcone: RationalCone, rho: Mapping[str
         raise InvalidInput("colored cone has no interior valuation point")
 
 
+def _check_face_bound(dim: int) -> None:
+    if 2 ** min(dim, 64) > MAX_COLORED_FACES:  # min: no huge power for a huge rank
+        raise BoundExceeded(
+            f"a {dim}-dimensional colored cone has 2^{dim} faces, above the bound {MAX_COLORED_FACES}"
+        )
+
+
+def _colored_faces(top: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vector]):
+    """The colored faces of `colored_faces`, each with its generator index
+    subset of the top cone."""
+    c = top.cone
+    _check_face_bound(c.dim)
+    inside = [contains(vcone, g) for g in c.gens]
+    out = []
+    for subset in _face_subsets(len(c.gens)):
+        f = RationalCone(c.ambient_dim, tuple(c.gens[i] for i in subset), c.lattice)
+        if all(inside[i] for i in subset) or _relint_meets_valuation(f, vcone):
+            kept = frozenset(d for d in top.colors if contains(f, rho[d]))
+            out.append((subset, ColoredCone(cone=f, colors=kept)))
+    return out
+
+
 def colored_faces(
     top: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vector]
 ) -> list[ColoredCone]:
     """All colored faces of a colored cone: faces meeting the valuation cone,
-    each carrying the colors whose image lands inside it."""
-    out = []
-    for f in faces(top.cone):
-        if not _relint_meets_valuation(f, vcone):
-            continue
-        kept = frozenset(d for d in top.colors if contains(f, rho[d]))
-        out.append(ColoredCone(cone=f, colors=kept))
-    return out
+    each carrying the colors whose image lands inside it.
+
+    A face whose generators all lie in the valuation cone meets it in its
+    relative interior, by convexity, so only the other faces are tested.
+    A cone with more than ``MAX_COLORED_FACES`` faces is refused with
+    BoundExceeded before any face is visited.
+    """
+    return [cc for _, cc in _colored_faces(top, vcone, rho)]
 
 
 def colored_fan_from_tops(
@@ -155,17 +192,24 @@ def colored_fan_from_tops(
 
     Interior disjointness inside the valuation cone is automatic for faces
     of a single simplicial cone and is checked pairwise across distinct tops.
+    Faces are keyed by their generators' indices into the sorted rays of the
+    tops, which orders the keys as the generator tuples.
     """
     rho = dict(rho) if rho is not None else standard_rho_table(rs)
     vcone = valuation_cone(rs)
+    index = {r: i for i, r in enumerate(sorted({g for top in tops for g in top.cone.gens}))}
     collected: dict = {}
     for top in tops:
+        _check_face_bound(top.cone.dim)
+    for top in tops:
         validate_colored_cone(top, vcone, rho)
-        for cc in colored_faces(top, vcone, rho):
-            prev = collected.get(cc.cone.gens)
+        ids = [index[g] for g in top.cone.gens]
+        for subset, cc in _colored_faces(top, vcone, rho):
+            key = tuple(ids[i] for i in subset)
+            prev = collected.get(key)
             if prev is not None and prev.colors != cc.colors:
                 raise InvalidInput("one cone carries two different color sets")
-            collected[cc.cone.gens] = cc
+            collected[key] = cc
     cones = tuple(collected[k] for k in sorted(collected))
     if len(tops) > 1:
         for i in range(len(cones)):
@@ -225,6 +269,7 @@ def z_colored_fan(n: int) -> ColoredFan:
     Grassmannian: a chain of colored cones over type C."""
     if n < 2:
         raise InvalidInput("the quotient fan needs rank at least 2")
+    _check_face_bound(n)
     rs = build_root_system(f"C{n}")
     top = chain_cone(rs, n)
     f = colored_fan_from_tops(rs, [top], boundary_names={vneg(_unit(n, 0)): "Z1"})
@@ -244,6 +289,7 @@ def blowup_chain_fans(n: int) -> list[ColoredFan]:
     """
     if n < 2:
         raise InvalidInput("the contraction chain needs rank at least 2")
+    _check_face_bound(n)
     rs = build_root_system(f"C{n}")
     fans = []
     for i in range(n):

@@ -49,6 +49,24 @@ def test_oversized_root_system_exit_2(capsys, args):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spherical", "wonderful", "--type", "A24"],
+        ["spherical", "chain", "--rank", "28"],
+        ["spherical", "z-fan", "--rank", "28"],
+    ],
+    ids=["wonderful-A24", "chain-28", "z-fan-28"],
+)
+def test_oversized_colored_face_enumeration_exit_2(capsys, args):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *args)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "faces" in err
+
+
 def test_weights_command(capsys):
     code, out, _ = run_cli(capsys, "weights", "--type", "B3", "--to", "simple_root", "--json")
     assert code == 0

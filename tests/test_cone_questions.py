@@ -1,15 +1,28 @@
 """Every cone question read off the cone's integer dual basis, against the
 three encodings it replaced: nullspace equations with Fraction facet rows,
 the centroid guess before an equality-constrained ambient search, and the
-block system with one weight variable per generator of every cone."""
+block system with one weight variable per generator of every cone.  Then
+the integer-native cone against the Fraction-keyed one before it:
+membership read off signs against coordinates, colored faces kept by the
+convexity shortcut against a feasibility test per face, fans compared by
+ray indices against sets of Fraction tuples, and the yes/no elimination
+against the witness."""
 
 import random
+import threading
 from fractions import Fraction as Q
 from itertools import combinations
 
-from test_linalg import _old_dual_rows, _old_nullspace
+from test_linalg import (
+    _old_coords_in_basis,
+    _old_dual_rows,
+    _old_feasible,
+    _old_nullspace,
+    _random_system,
+    _recorded_colored_fan_systems,
+)
 
-from weylfans import polyhedra, spherical
+from weylfans import linalg, polyhedra, spherical
 from weylfans.errors import InvalidInput
 from weylfans.linalg import (
     _unit,
@@ -27,7 +40,7 @@ from weylfans.linalg import (
     vscale,
     vsub,
 )
-from weylfans.polyhedra import cone, contains, covered_by, zero_cone
+from weylfans.polyhedra import RationalCone, _rows_on_weights, cone, contains, covered_by, faces, zero_cone
 from weylfans.rootsys import build_root_system
 from weylfans.toric import weyl_chamber_fan
 
@@ -69,6 +82,41 @@ def _old_face_compatible(c1, c2, rays_in_c1, rays_in_c2):
     ineqs = [(g, Q(1)) for g in extras1]
     ineqs += [(vneg(h), Q(1)) for h in extras2]
     return feasible(c1.ambient_dim, eqs, ineqs) is not None
+
+
+def _set_face_compatible(c1, c2, rays_in_c1, rays_in_c2):
+    """The separating functional on c1's dual rows, with the shared
+    generators found as sets of Fraction tuples."""
+    s1 = {g for g in c1.gens if g in rays_in_c2}
+    s2 = {g for g in c2.gens if g in rays_in_c1}
+    if s1 != s2:
+        return False
+    extras2 = [h for h in c2.gens if h not in s1]
+    if not extras2 and len(s1) == len(c1.gens):
+        return True
+    k = len(c1.gens)
+    free = [j for j, g in enumerate(c1.gens) if g not in s1]
+    free += range(k, c1.ambient_dim)
+    on_h = _rows_on_weights(c1, extras2)
+    ineqs = [(_unit(len(free), i), 1) for i, j in enumerate(free) if j < k]
+    ineqs += [(tuple(-on_h[j][t] for j in free), 1) for t in range(len(extras2))]
+    return feasible(len(free), [], ineqs) is not None
+
+
+def _set_fan_accepts(cones, face_compatible):
+    """fan() validation with generator sets of Fraction tuples: maximal
+    cones by subset scans, then every pair through face_compatible."""
+    unique = {c.gens: c for c in cones}
+    maximal = [
+        c for key, c in unique.items()
+        if not any(len(other) > len(key) and set(key) <= set(other) for other in unique)
+    ]
+    all_rays = sorted({g for c in maximal for g in c.gens})
+    membership = [frozenset(r for r in all_rays if contains(c, r)) for c in maximal]
+    return all(
+        face_compatible(a, b, membership[i], membership[j])
+        for (i, a), (j, b) in combinations(enumerate(maximal), 2)
+    )
 
 
 def _old_relints_share_valuation_point(cones, vcone):
@@ -201,15 +249,33 @@ def _accepts(cones):
     return True
 
 
+def _old_accepts(cones):
+    """Acceptance by the set-based fan validation, once with each of the
+    two older face tests; both must agree."""
+    old = _set_fan_accepts(cones, _old_face_compatible)
+    assert _set_fan_accepts(cones, _set_face_compatible) == old
+    return old
+
+
 def _ray_sets(c1, c2):
     rays = sorted(set(c1.gens) | set(c2.gens))
     return (frozenset(r for r in rays if contains(c, r)) for c in (c1, c2))
 
 
+def _ray_ids(c1, c2):
+    """Generator indices and ray-membership index sets of the two cones,
+    into their sorted joint ray list."""
+    rays = sorted(set(c1.gens) | set(c2.gens))
+    ids = [tuple(rays.index(g) for g in c.gens) for c in (c1, c2)]
+    members = [frozenset(i for i, r in enumerate(rays) if contains(c, r)) for c in (c1, c2)]
+    return (*ids, *members)
+
+
 def _compare(c1, c2, vcone, seen):
     r1, r2 = _ray_sets(c1, c2)
-    compatible = polyhedra._face_compatible(c1, c2, r1, r2)
+    compatible = polyhedra._face_compatible(c1, c2, *_ray_ids(c1, c2))
     assert compatible == _old_face_compatible(c1, c2, r1, r2)
+    assert compatible == _set_face_compatible(c1, c2, r1, r2)
     overlap = spherical._relints_overlap_in_valuation(c1, c2, vcone)
     assert overlap == _old_relints_overlap_in_valuation(c1, c2, vcone)
     for c in (c1, c2):
@@ -225,7 +291,7 @@ def _compare(c1, c2, vcone, seen):
     seen["overlap", overlap] += 1
 
 
-def test_cone_questions_match_old_encodings(monkeypatch):
+def test_cone_questions_match_old_encodings():
     seen = {(q, b): 0 for q in ("compatible", "overlap", "meets", "covered") for b in (True, False)}
     rng = random.Random(1991)
     accepted = {True: 0, False: 0}
@@ -233,9 +299,7 @@ def test_cone_questions_match_old_encodings(monkeypatch):
         c1, c2, vcone = _random_cone_pair(rng)
         _compare(c1, c2, vcone, seen)
         new = _accepts([c1, c2])
-        with monkeypatch.context() as patch:
-            patch.setattr(polyhedra, "_face_compatible", _old_face_compatible)
-            assert _accepts([c1, c2]) == new
+        assert _old_accepts([c1, c2]) == new
         accepted[new] += 1
     assert min(seen.values()) > 40 and min(accepted.values()) > 40
 
@@ -252,8 +316,174 @@ def test_cone_questions_match_old_encodings(monkeypatch):
         inner = cone([inside, *top.gens[1:]], lattice=top.lattice, ambient_dim=top.ambient_dim)
         for candidate, valid in ((cones, True), (cones + [inner], False)):
             assert _accepts(candidate) == valid
-            with monkeypatch.context() as patch:
-                patch.setattr(polyhedra, "_face_compatible", _old_face_compatible)
-                assert _accepts(candidate) == valid
+            assert _old_accepts(candidate) == valid
         fans += 1
     assert fans == 20
+
+
+# --- the integer-native cone against the Fraction-keyed one -----------------
+
+
+def _coords_contains(c, v, strict=False):
+    """Membership through Fraction coordinates in the generators."""
+    coords = _old_coords_in_basis(c.gens, qv(v))
+    if coords is None:
+        return False
+    if strict:
+        return all(x > 0 for x in coords)
+    return all(x >= 0 for x in coords)
+
+
+def _random_cone_and_points(rng):
+    """A cone in dimension 1-5, some zero, some in a rational reference
+    lattice, with the origin, integer and rational points off and on its
+    span, and combinations of its generators with zero and negative
+    weights, which land on its faces and outside it."""
+    dim = rng.randint(1, 5)
+
+    def vec():
+        return qv([Q(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(dim)])
+
+    lattice = None
+    if rng.random() < 0.3:
+        lattice = _independent([], dim, vec)
+        if len(lattice) < dim:
+            lattice = None
+    gens = _independent([], rng.randint(0, dim), vec)
+    c = cone(gens, lattice=lattice, ambient_dim=dim) if gens else zero_cone(dim, lattice)
+    points = [[0] * dim, vec(), [rng.randint(-2, 2) for _ in range(dim)]]
+    for _ in range(6):
+        weights = [rng.choice((-1, 0, 0, Q(1, 2), 1, 2)) for _ in c.gens]
+        p = mat_vec(transpose(c.gens), weights) if c.gens else qv([0] * dim)
+        if rng.random() < 0.2:
+            p = vadd(p, vscale(Q(1, 3), vec()))
+        points.append(p)
+    return c, points
+
+
+def test_contains_reads_signs_like_coordinates():
+    rng = random.Random(2010)
+    seen = {(strict, answer): 0 for strict in (False, True) for answer in (False, True)}
+    kinds = {"zero cone": 0, "lattice": 0, "lower-dimensional": 0}
+    for _ in range(400):
+        c, points = _random_cone_and_points(rng)
+        kinds["zero cone"] += not c.gens
+        kinds["lattice"] += c.lattice is not None
+        kinds["lower-dimensional"] += 0 < c.dim < c.ambient_dim
+        for p in points:
+            for strict in (False, True):
+                answer = contains(c, p, strict)
+                assert answer == _coords_contains(c, p, strict)
+                seen[strict, answer] += 1
+    assert min(seen.values()) > 200 and min(kinds.values()) > 20
+    # a point on a facet is in the cone and off its relative interior
+    quadrant = cone([[1, 0], [0, 1]])
+    assert contains(quadrant, [0, 5]) and not contains(quadrant, [0, 5], strict=True)
+    assert contains(zero_cone(2), [0, 0], strict=True) and not contains(zero_cone(2), [0, 1])
+
+
+def _shortcut_free_colored_faces(top, vcone, rho):
+    """colored_faces with one valuation-point test per face."""
+    return [
+        spherical.ColoredCone(cone=f, colors=frozenset(d for d in top.colors if contains(f, rho[d])))
+        for f in faces(top.cone)
+        if spherical._relint_meets_valuation(f, vcone)
+    ]
+
+
+WONDERFUL_TYPES = (
+    [f"A{n}" for n in range(2, 7)]
+    + [f"{f}{n}" for f in "BC" for n in range(2, 7)]
+    + ["D4", "D5", "D6", "E6", "F4", "G2"]
+)
+
+
+def test_colored_faces_shortcut_matches_a_test_per_face():
+    fans = []
+    for n in range(2, 7):
+        rs = build_root_system(f"C{n}")
+        fans += spherical.blowup_chain_fans(n)
+        fans += [spherical.z_colored_fan(n), spherical.wonderful_colored_fan(rs)]
+    fans += [spherical.wonderful_colored_fan(build_root_system(t)) for t in WONDERFUL_TYPES]
+    dropped = 0
+    for f in fans:
+        top = max(f.cones, key=lambda cc: cc.cone.dim)
+        got = spherical.colored_faces(top, f.valuation_cone, f.rho_table)
+        assert got == _shortcut_free_colored_faces(top, f.valuation_cone, f.rho_table)
+        dropped += 2 ** top.cone.dim - len(got)
+    assert len(fans) == 51 and dropped > 100
+
+
+def test_yes_no_elimination_matches_the_witness(monkeypatch):
+    systems = _recorded_colored_fan_systems(monkeypatch)
+    assert len(systems) > 500
+    rng = random.Random(1968)
+    systems += [_random_system(rng) for _ in range(1500)]
+    outcomes = {True: 0, False: 0}
+    for n, eqs, ineqs in systems:
+        solvable = linalg._eliminate(n, eqs, ineqs) is not None
+        assert solvable == (feasible(n, eqs, ineqs) is not None)
+        assert solvable == (_old_feasible(n, eqs, ineqs) is not None)
+        outcomes[solvable] += 1
+    assert min(outcomes.values()) > 300
+
+
+def test_fan_compares_ray_indices_like_fraction_sets():
+    rng = random.Random(324)
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        c1, c2, vcone = _random_cone_pair(rng)
+        cones = [c1, c2, vcone, *faces(c1)[1:3]]
+        rng.shuffle(cones)
+        verdict = _accepts(cones)
+        assert verdict == _set_fan_accepts(cones, _set_face_compatible)
+        if verdict:
+            maximal = polyhedra.fan(cones).maximal_cones
+            unique = {c.gens: c for c in cones}
+            expected = sorted(
+                key for key in unique if not any(len(o) > len(key) and set(key) <= set(o) for o in unique)
+            )
+            assert [c.gens for c in maximal] == expected
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) > 30
+
+
+def test_dual_rows_fill_once_under_threads():
+    """Six threads fill and read the rows of the same fresh cones."""
+    rng = random.Random(61)
+    specs = []
+    for _ in range(80):
+        dim = rng.randint(1, 5)
+        gens = _independent(
+            [], rng.randint(0, dim), lambda: qv([Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)])
+        )
+        points = [qv([Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)]) for _ in range(3)]
+        specs.append((dim, tuple(gens), points))
+    cones = [RationalCone(dim, gens) for dim, gens, _ in specs]
+    assert all(c._dual is None for c in cones)
+    barrier = threading.Barrier(6)
+    results, errors = [None] * 6, []
+
+    def work(t):
+        try:
+            barrier.wait()
+            order = range(len(cones)) if t % 2 else range(len(cones) - 1, -1, -1)
+            answers = {i: (cones[i].dual_basis(), [contains(cones[i], p) for p in specs[i][2]]) for i in order}
+            results[t] = [answers[i] for i in range(len(cones))]
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert not errors and all(r == results[0] for r in results)
+    for c, (dim, gens, points), (dual, answers) in zip(cones, specs, results[0]):
+        rows, d = dual
+        assert c._dual == dual and d > 0
+        if gens:
+            assert tuple(tuple(Q(x, d) for x in row) for row in rows) == _old_dual_rows(gens)
+        else:
+            assert dual == (tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)), 1)
+        assert answers == [_coords_contains(c, p) for p in points]

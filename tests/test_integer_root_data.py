@@ -43,6 +43,7 @@ from weylfans.rootsys import (
     longest_element,
     parse_label,
     sign_flip,
+    simple_reflection,
     subgroup_closure,
     weyl_enumerate,
     weyl_order,
@@ -306,3 +307,18 @@ def test_lazy_views_are_safe_to_share_between_threads():
     assert not any(t.is_alive() for t in threads)
     assert failures == []
     assert len(rs._basis_changes) == 4 * 4  # every (source, target) asked for
+
+
+def test_simple_reflections_and_highest_coroot_match_fraction_construction():
+    """simple_reflection and highest_coroot on integer rows against the
+    Fraction reflection matrix and coroot, on all 48 bundled types."""
+    for label in BUNDLED_TYPES:
+        rs = build_root_system(label)
+        for i in range(1, rs.rank + 1):
+            s = simple_reflection(rs, i)
+            old = WeylElement(rs.reflection_matrix(i - 1), (i,))
+            assert s == old and s.word == (i,) and s.matrix == old.matrix
+            assert (s._rows, s._den) == (old._rows, old._den)
+        theta_v = lat.highest_coroot(rs)
+        assert theta_v.basis == "ambient" and theta_v.coords == _coroot(rs.highest_root)
+        assert all(type(x) is Q for x in theta_v.coords)

@@ -585,21 +585,25 @@ def _random_system(rng):
 
 
 def _recorded_colored_fan_systems(monkeypatch):
-    """Every feasible system asked by covered_by and the valuation-point
-    test while building, covering and pairing the type-C colored fans of
-    ranks 2-4."""
+    """Every feasibility system, with or without a witness, asked by
+    covered_by and the valuation-point test while building, covering and
+    pairing the type-C colored fans of ranks 2-4."""
     from weylfans import polyhedra, spherical
     from weylfans.rootsys import build_root_system
 
     recorded = []
 
-    def record(num_vars, eqs, ineqs):
-        recorded.append((num_vars, list(eqs), list(ineqs)))
-        return feasible(num_vars, eqs, ineqs)
+    def recorder(fn):
+        def record(num_vars, eqs, ineqs):
+            recorded.append((num_vars, list(eqs), list(ineqs)))
+            return fn(num_vars, eqs, ineqs)
+
+        return record
 
     with monkeypatch.context() as patch:
-        patch.setattr(polyhedra, "feasible", record)
-        patch.setattr(spherical, "feasible", record)
+        patch.setattr(polyhedra, "feasible", recorder(feasible))
+        patch.setattr(polyhedra, "_eliminate", recorder(linalg._eliminate))
+        patch.setattr(spherical, "_eliminate", recorder(linalg._eliminate))
         for n in range(2, 5):
             fans = spherical.blowup_chain_fans(n)
             fans += [spherical.z_colored_fan(n), spherical.wonderful_colored_fan(build_root_system(f"C{n}"))]

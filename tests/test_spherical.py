@@ -237,3 +237,23 @@ def test_closed_orbit_restriction():
         assert left.coords == right.coords
     with pytest.raises(InvalidInput):
         closed_orbit_restriction(c3, 4)
+
+
+def test_colored_face_enumeration_is_bounded(monkeypatch):
+    from weylfans import spherical
+    from weylfans.errors import BoundExceeded
+    from weylfans.spherical import MAX_COLORED_FACES, colored_faces
+
+    def no_face_visited(*args):
+        raise AssertionError("a face was visited")
+
+    n = MAX_COLORED_FACES.bit_length()  # the least rank with too many faces
+    orthant = ColoredCone(cone=cone([[-int(i == j) for j in range(n)] for i in range(n)]), colors=frozenset())
+    monkeypatch.setattr(spherical, "_relint_meets_valuation", no_face_visited)
+    with pytest.raises(BoundExceeded, match="faces"):
+        colored_faces(orthant, orthant.cone, {})
+    for call in (lambda: blowup_chain_fans(n), lambda: z_colored_fan(n)):
+        with pytest.raises(BoundExceeded, match="faces"):
+            call()
+    monkeypatch.undo()
+    assert len(wonderful_colored_fan(build_root_system("E8")).cones) == 256
