@@ -268,42 +268,42 @@ def _case_e8_subtorus(seed: int) -> CaseReport:
 
 
 def _fans_lattice_isomorphic(f1, f2) -> bool:
-    """Complete 2D fans, compared up to an integer change of lattice basis."""
-    from .linalg import det, inverse, mat_mul, mat_vec, qm, transpose
+    """Complete 2D fans, compared up to an integer change of lattice basis.
+
+    Primitive generators have integer lattice coordinates.  A candidate map
+    sends p, q, the generators of one cone of f1 and the columns of A, to u,
+    v, those of a cone of f2 and the columns of B: m = B adj(A) / det A,
+    which is integral exactly when det A divides every entry of B adj(A), and
+    unimodular exactly when |det B| = |det A|.
+    """
 
     def data(f):
         base = f.maximal_cones[0]
-        rays = sorted({tuple(base.lattice_coords(g)) for c in f.maximal_cones for g in c.gens})
         cones = {
-            tuple(sorted(tuple(base.lattice_coords(g)) for g in c.gens))
+            tuple(sorted(tuple(int(x) for x in base.lattice_coords(g)) for g in c.gens))
             for c in f.maximal_cones
         }
-        return rays, cones
+        return sorted({r for c in cones for r in c}), cones
 
     rays1, cones1 = data(f1)
     rays2, cones2 = data(f2)
     if len(rays1) != len(rays2) or len(cones1) != len(cones2):
         return False
-    pair1 = next(iter(cones1))
-    a = transpose(qm(pair1))
+    (p0, p1), (q0, q1) = next(iter(cones1))
+    det_a = p0 * q1 - q0 * p1
     for target in cones2:
-        for ordered in (target, target[::-1]):
-            b = transpose(qm(ordered))
-            try:
-                m = mat_mul(b, inverse(a))
-            except InvalidInput:
+        for u, v in (target, target[::-1]):
+            if abs(u[0] * v[1] - v[0] * u[1]) != abs(det_a):
                 continue
-            if any(x.denominator != 1 for row in m for x in row):
+            # the rows of B adj(A), with adj(A) = [[q1, -q0], [-p1, p0]]
+            rows = [(x * q1 - y * p1, y * p0 - x * q0) for x, y in zip(u, v)]
+            if any(e % det_a for row in rows for e in row):
                 continue
-            if abs(det(m)) != 1:
-                continue
-            image_rays = sorted(tuple(mat_vec(m, r)) for r in rays1)
-            if image_rays != rays2:
-                continue
-            image_cones = {
-                tuple(sorted(tuple(mat_vec(m, r)) for r in c)) for c in cones1
-            }
-            if image_cones == cones2:
+            m = [(e0 // det_a, e1 // det_a) for e0, e1 in rows]
+            image = {r: tuple(a * r[0] + b * r[1] for a, b in m) for r in rays1}
+            if sorted(image.values()) == rays2 and {
+                tuple(sorted(image[r] for r in c)) for c in cones1
+            } == cones2:
                 return True
     return False
 

@@ -27,6 +27,7 @@ from .linalg import (
     _int_mat_vec,
     _row_scale,
     _scaled_ints,
+    det,
     is_zero_vector,
     qv,
     vadd,
@@ -185,8 +186,6 @@ def _ambient_ints(v: LatticeVector) -> tuple[list[int], int]:
 
 def weight_root_index(rs: RootSystem) -> int:
     """Index of the root lattice inside the weight lattice."""
-    from .linalg import det
-
     return abs(int(det(rs.cartan)))
 
 

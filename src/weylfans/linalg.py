@@ -1,18 +1,17 @@
 """Exact linear algebra over the rationals and the integers.
 
 Everything in the package funnels through this module.  Rank, determinant,
-inverse, the equality step of feasibility and minor gcds all run on one
+dual bases, the equality step of feasibility and minor gcds all run on one
 fraction-free core, `_echelon`: rational rows are scaled to integer rows and
-reduced by Bareiss elimination with exact divisions, and `_rref` reads the
-reduced row echelon form over Fraction off its result.  A change of
+reduced by Bareiss elimination with exact divisions.  A change of
 coordinates reads a dual basis, `_dual_rows`: integer rows over one
 denominator, so a coordinate is one integer dot product.  It is cached as
 `_dual_basis` for the bases asked about over and over, and each cone keeps
-its own.  Beside it sit Smith normal form over the integers and a
-Fourier-Motzkin feasibility test on primitive integer rows.  Its elimination,
-`_eliminate`, answers the yes/no questions of the cone code on its own;
-`feasible` back-substitutes after it for an exact witness.  Fraction stays
-at every public function's inputs and outputs.  No floating point anywhere.
+its own.  Beside it sit Smith normal form over the integers and one
+feasibility question, `_eliminate`: a yes/no answer for a system of linear
+equalities and inequalities, on integer rows throughout, which every cone
+question of the package reduces to.  Fraction stays at every public
+function's inputs and outputs.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -66,10 +65,6 @@ def is_zero_vector(x: Sequence[Q]) -> bool:
     return all(a == 0 for a in x)
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(Q(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
@@ -77,11 +72,6 @@ def transpose(m: Matrix) -> Matrix:
 def mat_vec(m: Matrix, v: Sequence[Q]) -> Vector:
     """Apply a matrix given by rows to a column vector."""
     return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def _unit(dim: int, i: int, value=1) -> Vector:
@@ -157,12 +147,6 @@ def _echelon(rows: Iterable[Sequence], reduced: bool = True) -> tuple[list[list[
     return a, pivots, d
 
 
-def _rref(rows: Iterable[Sequence]) -> tuple[list[list[Q]], list[int]]:
-    """Reduced row echelon form over Fraction; returns (rows, pivot column list)."""
-    a, pivots, d = _echelon(rows)
-    return [[Q(x, d) for x in row] for row in a], pivots
-
-
 def rank(m: Matrix) -> int:
     """Rank of a matrix given by rational or integer rows."""
     return len(_echelon(m, reduced=False)[1])
@@ -176,15 +160,6 @@ def det(m: Matrix) -> Q:
     if len(pivots) < n:
         return Q(0)
     return Q(d, prod(_row_scale(row) for row in m))
-
-
-def inverse(m: Matrix) -> Matrix:
-    n = len(m)
-    aug = [list(row) + [Q(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
-    aug, pivots = _rref(aug)
-    if pivots != list(range(n)):
-        raise InvalidInput("matrix is singular")
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def _dual_rows(rows: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -243,19 +218,6 @@ def primitive_direction(v: Sequence[Q]) -> Vector:
     ints = _scaled_ints(v, _row_scale(v))
     g = gcd(*ints)
     return tuple(Q(x // g) for x in ints)
-
-
-def as_int_matrix(m: Matrix) -> list[list[int]]:
-    out = []
-    for row in m:
-        r = []
-        for x in row:
-            x = Q(x)
-            if x.denominator != 1:
-                raise InvalidInput("expected an integer matrix")
-            r.append(int(x))
-        out.append(r)
-    return out
 
 
 def _exgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -389,8 +351,7 @@ def saturation_basis(vectors: Sequence[Sequence[Q]]) -> Matrix:
     vecs = [primitive_direction(v) for v in vectors if not is_zero_vector(qv(v))]
     if not vecs:
         return ()
-    ints = as_int_matrix(tuple(vecs))
-    diag, t, _ = smith_normal_form(ints)
+    diag, t, _ = smith_normal_form(vecs)
     k = sum(1 for d in diag if d != 0)
     return qm(t[:k])
 
@@ -398,11 +359,11 @@ def saturation_basis(vectors: Sequence[Sequence[Q]]) -> Matrix:
 # --- exact linear feasibility (Fourier-Motzkin) -----------------------------
 
 Constraint = tuple[Vector, Q]  # (coeffs, rhs), meaning coeffs . x >= rhs
-# inside feasible, inequalities are held as primitive integer rows (coeffs, rhs)
+# inside _eliminate, inequalities are held as primitive integer rows (coeffs, rhs)
 IntConstraint = tuple[tuple[int, ...], int]
 
 
-def _primitive_ineq(coeffs: list[int], rhs: int) -> Optional[IntConstraint]:
+def _primitive_ineq(coeffs: Sequence[int], rhs: int) -> Optional[IntConstraint]:
     """Divide an integer row by the gcd of its entries; None means trivially
     satisfied, and a zero row with rhs 1 encodes an infeasible one."""
     if not any(coeffs):
@@ -411,74 +372,50 @@ def _primitive_ineq(coeffs: list[int], rhs: int) -> Optional[IntConstraint]:
     return tuple(x // g for x in coeffs), rhs // g
 
 
-def _normalize_ineq(coeffs: Sequence[Q], rhs: Q) -> Optional[IntConstraint]:
-    """Scale an int or Fraction row to primitive integers; None means
-    trivially satisfied."""
+def _int_row(coeffs: Sequence, rhs) -> Sequence[int]:
+    """An int or Fraction row (coeffs, rhs) scaled to integers by a positive factor."""
     row = (*coeffs, rhs)
-    if not all(type(x) is int for x in row):
-        row = _scaled_ints(row, _row_scale(row))
-    return _primitive_ineq(row[:-1], row[-1])
+    return row if all(type(x) is int for x in row) else _scaled_ints(row, _row_scale(row))
 
 
-def _tight_value(row: IntConstraint, v: int, x: Sequence[Q]) -> Q:
-    """The x_v at which the row holds with equality, the other coordinates
-    (x_v itself still zero) taken from x."""
-    c, r = row
-    return (r - sum((cj * xj for cj, xj in zip(c, x) if cj), Q(0))) / c[v]
+def _eliminate(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constraint]) -> bool:
+    """Whether {x : eq . x = rhs, ineq . x >= rhs} has a point, decided exactly.
 
-
-def _eliminate(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constraint]):
-    """The elimination behind `feasible`, stopped before the witness.
-
-    Returns None when {x : eq . x = rhs, ineq . x >= rhs} is empty, and
-    otherwise what back substitution reads: the pivot expressions of the
-    equalities, the free variables left by them, and the Fourier-Motzkin
-    stack of eliminated variables with their lower and upper rows.  Callers
-    that only ask whether a system has a solution test it against None.
+    The equalities go first, in one fraction-free Gauss-Jordan elimination of
+    [eq | rhs]: its pivot rows are d times the reduced row echelon form, so
+    each pivot variable is substituted out of every inequality scaled by
+    |d|, a positive factor that keeps the inequality.  What is left, in the
+    free variables, goes through Fourier-Motzkin elimination on primitive
+    integer rows (Schrijver, Theory of Linear and Integer Programming, 12.2).
     """
-    pivot_expr: dict[int, tuple[list[Q], Q]] = {}
+    rows = [_int_row(coeffs, rhs) for coeffs, rhs in ineqs]
     free_vars = range(num_vars)
     if eqs:
-        aug = [list(c) + [r] for c, r in eqs]
-        aug, pivots = _rref(aug)
-        for row in aug:
-            if all(x == 0 for x in row[:num_vars]) and row[num_vars] != 0:
-                return None
-        for r, c in enumerate(pivots):
-            if c >= num_vars:
-                return None
-            pivot_expr[c] = ([-aug[r][j] for j in range(num_vars)], aug[r][num_vars])
-            pivot_expr[c][0][c] = Q(0)
-        free_vars = [j for j in range(num_vars) if j not in pivot_expr]
-        index_of = {v: i for i, v in enumerate(free_vars)}
-
-        def project(coeffs: Sequence[Q], rhs: Q) -> tuple[tuple[Q, ...], Q]:
-            out = [Q(0)] * len(free_vars)
-            const = Q(0)
-            for j, a in enumerate(coeffs):
-                if a == 0:
-                    continue
-                if j in pivot_expr:
-                    expr, c0 = pivot_expr[j]
-                    const += a * c0
-                    for f in free_vars:
-                        out[index_of[f]] += a * expr[f]
-                else:
-                    out[index_of[j]] += a
-            return tuple(out), Q(rhs) - const
-
-        ineqs = [project(coeffs, rhs) for coeffs, rhs in ineqs]
+        a, pivots, d = _echelon([(*coeffs, rhs) for coeffs, rhs in eqs])
+        if pivots and pivots[-1] == num_vars:
+            return False  # a row reads 0 = rhs with rhs nonzero
+        sign = 1 if d > 0 else -1
+        free_vars = [j for j in range(num_vars) if j not in pivots]
+        projected = []
+        for row in rows:
+            # |d| row minus the pivot rows' multiples: zero on every pivot column
+            t = [sign * d * x for x in row]
+            for c, prow in zip(pivots, a):
+                if row[c]:
+                    f = sign * row[c]
+                    t = [x - f * y for x, y in zip(t, prow)]
+            projected.append([*(t[j] for j in free_vars), t[-1]])
+        rows = projected
 
     system: set[IntConstraint] = set()
-    for coeffs, rhs in ineqs:
-        n = _normalize_ineq(coeffs, rhs)
+    for row in rows:
+        n = _primitive_ineq(row[:-1], row[-1])
         if n is not None:
             if not any(n[0]):
-                return None
+                return False
             system.add(n)
 
     active = list(range(len(free_vars)))
-    stack: list[tuple[int, list, list]] = []
     while active:
         # eliminate the variable with the fewest pos*neg pairings
         best, best_cost = None, None
@@ -504,50 +441,12 @@ def _eliminate(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constra
                 n = _primitive_ineq([b * x + a * y for x, y in zip(lc, uc)], b * lr + a * ur)
                 if n is not None:
                     if not any(n[0]):
-                        return None
+                        return False
                     new_system.add(n)
-        stack.append((v, lowers, uppers))
         active.remove(v)
         system = new_system
 
-    for coeffs, rhs in system:
-        if rhs > 0:
-            return None
-    return pivot_expr, free_vars, stack
-
-
-def feasible(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constraint]) -> Optional[Vector]:
-    """Exact witness for {x : eq . x = rhs, ineq . x >= rhs}, or None.
-
-    Equalities are removed by Gaussian elimination, the remaining system by
-    Fourier-Motzkin elimination on primitive integer rows (Schrijver, Theory
-    of Linear and Integer Programming, 12.2), both in `_eliminate`, followed
-    by back substitution over Fraction for the witness.
-    """
-    elimination = _eliminate(num_vars, eqs, ineqs)
-    if elimination is None:
-        return None
-    pivot_expr, free_vars, stack = elimination
-    sub = [Q(0)] * len(free_vars)
-    for v, lowers, uppers in reversed(stack):
-        lo = max((_tight_value(row, v, sub) for row in lowers), default=None)
-        hi = min((_tight_value(row, v, sub) for row in uppers), default=None)
-        if lo is None and hi is None:
-            sub[v] = Q(0)
-        elif lo is None:
-            sub[v] = min(hi, Q(0))
-        elif hi is None:
-            sub[v] = max(lo, Q(0))
-        else:
-            sub[v] = (lo + hi) / 2
-    if not pivot_expr:
-        return tuple(sub)
-    x = [Q(0)] * num_vars
-    for f, val in zip(free_vars, sub):
-        x[f] = val
-    for c, (expr, c0) in pivot_expr.items():
-        x[c] = c0 + sum((expr[j] * x[j] for j in range(num_vars)), Q(0))
-    return tuple(x)
+    return all(rhs <= 0 for _, rhs in system)
 
 
 def minors_gcd(m: Sequence[Sequence[int]], k: int) -> int:

@@ -9,8 +9,9 @@ equations of the span.  Every cone question reads these rows exactly:
 membership by the signs of integer dot products with the query scaled to
 integers, fan validity by a separating functional combined from the rows,
 coverage by enumerating the open cells of the arrangement of the cover's
-rows read on the target's generator weights, with one rational witness per
-leaf cell.  A fan compares its cones by generator indices into its ray list.
+rows read on the target's generator weights, each leaf cell decided by the
+signs its path fixed.  A fan compares its cones by generator indices into
+its ray list.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInput
 from .linalg import (
-    Matrix, Vector, _common_ints, _dual_rows, _eliminate, _int_unit, _row_scale, _scaled_ints,
-    as_int_matrix, coords_in_basis, feasible, is_zero_vector, mat_vec, minors_gcd,
-    primitive_direction, qm, qv, rank, transpose, vscale,
+    Matrix, Vector, _common_ints, _dual_rows, _eliminate, _int_unit, _row_scale, _scaled_ints, _unit,
+    coords_in_basis, is_zero_vector, mat_vec, minors_gcd, primitive_direction, qm, qv, rank,
+    transpose, vscale,
 )
 
 
@@ -151,12 +152,8 @@ def is_smooth(c: RationalCone) -> bool:
     """True when the primitive generators extend to a basis of the lattice."""
     if not c.gens:
         return True
-    coords = [c.lattice_coords(g) for g in c.gens]
-    try:
-        int_rows = as_int_matrix(qm(coords))
-    except InvalidInput:
-        return False
-    return minors_gcd(int_rows, len(c.gens)) == 1
+    rows, s = _common_ints([c.lattice_coords(g) for g in c.gens])
+    return s == 1 and minors_gcd(rows, len(c.gens)) == 1
 
 
 @dataclass(frozen=True)
@@ -207,7 +204,7 @@ def _face_compatible(
     on_h = _rows_on_weights(c1, extras2)
     ineqs = [(_int_unit(len(free), i), 1) for i, j in enumerate(free) if j < k]
     ineqs += [(tuple(-on_h[j][t] for j in free), 1) for t in range(len(extras2))]
-    return _eliminate(len(free), [], ineqs) is not None
+    return _eliminate(len(free), [], ineqs)
 
 
 def fan(cones: Iterable[RationalCone], validate: bool = True) -> Fan:
@@ -260,16 +257,12 @@ def is_complete(f: Fan) -> bool:
             for g in c.gens:
                 count[g] += 1
         return all(n == 2 for n in count.values())
-    lattice = f.lattice if f.lattice is not None else identity_lattice(f.ambient_dim)
+    lattice = f.lattice if f.lattice is not None else [_unit(f.ambient_dim, i) for i in range(f.ambient_dim)]
     for signs in product((1, -1), repeat=r):
         orthant = cone([vscale(s, row) for s, row in zip(signs, lattice)], f.lattice, f.ambient_dim)
         if not covered_by(orthant, f.maximal_cones):
             return False
     return True
-
-
-def identity_lattice(dim: int) -> Matrix:
-    return qm([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
 
 
 def star_subdivision(f: Fan, ray: Sequence) -> Fan:
@@ -288,20 +281,16 @@ def star_subdivision(f: Fan, ray: Sequence) -> Fan:
     return fan(new_cones)
 
 
-def _membership_functionals(c: RationalCone) -> tuple[tuple[int, ...], ...]:
-    """Integer rows cutting out the cone: the rows of its dual basis (see `_holds`)."""
-    return c.dual_basis()[0]
-
-
 def _rows_on_weights(c: RationalCone, gens: Sequence[Vector]) -> list[tuple[int, ...]]:
-    """The cone's membership rows as integer linear forms in generator weights.
+    """The rows of the cone's dual basis (see `_holds`) as integer linear
+    forms in generator weights.
 
     Row r holds rows[r] . (s g) for each g in gens, where s is the one lcm of
     all the generators' denominators: a positive multiple of rows[r] read at
     the point sum_g w_g g, as a function of the weights w.
     """
     cols, _ = _common_ints(gens)
-    return [tuple(sum(map(mul, row, col)) for col in cols) for row in _membership_functionals(c)]
+    return [tuple(sum(map(mul, row, col)) for col in cols) for row in c.dual_basis()[0]]
 
 
 def covered_by(target: RationalCone, cover: Sequence[RationalCone], shortcut: bool = True) -> bool:
@@ -310,9 +299,11 @@ def covered_by(target: RationalCone, cover: Sequence[RationalCone], shortcut: bo
     The target's relative interior is cut into open cells by every facet
     hyperplane and span of the cover cones, each kept as a primitive integer
     row on the generator weights.  A cell is split only while its system is
-    feasible, and one rational witness per nonempty leaf cell is tested for
-    membership.  Membership of a whole cell in any cover cone is constant,
-    so the verdict is exact.
+    feasible.  Every point of a leaf cell has the same sign on every row, the
+    one its path through the splits fixed, so a cover cone holds the whole
+    cell exactly when its span rows vanish identically on the weights and
+    its nonzero facet rows are positive on the cell: the verdict is exact
+    and read off signs.
     """
     cover = list(cover)
     for c in cover:
@@ -326,27 +317,31 @@ def covered_by(target: RationalCone, cover: Sequence[RationalCone], shortcut: bo
         if any(all(_holds(c, w) for w in points) for c in cover):
             return True
 
-    # the distinct nonzero rows in order, primitive with a positive first entry
-    distinct: dict[tuple[int, ...], None] = {}
+    # the distinct nonzero rows in order, primitive with a positive first
+    # entry; each cover cone names its nonzero facet rows by (index, whether
+    # a positive multiple) and its nonzero span rows by None, which keep it
+    # from holding any leaf cell
+    distinct: dict[tuple[int, ...], int] = {}
+    holders = []
     for c in cover:
-        for psi in _rows_on_weights(c, gens):
+        facets = []
+        for r, psi in enumerate(_rows_on_weights(c, gens)):
             if any(psi):
                 g = gcd(*psi) * (1 if next(x for x in psi if x) > 0 else -1)
-                distinct[tuple(x // g for x in psi)] = None
+                j = distinct.setdefault(tuple(x // g for x in psi), len(distinct))
+                facets.append((j, g > 0) if r < c.dim else None)
+        if None not in facets:
+            holders.append(facets)
     funcs = list(distinct)
 
-    def cell_covered(depth: int, constraints) -> bool:
-        if depth == len(funcs):
-            witness = feasible(k, [], constraints)
-            if witness is None:
-                return True
-            point = mat_vec(transpose(gens), witness)
-            return any(contains(c, point) for c in cover)
-        if _eliminate(k, [], constraints) is None:
+    def cell_covered(constraints, signs: tuple[bool, ...]) -> bool:
+        if not _eliminate(k, [], constraints):
             return True
-        psi = funcs[depth]
-        return cell_covered(depth + 1, constraints + [(psi, 1)]) and cell_covered(
-            depth + 1, constraints + [(tuple(-x for x in psi), 1)]
+        if len(signs) == len(funcs):
+            return any(all(signs[j] == positive for j, positive in facets) for facets in holders)
+        psi = funcs[len(signs)]
+        return cell_covered(constraints + [(psi, 1)], signs + (True,)) and cell_covered(
+            constraints + [(tuple(-x for x in psi), 1)], signs + (False,)
         )
 
-    return cell_covered(0, [(_int_unit(k, i), 1) for i in range(k)])
+    return cell_covered([(_int_unit(k, i), 1) for i in range(k)], ())

@@ -27,6 +27,7 @@ from .linalg import (
     _common_ints,
     _echelon,
     _int_mat_vec,
+    _int_unit,
     _unit,
     det,
     dot,
@@ -214,7 +215,7 @@ def build_root_system(type_label: str) -> RootSystem:
     # coordinates: s_i(c) = c - <c, alpha_i^vee> e_i with <c, alpha_i^vee> =
     # sum_j c_j A[j][i]
     columns = list(zip(*cartan_ints))
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    units = [_int_unit(n, i) for i in range(n)]
     coords = set(units)
     queue = list(units)
     while queue:
@@ -364,8 +365,7 @@ class WeylElement:
 
 
 def identity_element(dim: int) -> WeylElement:
-    rows = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-    return WeylElement._from_ints(rows, 1, ())
+    return WeylElement._from_ints(tuple(_int_unit(dim, i) for i in range(dim)), 1, ())
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:

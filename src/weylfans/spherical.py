@@ -23,6 +23,7 @@ from .linalg import (
     _int_unit,
     _unit,
     mat_vec,
+    primitive_direction,
     smith_normal_form,
     vneg,
 )
@@ -118,7 +119,7 @@ def _relints_share_valuation_point(cones: Sequence[RationalCone], vcone: Rationa
         rows = _rows_on_weights(c, gens)
         eqs += [(row, 0) for row in rows[len(c.gens):]]
         ineqs += [(row, bound) for row in rows[: len(c.gens)]]
-    return _eliminate(len(gens), eqs, ineqs) is not None
+    return _eliminate(len(gens), eqs, ineqs)
 
 
 def _relint_meets_valuation(c: RationalCone, vcone: RationalCone) -> bool:
@@ -129,8 +130,6 @@ def _relint_meets_valuation(c: RationalCone, vcone: RationalCone) -> bool:
 
 
 def validate_colored_cone(cc: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vector]) -> None:
-    from .linalg import primitive_direction
-
     for d in cc.colors:
         if d not in rho:
             raise InvalidInput(f"color {d!r} has no recorded lattice image")

@@ -1,8 +1,15 @@
+import random
+
 import pytest
+from old_linalg import _old_inverse, mat_mul
 
 from weylfans import jsonio
-from weylfans.casebook import list_cases, run_case
+from weylfans.casebook import _e8_wprime, _f4_wprime, _fans_lattice_isomorphic, list_cases, run_case
 from weylfans.errors import InvalidInput
+from weylfans.linalg import det, mat_vec, qm, transpose, vadd, vscale
+from weylfans.polyhedra import cone, fan, star_subdivision
+from weylfans.rootsys import build_root_system
+from weylfans.toric import subtorus_closure_fan, weyl_chamber_fan
 
 EXPECTED_IDS = [
     "g2-surface",
@@ -58,3 +65,77 @@ def test_report_text_rendering():
     text = run_case("e8-weyl-order").render_text()
     assert text.startswith("[PASS] e8-weyl-order")
     assert "696729600" in text
+
+
+def _old_fans_lattice_isomorphic(f1, f2):
+    """The Fraction comparison the integer one replaced, kept as the oracle:
+    m = B A^-1 through a Fraction inverse and product."""
+
+    def data(f):
+        base = f.maximal_cones[0]
+        rays = sorted({tuple(base.lattice_coords(g)) for c in f.maximal_cones for g in c.gens})
+        cones = {
+            tuple(sorted(tuple(base.lattice_coords(g)) for g in c.gens))
+            for c in f.maximal_cones
+        }
+        return rays, cones
+
+    rays1, cones1 = data(f1)
+    rays2, cones2 = data(f2)
+    if len(rays1) != len(rays2) or len(cones1) != len(cones2):
+        return False
+    pair1 = next(iter(cones1))
+    a = transpose(qm(pair1))
+    for target in cones2:
+        for ordered in (target, target[::-1]):
+            b = transpose(qm(ordered))
+            try:
+                m = mat_mul(b, _old_inverse(a))
+            except InvalidInput:
+                continue
+            if any(x.denominator != 1 for row in m for x in row):
+                continue
+            if abs(det(m)) != 1:
+                continue
+            image_rays = sorted(tuple(mat_vec(m, r)) for r in rays1)
+            if image_rays != rays2:
+                continue
+            image_cones = {
+                tuple(sorted(tuple(mat_vec(m, r)) for r in c)) for c in cones1
+            }
+            if image_cones == cones2:
+                return True
+    return False
+
+
+def test_fans_lattice_isomorphic_matches_fraction_version():
+    """Every ordered pair of the A2/B2/G2 chamber fans, the F4/E8 subtorus
+    fans and two seeded star subdivisions of each, and of the fan of P1 x P1
+    and its image under the integer map (x, y) -> (x + y, x - y), which sends
+    rays to primitive rays but has determinant -2."""
+    square = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    diamond = [(1, 1), (1, -1), (-1, -1), (-1, 1)]
+    fans = [fan(cone([rays[i], rays[i - 1]]) for i in range(4)) for rays in (square, diamond)]
+    rng = random.Random(2020)
+    for f in [
+        *(weyl_chamber_fan(build_root_system(label)) for label in ("A2", "B2", "G2")),
+        subtorus_closure_fan(*_f4_wprime()),
+        subtorus_closure_fan(*_e8_wprime()),
+    ]:
+        fans.append(f)
+        for _ in range(2):
+            g1, g2 = rng.choice(f.maximal_cones).gens
+            f = star_subdivision(f, vadd(vscale(rng.randint(1, 3), g1), vscale(rng.randint(1, 3), g2)))
+            fans.append(f)
+    verdicts = {True: 0, False: 0}
+    same_counts_apart = 0
+    for f1 in fans:
+        for f2 in fans:
+            same = _fans_lattice_isomorphic(f1, f2)
+            assert same == _old_fans_lattice_isomorphic(f1, f2)
+            verdicts[same] += 1
+            counts = [(len(f.rays()), len(f.maximal_cones)) for f in (f1, f2)]
+            same_counts_apart += not same and counts[0] == counts[1]
+    # isomorphic pairs beyond each fan with itself (F4 and E8 at least)
+    assert len(fans) == 17 and verdicts[True] > 17 and verdicts[False] > 0
+    assert same_counts_apart > 0

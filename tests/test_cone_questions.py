@@ -27,7 +27,6 @@ from weylfans.errors import InvalidInput
 from weylfans.linalg import (
     _unit,
     dot,
-    feasible,
     is_zero_vector,
     mat_vec,
     primitive_direction,
@@ -81,7 +80,7 @@ def _old_face_compatible(c1, c2, rays_in_c1, rays_in_c2):
     eqs = [(f, Q(0)) for f in sorted(s1)]
     ineqs = [(g, Q(1)) for g in extras1]
     ineqs += [(vneg(h), Q(1)) for h in extras2]
-    return feasible(c1.ambient_dim, eqs, ineqs) is not None
+    return _old_feasible(c1.ambient_dim, eqs, ineqs) is not None
 
 
 def _set_face_compatible(c1, c2, rays_in_c1, rays_in_c2):
@@ -100,7 +99,7 @@ def _set_face_compatible(c1, c2, rays_in_c1, rays_in_c2):
     on_h = _rows_on_weights(c1, extras2)
     ineqs = [(_unit(len(free), i), 1) for i, j in enumerate(free) if j < k]
     ineqs += [(tuple(-on_h[j][t] for j in free), 1) for t in range(len(extras2))]
-    return feasible(len(free), [], ineqs) is not None
+    return _old_feasible(len(free), [], ineqs) is not None
 
 
 def _set_fan_accepts(cones, face_compatible):
@@ -132,7 +131,7 @@ def _old_relints_share_valuation_point(cones, vcone):
             eqs.append((qv(row), Q(0)))
     free = total - len(vcone.gens)
     ineqs = [(_unit(total, i), Q(1 if i < free else 0)) for i in range(total)]
-    return feasible(total, eqs, ineqs) is not None
+    return _old_feasible(total, eqs, ineqs) is not None
 
 
 def _old_relint_meets_valuation(c, vcone):
@@ -175,7 +174,7 @@ def _old_covered_by(target, cover, shortcut=True):
                 funcs.append(key)
 
     def cell_covered(depth, constraints):
-        witness = feasible(k, [], constraints)
+        witness = _old_feasible(k, [], constraints)
         if witness is None:
             return True
         if depth == len(funcs):
@@ -421,8 +420,7 @@ def test_yes_no_elimination_matches_the_witness(monkeypatch):
     systems += [_random_system(rng) for _ in range(1500)]
     outcomes = {True: 0, False: 0}
     for n, eqs, ineqs in systems:
-        solvable = linalg._eliminate(n, eqs, ineqs) is not None
-        assert solvable == (feasible(n, eqs, ineqs) is not None)
+        solvable = linalg._eliminate(n, eqs, ineqs)
         assert solvable == (_old_feasible(n, eqs, ineqs) is not None)
         outcomes[solvable] += 1
     assert min(outcomes.values()) > 300

@@ -14,6 +14,7 @@ import threading
 from fractions import Fraction as Q
 
 import pytest
+from old_linalg import _old_inverse, identity_matrix, mat_mul
 
 from weylfans import jsonio
 from weylfans import lattice as lat
@@ -22,9 +23,6 @@ from weylfans.linalg import (
     _unit,
     coords_in_basis,
     dot,
-    identity_matrix,
-    inverse,
-    mat_mul,
     mat_vec,
     qm,
     qv,
@@ -79,7 +77,7 @@ def _old_root_data(type_label):
                 simple_coords[image] = tuple(coords)
                 queue.append(image)
     roots = tuple(sorted(simple_coords))
-    cartan_inv = inverse(cartan)
+    cartan_inv = _old_inverse(cartan)
     weights = tuple(
         tuple(sum((cartan_inv[i][k] * simple[k][j] for k in range(n)), Q(0)) for j in range(dim))
         for i in range(n)

@@ -3,10 +3,11 @@ import zlib
 from fractions import Fraction as Q
 
 import pytest
+from old_linalg import _old_inverse, identity_matrix, mat_mul
 
 from weylfans import lattice as lat
 from weylfans.errors import BasisChangeError, InvalidInput
-from weylfans.linalg import identity_matrix, inverse, mat_mul, qm, qv, transpose
+from weylfans.linalg import qm, qv, transpose
 from weylfans.rootsys import build_root_system
 from weylfans.spherical import color_symbol, picard_presentation, spinor_divisor_ledger
 
@@ -41,7 +42,7 @@ def test_inverse_cartan_identity():
             w = lat.to_basis(lat.fundamental_weight(rs, i), "simple_root")
             cols.append(w.coords)
         by_columns = transpose(qm(cols))
-        assert by_columns == transpose(inverse(qm(rs.cartan)))
+        assert by_columns == transpose(_old_inverse(qm(rs.cartan)))
         assert mat_mul(qm(cols), qm(rs.cartan)) == identity_matrix(rs.rank)
 
 

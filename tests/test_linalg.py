@@ -4,6 +4,7 @@ from math import gcd
 from itertools import combinations, product
 
 import pytest
+from old_linalg import _old_inverse, _old_rref, identity_matrix, mat_mul
 
 from weylfans import linalg
 from weylfans.errors import InvalidInput
@@ -11,10 +12,6 @@ from weylfans.linalg import (
     coords_in_basis,
     det,
     dot,
-    feasible,
-    identity_matrix,
-    inverse,
-    mat_mul,
     mat_vec,
     minors_gcd,
     primitive_direction,
@@ -30,7 +27,6 @@ from weylfans.linalg import (
 def test_basic_solvers():
     a = qm([[2, -1], [-3, 2]])
     assert det(a) == 1
-    assert inverse(a) == qm([[2, 1], [3, 2]])
     assert rank(qm([[1, 2], [2, 4]])) == 1
 
 
@@ -70,31 +66,8 @@ def test_smith_normal_form_randomized():
 
 
 # --- the Fraction and integer eliminations that the fraction-free core
-# replaced, kept verbatim as the oracle for the differential test below ---
-
-
-def _old_rref(rows):
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = Q(1) / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+# replaced, kept verbatim as the oracle for the differential test below
+# (with _old_rref in old_linalg) ---
 
 
 def _old_det(m):
@@ -159,15 +132,6 @@ def _old_minors_gcd(m, k):
     return g
 
 
-def _old_inverse(m):
-    n = len(m)
-    aug = [list(row) + [Q(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
-    aug, pivots = _old_rref(aug)
-    if pivots != list(range(n)):
-        raise InvalidInput("matrix is singular")
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def _old_solve(a, b):
     ncols = len(a[0])
     aug, pivots = _old_rref([list(row) + [Q(bi)] for row, bi in zip(a, b)])
@@ -224,17 +188,14 @@ def _outcome(fn, *args):
         return InvalidInput
 
 
-def test_elimination_core_matches_old_routines(monkeypatch):
+def test_elimination_core_matches_old_routines():
     rng = random.Random(2024)
     for _ in range(400):
         m = _random_matrix(rng)
         nrows, ncols = len(m), len(m[0])
         old = _old_rref([list(r) for r in m])
-        assert linalg._rref(m) == old
         assert rank(m) == len(old[1])
         assert _outcome(det, m) == _outcome(_old_det, m)
-        if nrows == ncols:
-            assert _outcome(inverse, m) == _outcome(_old_inverse, m)
         x0 = qv([Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ncols)])
 
         # integer rows: rank against the old integer elimination, and the gcd
@@ -244,15 +205,12 @@ def test_elimination_core_matches_old_routines(monkeypatch):
         k = min(nrows, ncols)
         assert minors_gcd(ints[:k], k) == _old_minors_gcd(ints[:k], k)
 
-        # feasible: the equality step runs on _rref, so the old elimination
-        # must give the same witness
+        # feasibility: the equality step runs on one integer _echelon, so
+        # the Fraction elimination must give the same verdict
         if ncols <= 5:
             eqs = [(row, dot(row, x0)) for row in m[:3]]
             ineqs = [(qv([rng.randint(-3, 3) for _ in range(ncols)]), Q(rng.randint(-4, 2))) for _ in range(rng.randint(0, 3))]
-            witness = feasible(ncols, eqs, ineqs)
-            with monkeypatch.context() as patch:
-                patch.setattr(linalg, "_rref", _old_rref)
-                assert witness == feasible(ncols, eqs, ineqs)
+            assert linalg._eliminate(ncols, eqs, ineqs) == (_old_feasible(ncols, eqs, ineqs) is not None)
 
 
 # --- the three change-of-coordinates routines that the cached dual basis
@@ -271,7 +229,7 @@ def _old_coords_in_basis(basis_rows, v):
 
 def _old_coord_matrix(rows):
     """lattice's Gram-inverse formula (B B^T)^-1 B."""
-    return mat_mul(inverse(mat_mul(rows, transpose(rows))), rows)
+    return mat_mul(_old_inverse(mat_mul(rows, transpose(rows))), rows)
 
 
 def _old_dual_rows(gens):
@@ -286,7 +244,7 @@ def _old_dual_rows(gens):
         if rank(qm(candidate)) > r:
             rows = candidate
             r += 1
-    return inverse(transpose(qm(rows)))
+    return _old_inverse(transpose(qm(rows)))
 
 
 def _old_contains(dual_rows, k, v, strict):
@@ -309,7 +267,7 @@ BUNDLED_TYPES = (
 def test_dual_basis_matches_old_coordinate_routines():
     from weylfans import lattice as lat
     from weylfans.errors import BasisChangeError
-    from weylfans.polyhedra import _membership_functionals, cone, contains
+    from weylfans.polyhedra import cone, contains
     from weylfans.rootsys import build_root_system
 
     rng = random.Random(2007)
@@ -326,7 +284,7 @@ def test_dual_basis_matches_old_coordinate_routines():
         c = cone(basis)
         old_dual = _old_dual_rows(c.gens)
         d = linalg._dual_basis(c.gens)[1]
-        assert [tuple(Q(x, d) for x in row) for row in _membership_functionals(c)[:k]] == list(old_dual[:k])
+        assert [tuple(Q(x, d) for x in row) for row in c.dual_basis()[0][:k]] == list(old_dual[:k])
         for _ in range(4):
             lam = [Q(rng.randint(-1, 4), rng.randint(1, 2)) for _ in range(k)]
             v = mat_vec(transpose(basis), lam)
@@ -385,18 +343,17 @@ def test_minors_gcd():
 
 
 def test_feasible_witnesses():
-    w = feasible(2, [], [(qv([1, 0]), Q(1)), (qv([0, 1]), Q(1)), (qv([-1, -1]), Q(-3))])
-    assert w is not None and w[0] >= 1 and w[1] >= 1 and w[0] + w[1] <= 3
-    assert feasible(2, [], [(qv([1, 0]), Q(1)), (qv([-1, 0]), Q(0))]) is None
-    w = feasible(3, [(qv([1, 1, 1]), Q(3))], [(qv([1, 0, 0]), Q(1)), (qv([0, 1, 0]), Q(1)), (qv([0, 0, 1]), Q(1))])
-    assert w == (Q(1), Q(1), Q(1))
-    assert feasible(1, [(qv([0]), Q(1))], []) is None
-    assert feasible(0, [], []) == ()
+    eliminate = linalg._eliminate
+    assert eliminate(2, [], [(qv([1, 0]), Q(1)), (qv([0, 1]), Q(1)), (qv([-1, -1]), Q(-3))]) is True
+    assert eliminate(2, [], [(qv([1, 0]), Q(1)), (qv([-1, 0]), Q(0))]) is False
+    assert eliminate(3, [(qv([1, 1, 1]), Q(3))], [(qv([1, 0, 0]), Q(1)), (qv([0, 1, 0]), Q(1)), (qv([0, 0, 1]), Q(1))]) is True
+    assert eliminate(1, [(qv([0]), Q(1))], []) is False
+    assert eliminate(0, [], []) is True
 
 
 def test_feasible_never_misses_a_constructed_solution():
     # build systems that are satisfiable by a known random point, including
-    # tight equalities; the solver must always produce some witness
+    # tight equalities; the elimination must always find them solvable
     rng = random.Random(23)
     for _ in range(300):
         n = rng.randint(1, 5)
@@ -410,10 +367,7 @@ def test_feasible_never_misses_a_constructed_solution():
             coeffs = qv([rng.randint(-4, 4) for _ in range(n)])
             slack = Q(rng.randint(0, 5), rng.randint(1, 2))
             ineqs.append((coeffs, dot(coeffs, x0) - slack))
-        witness = feasible(n, eqs, ineqs)
-        assert witness is not None
-        assert all(dot(c, witness) == r for c, r in eqs)
-        assert all(dot(c, witness) >= r for c, r in ineqs)
+        assert linalg._eliminate(n, eqs, ineqs) is True
 
 
 def test_feasible_against_grid_search():
@@ -426,9 +380,9 @@ def test_feasible_against_grid_search():
             (qv([rng.randint(-3, 3) for _ in range(n)]), Q(rng.randint(-4, 2)))
             for _ in range(m)
         ]
-        witness = feasible(n, [], ineqs)
-        if witness is not None:
-            assert all(dot(c, witness) >= r for c, r in ineqs)
+        if linalg._eliminate(n, [], ineqs):
+            witness = _old_feasible(n, [], ineqs)
+            assert witness is not None and all(dot(c, witness) >= r for c, r in ineqs)
         else:
             for point in product(grid, repeat=n):
                 assert not all(dot(c, point) >= r for c, r in ineqs)
@@ -456,7 +410,7 @@ def _old_normalize_ineq(coeffs, rhs):
 def _old_feasible(num_vars, eqs, ineqs):
     if eqs:
         aug = [list(c) + [r] for c, r in eqs]
-        aug, pivots = linalg._rref(aug)
+        aug, pivots = _old_rref(aug)
         for row in aug:
             if all(x == 0 for x in row[:num_vars]) and row[num_vars] != 0:
                 return None
@@ -585,9 +539,8 @@ def _random_system(rng):
 
 
 def _recorded_colored_fan_systems(monkeypatch):
-    """Every feasibility system, with or without a witness, asked by
-    covered_by and the valuation-point test while building, covering and
-    pairing the type-C colored fans of ranks 2-4."""
+    """Every feasibility system that polyhedra and spherical ask while
+    checking, covering and pairing the type-C colored fans of ranks 2-4."""
     from weylfans import polyhedra, spherical
     from weylfans.rootsys import build_root_system
 
@@ -601,7 +554,6 @@ def _recorded_colored_fan_systems(monkeypatch):
         return record
 
     with monkeypatch.context() as patch:
-        patch.setattr(polyhedra, "feasible", recorder(feasible))
         patch.setattr(polyhedra, "_eliminate", recorder(linalg._eliminate))
         patch.setattr(spherical, "_eliminate", recorder(linalg._eliminate))
         for n in range(2, 5):
@@ -621,9 +573,9 @@ def test_integer_rows_match_old_fraction_routines(monkeypatch):
     seen = {"feasible": 0, "infeasible": 0, "with equalities": 0, "zero row": 0}
     for _ in range(1500):
         n, eqs, ineqs = _random_system(rng)
-        witness = feasible(n, eqs, ineqs)
-        assert witness == _old_feasible(n, eqs, ineqs)
-        seen["feasible" if witness is not None else "infeasible"] += 1
+        solvable = linalg._eliminate(n, eqs, ineqs)
+        assert solvable == (_old_feasible(n, eqs, ineqs) is not None)
+        seen["feasible" if solvable else "infeasible"] += 1
         seen["with equalities"] += bool(eqs)
         seen["zero row"] += any(all(c == 0 for c in coeffs) for coeffs, _ in ineqs)
     assert min(seen.values()) > 150
@@ -633,9 +585,9 @@ def test_integer_rows_match_old_fraction_routines(monkeypatch):
     assert any(eqs for _, eqs, _ in recorded) and any(not eqs for _, eqs, _ in recorded)
     outcomes = set()
     for n, eqs, ineqs in recorded:
-        witness = feasible(n, eqs, ineqs)
-        assert witness == _old_feasible(n, eqs, ineqs)
-        outcomes.add(witness is None)
+        solvable = linalg._eliminate(n, eqs, ineqs)
+        assert solvable == (_old_feasible(n, eqs, ineqs) is not None)
+        outcomes.add(solvable)
     assert outcomes == {True, False}
 
     # the integer dual basis against the Fraction one, with a positive d,
@@ -657,3 +609,50 @@ def test_integer_rows_match_old_fraction_routines(monkeypatch):
     assert negative > 50
     with pytest.raises(InvalidInput, match="linearly dependent"):
         linalg._dual_basis(qm([[1, 0], [0, 1], [1, 1]]))
+
+
+def test_every_linalg_function_is_used_by_the_package():
+    """Each function defined in weylfans.linalg is used by another module of
+    the package, directly or through a linalg function that is: a helper the
+    integer paths left without a caller goes."""
+    import ast
+    from pathlib import Path
+
+    source = Path(linalg.__file__)
+    tree = ast.parse(source.read_text())
+    # what each top-level definition of linalg names
+    names_in = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for name in bound:
+            names_in[name] = used
+    # the linalg names the other modules import and then use
+    reached = set()
+    for path in source.parent.glob("*.py"):
+        if path == source:
+            continue
+        module = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(module)
+            if isinstance(node, ast.ImportFrom) and node.module == "linalg" and node.level == 1
+            for alias in node.names
+        }
+        loaded = {n.id for n in ast.walk(module) if isinstance(n, ast.Name)}
+        reached |= {name for local, name in imported.items() if local in loaded}
+    frontier = list(reached)
+    while frontier:
+        for name in names_in.get(frontier.pop(), ()):
+            if name in names_in and name not in reached:
+                reached.add(name)
+                frontier.append(name)
+    functions = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert len(functions) > 20
+    assert [name for name in functions if name not in reached] == []
