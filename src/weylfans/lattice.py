@@ -30,8 +30,6 @@ from .linalg import (
     det,
     is_zero_vector,
     qv,
-    vadd,
-    vscale,
 )
 from .rootsys import RootSystem
 
@@ -140,11 +138,8 @@ def rho(rs: RootSystem) -> LatticeVector:
 
 
 def highest_coroot(rs: RootSystem) -> LatticeVector:
-    """The coroot 2 theta / (theta, theta) of the highest root theta, read off
-    its integer row t over s as 2 s t / (t . t)."""
-    (t,), s = _common_ints([rs.highest_root])
-    n = sum(x * x for x in t)
-    return LatticeVector(rs, "ambient", tuple(Q(2 * s * x, n) for x in t))
+    """The coroot 2 theta / (theta, theta) of the highest root theta."""
+    return LatticeVector(rs, "ambient", rs.coroot(rs.highest_root))
 
 
 def cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
@@ -216,9 +211,7 @@ def minimal_curve_degree(weight: LatticeVector) -> Q:
 
 def anticanonical_weight(rs: RootSystem) -> LatticeVector:
     """The weight 2*rho + sum of simple roots, certified regular dominant."""
-    amb = vscale(2, rs.rho)
-    for a in rs.simple_roots:
-        amb = vadd(amb, a)
+    amb = tuple(2 * r + sum(col) for r, col in zip(rs.rho, zip(*rs.simple_roots)))
     out = LatticeVector(rs, "ambient", amb)
     for j in range(1, rs.rank + 1):
         if pair(out, simple_coroot(rs, j)) <= 0:

@@ -11,7 +11,9 @@ its own.  Beside it sit Smith normal form over the integers and one
 feasibility question, `_eliminate`: a yes/no answer for a system of linear
 equalities and inequalities, on integer rows throughout, which every cone
 question of the package reduces to.  Fraction stays at every public
-function's inputs and outputs.  No floating point anywhere.
+function's inputs and outputs: the only Fraction helpers left are the
+coercions at that boundary, `qv`, `qm` and `_unit`, and no Fraction vector
+arithmetic.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -38,40 +40,8 @@ def qm(rows: Iterable[Iterable]) -> Matrix:
     return tuple(qv(r) for r in rows)
 
 
-def dot(x: Sequence[Q], y: Sequence[Q]) -> Q:
-    if len(x) != len(y):
-        raise InvalidInput("dimension mismatch in dot product")
-    return sum((a * b for a, b in zip(x, y)), Q(0))
-
-
-def vadd(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vsub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vscale(c, x: Sequence[Q]) -> Vector:
-    c = Q(c)
-    return tuple(c * a for a in x)
-
-
-def vneg(x: Sequence[Q]) -> Vector:
-    return tuple(-a for a in x)
-
-
 def is_zero_vector(x: Sequence[Q]) -> bool:
     return all(a == 0 for a in x)
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
-
-
-def mat_vec(m: Matrix, v: Sequence[Q]) -> Vector:
-    """Apply a matrix given by rows to a column vector."""
-    return tuple(dot(row, v) for row in m)
 
 
 def _unit(dim: int, i: int, value=1) -> Vector:

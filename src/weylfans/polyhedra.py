@@ -16,18 +16,18 @@ its ray list.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInput
 from .linalg import (
-    Matrix, Vector, _common_ints, _dual_rows, _eliminate, _int_unit, _row_scale, _scaled_ints, _unit,
-    coords_in_basis, is_zero_vector, mat_vec, minors_gcd, primitive_direction, qm, qv, rank,
-    transpose, vscale,
+    Matrix, Vector, _common_ints, _dual_rows, _eliminate, _int_mat_vec, _int_unit, _row_scale,
+    _scaled_ints, coords_in_basis, is_zero_vector, minors_gcd, primitive_direction, qm, qv,
 )
 
 
@@ -78,7 +78,10 @@ def _primitivize(g: Vector, lattice: Optional[Matrix]) -> Vector:
     coords = coords_in_basis(lattice, g)
     if coords is None:
         raise InvalidInput(f"generator {g} lies outside the span of the reference lattice")
-    return mat_vec(transpose(lattice), primitive_direction(coords))
+    # the integer combination of the lattice rows, on their integer rows over s
+    rows, s = _common_ints(lattice)
+    dots, den = _int_mat_vec(tuple(zip(*rows)), s, primitive_direction(coords))
+    return tuple(Q(x, den) for x in dots)
 
 
 def cone(
@@ -238,31 +241,27 @@ def fan(cones: Iterable[RationalCone], validate: bool = True) -> Fan:
 
 
 def is_complete(f: Fan) -> bool:
-    """Whether the fan's support is the whole span of its reference lattice."""
+    """Whether the fan's support is the whole span of its reference lattice.
+
+    The fan must be one `fan` validates: its cones meet in common faces.
+    Then this is the pseudomanifold criterion for complete simplicial fans
+    (Cox, Little and Schenck, Toric Varieties, ch. 3): every maximal cone
+    spans the lattice, and every wall, a facet of a maximal cone, lies in
+    exactly two maximal cones.  Two full cones on one wall lie on its two
+    sides, so the boundary of the support could only lie in cones of
+    codimension two, which cannot separate the sphere; in rank 1 the one
+    wall, the origin, lies in the two opposite rays.  Walls are compared by
+    generator indices into the ray list.
+    """
     r = f.maximal_cones[0].lattice_rank()
-    rays = f.rays()
-    if rays and rank(qm(rays)) < r:
-        return False
-    if r == 0:
-        return True
-    if r == 1:
-        coords = [f.maximal_cones[0].lattice_coords(ray) for ray in rays]
-        signs = {1 if c[0] > 0 else -1 for c in coords}
-        return signs == {1, -1}
-    if r == 2:
-        if any(c.dim != 2 for c in f.maximal_cones):
+    index = {ray: i for i, ray in enumerate(f.rays())}
+    walls: Counter = Counter()
+    for c in f.maximal_cones:
+        if c.dim != r:
             return False
-        count = {ray: 0 for ray in rays}
-        for c in f.maximal_cones:
-            for g in c.gens:
-                count[g] += 1
-        return all(n == 2 for n in count.values())
-    lattice = f.lattice if f.lattice is not None else [_unit(f.ambient_dim, i) for i in range(f.ambient_dim)]
-    for signs in product((1, -1), repeat=r):
-        orthant = cone([vscale(s, row) for s, row in zip(signs, lattice)], f.lattice, f.ambient_dim)
-        if not covered_by(orthant, f.maximal_cones):
-            return False
-    return True
+        ids = tuple(index[g] for g in c.gens)
+        walls.update(ids[:j] + ids[j + 1 :] for j in range(r))
+    return all(n == 2 for n in walls.values())
 
 
 def star_subdivision(f: Fan, ray: Sequence) -> Fan:

@@ -21,65 +21,38 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
-from .linalg import (
-    Matrix,
-    Vector,
-    _common_ints,
-    _echelon,
-    _int_mat_vec,
-    _int_unit,
-    _unit,
-    det,
-    dot,
-    qm,
-    qv,
-    transpose,
-    vadd,
-    vneg,
-    vscale,
-    vsub,
-)
+from .linalg import Matrix, Vector, _common_ints, _echelon, _int_mat_vec, _int_unit, det, qm, qv
 
 FAMILIES = "ABCDEFG"
 
 
-def _simple_root_model(family: str, n: int) -> tuple[int, Matrix]:
-    """Ambient dimension and simple roots for a simple type, Bourbaki order."""
+def _simple_root_model(family: str, n: int) -> tuple[int, tuple[tuple[int, ...], ...], int]:
+    """Ambient dimension and simple roots for a simple type, Bourbaki order,
+    as integer rows over one denominator s: (dim, rows, s)."""
+
+    def root(dim: int, *terms: tuple[int, int]) -> tuple[int, ...]:
+        # the integer row with entry c at index i for each term (i, c)
+        v = [0] * dim
+        for i, c in terms:
+            v[i] = c
+        return tuple(v)
+
+    def chain(dim: int, k: int, c: int = 1) -> list[tuple[int, ...]]:
+        # c (e_i - e_{i+1}) for i < k
+        return [root(dim, (i, c), (i + 1, -c)) for i in range(k)]
+
     if family == "A" and n >= 1:
-        dim = n + 1
-        return dim, tuple(vsub(_unit(dim, i), _unit(dim, i + 1)) for i in range(n))
-    if family == "B" and n >= 2:
-        roots = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
-        roots.append(_unit(n, n - 1))
-        return n, tuple(roots)
-    if family == "C" and n >= 2:
-        roots = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
-        roots.append(_unit(n, n - 1, 2))
-        return n, tuple(roots)
-    if family == "D" and n >= 4:
-        roots = [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
-        roots.append(vadd(_unit(n, n - 2), _unit(n, n - 1)))
-        return n, tuple(roots)
+        return n + 1, tuple(chain(n + 1, n)), 1
+    if family in "BC" and n >= 2 or family == "D" and n >= 4:
+        last = {"B": ((n - 1, 1),), "C": ((n - 1, 2),), "D": ((n - 2, 1), (n - 1, 1))}[family]
+        return n, (*chain(n, n - 1), root(n, *last)), 1
     if family == "E" and n in (6, 7, 8):
-        half = Q(1, 2)
-        alpha1 = tuple([half, half] + [-half] * 6)
-        alpha2 = vadd(_unit(8, 1), _unit(8, 2))
-        chain = [vsub(_unit(8, k), _unit(8, k - 1)) for k in range(2, 8)]
-        roots = [alpha1, alpha2] + chain
-        return 8, tuple(roots[:n])
+        roots = [(1, 1, -1, -1, -1, -1, -1, -1), root(8, (1, 2), (2, 2)), *chain(8, 7, -2)[1:]]
+        return 8, tuple(roots[:n]), 2
     if family == "F" and n == 4:
-        half = Q(1, 2)
-        return 4, (
-            vsub(_unit(4, 0), _unit(4, 1)),
-            vsub(_unit(4, 1), _unit(4, 2)),
-            _unit(4, 2),
-            (-half, -half, -half, half),
-        )
+        return 4, (*chain(4, 2, 2), root(4, (2, 2)), (-1, -1, -1, 1)), 2
     if family == "G" and n == 2:
-        return 3, (
-            (Q(1), Q(-1), Q(0)),
-            (Q(-1), Q(2), Q(-1)),
-        )
+        return 3, ((1, -1, 0), (-1, 2, -1)), 1
     raise InvalidInput(f"no simple root system of type {family}{n}")
 
 
@@ -113,7 +86,11 @@ def _root_count(family: str, n: int) -> int:
 
 
 def _coroot(beta: Vector) -> Vector:
-    return vscale(Q(2) / dot(beta, beta), beta)
+    """The coroot 2 beta / (beta, beta), read off the integer row b of beta
+    over s as 2 s b / (b . b)."""
+    (b,), s = _common_ints([beta])
+    n = sum(x * x for x in b)
+    return tuple(Q(2 * s * x, n) for x in b)
 
 
 @dataclass(frozen=True)
@@ -163,14 +140,13 @@ class RootSystem:
         return _coroot(beta)
 
     def reflection_matrix(self, i: int) -> Matrix:
-        """Matrix of the reflection in the i-th simple root (0-based)."""
+        """Matrix of the reflection in the i-th simple root (0-based): the
+        identity minus alpha times the transposed coroot, over Fraction."""
         alpha = self.simple_roots[i]
-        alpha_v = _coroot(alpha)
-        cols = []
-        for j in range(self.ambient_dim):
-            e = _unit(self.ambient_dim, j)
-            cols.append(vsub(e, vscale(dot(e, alpha_v), alpha)))
-        return transpose(qm(cols))
+        n = sum(a * a for a in alpha)
+        return tuple(
+            tuple(Q(r == c) - a * 2 * b / n for c, b in enumerate(alpha)) for r, a in enumerate(alpha)
+        )
 
 
 _CACHE: dict[str, RootSystem] = {}
@@ -189,11 +165,10 @@ def build_root_system(type_label: str) -> RootSystem:
         raise BoundExceeded(f"{label} has {count} roots, above the bound {MAX_ROOTS}")
     if label in _CACHE:
         return _CACHE[label]
-    dim, simple = _simple_root_model(family, n)
-
     # the simple roots as integer rows over one denominator s, so that
     # gram[i][j] = s^2 (alpha_i, alpha_j)
-    simple_ints, s = _common_ints(simple)
+    dim, simple_ints, s = _simple_root_model(family, n)
+    simple = tuple(tuple(Q(x, s) for x in row) for row in simple_ints)
     gram = [[sum(map(mul, a, b)) for b in simple_ints] for a in simple_ints]
 
     # Cartan matrix A[i][j] = <alpha_i, alpha_j^vee> = 2(a_i, a_j)/(a_j, a_j)
@@ -386,17 +361,18 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 
 def coordinate_swap(dim: int, i: int, j: int) -> WeylElement:
     """The linear map exchanging coordinates i and j (0-based)."""
-    cols = [_unit(dim, k) for k in range(dim)]
-    cols[i], cols[j] = cols[j], cols[i]
-    return WeylElement(transpose(qm(cols)))
+    rows = [_int_unit(dim, k) for k in range(dim)]
+    rows[i], rows[j] = rows[j], rows[i]
+    return WeylElement._from_ints(tuple(rows), 1, None)
 
 
 def sign_flip(dim: int, indices: Iterable[int]) -> WeylElement:
     """The diagonal map negating the listed coordinates (0-based)."""
-    diag = [Q(1)] * dim
+    diag = [1] * dim
     for i in indices:
-        diag[i] = Q(-1)
-    return WeylElement(tuple(tuple(diag[r] if r == c else Q(0) for c in range(dim)) for r in range(dim)))
+        diag[i] = -1
+    rows = tuple(tuple(diag[r] * (r == c) for c in range(dim)) for r in range(dim))
+    return WeylElement._from_ints(rows, 1, None)
 
 
 def preserves_root_set(rs: RootSystem, element: WeylElement) -> bool:
@@ -503,25 +479,27 @@ def orbit(group: Iterable[WeylElement], v) -> tuple[Vector, ...]:
 
 
 def longest_element(rs: RootSystem) -> WeylElement:
-    """The longest element w0, built by a greedy descent from rho to -rho."""
-    target = vneg(rs.rho)
-    v = rs.rho
+    """The longest element w0, built by a greedy descent from rho to -rho.
+
+    The descent runs on integer fundamental-weight coordinates, where rho is
+    (1, ..., 1), <lambda, alpha_k^vee> is lambda_k and s_i subtracts lambda_i
+    times row i of the Cartan matrix, the weight coordinates of alpha_i.
+    """
+    cartan = [[x.numerator for x in row] for row in rs.cartan]
+    v, target = [1] * rs.rank, [-1] * rs.rank
     reflections = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
     w0 = identity_element(rs.ambient_dim)
-    num_pos = len(rs.positive_root_vectors())
+    num_pos = len(rs.roots) // 2
     while v != target:
-        i = next(
-            (k for k in range(rs.rank) if dot(v, rs.simple_coroots[k]) > 0),
-            None,
-        )
+        i = next((k for k in range(rs.rank) if v[k] > 0), None)
         if i is None or len(w0.word) > num_pos:
             raise InvariantViolation(f"descent from rho to -rho failed in {rs.label}")
-        v = reflections[i].apply(v)
+        v = [x - v[i] * a for x, a in zip(v, cartan[i])]
         w0 = reflections[i].compose(w0)
     if len(w0.word) != num_pos:
         raise InvariantViolation(f"longest element of {rs.label} has wrong length")
     pos = set(rs.positive_root_vectors())
-    if any(vneg(w0.apply(b)) not in pos for b in pos):
+    if any(tuple(-x for x in w0.apply(b)) not in pos for b in pos):
         raise InvariantViolation(f"w0 does not send positive roots to negatives in {rs.label}")
     weight_involution(rs, w0)
     return w0
@@ -534,7 +512,7 @@ def weight_involution(rs: RootSystem, w0: Optional[WeylElement] = None) -> tuple
     perm = []
     weights = {w: i + 1 for i, w in enumerate(rs.fundamental_weights)}
     for k in range(rs.rank):
-        image = vneg(w0.apply(rs.fundamental_weights[k]))
+        image = tuple(-x for x in w0.apply(rs.fundamental_weights[k]))
         if image not in weights:
             raise InvariantViolation(
                 f"-w0 does not permute the fundamental weights of {rs.label}"

@@ -19,13 +19,14 @@ from .errors import BoundExceeded, InvalidInput, InvariantViolation
 from .linalg import (
     Matrix,
     Vector,
+    _common_ints,
     _eliminate,
+    _int_mat_vec,
     _int_unit,
     _unit,
-    mat_vec,
     primitive_direction,
+    qm,
     smith_normal_form,
-    vneg,
 )
 from .polyhedra import (
     RationalCone,
@@ -57,7 +58,7 @@ def boundary_symbol(i: int) -> str:
 def valuation_cone(rs: RootSystem) -> RationalCone:
     """The negative chamber cone spanned by the negated coweight basis vectors."""
     n = rs.rank
-    return cone([vneg(_unit(n, i)) for i in range(n)], ambient_dim=n)
+    return cone([_unit(n, i, -1) for i in range(n)], ambient_dim=n)
 
 
 def coroot_coords(rs: RootSystem, j: int) -> Vector:
@@ -68,7 +69,7 @@ def coroot_coords(rs: RootSystem, j: int) -> Vector:
 def standard_rho_table(rs: RootSystem) -> dict[str, Vector]:
     table = {}
     for i in range(1, rs.rank + 1):
-        table[boundary_symbol(i)] = vneg(_unit(rs.rank, i - 1))
+        table[boundary_symbol(i)] = _unit(rs.rank, i - 1, -1)
     for j in range(1, rs.rank + 1):
         table[color_symbol(j)] = coroot_coords(rs, j)
     return table
@@ -255,7 +256,7 @@ def wonderful_colored_fan(rs: RootSystem) -> ColoredFan:
 
 def chain_cone(rs: RootSystem, k: int) -> ColoredCone:
     """The k-th colored cone of the quotient-variety fan in type C."""
-    gens = [vneg(_unit(rs.rank, 0))]
+    gens = [_unit(rs.rank, 0, -1)]
     colors = []
     for j in range(1, k):
         gens.append(coroot_coords(rs, j))
@@ -271,7 +272,7 @@ def z_colored_fan(n: int) -> ColoredFan:
     _check_face_bound(n)
     rs = build_root_system(f"C{n}")
     top = chain_cone(rs, n)
-    f = colored_fan_from_tops(rs, [top], boundary_names={vneg(_unit(n, 0)): "Z1"})
+    f = colored_fan_from_tops(rs, [top], boundary_names={_unit(n, 0, -1): "Z1"})
     expected = {chain_cone(rs, k).key() for k in range(1, n + 1)}
     expected.add((zero_cone(n).gens, ()))
     if {cc.key() for cc in f.cones} != expected:
@@ -293,11 +294,11 @@ def blowup_chain_fans(n: int) -> list[ColoredFan]:
     fans = []
     for i in range(n):
         gens = [coroot_coords(rs, j) for j in range(1, i + 1)]
-        gens.append(vneg(_unit(n, 0)))
-        gens += [vneg(_unit(n, t)) for t in range(i + 1, n)]
+        gens.append(_unit(n, 0, -1))
+        gens += [_unit(n, t, -1) for t in range(i + 1, n)]
         colors = frozenset(color_symbol(j) for j in range(1, i + 1))
         top = ColoredCone(cone=cone(gens, ambient_dim=n), colors=colors)
-        names = {vneg(_unit(n, 0)): boundary_symbol(1)}
+        names = {_unit(n, 0, -1): boundary_symbol(1)}
         fans.append(colored_fan_from_tops(rs, [top], boundary_names=names))
     return fans
 
@@ -314,12 +315,14 @@ def extends_to_morphism(
     colored cone whose colors absorb the non-dominant source colors.
     """
     dominant = frozenset(dominant_colors)
-
-    def push(v: Vector) -> Vector:
-        return mat_vec(lattice_map, v) if lattice_map is not None else v
+    if lattice_map is not None:
+        if len(lattice_map) != target.rank or any(len(row) != source.rank for row in lattice_map):
+            raise InvalidInput(f"lattice map must be {target.rank} rows of length {source.rank}")
+        # a positive multiple of each image: membership is scale-invariant
+        rows, _ = _common_ints(qm(lattice_map))
 
     for cc in source.cones:
-        mapped = [push(g) for g in cc.cone.gens]
+        mapped = [g if lattice_map is None else _int_mat_vec(rows, 1, g)[0] for g in cc.cone.gens]
         found = False
         for tc in target.cones:
             if all(contains(tc.cone, g) for g in mapped) and all(
@@ -403,7 +406,7 @@ def closed_orbit_restriction(rs: RootSystem, k: int) -> tuple[LatticeVector, Lat
         raise InvalidInput(f"weight index {k} out of range for {rs.label}")
     w0 = longest_element(rs)
     omega = fundamental_weight(rs, k)
-    left = vector(rs, vneg(w0.apply(omega.ambient())))
+    left = vector(rs, [-x for x in w0.apply(omega.ambient())])
     return to_basis(left, "fund_weight"), to_basis(omega, "fund_weight")
 
 

@@ -1,13 +1,49 @@
-"""The Fraction matrix routines the integer core replaced, kept as oracles.
+"""The Fraction routines the integer core replaced, kept as oracles.
 
-Reduced row echelon form and inverse by Gauss-Jordan over Fraction, and the
+The Fraction vector helpers (dot product, sum, difference, scaling,
+negation, transpose and matrix-vector product), the Fraction coroot,
+reduced row echelon form and inverse by Gauss-Jordan over Fraction, and the
 Fraction matrix product and identity; the package itself no longer has them.
 """
 
 from fractions import Fraction as Q
 
 from weylfans.errors import InvalidInput
-from weylfans.linalg import dot, transpose
+
+
+def dot(x, y):
+    if len(x) != len(y):
+        raise InvalidInput("dimension mismatch in dot product")
+    return sum((a * b for a, b in zip(x, y)), Q(0))
+
+
+def vadd(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def vsub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def vscale(c, x):
+    c = Q(c)
+    return tuple(c * a for a in x)
+
+
+def vneg(x):
+    return tuple(-a for a in x)
+
+
+def transpose(m):
+    return tuple(zip(*m)) if m else ()
+
+
+def mat_vec(m, v):
+    return tuple(dot(row, v) for row in m)
+
+
+def _old_coroot(beta):
+    return vscale(Q(2) / dot(beta, beta), beta)
 
 
 def _old_rref(rows):

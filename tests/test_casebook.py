@@ -1,12 +1,12 @@
 import random
 
 import pytest
-from old_linalg import _old_inverse, mat_mul
+from old_linalg import _old_inverse, mat_mul, mat_vec, transpose, vadd, vscale
 
 from weylfans import jsonio
 from weylfans.casebook import _e8_wprime, _f4_wprime, _fans_lattice_isomorphic, list_cases, run_case
 from weylfans.errors import InvalidInput
-from weylfans.linalg import det, mat_vec, qm, transpose, vadd, vscale
+from weylfans.linalg import det, qm
 from weylfans.polyhedra import cone, fan, star_subdivision
 from weylfans.rootsys import build_root_system
 from weylfans.toric import subtorus_closure_fan, weyl_chamber_fan

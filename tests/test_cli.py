@@ -105,6 +105,25 @@ def test_fan_check_p2(capsys, tmp_path):
     assert "complete=True smooth=True picard=1" in out
 
 
+def test_fan_check_p8_is_quick(capsys, tmp_path):
+    """Completeness of the fan of P^8, 9 rays and 9 maximal cones, is read
+    off wall counts; a search over the 2^8 sign orthants took minutes."""
+    rays = [[str(int(i == j)) for j in range(8)] for i in range(8)] + [["-1"] * 8]
+    p8 = {
+        "ambient_dim": 8,
+        "lattice": "standard",
+        "rays": rays,
+        "maximal_cones": [[k for k in range(9) if k != i] for i in range(9)],
+    }
+    path = tmp_path / "p8.json"
+    path.write_text(json.dumps(p8))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "fan", "check", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out == "complete=True smooth=True picard=None\n"
+
+
 def test_malformed_json_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{oops")

@@ -4,41 +4,26 @@ the centroid guess before an equality-constrained ambient search, and the
 block system with one weight variable per generator of every cone.  Then
 the integer-native cone against the Fraction-keyed one before it:
 membership read off signs against coordinates, colored faces kept by the
-convexity shortcut against a feasibility test per face, fans compared by
-ray indices against sets of Fraction tuples, and the yes/no elimination
-against the witness."""
+convexity shortcut against a feasibility test per face, and fans compared
+by ray indices against sets of Fraction tuples.  The yes/no elimination is
+checked against the witness in test_linalg."""
 
 import random
 import threading
 from fractions import Fraction as Q
 from itertools import combinations
 
+from old_linalg import dot, mat_vec, transpose, vadd, vneg, vscale, vsub
 from test_linalg import (
     _old_coords_in_basis,
     _old_dual_rows,
     _old_feasible,
     _old_nullspace,
-    _random_system,
-    _recorded_colored_fan_systems,
 )
 
-from weylfans import linalg, polyhedra, spherical
+from weylfans import polyhedra, spherical
 from weylfans.errors import InvalidInput
-from weylfans.linalg import (
-    _unit,
-    dot,
-    is_zero_vector,
-    mat_vec,
-    primitive_direction,
-    qm,
-    qv,
-    rank,
-    transpose,
-    vadd,
-    vneg,
-    vscale,
-    vsub,
-)
+from weylfans.linalg import _unit, is_zero_vector, primitive_direction, qm, qv, rank
 from weylfans.polyhedra import RationalCone, _rows_on_weights, cone, contains, covered_by, faces, zero_cone
 from weylfans.rootsys import build_root_system
 from weylfans.toric import weyl_chamber_fan
@@ -411,19 +396,6 @@ def test_colored_faces_shortcut_matches_a_test_per_face():
         assert got == _shortcut_free_colored_faces(top, f.valuation_cone, f.rho_table)
         dropped += 2 ** top.cone.dim - len(got)
     assert len(fans) == 51 and dropped > 100
-
-
-def test_yes_no_elimination_matches_the_witness(monkeypatch):
-    systems = _recorded_colored_fan_systems(monkeypatch)
-    assert len(systems) > 500
-    rng = random.Random(1968)
-    systems += [_random_system(rng) for _ in range(1500)]
-    outcomes = {True: 0, False: 0}
-    for n, eqs, ineqs in systems:
-        solvable = linalg._eliminate(n, eqs, ineqs)
-        assert solvable == (_old_feasible(n, eqs, ineqs) is not None)
-        outcomes[solvable] += 1
-    assert min(outcomes.values()) > 300
 
 
 def test_fan_compares_ray_indices_like_fraction_sets():

@@ -14,30 +14,30 @@ import threading
 from fractions import Fraction as Q
 
 import pytest
-from old_linalg import _old_inverse, identity_matrix, mat_mul
-
-from weylfans import jsonio
-from weylfans import lattice as lat
-from weylfans.errors import BasisChangeError
-from weylfans.linalg import (
-    _unit,
-    coords_in_basis,
+from old_linalg import (
+    _old_coroot,
+    _old_inverse,
     dot,
+    identity_matrix,
+    mat_mul,
     mat_vec,
-    qm,
-    qv,
     transpose,
     vadd,
     vneg,
     vscale,
     vsub,
 )
+
+from weylfans import jsonio
+from weylfans import lattice as lat
+from weylfans.errors import BasisChangeError
+from weylfans.linalg import _unit, coords_in_basis, qm, qv
 from weylfans.rootsys import (
     WeylElement,
-    _coroot,
     _simple_root_model,
     build_root_system,
     coordinate_swap,
+    identity_element,
     longest_element,
     parse_label,
     sign_flip,
@@ -61,9 +61,11 @@ BUNDLED_TYPES = (
 def _old_root_data(type_label):
     """The ambient Fraction closure and Fraction derived data."""
     family, n = parse_label(type_label)
-    dim, simple = _simple_root_model(family, n)
+    # the integer model is the oracle's input, not the code under test
+    dim, simple_ints, s = _simple_root_model(family, n)
+    simple = tuple(tuple(Q(x, s) for x in row) for row in simple_ints)
     cartan = tuple(tuple(Q(2) * dot(a, b) / dot(b, b) for b in simple) for a in simple)
-    coroots = tuple(_coroot(a) for a in simple)
+    coroots = tuple(_old_coroot(a) for a in simple)
     simple_coords = {a: _unit(n, i) for i, a in enumerate(simple)}
     queue = list(simple)
     while queue:
@@ -236,6 +238,49 @@ def test_longest_element_matches_old_product():
         assert w0.matrix == matrix and w0 == WeylElement(matrix)
 
 
+def _old_longest_element(rs):
+    """The Fraction descent from rho to -rho in the ambient model."""
+    target = vneg(rs.rho)
+    v = rs.rho
+    reflections = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+    w0 = identity_element(rs.ambient_dim)
+    while v != target:
+        i = next(k for k in range(rs.rank) if dot(v, rs.simple_coroots[k]) > 0)
+        v = reflections[i].apply(v)
+        w0 = reflections[i].compose(w0)
+    return w0
+
+
+def test_longest_element_matches_fraction_descent():
+    """The descent on integer weight coordinates takes the same steps as the
+    Fraction one in the ambient model, on all 48 bundled types."""
+    for label in BUNDLED_TYPES:
+        rs = build_root_system(label)
+        w0, old = longest_element(rs), _old_longest_element(rs)
+        assert w0.word == old.word and (w0._rows, w0._den) == (old._rows, old._den), label
+        assert len(w0.word) == len(rs.roots) // 2
+
+
+def test_swaps_and_flips_match_fraction_construction():
+    for dim in range(1, 9):
+        units = [_unit(dim, k) for k in range(dim)]
+        for i in range(dim):
+            for j in range(dim):
+                cols = list(units)
+                cols[i], cols[j] = cols[j], cols[i]
+                old = WeylElement(transpose(qm(cols)))
+                new = coordinate_swap(dim, i, j)
+                assert (new._rows, new._den) == (old._rows, old._den) and new.matrix == old.matrix
+                assert new.word is None
+        for mask in range(2**dim):
+            indices = [k for k in range(dim) if mask >> k & 1]
+            diag = [Q(-1) if k in indices else Q(1) for k in range(dim)]
+            old = WeylElement(tuple(tuple(diag[r] if r == c else Q(0) for c in range(dim)) for r in range(dim)))
+            new = sign_flip(dim, indices)
+            assert (new._rows, new._den) == (old._rows, old._den) and new.matrix == old.matrix
+            assert new.word is None
+
+
 def test_basis_changes_match_old_ambient_route():
     rng = random.Random(2024)
     pairs = set()
@@ -318,5 +363,5 @@ def test_simple_reflections_and_highest_coroot_match_fraction_construction():
             assert s == old and s.word == (i,) and s.matrix == old.matrix
             assert (s._rows, s._den) == (old._rows, old._den)
         theta_v = lat.highest_coroot(rs)
-        assert theta_v.basis == "ambient" and theta_v.coords == _coroot(rs.highest_root)
+        assert theta_v.basis == "ambient" and theta_v.coords == _old_coroot(rs.highest_root)
         assert all(type(x) is Q for x in theta_v.coords)

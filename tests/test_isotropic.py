@@ -1,6 +1,7 @@
 from fractions import Fraction as Q
 
 import pytest
+from old_linalg import vadd, vscale
 
 from weylfans.errors import InvalidInput
 from weylfans.isotropic import (
@@ -18,7 +19,7 @@ from weylfans.isotropic import (
     tau_fixed_locus_check,
     tau_image,
 )
-from weylfans.linalg import _unit, qm, vadd, vscale
+from weylfans.linalg import _unit, qm
 
 
 def test_dimension_formulas_to_25():

@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 from math import gcd
 
 import pytest
-from old_linalg import _old_inverse, identity_matrix, mat_mul
+from old_linalg import _old_inverse, identity_matrix, mat_mul, transpose, vadd
 
 from weylfans.errors import BoundExceeded, InvalidInput, InvariantViolation
 from weylfans.isotropic import (
@@ -30,14 +30,7 @@ from weylfans.isotropic import (
     symplectic_doubled,
     tau_image,
 )
-from weylfans.linalg import (
-    det,
-    primitive_direction,
-    qm,
-    rank,
-    transpose,
-    vadd,
-)
+from weylfans.linalg import det, primitive_direction, qm, rank
 
 
 # --- oracles: the Fraction code ---------------------------------------------

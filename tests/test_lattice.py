@@ -3,11 +3,11 @@ import zlib
 from fractions import Fraction as Q
 
 import pytest
-from old_linalg import _old_inverse, identity_matrix, mat_mul
+from old_linalg import _old_inverse, identity_matrix, mat_mul, transpose
 
 from weylfans import lattice as lat
 from weylfans.errors import BasisChangeError, InvalidInput
-from weylfans.linalg import qm, qv, transpose
+from weylfans.linalg import qm, qv
 from weylfans.rootsys import build_root_system
 from weylfans.spherical import color_symbol, picard_presentation, spinor_divisor_ledger
 

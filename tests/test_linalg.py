@@ -4,15 +4,13 @@ from math import gcd
 from itertools import combinations, product
 
 import pytest
-from old_linalg import _old_inverse, _old_rref, identity_matrix, mat_mul
+from old_linalg import _old_inverse, _old_rref, dot, identity_matrix, mat_mul, mat_vec, transpose
 
 from weylfans import linalg
 from weylfans.errors import InvalidInput
 from weylfans.linalg import (
     coords_in_basis,
     det,
-    dot,
-    mat_vec,
     minors_gcd,
     primitive_direction,
     qm,
@@ -20,7 +18,6 @@ from weylfans.linalg import (
     rank,
     saturation_basis,
     smith_normal_form,
-    transpose,
 )
 
 
@@ -583,12 +580,12 @@ def test_integer_rows_match_old_fraction_routines(monkeypatch):
     recorded = _recorded_colored_fan_systems(monkeypatch)
     assert len(recorded) > 500
     assert any(eqs for _, eqs, _ in recorded) and any(not eqs for _, eqs, _ in recorded)
-    outcomes = set()
     for n, eqs, ineqs in recorded:
         solvable = linalg._eliminate(n, eqs, ineqs)
         assert solvable == (_old_feasible(n, eqs, ineqs) is not None)
-        outcomes.add(solvable)
-    assert outcomes == {True, False}
+        seen["feasible" if solvable else "infeasible"] += 1
+    # over the seeded and the recorded systems together
+    assert seen["feasible"] > 300 and seen["infeasible"] > 300
 
     # the integer dual basis against the Fraction one, with a positive d,
     # and dependent rows refused

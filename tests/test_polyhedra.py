@@ -1,12 +1,15 @@
+import dataclasses
 import random
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from old_linalg import vscale
 
 from weylfans.errors import InvalidInput
-from weylfans.linalg import qm, qv, rank
+from weylfans.linalg import _unit, qm, qv, rank
 from weylfans.polyhedra import (
+    Fan,
     cone,
     contains,
     covered_by,
@@ -126,6 +129,76 @@ def test_is_complete_3d_via_orthants():
     ]
     assert is_complete(fan(octants))
     assert not is_complete(fan(octants[:7]))
+
+
+def _old_is_complete(f: Fan) -> bool:
+    """The orthant search that wall counts replaced: every sign orthant of the
+    lattice basis covered by the maximal cones, below rank 3 read off signs
+    and ray counts."""
+    r = f.maximal_cones[0].lattice_rank()
+    rays = f.rays()
+    if rays and rank(qm(rays)) < r:
+        return False
+    if r == 0:
+        return True
+    if r == 1:
+        coords = [f.maximal_cones[0].lattice_coords(ray) for ray in rays]
+        signs = {1 if c[0] > 0 else -1 for c in coords}
+        return signs == {1, -1}
+    if r == 2:
+        if any(c.dim != 2 for c in f.maximal_cones):
+            return False
+        count = {ray: 0 for ray in rays}
+        for c in f.maximal_cones:
+            for g in c.gens:
+                count[g] += 1
+        return all(n == 2 for n in count.values())
+    lattice = f.lattice if f.lattice is not None else [_unit(f.ambient_dim, i) for i in range(f.ambient_dim)]
+    for signs in product((1, -1), repeat=r):
+        orthant = cone([vscale(s, row) for s, row in zip(signs, lattice)], f.lattice, f.ambient_dim)
+        if not covered_by(orthant, f.maximal_cones):
+            return False
+    return True
+
+
+def _projective_space_fan(n):
+    rays = [[int(i == j) for j in range(n)] for i in range(n)] + [[-1] * n]
+    return fan([cone(rays[:i] + rays[i + 1 :]) for i in range(n + 1)])
+
+
+def test_is_complete_matches_orthant_search():
+    """Wall counts against the orthant search on chamber fans, subtorus fans,
+    star subdivisions of the rank-two ones, projective spaces, and each of
+    them with one and with two maximal cones dropped."""
+    from weylfans.casebook import _e8_wprime, _f4_wprime
+    from weylfans.toric import subtorus_closure_fan, weyl_chamber_fan
+
+    rng = random.Random(2007)
+    fans = [
+        weyl_chamber_fan(build_root_system(label))
+        for label in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2")
+    ]
+    fans += [subtorus_closure_fan(*_f4_wprime()), subtorus_closure_fan(*_e8_wprime())]
+    for f in [f for f in fans if f.maximal_cones[0].lattice_rank() == 2]:
+        for _ in range(3):
+            g1, g2 = rng.choice(f.maximal_cones).gens
+            a, b = rng.randint(1, 3), rng.randint(1, 3)
+            fans.append(star_subdivision(f, [a * x + b * y for x, y in zip(g1, g2)]))
+    projective = [_projective_space_fan(n) for n in range(1, 6)]
+    fans += projective + [fan(p.maximal_cones[1:]) for p in projective]
+    assert len(fans) == 12 + 5 * 3 + 10
+    verdicts = {True: 0, False: 0}
+    for f in fans:
+        cones = f.maximal_cones
+        for k in range(min(3, len(cones))):
+            # a subset of a valid fan's maximal cones is a valid fan
+            kept = sorted(rng.sample(range(len(cones)), len(cones) - k))
+            g = dataclasses.replace(f, maximal_cones=tuple(cones[i] for i in kept))
+            verdict = is_complete(g)
+            assert verdict == _old_is_complete(g)
+            verdicts[verdict] += 1
+    # the 32 fans built complete stay so; a missing cone never is
+    assert verdicts == {True: 32, False: 74}
 
 
 def test_star_subdivision():

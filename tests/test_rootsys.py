@@ -1,9 +1,10 @@
 from fractions import Fraction as Q
 
 import pytest
+from old_linalg import dot, vscale, vsub
 
 from weylfans.errors import BoundExceeded, InvalidInput
-from weylfans.linalg import dot, qv, vscale, vsub
+from weylfans.linalg import qv
 from weylfans.rootsys import (
     build_root_system,
     coordinate_swap,
@@ -245,9 +246,7 @@ def test_longest_element():
 
 
 def test_weyl_matrices_preserve_inner_product():
-    from old_linalg import identity_matrix, mat_mul
-
-    from weylfans.linalg import transpose
+    from old_linalg import identity_matrix, mat_mul, transpose
 
     for label in ["B3", "G2", "F4"]:
         rs = build_root_system(label)

@@ -101,6 +101,24 @@ def test_extension_decisions(n):
     assert extends_to_morphism(x_fan, x_fan)
 
 
+def test_extension_along_a_lattice_map():
+    rs = build_root_system("C3")
+    x_fan, z_fan = wonderful_colored_fan(rs), z_colored_fan(3)
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    # membership is scale-invariant, so a positive multiple of the identity
+    # decides as no map does; its negative sends the valuation cone away
+    for c in (1, 2, Q(1, 3)):
+        scaled = [[c * x for x in row] for row in identity]
+        assert extends_to_morphism(x_fan, z_fan, lattice_map=scaled)
+        assert not extends_to_morphism(z_fan, x_fan, lattice_map=scaled)
+    negated = [[-x for x in row] for row in identity]
+    assert not extends_to_morphism(x_fan, x_fan, lattice_map=negated)
+    # rows of the wrong length, and the wrong number of rows
+    for shape in ([row + [0] for row in identity], identity + [[0, 0, 1]]):
+        with pytest.raises(InvalidInput):
+            extends_to_morphism(x_fan, z_fan, lattice_map=shape)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_blowup_chain(n):
     rs = build_root_system(f"C{n}")
