@@ -21,7 +21,7 @@ from math import gcd
 from operator import mul
 
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
-from .linalg import Matrix, _echelon, _int_unit, _row_scale, _scaled_ints, _unit, qm, rank
+from .linalg import Matrix, _echelon, _row_scale, _scaled_ints, _unit, qm, rank
 
 # the largest half rank random_maximal_isotropic samples; the stratum tables
 # themselves are closed formulas and take any half rank
@@ -117,8 +117,8 @@ class IsotropicSubspace:
 def diagonal_subspace(space: DoubledSpace) -> IsotropicSubspace:
     """The graph of the identity: the base point with invariant zero."""
     m = space.block_dim
-    # e_i + e_{m+i}: the same unit row in both blocks
-    rows = [_int_unit(m, i) * 2 for i in range(m)]
+    # e_i + e_{m+i}: the same unit in both blocks of the doubled space
+    rows = [tuple(int(j % m == i) for j in range(space.dim)) for i in range(m)]
     return IsotropicSubspace(space=space, basis=qm(rows))
 
 
@@ -129,7 +129,7 @@ def split_subspace(space: DoubledSpace) -> IsotropicSubspace:
     rows += [_unit(space.dim, m + i) for i in range(n)]
     if space.kind == "orthogonal":
         # the middle diagonal direction completes an odd-dimensional maximal
-        rows.append(_int_unit(m, n) * 2)
+        rows.append(tuple(int(j % m == n) for j in range(space.dim)))
     return IsotropicSubspace(space=space, basis=qm(rows))
 
 

@@ -211,7 +211,10 @@ def _face_compatible(
 
 
 def fan(cones: Iterable[RationalCone], validate: bool = True) -> Fan:
-    """Assemble a fan from maximal cones and re-check its validity."""
+    """Assemble a fan from maximal cones and re-check its validity.
+
+    With validate=False the cones are trusted to meet in common faces;
+    `is_complete` relies on that and may answer wrongly on a fan that breaks it."""
     cones = list(cones)
     if not cones:
         raise InvalidInput("a fan needs at least one cone")
@@ -250,8 +253,8 @@ def is_complete(f: Fan) -> bool:
     exactly two maximal cones.  Two full cones on one wall lie on its two
     sides, so the boundary of the support could only lie in cones of
     codimension two, which cannot separate the sphere; in rank 1 the one
-    wall, the origin, lies in the two opposite rays.  Walls are compared by
-    generator indices into the ray list.
+    wall, the origin, lies in the two opposite rays.  Walls are compared as
+    sets of generator indices into the ray list.
     """
     r = f.maximal_cones[0].lattice_rank()
     index = {ray: i for i, ray in enumerate(f.rays())}
@@ -259,8 +262,8 @@ def is_complete(f: Fan) -> bool:
     for c in f.maximal_cones:
         if c.dim != r:
             return False
-        ids = tuple(index[g] for g in c.gens)
-        walls.update(ids[:j] + ids[j + 1 :] for j in range(r))
+        ids = frozenset(index[g] for g in c.gens)
+        walls.update(ids - {i} for i in ids)
     return all(n == 2 for n in walls.values())
 
 

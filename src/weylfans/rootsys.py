@@ -30,27 +30,31 @@ def _simple_root_model(family: str, n: int) -> tuple[int, tuple[tuple[int, ...],
     """Ambient dimension and simple roots for a simple type, Bourbaki order,
     as integer rows over one denominator s: (dim, rows, s)."""
 
-    def root(dim: int, *terms: tuple[int, int]) -> tuple[int, ...]:
-        # the integer row with entry c at index i for each term (i, c)
-        v = [0] * dim
-        for i, c in terms:
-            v[i] = c
-        return tuple(v)
-
-    def chain(dim: int, k: int, c: int = 1) -> list[tuple[int, ...]]:
-        # c (e_i - e_{i+1}) for i < k
-        return [root(dim, (i, c), (i + 1, -c)) for i in range(k)]
-
     if family == "A" and n >= 1:
-        return n + 1, tuple(chain(n + 1, n)), 1
-    if family in "BC" and n >= 2 or family == "D" and n >= 4:
-        last = {"B": ((n - 1, 1),), "C": ((n - 1, 2),), "D": ((n - 2, 1), (n - 1, 1))}[family]
-        return n, (*chain(n, n - 1), root(n, *last)), 1
+        # e_i - e_{i+1}
+        return n + 1, tuple(tuple((j == i) - (j == i + 1) for j in range(n + 1)) for i in range(n)), 1
+    # B, C and D share the roots e_i - e_{i+1}, i < n - 1, and differ in the last one
+    chain = [tuple((j == i) - (j == i + 1) for j in range(n)) for i in range(n - 1)]
+    if family == "B" and n >= 2:
+        return n, (*chain, tuple(int(j == n - 1) for j in range(n))), 1
+    if family == "C" and n >= 2:
+        return n, (*chain, tuple(2 * (j == n - 1) for j in range(n))), 1
+    if family == "D" and n >= 4:
+        return n, (*chain, tuple(int(j >= n - 2) for j in range(n))), 1
     if family == "E" and n in (6, 7, 8):
-        roots = [(1, 1, -1, -1, -1, -1, -1, -1), root(8, (1, 2), (2, 2)), *chain(8, 7, -2)[1:]]
-        return 8, tuple(roots[:n]), 2
+        roots = (
+            (1, 1, -1, -1, -1, -1, -1, -1),
+            (0, 2, 2, 0, 0, 0, 0, 0),
+            (0, -2, 2, 0, 0, 0, 0, 0),
+            (0, 0, -2, 2, 0, 0, 0, 0),
+            (0, 0, 0, -2, 2, 0, 0, 0),
+            (0, 0, 0, 0, -2, 2, 0, 0),
+            (0, 0, 0, 0, 0, -2, 2, 0),
+            (0, 0, 0, 0, 0, 0, -2, 2),
+        )
+        return 8, roots[:n], 2
     if family == "F" and n == 4:
-        return 4, (*chain(4, 2, 2), root(4, (2, 2)), (-1, -1, -1, 1)), 2
+        return 4, ((2, -2, 0, 0), (0, 2, -2, 0), (0, 0, 2, 0), (-1, -1, -1, 1)), 2
     if family == "G" and n == 2:
         return 3, ((1, -1, 0), (-1, 2, -1)), 1
     raise InvalidInput(f"no simple root system of type {family}{n}")

@@ -580,10 +580,13 @@ def test_integer_rows_match_old_fraction_routines(monkeypatch):
     recorded = _recorded_colored_fan_systems(monkeypatch)
     assert len(recorded) > 500
     assert any(eqs for _, eqs, _ in recorded) and any(not eqs for _, eqs, _ in recorded)
+    outcomes = set()
     for n, eqs, ineqs in recorded:
         solvable = linalg._eliminate(n, eqs, ineqs)
         assert solvable == (_old_feasible(n, eqs, ineqs) is not None)
+        outcomes.add(solvable)
         seen["feasible" if solvable else "infeasible"] += 1
+    assert outcomes == {True, False}
     # over the seeded and the recorded systems together
     assert seen["feasible"] > 300 and seen["infeasible"] > 300
 
