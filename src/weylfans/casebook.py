@@ -28,7 +28,7 @@ from .isotropic import (
 )
 from .jsonio import encode_vector
 from .linalg import _unit, qv
-from .polyhedra import contains, covered_by, is_smooth
+from .polyhedra import _lattice_ints, _primitivize, contains, covered_by, is_smooth
 from .rootsys import (
     build_root_system,
     coordinate_swap,
@@ -206,12 +206,11 @@ def _subtorus_case(case_id: str, label: str, rs, group) -> CaseReport:
     surface = toric_surface(f)
     rays = list(f.rays())
     index = {r: i for i, r in enumerate(rays)}
-    from .polyhedra import _primitivize
-
-    perms = [tuple(index[_primitivize(w.apply(r), f.lattice)] for r in rays) for w in group]
-    relations = []
-    for j in range(2):
-        relations.append([int(f.maximal_cones[0].lattice_coords(r)[j]) for r in rays])
+    images = [index[img] for img in _primitivize([w.apply(r) for w in group for r in rays], f.lattice)]
+    perms = [tuple(images[i:i + len(rays)]) for i in range(0, len(images), len(rays))]
+    # the rays are primitive lattice vectors, so their coordinates are integers
+    coords, _ = _lattice_ints(f.lattice, rays)
+    relations = [list(row) for row in zip(*coords)]
     inv_rank = invariant_picard_rank(len(rays), perms, relations)
     given = sorted(
         {tuple(w.apply(rs.fundamental_coweights[0])) for w in group}
@@ -278,11 +277,10 @@ def _fans_lattice_isomorphic(f1, f2) -> bool:
     """
 
     def data(f):
-        base = f.maximal_cones[0]
-        cones = {
-            tuple(sorted(tuple(int(x) for x in base.lattice_coords(g)) for g in c.gens))
-            for c in f.maximal_cones
-        }
+        rays = f.rays()
+        coords, _ = _lattice_ints(f.lattice, rays)
+        on_ray = {r: tuple(x) for r, x in zip(rays, coords)}
+        cones = {tuple(sorted(on_ray[g] for g in c.gens)) for c in f.maximal_cones}
         return sorted({r for c in cones for r in c}), cones
 
     rays1, cones1 = data(f1)

@@ -3,11 +3,11 @@
 A LatticeVector is an exact rational coordinate tuple tagged with the basis
 it is written in.  Each change of basis is one integer matrix over one
 denominator per (source, target) pair, held on the root system and filled
-on first use.  Into the ambient model it is the transposed basis rows.
-Between two bases it is the target's dual rows times the source rows, with
-no ambient round trip.  Out of the ambient model it is the target's cached
-dual basis, whose span equations reject vectors off the root span.  The
-Cartan pairing is the standard inner product of ambient coordinates.
+on first use.  Into the ambient model it is the transposed basis rows; out
+of it, the target's dual rows, whose span equations reject vectors off the
+root span; between two bases, those dual rows times the source rows, with
+no ambient round trip.  The Cartan pairing is the standard inner product
+of ambient coordinates.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .linalg import (
     Matrix,
     Vector,
     _common_ints,
-    _dual_basis,
+    _dual_rows,
     _int_mat_vec,
     _row_scale,
     _scaled_ints,
@@ -79,13 +79,13 @@ def _change(rs: RootSystem, source: str, target: str) -> tuple[tuple[tuple[int, 
     if change is not None:
         return change
     if source == "ambient":
-        change = _dual_basis(_basis_rows(rs, target))
+        change = _dual_rows(_basis_rows(rs, target))
     else:
         ints, s = _common_ints(_basis_rows(rs, source))
         if target == "ambient":
             change = tuple(zip(*ints)), s
         else:
-            dual, d = _dual_basis(_basis_rows(rs, target))
+            dual, d = _change(rs, "ambient", target)
             product = [[sum(map(mul, row, b)) for b in ints] for row in dual[: rs.rank]]
             g = gcd(d * s, *(x for row in product for x in row))
             change = tuple(tuple(x // g for x in row) for row in product), d * s // g

@@ -5,21 +5,19 @@ dual bases, the equality step of feasibility and minor gcds all run on one
 fraction-free core, `_echelon`: rational rows are scaled to integer rows and
 reduced by Bareiss elimination with exact divisions.  A change of
 coordinates reads a dual basis, `_dual_rows`: integer rows over one
-denominator, so a coordinate is one integer dot product.  It is cached as
-`_dual_basis` for the bases asked about over and over, and each cone keeps
-its own.  Beside it sit Smith normal form over the integers and one
-feasibility question, `_eliminate`: a yes/no answer for a system of linear
-equalities and inequalities, on integer rows throughout, which every cone
-question of the package reduces to.  Fraction stays at every public
-function's inputs and outputs: the only Fraction helpers left are the
-coercions at that boundary, `qv`, `qm` and `_unit`, and no Fraction vector
-arithmetic.  No floating point anywhere.
+denominator, so a coordinate is one integer dot product.  Nothing here
+caches them: cones and root systems keep their own.  Beside it sit Smith
+normal form over the integers and one feasibility question, `_eliminate`:
+a yes/no answer for a system of linear equalities and inequalities, on
+integer rows throughout, which every cone question of the package reduces
+to.  Fraction stays at every public function's inputs and outputs: the only
+Fraction helpers left are the coercions at that boundary, `qv`, `qm` and
+`_unit`, and no Fraction vector arithmetic.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
@@ -157,24 +155,6 @@ def _dual_rows(rows: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], i
             sign = 1 if d > 0 else -1
             return tuple(tuple(sign * x for x in row[dim:]) for row in a), sign * d
     raise InvalidInput("basis rows are linearly dependent")
-
-
-# cached for the bases asked about over and over: root-system bases and the
-# reference lattices of fans; every cone keeps the rows of its own generators
-_dual_basis = lru_cache(maxsize=8192)(_dual_rows)
-
-
-def coords_in_basis(basis_rows: Matrix, v: Sequence[Q]) -> Optional[Vector]:
-    """Coordinates of v in a linearly independent spanning set, or None if off-span."""
-    if not basis_rows:
-        return () if is_zero_vector(v) else None
-    if len(v) != len(basis_rows[0]):
-        return None
-    dots, ds = _int_mat_vec(*_dual_basis(basis_rows), v)
-    k = len(basis_rows)
-    if any(dots[k:]):
-        return None
-    return tuple(Q(x, ds) for x in dots[:k])
 
 
 # --- integer lattice utilities ---------------------------------------------

@@ -2,7 +2,8 @@
 
 Cones are given by linearly independent generator lists, stored primitive
 with respect to a reference lattice (the standard integer lattice unless a
-basis is supplied).  Each cone carries its integer description, the dual
+basis is supplied), read with one solve for the lattice's dual rows per
+call and no cache.  Each cone carries its integer description, the dual
 basis (N, d) of its generators: integer rows over one denominator d > 0,
 whose first rows are the facet functionals and the remaining rows the
 equations of the span.  Every cone question reads these rows exactly:
@@ -26,8 +27,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInput
 from .linalg import (
-    Matrix, Vector, _common_ints, _dual_rows, _eliminate, _int_mat_vec, _int_unit, _row_scale,
-    _scaled_ints, coords_in_basis, is_zero_vector, minors_gcd, primitive_direction, qm, qv,
+    Matrix, Vector, _common_ints, _dual_rows, _eliminate, _int_unit, _row_scale,
+    _scaled_ints, minors_gcd, primitive_direction, qm, qv,
 )
 
 
@@ -64,24 +65,45 @@ class RationalCone:
         return self.ambient_dim if self.lattice is None else len(self.lattice)
 
     def lattice_coords(self, v: Sequence[Q]) -> Vector:
-        if self.lattice is None:
-            return qv(v)
-        coords = coords_in_basis(self.lattice, qv(v))
-        if coords is None:
-            raise InvalidInput("vector lies outside the span of the reference lattice")
-        return coords
+        (coords,), d = _lattice_ints(self.lattice, [qv(v)])
+        return tuple(Q(x, d) for x in coords)
 
 
-def _primitivize(g: Vector, lattice: Optional[Matrix]) -> Vector:
+def _lattice_ints(
+    lattice: Optional[Matrix], vectors: Sequence[Vector], name: str = "vector"
+) -> tuple[list[list[int]], int]:
+    """Coordinates in the lattice rows (the standard lattice for None), as
+    integer rows over their least common denominator, from one dual-row
+    solve whose rows past the rank vanish exactly on the span; the empty
+    lattice spans only zero.  A vector of another length (checked before
+    the solve) or off the span is refused, named by ``name.format(v)``."""
+    if lattice is None or not vectors:
+        return _common_ints(vectors)
+    k, dim = len(lattice), len(lattice[0]) if lattice else len(vectors[0])
+    off = [v for v in vectors if len(v) != dim]
+    if not off:
+        dual, d = _dual_rows(lattice) if lattice else ([_int_unit(dim, i) for i in range(dim)], 1)
+        ints, s = _common_ints(vectors)
+        rows = [[sum(map(mul, row, w)) for row in dual] for w in ints]
+        off = [v for v, dots in zip(vectors, rows) if any(dots[k:])]
+    if off:
+        raise InvalidInput(f"{name.format(off[0])} lies outside the span of the reference lattice")
+    g = gcd(d * s, *(x for dots in rows for x in dots[:k]))
+    return [[x // g for x in dots[:k]] for dots in rows], d * s // g
+
+
+def _primitivize(vectors: Sequence[Vector], lattice: Optional[Matrix]) -> list[Vector]:
+    """Each vector scaled to the primitive lattice vector on its ray, all
+    read from one lattice solve."""
     if lattice is None:
-        return primitive_direction(g)
-    coords = coords_in_basis(lattice, g)
-    if coords is None:
-        raise InvalidInput(f"generator {g} lies outside the span of the reference lattice")
-    # the integer combination of the lattice rows, on their integer rows over s
+        return [primitive_direction(g) for g in vectors]
+    coords, _ = _lattice_ints(lattice, vectors, "generator {}")
+    if not all(map(any, coords)):
+        raise InvalidInput("zero vector has no direction")
+    # the primitive integer combinations of the lattice rows, on their integer rows over s
     rows, s = _common_ints(lattice)
-    dots, den = _int_mat_vec(tuple(zip(*rows)), s, primitive_direction(coords))
-    return tuple(Q(x, den) for x in dots)
+    cols = tuple(zip(*rows))
+    return [tuple(Q(sum(map(mul, col, c)), s * gcd(*c)) for col in cols) for c in coords]
 
 
 def cone(
@@ -99,7 +121,7 @@ def cone(
         raise InvalidInput("cone generators of mixed dimension")
     if lattice is not None:
         lattice = qm(lattice)
-    prim = tuple(sorted({_primitivize(g, lattice) for g in gens if not is_zero_vector(g)}))
+    prim = tuple(sorted(set(_primitivize([g for g in gens if any(g)], lattice))))
     result = RationalCone(ambient_dim=ambient_dim, gens=prim, lattice=lattice)
     if prim:
         try:
@@ -155,7 +177,7 @@ def is_smooth(c: RationalCone) -> bool:
     """True when the primitive generators extend to a basis of the lattice."""
     if not c.gens:
         return True
-    rows, s = _common_ints([c.lattice_coords(g) for g in c.gens])
+    rows, s = _lattice_ints(c.lattice, c.gens)
     return s == 1 and minors_gcd(rows, len(c.gens)) == 1
 
 
@@ -270,7 +292,7 @@ def is_complete(f: Fan) -> bool:
 def star_subdivision(f: Fan, ray: Sequence) -> Fan:
     """Subdivide at a ray: cones containing it are replaced by joins with
     their facets that avoid it.  The ray must lie in the support."""
-    ray_p = _primitivize(qv(ray), f.lattice)
+    (ray_p,) = _primitivize([qv(ray)], f.lattice)
     containing = [c for c in f.maximal_cones if contains(c, ray_p)]
     if not containing:
         raise InvalidInput("subdivision ray lies outside the support of the fan")

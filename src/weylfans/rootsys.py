@@ -502,8 +502,10 @@ def longest_element(rs: RootSystem) -> WeylElement:
         w0 = reflections[i].compose(w0)
     if len(w0.word) != num_pos:
         raise InvariantViolation(f"longest element of {rs.label} has wrong length")
-    pos = set(rs.positive_root_vectors())
-    if any(tuple(-x for x in w0.apply(b)) not in pos for b in pos):
+    # on integer rows: w0, N over d, sends p/s to minus q/s exactly when N p = -d q
+    pos, _ = _common_ints(rs.positive_root_vectors())
+    targets = {tuple(-w0._den * x for x in q) for q in pos}
+    if any(tuple(sum(map(mul, row, p)) for row in w0._rows) not in targets for p in pos):
         raise InvariantViolation(f"w0 does not send positive roots to negatives in {rs.label}")
     weight_involution(rs, w0)
     return w0

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
 from .linalg import Vector, qm, qv, rank, saturation_basis
-from .polyhedra import Fan, cone, fan, is_complete, is_smooth, _primitivize
+from .polyhedra import Fan, RationalCone, cone, fan, is_complete, is_smooth, _primitivize
 from .rootsys import RootSystem, WeylElement, weyl_enumerate, weyl_order
 
 
@@ -25,12 +25,11 @@ def weyl_chamber_fan(rs: RootSystem, bound: int = 2000) -> Fan:
     """
     group = weyl_enumerate(rs, bound=bound)
     lattice = qm(rs.fundamental_coweights)
+    # W permutes the coweight lattice, so each translate of the coweight
+    # basis is again a basis: its vectors are primitive and independent, and
+    # the cone needs no lattice solve
     cones = [
-        cone(
-            [w.apply(cw) for cw in rs.fundamental_coweights],
-            lattice=lattice,
-            ambient_dim=rs.ambient_dim,
-        )
+        RationalCone(rs.ambient_dim, tuple(sorted(w.apply(cw) for cw in lattice)), lattice)
         for w in group
     ]
     result = fan(cones)
@@ -117,15 +116,13 @@ def ray_orbit_partition(s: ToricSurface, group: Iterable[WeylElement]) -> tuple[
     """Multiset of orbit sizes of the group acting on the rays."""
     rays = list(s.fan.rays())
     ray_set = set(rays)
-    lattice = s.fan.lattice
     group = list(group)
-    images = {}
+    n = len(group)
+    flat = _primitivize([w.apply(r) for r in rays for w in group], s.fan.lattice)
+    images = {r: flat[i * n:(i + 1) * n] for i, r in enumerate(rays)}
     for r in rays:
-        for w in group:
-            img = _primitivize(w.apply(r), lattice)
-            if img not in ray_set:
-                raise InvalidInput(f"group element moves ray {r} off the ray set")
-            images.setdefault(r, []).append(img)
+        if not ray_set.issuperset(images[r]):
+            raise InvalidInput(f"group element moves ray {r} off the ray set")
     sizes = []
     remaining = set(rays)
     while remaining:

@@ -4,11 +4,16 @@ The Fraction vector helpers (dot product, sum, difference, scaling,
 negation, transpose and matrix-vector product), the Fraction coroot,
 reduced row echelon form and inverse by Gauss-Jordan over Fraction, and the
 Fraction matrix product and identity; the package itself no longer has them.
+Also the reference-lattice path before each reader solved once per call:
+``coords_in_basis`` on a process-wide cache of dual rows, and the
+per-generator ``_primitivize`` built on it.
 """
 
 from fractions import Fraction as Q
+from functools import lru_cache
 
 from weylfans.errors import InvalidInput
+from weylfans.linalg import _common_ints, _dual_rows, _int_mat_vec, is_zero_vector, primitive_direction
 
 
 def dot(x, y):
@@ -86,3 +91,30 @@ def identity_matrix(n):
 def mat_mul(a, b):
     bt = transpose(b)
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
+
+
+_dual_basis = lru_cache(maxsize=8192)(_dual_rows)
+
+
+def coords_in_basis(basis_rows, v):
+    """Coordinates of v in a linearly independent spanning set, or None if off-span."""
+    if not basis_rows:
+        return () if is_zero_vector(v) else None
+    if len(v) != len(basis_rows[0]):
+        return None
+    dots, ds = _int_mat_vec(*_dual_basis(basis_rows), v)
+    k = len(basis_rows)
+    if any(dots[k:]):
+        return None
+    return tuple(Q(x, ds) for x in dots[:k])
+
+
+def _old_primitivize(g, lattice):
+    if lattice is None:
+        return primitive_direction(g)
+    coords = coords_in_basis(lattice, g)
+    if coords is None:
+        raise InvalidInput(f"generator {g} lies outside the span of the reference lattice")
+    rows, s = _common_ints(lattice)
+    dots, den = _int_mat_vec(tuple(zip(*rows)), s, primitive_direction(coords))
+    return tuple(Q(x, den) for x in dots)

@@ -129,7 +129,7 @@ def test_criterion_04_invariant_picard_rank():
     f = subtorus_closure_fan(rs, group)
     rays = list(f.rays())
     index = {r: i for i, r in enumerate(rays)}
-    perms = [tuple(index[_primitivize(w.apply(r), f.lattice)] for r in rays) for w in group]
+    perms = [tuple(index[img] for img in _primitivize([w.apply(r) for r in rays], f.lattice)) for w in group]
     relations = [
         [int(f.maximal_cones[0].lattice_coords(r)[j]) for r in rays] for j in range(2)
     ]

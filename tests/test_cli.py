@@ -163,6 +163,18 @@ def test_malformed_fan_document_exit_2(capsys, tmp_path, field, value):
     assert "Traceback" not in err
 
 
+def test_fan_on_empty_lattice_exit_2(capsys, tmp_path):
+    doc = {"ambient_dim": 2, "lattice": [], "rays": [["1/1", "0/1"]], "maximal_cones": [[0]]}
+    path = tmp_path / "empty_lattice.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "fan", "check", "--json", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: generator (Fraction(1, 1), Fraction(0, 1)) "
+        "lies outside the span of the reference lattice\n"
+    )
+
+
 def test_spherical_commands(capsys):
     code, out, _ = run_cli(capsys, "spherical", "wonderful", "--type", "B3")
     assert code == 0

@@ -27,11 +27,13 @@ from old_linalg import (
     vscale,
     vsub,
 )
+from test_linalg import _old_coords_in_basis
 
 from weylfans import jsonio
 from weylfans import lattice as lat
-from weylfans.errors import BasisChangeError
-from weylfans.linalg import _unit, coords_in_basis, qm, qv
+from weylfans import rootsys
+from weylfans.errors import BasisChangeError, InvariantViolation
+from weylfans.linalg import _unit, qm, qv
 from weylfans.rootsys import (
     WeylElement,
     _simple_root_model,
@@ -145,7 +147,7 @@ def _old_to_basis_coords(v, target):
         amb = mat_vec(transpose(lat._basis_rows(v.rs, v.basis)), v.coords)
     if target == "ambient":
         return amb
-    return coords_in_basis(lat._basis_rows(v.rs, target), amb)
+    return _old_coords_in_basis(lat._basis_rows(v.rs, target), amb)
 
 
 def _random_vector(rng, length):
@@ -261,6 +263,33 @@ def test_longest_element_matches_fraction_descent():
         assert len(w0.word) == len(rs.roots) // 2
 
 
+def test_w0_check_on_integer_rows_matches_fraction_check(monkeypatch):
+    """The closing check of longest_element, every positive root sent to a
+    negative one, read on integer rows, against the Fraction check, on all 48
+    bundled types.  Starting the descent at t instead of the identity ends at
+    w0 t, so a start of s_1 or -1 hands the check a wrong element."""
+    verdicts = {True: 0, False: 0}
+    for label in BUNDLED_TYPES:
+        rs = build_root_system(label)
+        w0 = longest_element(rs)
+        pos = set(rs.positive_root_vectors())
+        n = rs.ambient_dim
+        for t in (identity_element(n), simple_reflection(rs, 1), sign_flip(n, range(n))):
+            start = WeylElement._from_ints(t._rows, t._den, ())
+            wrong = w0.compose(start)
+            holds = all(vneg(wrong.apply(b)) in pos for b in pos)
+            monkeypatch.setattr(rootsys, "identity_element", lambda dim: start)
+            if holds:
+                assert longest_element(rs) == wrong == w0, label
+            else:
+                with pytest.raises(InvariantViolation) as exc:
+                    longest_element(rs)
+                assert str(exc.value) == f"w0 does not send positive roots to negatives in {label}"
+            monkeypatch.undo()
+            verdicts[holds] += 1
+    assert verdicts == {True: 48, False: 96}
+
+
 def test_swaps_and_flips_match_fraction_construction():
     for dim in range(1, 9):
         units = [_unit(dim, k) for k in range(dim)]
@@ -349,7 +378,9 @@ def test_lazy_views_are_safe_to_share_between_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
-    assert len(rs._basis_changes) == 4 * 4  # every (source, target) asked for
+    # every (source, target) asked for, and the four (ambient, target) dual
+    # rows that the changes between two bases reuse
+    assert len(rs._basis_changes) == 4 * 4 + 4
 
 
 def test_simple_reflections_and_highest_coroot_match_fraction_construction():

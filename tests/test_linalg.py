@@ -9,7 +9,6 @@ from old_linalg import _old_inverse, _old_rref, dot, identity_matrix, mat_mul, m
 from weylfans import linalg
 from weylfans.errors import InvalidInput
 from weylfans.linalg import (
-    coords_in_basis,
     det,
     minors_gcd,
     primitive_direction,
@@ -19,6 +18,7 @@ from weylfans.linalg import (
     saturation_basis,
     smith_normal_form,
 )
+from weylfans.polyhedra import RationalCone, _lattice_ints
 
 
 def test_basic_solvers():
@@ -28,11 +28,18 @@ def test_basic_solvers():
 
 
 def test_coords_in_basis():
+    """Coordinates in a lattice basis, read by polyhedra's one-solve reader:
+    integer rows over one least denominator, and refusals off the span, at
+    another length and for nonzero vectors of the empty lattice."""
     basis = qm([[1, 0, 0], [0, 1, 0]])
-    assert coords_in_basis(basis, qv([3, 4, 0])) == qv([3, 4])
-    assert coords_in_basis(basis, qv([3, 4, 1])) is None
-    assert coords_in_basis(basis, qv([3, 4])) is None
-    assert coords_in_basis((), qv([0, 0])) == ()
+    assert _lattice_ints(basis, [qv([3, 4, 0])]) == ([[3, 4]], 1)
+    assert _lattice_ints(qm([[2, 0], [0, 3]]), [qv([1, 1]), qv([2, 0])]) == ([[3, 2], [6, 0]], 6)
+    for v in ([3, 4, 1], [3, 4]):
+        with pytest.raises(InvalidInput, match="^vector lies outside the span of the reference lattice$"):
+            _lattice_ints(basis, [qv(v)])
+    assert _lattice_ints((), [qv([0, 0])]) == ([[]], 1)
+    with pytest.raises(InvalidInput, match="outside the span"):
+        _lattice_ints((), [qv([0, 1])])
 
 
 def test_primitive_direction():
@@ -280,14 +287,17 @@ def test_dual_basis_matches_old_coordinate_routines():
                 break
         c = cone(basis)
         old_dual = _old_dual_rows(c.gens)
-        d = linalg._dual_basis(c.gens)[1]
+        d = linalg._dual_rows(c.gens)[1]
         assert [tuple(Q(x, d) for x in row) for row in c.dual_basis()[0][:k]] == list(old_dual[:k])
         for _ in range(4):
             lam = [Q(rng.randint(-1, 4), rng.randint(1, 2)) for _ in range(k)]
             v = mat_vec(transpose(basis), lam)
             if k < dim and rng.random() < 0.5:
                 v = tuple(x + Q(rng.randint(-2, 2)) for x in v)
-            coords = coords_in_basis(basis, v)
+            try:
+                coords = RationalCone(dim, (), basis).lattice_coords(v)
+            except InvalidInput:
+                coords = None
             assert coords == _old_coords_in_basis(basis, v)
             seen["in" if coords is not None else "off"] += 1
             for w in (v, mat_vec(transpose(c.gens), [abs(x) for x in lam])):
@@ -324,9 +334,8 @@ def test_saturation_basis():
     sat = saturation_basis([qv([1, 0, 0, 1]), qv([0, 0, 0, 2])])
     assert len(sat) == 2
     for target in ([1, 0, 0, 0], [0, 0, 0, 1]):
-        coords = coords_in_basis(sat, qv(target))
-        assert coords is not None
-        assert all(x.denominator == 1 for x in coords)
+        _, d = _lattice_ints(sat, [qv(target)])
+        assert d == 1
     third = saturation_basis([qv([Q(1, 3), Q(1, 3), Q(-2, 3)])])
     assert len(third) == 1
     assert primitive_direction(third[0]) in (qv([1, 1, -2]), qv([-1, -1, 2]))
@@ -599,16 +608,16 @@ def test_integer_rows_match_old_fraction_routines(monkeypatch):
         rows = qm([[Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim)] for _ in range(k)])
         if rank(rows) < k:
             with pytest.raises(InvalidInput, match="linearly dependent"):
-                linalg._dual_basis(rows)
+                linalg._dual_rows(rows)
             continue
-        n_rows, d = linalg._dual_basis(rows)
+        n_rows, d = linalg._dual_rows(rows)
         old = _old_dual_rows(rows)
         assert d > 0 and all(type(x) is int for row in n_rows for x in row)
         assert tuple(tuple(Q(x, d) for x in row) for row in n_rows) == old
         negative += det(old) < 0
     assert negative > 50
     with pytest.raises(InvalidInput, match="linearly dependent"):
-        linalg._dual_basis(qm([[1, 0], [0, 1], [1, 1]]))
+        linalg._dual_rows(qm([[1, 0], [0, 1], [1, 1]]))
 
 
 def test_every_linalg_function_is_used_by_the_package():
@@ -656,3 +665,29 @@ def test_every_linalg_function_is_used_by_the_package():
     functions = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
     assert len(functions) > 20
     assert [name for name in functions if name not in reached] == []
+
+
+def test_no_module_level_cache_in_linalg_or_polyhedra():
+    """Reference lattices and dual rows are read per call or kept on the
+    cone or root system they belong to: linalg and polyhedra import neither
+    functools.lru_cache nor functools.cache."""
+    import ast
+    from pathlib import Path
+
+    from weylfans import polyhedra
+
+    for module in (linalg, polyhedra):
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = {
+            (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        attributes = {
+            (node.value.id, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        }
+        for name in ("lru_cache", "cache"):
+            assert ("functools", name) not in imported | attributes, (module.__name__, name)

@@ -10,6 +10,7 @@ from weylfans.errors import InvalidInput
 from weylfans.linalg import _unit, qm, qv, rank
 from weylfans.polyhedra import (
     Fan,
+    RationalCone,
     cone,
     contains,
     covered_by,
@@ -85,6 +86,62 @@ def test_cone_construction():
         cone([[0, 1, 0, 0]], lattice=lat)
     with pytest.raises(InvalidInput, match="linearly dependent"):
         cone([[1, 0]], lattice=[[1, 0], [2, 0]])
+
+
+_OFF_SPAN = "lies outside the span of the reference lattice"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(  # generators shorter than the lattice rows
+            lambda: cone([[1, 0], [0, 1]], lattice=[[1, 0, 0], [0, 1, 0]]),
+            f"generator (Fraction(1, 1), Fraction(0, 1)) {_OFF_SPAN}",
+            id="wrong-length",
+        ),
+        pytest.param(
+            lambda: cone([[0, 0], [1, 0]], lattice=()),
+            f"generator (Fraction(1, 1), Fraction(0, 1)) {_OFF_SPAN}",
+            id="empty-lattice",
+        ),
+        pytest.param(
+            lambda: cone([[1, 0, 0], [0, 0, 3]], lattice=[[1, 0, 0], [0, 1, 0]]),
+            f"generator (Fraction(0, 1), Fraction(0, 1), Fraction(3, 1)) {_OFF_SPAN}",
+            id="off-span",
+        ),
+        pytest.param(
+            lambda: cone([[1, 0, 0]], lattice=[[1, 0, 0], [Q(1, 2), 0, 0]]),
+            "basis rows are linearly dependent",
+            id="dependent-rows",
+        ),
+        pytest.param(
+            lambda: RationalCone(2, (), ()).lattice_coords([0, 1]),
+            f"vector {_OFF_SPAN}",
+            id="coords-empty-lattice",
+        ),
+        pytest.param(
+            lambda: RationalCone(3, (), qm([[1, 0, 0]])).lattice_coords([1, 0]),
+            f"vector {_OFF_SPAN}",
+            id="coords-wrong-length",
+        ),
+        pytest.param(
+            lambda: is_smooth(RationalCone(3, qm([[0, 1, 0]]), qm([[1, 0, 0]]))),
+            f"vector {_OFF_SPAN}",
+            id="smooth-off-span",
+        ),
+        pytest.param(
+            lambda: star_subdivision(fan([cone([[2, 0], [0, 1]], lattice=[[2, 0], [0, 1]])]), [0, 0]),
+            "zero vector has no direction",
+            id="zero-ray",
+        ),
+    ],
+)
+def test_reference_lattice_refusals(build, message):
+    """Each reader of a reference lattice refuses with one exact message."""
+    with pytest.raises(InvalidInput) as refusal:
+        build()
+    assert type(refusal.value) is InvalidInput
+    assert str(refusal.value) == message
 
 
 def test_is_smooth():
