@@ -79,7 +79,7 @@ def _change(rs: RootSystem, source: str, target: str) -> tuple[tuple[tuple[int, 
     if change is not None:
         return change
     if source == "ambient":
-        change = _dual_rows(_basis_rows(rs, target))
+        change = _dual_rows(_basis_rows(rs, target), rs.ambient_dim)
     else:
         ints, s = _common_ints(_basis_rows(rs, source))
         if target == "ambient":

@@ -4,9 +4,10 @@ Everything in the package funnels through this module.  Rank, determinant,
 dual bases, the equality step of feasibility and minor gcds all run on one
 fraction-free core, `_echelon`: rational rows are scaled to integer rows and
 reduced by Bareiss elimination with exact divisions.  A change of
-coordinates reads a dual basis, `_dual_rows`: integer rows over one
-denominator, so a coordinate is one integer dot product.  Nothing here
-caches them: cones and root systems keep their own.  Beside it sit Smith
+coordinates reads a dual basis, `_dual_rows`, one such elimination:
+integer rows over one denominator, so a coordinate is one integer dot
+product.  Nothing here caches them: `cone` and `faces` fill a cone's rows,
+and root systems keep their own.  Beside it sit Smith
 normal form over the integers and one feasibility question, `_eliminate`:
 a yes/no answer for a system of linear equalities and inequalities, on
 integer rows throughout, which every cone question of the package reduces
@@ -130,31 +131,24 @@ def det(m: Matrix) -> Q:
     return Q(d, prod(_row_scale(row) for row in m))
 
 
-def _dual_rows(rows: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
+def _dual_rows(rows: Sequence[Sequence], dim: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Integer rows N and one denominator d > 0; row i of N/d evaluates the
-    i-th coordinate of a vector in an extended basis.
+    i-th coordinate of a vector of Q^dim in an extended basis.
 
-    The independent rows are completed to a basis E of the ambient space by
-    unit vectors, taken greedily in index order, and N/d is the inverse of
-    the transpose of E.  The first len(rows) rows of N/d give the
-    coordinates in the rows; the others vanish exactly on their span.  The
-    greedy choice takes e_j exactly when column j adds nothing to the rank
-    of the columns after it, that is when j is no pivot of the rows read
-    from the last column backwards, so one elimination finds it.  N and d
-    are read off the fraction-free Gauss-Jordan form of [E^T | I], whose
-    pivot rows are d * [I | (E^T)^-1].
+    The independent rows B are completed to a basis E of Q^dim by unit
+    vectors, taken greedily in index order, and N/d is the inverse of the
+    transpose of E: the first len(rows) rows of N/d give the coordinates in
+    the rows, the others vanish exactly on their span, and the empty basis
+    gives the unit rows over 1.  One fraction-free Gauss-Jordan elimination
+    of [B^T | I] finds both: its pivot columns past B are the unit vectors
+    of the greedy completion, and its rows are d * [I | (E^T)^-1].
     """
-    dim = len(rows[0])
-    _, back, _ = _echelon([row[::-1] for row in rows], reduced=False)
-    if len(back) == len(rows):
-        skipped = {dim - 1 - c for c in back}
-        extended = [*rows, *(_int_unit(dim, j) for j in range(dim) if j not in skipped)]
-        aug = [[*col, *_int_unit(dim, i)] for i, col in enumerate(zip(*extended))]
-        a, pivots, d = _echelon(aug)
-        if pivots == list(range(dim)):
-            sign = 1 if d > 0 else -1
-            return tuple(tuple(sign * x for x in row[dim:]) for row in a), sign * d
-    raise InvalidInput("basis rows are linearly dependent")
+    k = len(rows)
+    a, pivots, d = _echelon([[*(row[i] for row in rows), *_int_unit(dim, i)] for i in range(dim)])
+    if pivots[:k] != list(range(k)):
+        raise InvalidInput("basis rows are linearly dependent")
+    sign = 1 if d > 0 else -1
+    return tuple(tuple(sign * x for x in row[k:]) for row in a), sign * d
 
 
 # --- integer lattice utilities ---------------------------------------------

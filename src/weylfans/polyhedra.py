@@ -6,7 +6,8 @@ basis is supplied), read with one solve for the lattice's dual rows per
 call and no cache.  Each cone carries its integer description, the dual
 basis (N, d) of its generators: integer rows over one denominator d > 0,
 whose first rows are the facet functionals and the remaining rows the
-equations of the span.  Every cone question reads these rows exactly:
+equations of the span, from one elimination per cone built by `cone`; its
+faces read theirs off these rows.  Every cone question reads them exactly:
 membership by the signs of integer dot products with the query scaled to
 integers, fan validity by a separating functional combined from the rows,
 coverage by enumerating the open cells of the arrangement of the cover's
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -37,9 +38,9 @@ class RationalCone:
     """A simplicial cone: independent generators, primitive in the lattice.
 
     The integer dual basis of the generators is kept on the cone, out of
-    equality, hashing and repr: `cone` fills it, and `dual_basis` fills it on
-    first use for a cone built directly.  The write is idempotent, so cones
-    stay safe to share between threads.
+    equality, hashing and repr: `cone` and `faces` fill it, and `dual_basis`
+    fills it on first use for a cone built directly.  The write is
+    idempotent, so cones stay safe to share between threads.
     """
 
     ambient_dim: int
@@ -52,9 +53,7 @@ class RationalCone:
         generators, then the equations of their span; unit rows over 1 for
         the zero cone."""
         if self._dual is None:
-            n = self.ambient_dim
-            units = tuple(_int_unit(n, i) for i in range(n))
-            object.__setattr__(self, "_dual", _dual_rows(self.gens) if self.gens else (units, 1))
+            object.__setattr__(self, "_dual", _dual_rows(self.gens, self.ambient_dim))
         return self._dual
 
     @property
@@ -74,15 +73,15 @@ def _lattice_ints(
 ) -> tuple[list[list[int]], int]:
     """Coordinates in the lattice rows (the standard lattice for None), as
     integer rows over their least common denominator, from one dual-row
-    solve whose rows past the rank vanish exactly on the span; the empty
-    lattice spans only zero.  A vector of another length (checked before
-    the solve) or off the span is refused, named by ``name.format(v)``."""
+    solve whose rows past the rank vanish exactly on the span.  A vector of
+    another length (checked before the solve) or off the span is refused,
+    named by ``name.format(v)``."""
     if lattice is None or not vectors:
         return _common_ints(vectors)
     k, dim = len(lattice), len(lattice[0]) if lattice else len(vectors[0])
     off = [v for v in vectors if len(v) != dim]
     if not off:
-        dual, d = _dual_rows(lattice) if lattice else ([_int_unit(dim, i) for i in range(dim)], 1)
+        dual, d = _dual_rows(lattice, dim)
         ints, s = _common_ints(vectors)
         rows = [[sum(map(mul, row, w)) for row in dual] for w in ints]
         off = [v for v, dots in zip(vectors, rows) if any(dots[k:])]
@@ -123,11 +122,10 @@ def cone(
         lattice = qm(lattice)
     prim = tuple(sorted(set(_primitivize([g for g in gens if any(g)], lattice))))
     result = RationalCone(ambient_dim=ambient_dim, gens=prim, lattice=lattice)
-    if prim:
-        try:
-            object.__setattr__(result, "_dual", _dual_rows(prim))
-        except InvalidInput:
-            raise InvalidInput("cone generators must be linearly independent (simplicial cones only)") from None
+    try:
+        object.__setattr__(result, "_dual", _dual_rows(prim, ambient_dim))
+    except InvalidInput:
+        raise InvalidInput("cone generators must be linearly independent (simplicial cones only)") from None
     return result
 
 
@@ -166,11 +164,18 @@ def _face_subsets(k: int) -> Iterable[tuple[int, ...]]:
 
 
 def faces(c: RationalCone) -> list[RationalCone]:
-    """Every face; for a simplicial cone these are the generator subsets."""
-    return [
-        RationalCone(c.ambient_dim, tuple(c.gens[i] for i in s), c.lattice)
-        for s in _face_subsets(len(c.gens))
-    ]
+    """Every face, one per generator subset in `_face_subsets` order, each
+    with the cone's dual basis reordered: its own generators' rows first,
+    then the other generators' rows and the span equations, which together
+    vanish exactly on the face's span."""
+    rows, d = c.dual_basis()
+    out = []
+    for s in _face_subsets(c.dim):
+        f = RationalCone(c.ambient_dim, tuple(c.gens[i] for i in s), c.lattice)
+        order = [*s, *(i for i in range(c.dim) if i not in s)]
+        object.__setattr__(f, "_dual", (tuple(rows[i] for i in order) + rows[c.dim :], d))
+        out.append(f)
+    return out
 
 
 def is_smooth(c: RationalCone) -> bool:
@@ -291,17 +296,19 @@ def is_complete(f: Fan) -> bool:
 
 def star_subdivision(f: Fan, ray: Sequence) -> Fan:
     """Subdivide at a ray: cones containing it are replaced by joins with
-    their facets that avoid it.  The ray must lie in the support."""
+    their facets that avoid it, the facets opposite the generators where the
+    ray's coordinate is nonzero.  The ray must lie in the support."""
     (ray_p,) = _primitivize([qv(ray)], f.lattice)
-    containing = [c for c in f.maximal_cones if contains(c, ray_p)]
-    if not containing:
+    inside = [contains(c, ray_p) for c in f.maximal_cones]
+    if not any(inside):
         raise InvalidInput("subdivision ray lies outside the support of the fan")
-    new_cones = [c for c in f.maximal_cones if not contains(c, ray_p)]
-    for c in containing:
-        for facet in combinations(c.gens, len(c.gens) - 1):
-            facet_cone = RationalCone(c.ambient_dim, facet, c.lattice)
-            if not contains(facet_cone, ray_p):
-                new_cones.append(cone(list(facet) + [ray_p], lattice=c.lattice, ambient_dim=c.ambient_dim))
+    new_cones = [c for c, held in zip(f.maximal_cones, inside) if not held]
+    w = _point_ints(ray_p)
+    for c in compress(f.maximal_cones, inside):
+        for i, row in enumerate(c.dual_basis()[0][: c.dim]):
+            if sum(map(mul, row, w)):
+                facet = [*c.gens[:i], *c.gens[i + 1 :]]
+                new_cones.append(cone([*facet, ray_p], lattice=c.lattice, ambient_dim=c.ambient_dim))
     return fan(new_cones)
 
 

@@ -35,6 +35,7 @@ from .polyhedra import (
     cone,
     contains,
     covered_by,
+    faces,
     zero_cone,
 )
 from .rootsys import RootSystem, build_root_system, longest_element
@@ -160,8 +161,7 @@ def _colored_faces(top: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vect
     _check_face_bound(c.dim)
     inside = [contains(vcone, g) for g in c.gens]
     out = []
-    for subset in _face_subsets(len(c.gens)):
-        f = RationalCone(c.ambient_dim, tuple(c.gens[i] for i in subset), c.lattice)
+    for subset, f in zip(_face_subsets(c.dim), faces(c)):
         if all(inside[i] for i in subset) or _relint_meets_valuation(f, vcone):
             kept = frozenset(d for d in top.colors if contains(f, rho[d]))
             out.append((subset, ColoredCone(cone=f, colors=kept)))
@@ -346,16 +346,14 @@ def intermediate_colored_cones(
     upper: ColoredCone,
 ) -> list[ColoredCone]:
     """Colored cones strictly between two given ones in the colored-face
-    order, enumerated exhaustively from the faces of the upper cone."""
+    order, enumerated exhaustively from the colored faces of the upper cone,
+    each of which lies below it."""
     rho = standard_rho_table(rs)
     vcone = valuation_cone(rs)
-    out = []
-    for cc in colored_faces(upper, vcone, rho):
-        if cc.key() in (lower.key(), upper.key()):
-            continue
-        if _is_colored_face(lower, cc, vcone, rho) and _is_colored_face(cc, upper, vcone, rho):
-            out.append(cc)
-    return out
+    return [
+        cc for cc in colored_faces(upper, vcone, rho)
+        if cc.key() not in (lower.key(), upper.key()) and _is_colored_face(lower, cc, vcone, rho)
+    ]
 
 
 def _is_colored_face(a: ColoredCone, b: ColoredCone, vcone, rho) -> bool:

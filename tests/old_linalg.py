@@ -6,14 +6,17 @@ reduced row echelon form and inverse by Gauss-Jordan over Fraction, and the
 Fraction matrix product and identity; the package itself no longer has them.
 Also the reference-lattice path before each reader solved once per call:
 ``coords_in_basis`` on a process-wide cache of dual rows, and the
-per-generator ``_primitivize`` built on it.
+per-generator ``_primitivize`` built on it.  Both read the two-pass
+``_dual_rows`` kept here verbatim, one elimination to pick the unit-vector
+completion and one Gauss-Jordan to invert, so these oracles do not follow
+the package's one-elimination kernel.
 """
 
 from fractions import Fraction as Q
 from functools import lru_cache
 
 from weylfans.errors import InvalidInput
-from weylfans.linalg import _common_ints, _dual_rows, _int_mat_vec, is_zero_vector, primitive_direction
+from weylfans.linalg import _common_ints, _echelon, _int_mat_vec, _int_unit, is_zero_vector, primitive_direction
 
 
 def dot(x, y):
@@ -91,6 +94,33 @@ def identity_matrix(n):
 def mat_mul(a, b):
     bt = transpose(b)
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
+
+
+def _dual_rows(rows):
+    """Integer rows N and one denominator d > 0; row i of N/d evaluates the
+    i-th coordinate of a vector in an extended basis.
+
+    The independent rows are completed to a basis E of the ambient space by
+    unit vectors, taken greedily in index order, and N/d is the inverse of
+    the transpose of E.  The first len(rows) rows of N/d give the
+    coordinates in the rows; the others vanish exactly on their span.  The
+    greedy choice takes e_j exactly when column j adds nothing to the rank
+    of the columns after it, that is when j is no pivot of the rows read
+    from the last column backwards, so one elimination finds it.  N and d
+    are read off the fraction-free Gauss-Jordan form of [E^T | I], whose
+    pivot rows are d * [I | (E^T)^-1].
+    """
+    dim = len(rows[0])
+    _, back, _ = _echelon([row[::-1] for row in rows], reduced=False)
+    if len(back) == len(rows):
+        skipped = {dim - 1 - c for c in back}
+        extended = [*rows, *(_int_unit(dim, j) for j in range(dim) if j not in skipped)]
+        aug = [[*col, *_int_unit(dim, i)] for i, col in enumerate(zip(*extended))]
+        a, pivots, d = _echelon(aug)
+        if pivots == list(range(dim)):
+            sign = 1 if d > 0 else -1
+            return tuple(tuple(sign * x for x in row[dim:]) for row in a), sign * d
+    raise InvalidInput("basis rows are linearly dependent")
 
 
 _dual_basis = lru_cache(maxsize=8192)(_dual_rows)

@@ -419,7 +419,8 @@ def test_fan_compares_ray_indices_like_fraction_sets():
 
 
 def test_dual_rows_fill_once_under_threads():
-    """Six threads fill and read the rows of the same fresh cones."""
+    """Six threads fill and read the rows of the same fresh cones, and take
+    their faces, which read their rows off the cone's."""
     rng = random.Random(61)
     specs = []
     for _ in range(80):
@@ -438,7 +439,11 @@ def test_dual_rows_fill_once_under_threads():
         try:
             barrier.wait()
             order = range(len(cones)) if t % 2 else range(len(cones) - 1, -1, -1)
-            answers = {i: (cones[i].dual_basis(), [contains(cones[i], p) for p in specs[i][2]]) for i in order}
+            answers = {}
+            for i in order:
+                c = cones[i]
+                face_rows = [(f, f.dual_basis(), [contains(f, p) for p in specs[i][2]]) for f in faces(c)]
+                answers[i] = (c.dual_basis(), [contains(c, p) for p in specs[i][2]], face_rows)
             results[t] = [answers[i] for i in range(len(cones))]
         except Exception as exc:  # reported below
             errors.append(exc)
@@ -449,7 +454,7 @@ def test_dual_rows_fill_once_under_threads():
     for th in threads:
         th.join()
     assert not errors and all(r == results[0] for r in results)
-    for c, (dim, gens, points), (dual, answers) in zip(cones, specs, results[0]):
+    for c, (dim, gens, points), (dual, answers, face_rows) in zip(cones, specs, results[0]):
         rows, d = dual
         assert c._dual == dual and d > 0
         if gens:
@@ -457,3 +462,7 @@ def test_dual_rows_fill_once_under_threads():
         else:
             assert dual == (tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)), 1)
         assert answers == [_coords_contains(c, p) for p in points]
+        assert [f.gens for f, _, _ in face_rows] == [f.gens for f in faces(c)]
+        for f, (rows, d), face_answers in face_rows:
+            assert d == dual[1] and sorted(rows) == sorted(dual[0])
+            assert face_answers == [_coords_contains(f, p) for p in points]

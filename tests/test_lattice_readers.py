@@ -10,13 +10,13 @@ from fractions import Fraction as Q
 from math import lcm
 
 import pytest
-from old_linalg import _old_primitivize, coords_in_basis, mat_vec, transpose
+from old_linalg import _dual_rows, _old_primitivize, coords_in_basis, mat_vec, transpose
 from test_linalg import _old_coords_in_basis
 
 from weylfans import toric
 from weylfans.casebook import _e8_wprime, _f4_wprime
 from weylfans.errors import InvalidInput
-from weylfans.linalg import _common_ints, _dual_rows, minors_gcd, qm, qv, rank, saturation_basis
+from weylfans.linalg import _common_ints, minors_gcd, qm, qv, rank, saturation_basis
 from weylfans.polyhedra import RationalCone, _lattice_ints, _primitivize, cone, fan, is_smooth
 from weylfans.rootsys import build_root_system, simple_reflection, weyl_enumerate
 

@@ -287,7 +287,7 @@ def test_dual_basis_matches_old_coordinate_routines():
                 break
         c = cone(basis)
         old_dual = _old_dual_rows(c.gens)
-        d = linalg._dual_rows(c.gens)[1]
+        d = linalg._dual_rows(c.gens, dim)[1]
         assert [tuple(Q(x, d) for x in row) for row in c.dual_basis()[0][:k]] == list(old_dual[:k])
         for _ in range(4):
             lam = [Q(rng.randint(-1, 4), rng.randint(1, 2)) for _ in range(k)]
@@ -608,16 +608,16 @@ def test_integer_rows_match_old_fraction_routines(monkeypatch):
         rows = qm([[Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim)] for _ in range(k)])
         if rank(rows) < k:
             with pytest.raises(InvalidInput, match="linearly dependent"):
-                linalg._dual_rows(rows)
+                linalg._dual_rows(rows, dim)
             continue
-        n_rows, d = linalg._dual_rows(rows)
+        n_rows, d = linalg._dual_rows(rows, dim)
         old = _old_dual_rows(rows)
         assert d > 0 and all(type(x) is int for row in n_rows for x in row)
         assert tuple(tuple(Q(x, d) for x in row) for row in n_rows) == old
         negative += det(old) < 0
     assert negative > 50
     with pytest.raises(InvalidInput, match="linearly dependent"):
-        linalg._dual_rows(qm([[1, 0], [0, 1], [1, 1]]))
+        linalg._dual_rows(qm([[1, 0], [0, 1], [1, 1]]), 2)
 
 
 def test_every_linalg_function_is_used_by_the_package():

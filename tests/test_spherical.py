@@ -144,6 +144,37 @@ def test_no_intermediate_colored_cone():
     assert intermediate_colored_cones(rs, lower, upper) == []
 
 
+def _int_key(cc):
+    return tuple(tuple(int(x) for x in g) for g in cc.cone.gens), tuple(sorted(cc.colors))
+
+
+def test_intermediate_colored_cones():
+    """Every colored face of the upper cone lies below it, so the only test
+    left is the one against the lower cone."""
+    from weylfans.polyhedra import zero_cone
+
+    a2, b3 = build_root_system("A2"), build_root_system("B3")
+    expected = {
+        a2: [(((-1, 0),), ()), (((0, -1),), ())],
+        b3: [
+            (((-1, 0, 0),), ()),
+            (((0, -1, 0),), ()),
+            (((0, 0, -1),), ()),
+            (((-1, 0, 0), (0, -1, 0)), ()),
+            (((-1, 0, 0), (0, 0, -1)), ()),
+            (((0, -1, 0), (0, 0, -1)), ()),
+        ],
+    }
+    for rs, keys in expected.items():
+        lower = ColoredCone(cone=zero_cone(rs.rank), colors=frozenset())
+        upper = ColoredCone(cone=valuation_cone(rs), colors=frozenset())
+        assert [_int_key(cc) for cc in intermediate_colored_cones(rs, lower, upper)] == keys
+    c3 = build_root_system("C3")
+    between = intermediate_colored_cones(c3, chain_cone(c3, 1), chain_cone(c3, 3))
+    assert [_int_key(cc) for cc in between] == [(((-1, 0, 0), (2, -1, 0)), (color_symbol(1),))]
+    assert between == [chain_cone(c3, 2)]
+
+
 def test_is_complete_embedding():
     from weylfans.polyhedra import zero_cone
 
