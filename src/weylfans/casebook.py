@@ -28,7 +28,7 @@ from .isotropic import (
 )
 from .jsonio import encode_vector
 from .linalg import _unit, qv
-from .polyhedra import _lattice_ints, _primitivize, contains, covered_by, is_smooth
+from .polyhedra import _lattice_ints, contains, covered_by, is_smooth
 from .rootsys import (
     build_root_system,
     coordinate_swap,
@@ -38,6 +38,7 @@ from .rootsys import (
     weyl_order,
 )
 from .toric import (
+    _ray_maps,
     blowup_boundary_point,
     coefficient_spectrum,
     hirzebruch_ledger,
@@ -201,17 +202,13 @@ def _case_f4_wprime(seed: int) -> CaseReport:
     )
 
 
-def _subtorus_case(case_id: str, label: str, rs, group) -> CaseReport:
-    f = subtorus_closure_fan(rs, group)
+def _subtorus_case(case_id: str, label: str, rs, group, f) -> CaseReport:
     surface = toric_surface(f)
     rays = list(f.rays())
-    index = {r: i for i, r in enumerate(rays)}
-    images = [index[img] for img in _primitivize([w.apply(r) for w in group for r in rays], f.lattice)]
-    perms = [tuple(images[i:i + len(rays)]) for i in range(0, len(images), len(rays))]
     # the rays are primitive lattice vectors, so their coordinates are integers
     coords, _ = _lattice_ints(f.lattice, rays)
     relations = [list(row) for row in zip(*coords)]
-    inv_rank = invariant_picard_rank(len(rays), perms, relations)
+    inv_rank = invariant_picard_rank(len(rays), _ray_maps(f, group), relations)
     given = sorted(
         {tuple(w.apply(rs.fundamental_coweights[0])) for w in group}
         | {tuple(w.apply(rs.fundamental_coweights[rs.rank - 1])) for w in group}
@@ -248,17 +245,16 @@ def _subtorus_case(case_id: str, label: str, rs, group) -> CaseReport:
 
 def _case_f4_subtorus(seed: int) -> CaseReport:
     rs, group = _f4_wprime()
-    return _subtorus_case("f4-subtorus-fan", "F4", rs, group)
+    return _subtorus_case("f4-subtorus-fan", "F4", rs, group, subtorus_closure_fan(rs, group))
 
 
 def _case_e8_subtorus(seed: int) -> CaseReport:
     rs, group = _e8_wprime()
-    report = _subtorus_case("e8-subtorus-fan", "E8", rs, group)
+    e8_fan = subtorus_closure_fan(rs, group)
+    report = _subtorus_case("e8-subtorus-fan", "E8", rs, group, e8_fan)
     # additionally: the surface is lattice-isomorphic to the one from F4
     rs4, group4 = _f4_wprime()
-    f4_fan = subtorus_closure_fan(rs4, group4)
-    e8_fan = subtorus_closure_fan(rs, group)
-    same = _fans_lattice_isomorphic(f4_fan, e8_fan)
+    same = _fans_lattice_isomorphic(subtorus_closure_fan(rs4, group4), e8_fan)
     computed = dict(report.computed)
     computed["same_combinatorial_fan_as_f4"] = same
     expected = dict(report.expected)
@@ -619,7 +615,11 @@ def _case_wonderful_anticanonical(seed: int) -> CaseReport:
         rs = build_root_system(label)
         div = sph.wonderful_anticanonical_divisor(rs)
         image = sph.divisor_weight(rs, div)
-        anti = lat.anticanonical_weight(rs)  # raises unless regular dominant
+        try:
+            anti = lat.anticanonical_weight(rs)
+        except InvalidInput:  # not regular dominant
+            all_regular = matches_weight = False
+            continue
         if image.coords != anti.coords:
             matches_weight = False
     a1 = build_root_system("A1")

@@ -42,29 +42,12 @@ class DoubledSpace:
         return 2 * self.block_dim
 
     def block_form(self) -> Matrix:
-        m = self.block_dim
-        if self.kind == "symplectic":
-            n = self.half_rank
-            rows = [[Q(0)] * m for _ in range(m)]
-            for i in range(n):
-                rows[i][n + i] = Q(1)
-                rows[n + i][i] = Q(-1)
-            return qm(rows)
-        rows = [[Q(0)] * m for _ in range(m)]
-        for i in range(m):
-            rows[i][m - 1 - i] = Q(1)
-        return qm(rows)
+        """The form on one summand: the first block_dim rows of `_form_index`."""
+        return _signed_permutation(_form_index(self)[: self.block_dim])
 
     def form(self) -> Matrix:
         """The difference form on the doubled space, block diagonal."""
-        m = self.block_dim
-        f0 = self.block_form()
-        rows = [[Q(0)] * (2 * m) for _ in range(2 * m)]
-        for i in range(m):
-            for j in range(m):
-                rows[i][j] = f0[i][j]
-                rows[m + i][m + j] = -f0[i][j]
-        return qm(rows)
+        return _signed_permutation(_form_index(self))
 
 
 def symplectic_doubled(n: int) -> DoubledSpace:
@@ -90,6 +73,13 @@ def _form_index(space: DoubledSpace) -> tuple[tuple[int, int], ...]:
         first = [(m - 1 - i, 1) for i in range(m)]
     # the second summand carries the negated form
     return tuple(first + [(m + j, -sign) for j, sign in first])
+
+
+def _signed_permutation(index: tuple[tuple[int, int], ...]) -> Matrix:
+    """The matrix whose row i holds sign at column position, for each
+    (position, sign) of the index."""
+    n = len(index)
+    return tuple(tuple(Q(sign if c == j else 0) for c in range(n)) for j, sign in index)
 
 
 def _form_apply(space: DoubledSpace, v) -> list:

@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals and the integers.
 
 Everything in the package funnels through this module.  Rank, determinant,
-dual bases, the equality step of feasibility and minor gcds all run on one
+dual bases and the equality step of feasibility all run on one
 fraction-free core, `_echelon`: rational rows are scaled to integer rows and
 reduced by Bareiss elimination with exact divisions.  A change of
 coordinates reads a dual basis, `_dual_rows`, one such elimination:
 integer rows over one denominator, so a coordinate is one integer dot
 product.  Nothing here caches them: `cone` and `faces` fill a cone's rows,
 and root systems keep their own.  Beside it sit Smith
-normal form over the integers and one feasibility question, `_eliminate`:
+normal form over the integers, which also decides smoothness, and one
+feasibility question, `_eliminate`:
 a yes/no answer for a system of linear equalities and inequalities, on
 integer rows throughout, which every cone question of the package reduces
 to.  Fraction stays at every public function's inputs and outputs: the only
@@ -19,7 +20,6 @@ Fraction helpers left are the coercions at that boundary, `qv`, `qm` and
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -391,18 +391,3 @@ def _eliminate(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constra
         system = new_system
 
     return all(rhs <= 0 for _, rhs in system)
-
-
-def minors_gcd(m: Sequence[Sequence[int]], k: int) -> int:
-    """gcd of all k x k minors of an integer matrix with k rows."""
-    if len(m) != k:
-        raise InvalidInput("minors_gcd needs a matrix with exactly k rows")
-    cols = len(m[0]) if m else 0
-    g = 0
-    for sel in combinations(range(cols), k):
-        _, pivots, d = _echelon([[row[c] for c in sel] for row in m], reduced=False)
-        if len(pivots) == k:
-            g = gcd(g, abs(d))
-            if g == 1:
-                return 1
-    return g

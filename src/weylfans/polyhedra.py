@@ -9,11 +9,12 @@ whose first rows are the facet functionals and the remaining rows the
 equations of the span, from one elimination per cone built by `cone`; its
 faces read theirs off these rows.  Every cone question reads them exactly:
 membership by the signs of integer dot products with the query scaled to
-integers, fan validity by a separating functional combined from the rows,
-coverage by enumerating the open cells of the arrangement of the cover's
-rows read on the target's generator weights, each leaf cell decided by the
-signs its path fixed.  A fan compares its cones by generator indices into
-its ray list.
+integers, fan validity by a functional combined from the rows that
+separates two cones and vanishes on the generators they share, coverage
+by enumerating the open cells of the arrangement of the cover's rows read
+on the target's generator weights, each leaf cell decided by the signs its
+path fixed.  A fan compares its cones by generator indices into its ray
+list.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import InvalidInput
 from .linalg import (
     Matrix, Vector, _common_ints, _dual_rows, _eliminate, _int_unit, _row_scale,
-    _scaled_ints, minors_gcd, primitive_direction, qm, qv,
+    _scaled_ints, primitive_direction, qm, qv, smith_normal_form,
 )
 
 
@@ -183,7 +184,8 @@ def is_smooth(c: RationalCone) -> bool:
     if not c.gens:
         return True
     rows, s = _lattice_ints(c.lattice, c.gens)
-    return s == 1 and minors_gcd(rows, len(c.gens)) == 1
+    # exactly when their integer coordinates have one invariant factor 1 per row
+    return s == 1 and smith_normal_form(rows)[0].count(1) == len(rows)
 
 
 @dataclass(frozen=True)
@@ -205,32 +207,28 @@ class Fan:
         return [seen[k] for k in sorted(seen)]
 
 
-def _face_compatible(
-    c1: RationalCone, c2: RationalCone, ids1: Sequence[int], ids2: Sequence[int],
-    rays_in_c1: frozenset, rays_in_c2: frozenset,
-) -> bool:
+def _face_compatible(c1: RationalCone, c2: RationalCone, key1: Sequence[int], key2: Sequence[int]) -> bool:
     """Whether the two cones intersect in a common face.
 
-    Decided by searching for a separating functional that vanishes on the
-    shared generators and is strictly positive (negative) on the remaining
-    generators of the first (second) cone; for polyhedral cones such a
-    functional exists exactly when the intersection is a common face.
-    Rays are named by their indices into the fan's ray list: ids1 and ids2
-    name each cone's generators, and the ray-membership sets the rays of the
-    fan lying in each cone.
+    The keys name each cone's generators by their indices into the fan's
+    ray list, and the face is the one their shared generators span.  The
+    cones meet in it exactly when a functional vanishes on the shared
+    generators and is strictly positive (negative) on the remaining
+    generators of the first (second) cone (Cox, Little and Schenck, Toric
+    Varieties, Lemma 1.2.13).  A generator of one cone lying in the other
+    without being one of its generators leaves no such functional, so the
+    pair is refused without testing ray membership.
     """
-    s1 = {r for r in ids1 if r in rays_in_c2}
-    if s1 != {r for r in ids2 if r in rays_in_c1}:
-        return False
-    extras2 = [h for h, r in zip(c2.gens, ids2) if r not in s1]
-    if not extras2 and len(s1) == len(c1.gens):
+    shared = set(key1) & set(key2)
+    extras2 = [h for h, r in zip(c2.gens, key2) if r not in shared]
+    if not extras2 and len(shared) == len(c1.gens):
         return True
     # the functional is u = sum a_j N_j over the rows N_j of c1's dual basis:
     # u . g_j = d a_j on c1's generators and the equation rows vanish there,
     # so a_j is 0 on shared generators, at least 1 on the others, and free
     # on the equation rows; every other generator h of c2 needs u . h <= -1
     k = len(c1.gens)
-    free = [*(j for j, r in enumerate(ids1) if r not in s1), *range(k, c1.ambient_dim)]
+    free = [*(j for j, r in enumerate(key1) if r not in shared), *range(k, c1.ambient_dim)]
     on_h = _rows_on_weights(c1, extras2)
     ineqs = [(_int_unit(len(free), i), 1) for i, j in enumerate(free) if j < k]
     ineqs += [(tuple(-on_h[j][t] for j in free), 1) for t in range(len(extras2))]
@@ -260,12 +258,8 @@ def fan(cones: Iterable[RationalCone], validate: bool = True) -> Fan:
     maximal = [unique[key] for key in keys]
     result = Fan(ambient_dim=dim, maximal_cones=tuple(maximal), lattice=lattice)
     if validate:
-        # the absorbed cones' generators are rays of maximal cones too
-        points = [_point_ints(r) for r in rays]
-        membership = [frozenset(i for i, w in enumerate(points) if _holds(c, w)) for c in maximal]
-        for i, j in combinations(range(len(maximal)), 2):
-            a, b = maximal[i], maximal[j]
-            if not _face_compatible(a, b, keys[i], keys[j], membership[i], membership[j]):
+        for (a, key_a), (b, key_b) in combinations(zip(maximal, keys), 2):
+            if not _face_compatible(a, b, key_a, key_b):
                 raise InvalidInput(f"cones {a.gens} and {b.gens} do not intersect in a common face")
     return result
 

@@ -31,6 +31,8 @@ from .linalg import (
 from .polyhedra import (
     RationalCone,
     _face_subsets,
+    _holds,
+    _point_ints,
     _rows_on_weights,
     cone,
     contains,
@@ -323,9 +325,13 @@ def extends_to_morphism(
 
     for cc in source.cones:
         mapped = [g if lattice_map is None else _int_mat_vec(rows, 1, g)[0] for g in cc.cone.gens]
+        # each image scaled to integers once, then read by every target cone
+        points = [_point_ints(g) for g in mapped]
         found = False
         for tc in target.cones:
-            if all(contains(tc.cone, g) for g in mapped) and all(
+            if mapped and len(mapped[0]) != tc.cone.ambient_dim:
+                raise InvalidInput("dimension mismatch in cone membership")
+            if all(_holds(tc.cone, w) for w in points) and all(
                 d in dominant or d in tc.colors for d in cc.colors
             ):
                 found = True

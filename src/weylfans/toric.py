@@ -3,7 +3,9 @@ bookkeeping used for anticanonical divisors of surface blowups.
 
 Chamber fans live in the coweight lattice of their root system; subtorus
 closure fans live in a two-dimensional plane of coweights, with rays stored
-primitive in the plane's saturated integer lattice.
+primitive in the plane's saturated integer lattice.  Ray orbits and the
+invariant Picard rank are read off the group's generators as index maps,
+through one orbit search.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import BoundExceeded, InvalidInput, InvariantViolation
+from .errors import InvalidInput, InvariantViolation
 from .linalg import Vector, qm, qv, rank, saturation_basis
 from .polyhedra import Fan, RationalCone, cone, fan, is_complete, is_smooth, _primitivize
 from .rootsys import RootSystem, WeylElement, weyl_enumerate, weyl_order
@@ -112,32 +114,43 @@ def picard_number(s: ToricSurface) -> int:
     return len(s.fan.rays()) - 2
 
 
-def ray_orbit_partition(s: ToricSurface, group: Iterable[WeylElement]) -> tuple[int, ...]:
-    """Multiset of orbit sizes of the group acting on the rays."""
-    rays = list(s.fan.rays())
-    ray_set = set(rays)
-    group = list(group)
-    n = len(group)
-    flat = _primitivize([w.apply(r) for r in rays for w in group], s.fan.lattice)
-    images = {r: flat[i * n:(i + 1) * n] for i, r in enumerate(rays)}
-    for r in rays:
-        if not ray_set.issuperset(images[r]):
-            raise InvalidInput(f"group element moves ray {r} off the ray set")
-    sizes = []
-    remaining = set(rays)
+def _orbits(size: int, maps: Sequence[Sequence[int]]) -> list[set[int]]:
+    """Orbits on range(size) of the group generated by index maps, each a
+    permutation of range(size): following images alone closes an orbit,
+    because a permutation of a finite set has its inverse among its powers."""
+    remaining = set(range(size))
+    orbits = []
     while remaining:
         seed = remaining.pop()
-        orbit = {seed}
-        frontier = [seed]
+        orbit, frontier = {seed}, [seed]
         while frontier:
             x = frontier.pop()
-            for img in images[x]:
-                if img in remaining:
-                    remaining.remove(img)
-                    orbit.add(img)
-                    frontier.append(img)
-        sizes.append(len(orbit))
-    return tuple(sorted(sizes))
+            for p in maps:
+                if p[x] in remaining:
+                    remaining.remove(p[x])
+                    orbit.add(p[x])
+                    frontier.append(p[x])
+        orbits.append(orbit)
+    return orbits
+
+
+def _ray_maps(f: Fan, group: Sequence[WeylElement]) -> list[tuple[int, ...]]:
+    """Each group element as an index map on the fan's rays; an element that
+    moves a ray off the ray set is refused, naming the first such ray."""
+    rays = f.rays()
+    index = {r: i for i, r in enumerate(rays)}
+    n = len(group)
+    flat = _primitivize([w.apply(r) for r in rays for w in group], f.lattice)
+    for i, r in enumerate(rays):
+        if not all(img in index for img in flat[i * n:(i + 1) * n]):
+            raise InvalidInput(f"group element moves ray {r} off the ray set")
+    return [tuple(index[img] for img in flat[t::n]) for t in range(n)]
+
+
+def ray_orbit_partition(s: ToricSurface, group: Iterable[WeylElement]) -> tuple[int, ...]:
+    """Multiset of orbit sizes of the group acting on the rays."""
+    maps = _ray_maps(s.fan, list(group))
+    return tuple(sorted(len(o) for o in _orbits(len(s.rays()), maps)))
 
 
 def invariant_picard_rank(
@@ -151,7 +164,10 @@ def invariant_picard_rank(
 
     The action must permute the basis and preserve the rational span of the
     relations; the rank is the dimension of the image of the averaging
-    projector in the quotient, never more than the number of orbits.
+    projector in the quotient, never more than the number of orbits.  The
+    generators decide both: a group preserves the span when its generators
+    do, and has their orbits.  So no group element beyond them is formed,
+    and ``closure_bound``, kept for callers, bounds nothing.
     """
     perms = []
     for p in action:
@@ -159,51 +175,20 @@ def invariant_picard_rank(
         if sorted(p) != list(range(basis_size)):
             raise InvalidInput("action entries must be permutations of the basis")
         perms.append(p)
-    if not perms:
-        perms = [tuple(range(basis_size))]
-    # close under composition so averaging is over the whole group
-    closed = {tuple(range(basis_size))}
-    frontier = list(closed)
-    while frontier:
-        g = frontier.pop()
-        for p in perms:
-            comp = tuple(g[p[i]] for i in range(basis_size))
-            if comp not in closed:
-                if len(closed) >= closure_bound:
-                    raise BoundExceeded("permutation closure exceeded the bound")
-                closed.add(comp)
-                frontier.append(comp)
+    if any(len(row) != basis_size for row in relations):
+        raise InvalidInput("relation rows need one entry per basis element")
 
     rel_rows = qm(relations) if relations else ()
     rel_rank = rank(rel_rows) if rel_rows else 0
-    for g in closed:
-        for row in rel_rows:
-            permuted = tuple(row[g[i]] for i in range(basis_size))
-            stacked = qm(list(rel_rows) + [qv(permuted)])
-            if rank(stacked) != rel_rank:
-                raise InvalidInput("action does not preserve the relation span")
+    permuted = [qv(row[p[i]] for i in range(basis_size)) for p in perms for row in rel_rows]
+    if permuted and rank(qm(list(rel_rows) + permuted)) != rel_rank:
+        raise InvalidInput("action does not preserve the relation span")
 
-    # orbits of the closed group on basis positions
-    remaining = set(range(basis_size))
-    indicators = []
-    orbit_count = 0
-    while remaining:
-        seed = remaining.pop()
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            x = frontier.pop()
-            for g in closed:
-                if g[x] in remaining:
-                    remaining.remove(g[x])
-                    orbit.add(g[x])
-                    frontier.append(g[x])
-        orbit_count += 1
-        indicators.append(qv([1 if i in orbit else 0 for i in range(basis_size)]))
-
+    orbits = _orbits(basis_size, perms)
+    indicators = [qv(1 if i in orbit else 0 for i in range(basis_size)) for orbit in orbits]
     stacked = qm(list(indicators) + list(rel_rows))
     result = rank(stacked) - rel_rank
-    if result > orbit_count:
+    if result > len(orbits):
         raise InvariantViolation("invariant rank exceeded the orbit count")
     return result
 

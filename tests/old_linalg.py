@@ -4,7 +4,9 @@ The Fraction vector helpers (dot product, sum, difference, scaling,
 negation, transpose and matrix-vector product), the Fraction coroot,
 reduced row echelon form and inverse by Gauss-Jordan over Fraction, and the
 Fraction matrix product and identity; the package itself no longer has them.
-Also the reference-lattice path before each reader solved once per call:
+Also ``minors_gcd``, one Bareiss elimination per k x k minor, which decided
+smoothness before the Smith normal form did.  And the reference-lattice
+path before each reader solved once per call:
 ``coords_in_basis`` on a process-wide cache of dual rows, and the
 per-generator ``_primitivize`` built on it.  Both read the two-pass
 ``_dual_rows`` kept here verbatim, one elimination to pick the unit-vector
@@ -14,6 +16,8 @@ the package's one-elimination kernel.
 
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import combinations
+from math import gcd
 
 from weylfans.errors import InvalidInput
 from weylfans.linalg import _common_ints, _echelon, _int_mat_vec, _int_unit, is_zero_vector, primitive_direction
@@ -148,3 +152,18 @@ def _old_primitivize(g, lattice):
     rows, s = _common_ints(lattice)
     dots, den = _int_mat_vec(tuple(zip(*rows)), s, primitive_direction(coords))
     return tuple(Q(x, den) for x in dots)
+
+
+def minors_gcd(m, k):
+    """gcd of all k x k minors of an integer matrix with k rows."""
+    if len(m) != k:
+        raise InvalidInput("minors_gcd needs a matrix with exactly k rows")
+    cols = len(m[0]) if m else 0
+    g = 0
+    for sel in combinations(range(cols), k):
+        _, pivots, d = _echelon([[row[c] for c in sel] for row in m], reduced=False)
+        if len(pivots) == k:
+            g = gcd(g, abs(d))
+            if g == 1:
+                return 1
+    return g

@@ -139,3 +139,25 @@ def test_fans_lattice_isomorphic_matches_fraction_version():
     # isomorphic pairs beyond each fan with itself (F4 and E8 at least)
     assert len(fans) == 17 and verdicts[True] > 17 and verdicts[False] > 0
     assert same_counts_apart > 0
+
+
+def test_wonderful_anticanonical_reports_a_type_that_is_not_regular_dominant(monkeypatch, capsys):
+    """A type whose anticanonical weight is refused fails the case, with a
+    report and exit 1, instead of escaping as an error."""
+    from weylfans import cli, lattice
+
+    real = lattice.anticanonical_weight
+
+    def refuse_d5(rs):
+        if rs.label == "D5":
+            raise InvalidInput(f"anticanonical weight of {rs.label} is not regular dominant")
+        return real(rs)
+
+    monkeypatch.setattr(lattice, "anticanonical_weight", refuse_d5)
+    report = run_case("wonderful-anticanonical")
+    assert report.verdict == "fail"
+    assert report.computed["regular_dominant_all_rank_le8"] is False
+    assert report.computed["rank_one_anticanonical_degree"] == 4
+    assert cli.main(["verify", "--case", "wonderful-anticanonical"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("[FAIL] wonderful-anticanonical") and err == ""

@@ -8,6 +8,7 @@ convexity shortcut against a feasibility test per face, and fans compared
 by ray indices against sets of Fraction tuples.  The yes/no elimination is
 checked against the witness in test_linalg."""
 
+import inspect
 import random
 import threading
 from fractions import Fraction as Q
@@ -23,7 +24,7 @@ from test_linalg import (
 
 from weylfans import polyhedra, spherical
 from weylfans.errors import InvalidInput
-from weylfans.linalg import _unit, is_zero_vector, primitive_direction, qm, qv, rank
+from weylfans.linalg import _eliminate, _int_unit, _unit, is_zero_vector, primitive_direction, qm, qv, rank
 from weylfans.polyhedra import RationalCone, _rows_on_weights, cone, contains, covered_by, faces, zero_cone
 from weylfans.rootsys import build_root_system
 from weylfans.toric import weyl_chamber_fan
@@ -225,12 +226,56 @@ def _colored_and_chamber_fans():
         yield list(f.maximal_cones), f.maximal_cones[0]
 
 
-def _accepts(cones):
+def _membership_face_compatible(c1, c2, ids1, ids2, rays_in_c1, rays_in_c2):
+    """The face test before it read shared generators off the keys: the
+    rays of the fan lying in each cone, by index, must agree on both."""
+    s1 = {r for r in ids1 if r in rays_in_c2}
+    if s1 != {r for r in ids2 if r in rays_in_c1}:
+        return False
+    extras2 = [h for h, r in zip(c2.gens, ids2) if r not in s1]
+    if not extras2 and len(s1) == len(c1.gens):
+        return True
+    k = len(c1.gens)
+    free = [*(j for j, r in enumerate(ids1) if r not in s1), *range(k, c1.ambient_dim)]
+    on_h = _rows_on_weights(c1, extras2)
+    ineqs = [(_int_unit(len(free), i), 1) for i, j in enumerate(free) if j < k]
+    ineqs += [(tuple(-on_h[j][t] for j in free), 1) for t in range(len(extras2))]
+    return _eliminate(len(free), [], ineqs)
+
+
+def _membership_fan_outcome(cones):
+    """fan() validation as it was: every maximal cone tested against every
+    ray, then every pair through the membership face test; None when it
+    accepts, else the refusal message."""
+    try:
+        f = polyhedra.fan(cones, validate=False)
+    except InvalidInput as exc:
+        return str(exc)
+    index = {r: i for i, r in enumerate(f.rays())}
+    maximal = f.maximal_cones
+    keys = [tuple(index[g] for g in c.gens) for c in maximal]
+    membership = [frozenset(i for r, i in index.items() if contains(c, r)) for c in maximal]
+    for i, j in combinations(range(len(maximal)), 2):
+        a, b = maximal[i], maximal[j]
+        if not _membership_face_compatible(a, b, keys[i], keys[j], membership[i], membership[j]):
+            return f"cones {a.gens} and {b.gens} do not intersect in a common face"
+    return None
+
+
+def _outcome(cones):
     try:
         polyhedra.fan(cones)
-    except InvalidInput:
-        return False
-    return True
+    except InvalidInput as exc:
+        return str(exc)
+    return None
+
+
+def _accepts(cones):
+    """fan()'s verdict, which must match the membership-based validation,
+    refusal message included."""
+    outcome = _outcome(cones)
+    assert outcome == _membership_fan_outcome(cones)
+    return outcome is None
 
 
 def _old_accepts(cones):
@@ -247,12 +292,9 @@ def _ray_sets(c1, c2):
 
 
 def _ray_ids(c1, c2):
-    """Generator indices and ray-membership index sets of the two cones,
-    into their sorted joint ray list."""
+    """The two cones' keys: generator indices into their sorted joint ray list."""
     rays = sorted(set(c1.gens) | set(c2.gens))
-    ids = [tuple(rays.index(g) for g in c.gens) for c in (c1, c2)]
-    members = [frozenset(i for i, r in enumerate(rays) if contains(c, r)) for c in (c1, c2)]
-    return (*ids, *members)
+    return tuple(tuple(rays.index(g) for g in c.gens) for c in (c1, c2))
 
 
 def _compare(c1, c2, vcone, seen):
@@ -416,6 +458,45 @@ def test_fan_compares_ray_indices_like_fraction_sets():
             assert [c.gens for c in maximal] == expected
         verdicts[verdict] += 1
     assert min(verdicts.values()) > 30
+
+
+def _rays_in_faces(cones):
+    """Two broken versions of a fan, in each of which a ray of one maximal
+    cone lies in a face of another without being its generator: the largest
+    cone star-subdivided at p, the sum of its first two generators, beside
+    neighbours that keep that face whole (a valid fan again when the cone
+    has two generators, so the face is the cone); and the fan plus the cone
+    on p and the negated first generator, which meets the largest cone in
+    the cone on p and the second generator."""
+    top = max(cones, key=lambda c: c.dim)
+    g0, g1 = top.gens[:2]
+    p = vadd(g0, g1)
+    sub = polyhedra.star_subdivision(polyhedra.fan([top]), p).maximal_cones
+    wedge = cone([p, vneg(g0)], lattice=top.lattice, ambient_dim=top.ambient_dim)
+    return [[*(c for c in cones if c is not top), *sub], [*cones, wedge]]
+
+
+def test_fan_validation_reads_shared_generators_not_ray_membership(monkeypatch):
+    """fan() gives the membership-based verdict and refusal message on the
+    seeded cone pairs and on rays placed in the faces of the chamber and
+    colored fans, without testing any ray against any cone."""
+    assert list(inspect.signature(polyhedra._face_compatible).parameters) == ["c1", "c2", "key1", "key2"]
+    cases = [list(_random_cone_pair(random.Random(seed))) for seed in range(60)]
+    for cones, _ in _colored_and_chamber_fans():
+        cases += _rays_in_faces(cones)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fan validation tested ray membership")
+
+    verdicts = {True: 0, False: 0}
+    for cones in cases:
+        expected = _membership_fan_outcome(cones)
+        with monkeypatch.context() as m:
+            m.setattr(polyhedra, "_holds", refuse)
+            m.setattr(polyhedra, "contains", refuse)
+            assert _outcome(cones) == expected
+        verdicts[expected is None] += 1
+    assert min(verdicts.values()) >= 40
 
 
 def test_dual_rows_fill_once_under_threads():

@@ -10,15 +10,15 @@ from fractions import Fraction as Q
 from math import lcm
 
 import pytest
-from old_linalg import _dual_rows, _old_primitivize, coords_in_basis, mat_vec, transpose
+from old_linalg import _dual_rows, _old_primitivize, coords_in_basis, mat_vec, minors_gcd, transpose
 from test_linalg import _old_coords_in_basis
 
 from weylfans import toric
 from weylfans.casebook import _e8_wprime, _f4_wprime
 from weylfans.errors import InvalidInput
-from weylfans.linalg import _common_ints, minors_gcd, qm, qv, rank, saturation_basis
+from weylfans.linalg import _common_ints, qm, qv, rank, saturation_basis
 from weylfans.polyhedra import RationalCone, _lattice_ints, _primitivize, cone, fan, is_smooth
-from weylfans.rootsys import build_root_system, simple_reflection, weyl_enumerate
+from weylfans.rootsys import WeylElement, build_root_system, sign_flip, simple_reflection, weyl_enumerate
 
 _OFF_SPAN = "vector lies outside the span of the reference lattice"
 
@@ -53,13 +53,13 @@ def _old_is_smooth(c):
 
 def _old_ray_orbit_partition(s, group):
     rays = list(s.fan.rays())
-    images = {}
+    images = {r: [] for r in rays}
     for r in rays:
         for w in group:
             img = _old_primitivize(w.apply(r), s.fan.lattice)
             if img not in rays:
                 raise InvalidInput(f"group element moves ray {r} off the ray set")
-            images.setdefault(r, []).append(img)
+            images[r].append(img)
     sizes, remaining = [], set(rays)
     while remaining:
         orbit, frontier = set(), [remaining.pop()]
@@ -191,13 +191,22 @@ def _surfaces():
 
 
 def test_ray_orbit_partition_matches_per_image_path():
+    """Answers and refusals: whole groups, parts of them, no element, and
+    elements that move a ray off the plane or off the ray set."""
+    refused = set()
     for label, rs, f, group in _surfaces():
         surface = toric.toric_surface(f)
         s1 = simple_reflection(rs, 1)
-        for g in (group, group[:1], [s1], [*group, s1]):
-            assert _outcome(lambda: toric.ray_orbit_partition(surface, g)) == _outcome(
-                lambda: _old_ray_orbit_partition(surface, g)
-            ), label
+        off_plane = sign_flip(rs.ambient_dim, [0])
+        # adds the first coordinate to the last: off the plane, or moving rays in it
+        n = rs.ambient_dim
+        shear = WeylElement(qm([[int(i == j or (i, j) == (n - 1, 0)) for j in range(n)] for i in range(n)]))
+        for g in (group, group[:1], group[1:3], [], [s1], [*group, s1], [off_plane], [*group, shear]):
+            got = _outcome(lambda: toric.ray_orbit_partition(surface, g))
+            assert got == _outcome(lambda: _old_ray_orbit_partition(surface, g)), label
+            if got[0] == "refused":
+                refused.add(got[1].split(" (")[0])
         for c in f.maximal_cones:
             assert is_smooth(c) == _old_is_smooth(c)
             assert [c.lattice_coords(g) for g in c.gens] == [_old_lattice_coords(c, g) for g in c.gens]
+    assert refused == {"generator", "group element moves ray"}

@@ -4,13 +4,15 @@ from fractions import Fraction as Q
 from itertools import combinations, product
 
 import pytest
-from old_linalg import vscale
+from old_linalg import minors_gcd, vscale
 
 from weylfans.errors import InvalidInput
 from weylfans.linalg import _unit, qm, qv, rank
+from weylfans.casebook import _e8_wprime, _f4_wprime
 from weylfans.polyhedra import (
     Fan,
     RationalCone,
+    _lattice_ints,
     cone,
     contains,
     covered_by,
@@ -21,7 +23,8 @@ from weylfans.polyhedra import (
     star_subdivision,
     zero_cone,
 )
-from weylfans.rootsys import build_root_system
+from weylfans.rootsys import build_root_system, weyl_enumerate
+from weylfans.toric import subtorus_closure_fan
 
 
 def quadrant():
@@ -152,6 +155,53 @@ def test_is_smooth():
     # lattice-relative smoothness: same rays, coarser lattice
     lat = qm([[1, 1], [0, 2]])
     assert is_smooth(cone([[1, 1], [0, 2]], lattice=lat))
+
+
+def _minors_is_smooth(c):
+    """Smoothness by the gcd of the maximal minors, one elimination each."""
+    if not c.gens:
+        return True
+    rows, s = _lattice_ints(c.lattice, c.gens)
+    return s == 1 and minors_gcd(rows, len(c.gens)) == 1
+
+
+def _smoothness_cones():
+    """Every cone of the chamber fans of rank two to four (translates of the
+    dominant chamber, as weyl_chamber_fan builds them, and all their faces),
+    the F4 and E8 subtorus cones with their faces, and seeded integer cones
+    in dimension 2-5: images of unit vectors under a unimodular matrix, and
+    random independent rows, most of them not smooth."""
+    for label in ("A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4"):
+        rs = build_root_system(label)
+        lattice = qm(rs.fundamental_coweights)
+        chambers = {tuple(sorted(w.apply(cw) for cw in lattice)) for w in weyl_enumerate(rs)}
+        cones = {f.gens: f for gens in chambers for f in faces(RationalCone(rs.ambient_dim, gens, lattice))}
+        yield from cones.values()
+    for rs, group in (_f4_wprime(), _e8_wprime()):
+        for c in subtorus_closure_fan(rs, group).maximal_cones:
+            yield from faces(c)
+    rng = random.Random(1733)
+    for _ in range(400):
+        dim = rng.randint(2, 5)
+        if rng.random() < 0.5:
+            m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+            for _ in range(8):
+                i, j = rng.sample(range(dim), 2)
+                m[i] = [x + rng.randint(-2, 2) * y for x, y in zip(m[i], m[j])]
+            rows = rng.sample(m, rng.randint(1, dim))
+        else:
+            rows = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(rng.randint(1, dim))]
+            if rank(qm(rows)) < len(rows):
+                continue
+        yield cone(rows)
+
+
+def test_is_smooth_reads_invariant_factors_like_minors():
+    smooth = {True: 0, False: 0}
+    for c in _smoothness_cones():
+        assert is_smooth(c) == _minors_is_smooth(c), c
+        smooth[is_smooth(c)] += 1
+    assert min(smooth.values()) > 100, smooth
 
 
 def test_fan_validity():

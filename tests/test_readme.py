@@ -1,0 +1,53 @@
+"""The README names only code that exists: every backticked identifier in a
+row of the Layout table is an attribute of that row's module or of the
+package (a dotted name is followed attribute by attribute, and a name with a
+leading dot is an attribute of some class of the module).  The one
+exception is the cli row's `weylfans`, which names the command."""
+
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+import weylfans
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+ROW = re.compile(r"\| `weylfans\.(\w+)` \| (.*) \|$")
+NAME = re.compile(r"\.?[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _layout_rows():
+    layout = README.read_text(encoding="utf-8").split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    return [m.groups() for m in map(ROW.match, layout.splitlines()) if m]
+
+
+def _resolves(module, name: str) -> bool:
+    if name.startswith("."):
+        classes = [c for _, c in inspect.getmembers(module, inspect.isclass) if c.__module__ == module.__name__]
+        return any(hasattr(c, name[1:]) for c in classes)
+    for root in (module, weylfans):
+        obj = root
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+            if obj is None:
+                break
+        else:
+            return True
+    return False
+
+
+def test_layout_table_names_only_code_that_exists():
+    rows = _layout_rows()
+    assert [m for m, _ in rows] == [
+        "linalg", "rootsys", "lattice", "polyhedra", "toric", "spherical", "isotropic", "casebook", "cli",
+    ]
+    checked, missing = 0, []
+    for module_name, contents in rows:
+        module = importlib.import_module(f"weylfans.{module_name}")
+        for span in re.findall(r"`([^`]*)`", contents):
+            if not NAME.fullmatch(span) or (module_name, span) == ("cli", "weylfans"):
+                continue
+            checked += 1
+            if not _resolves(module, span):
+                missing.append((module_name, span))
+    assert missing == [] and checked > 10

@@ -1,8 +1,10 @@
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
 
 from weylfans import lattice as lat
+from weylfans import spherical
 from weylfans.errors import InvalidInput
 from weylfans.polyhedra import cone, contains
 from weylfans.rootsys import build_root_system
@@ -117,6 +119,62 @@ def test_extension_along_a_lattice_map():
     for shape in ([row + [0] for row in identity], identity + [[0, 0, 1]]):
         with pytest.raises(InvalidInput):
             extends_to_morphism(x_fan, z_fan, lattice_map=shape)
+
+
+def _old_extends_to_morphism(source, target, lattice_map=None, dominant_colors=()):
+    """One contains call per mapped generator and target cone."""
+    dominant = frozenset(dominant_colors)
+    if lattice_map is not None:
+        if len(lattice_map) != target.rank or any(len(row) != source.rank for row in lattice_map):
+            raise InvalidInput(f"lattice map must be {target.rank} rows of length {source.rank}")
+    for cc in source.cones:
+        mapped = [
+            g if lattice_map is None else tuple(sum(Q(a) * b for a, b in zip(row, g)) for row in lattice_map)
+            for g in cc.cone.gens
+        ]
+        if not any(
+            all(contains(tc.cone, g) for g in mapped) and all(d in dominant or d in tc.colors for d in cc.colors)
+            for tc in target.cones
+        ):
+            return False
+    return True
+
+
+def _extension_outcome(extends, *args, **kwargs):
+    try:
+        return extends(*args, **kwargs)
+    except InvalidInput as exc:
+        return str(exc)
+
+
+def test_extension_scales_each_generator_once(monkeypatch):
+    """Every ordered pair among the chain, quotient and wonderful fans of
+    ranks 2-4, with and without a lattice map and a dominant color, against
+    a contains call per generator and target cone; pairs of different rank
+    refuse with the same message, unless no source cone has a generator or
+    the target has no cone."""
+    fans = []
+    for n in range(2, 5):
+        fans += [*blowup_chain_fans(n), z_colored_fan(n), wonderful_colored_fan(build_root_system(f"C{n}"))]
+    zero = next(cc for cc in fans[0].cones if not cc.cone.gens)
+    fans += [dataclasses.replace(fans[0], cones=(zero,)), dataclasses.replace(fans[-1], cones=())]
+    scaled = []
+    real = spherical._point_ints
+    monkeypatch.setattr(spherical, "_point_ints", lambda v: scaled.append(v) or real(v))
+    seen = {True: 0, False: 0, "refused": 0}
+    for source in fans:
+        for target in fans:
+            maps = [None]
+            if source.rank == target.rank:
+                maps.append([[2 * int(i == j) for j in range(source.rank)] for i in range(target.rank)])
+            for lattice_map in maps:
+                for dominant in ((), ("D(w1)",)):
+                    del scaled[:]
+                    got = _extension_outcome(extends_to_morphism, source, target, lattice_map, dominant)
+                    assert got == _extension_outcome(_old_extends_to_morphism, source, target, lattice_map, dominant)
+                    assert len(scaled) <= sum(cc.cone.dim for cc in source.cones)
+                    seen["refused" if isinstance(got, str) else got] += 1
+    assert min(seen.values()) > 50, seen
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

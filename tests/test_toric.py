@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 
-from weylfans.errors import InvalidInput
-from weylfans.linalg import qv
-from weylfans.polyhedra import is_complete, is_smooth
+from weylfans.errors import BoundExceeded, InvalidInput, InvariantViolation
+from weylfans.linalg import qm, qv, rank
+from weylfans.polyhedra import _lattice_ints, is_complete, is_smooth
 from weylfans.rootsys import (
     build_root_system,
     coordinate_swap,
@@ -16,6 +17,7 @@ from weylfans.rootsys import (
 )
 from weylfans.toric import (
     MINIMAL_SURFACE_STRUCTURES,
+    _ray_maps,
     blowup_boundary_point,
     coefficient_spectrum,
     hirzebruch_ledger,
@@ -149,6 +151,9 @@ def test_invariant_picard_rank():
         invariant_picard_rank(2, [(0, 0)], [])
     with pytest.raises(InvalidInput):
         invariant_picard_rank(2, [(1, 0)], [[1, 0]])  # swap moves the relation off-span
+    for size, row in ((2, [1, 0, 0]), (3, [1, 0])):  # one entry too many, one too few
+        with pytest.raises(InvalidInput, match="^relation rows need one entry per basis element$"):
+            invariant_picard_rank(size, [], [row])
 
 
 def test_blowup_ledger_plane():
@@ -213,3 +218,128 @@ def test_reference_structures_table():
     surfaces = [row["surface"] for row in MINIMAL_SURFACE_STRUCTURES]
     assert surfaces == ["P2", "P1xP1", "F_k, k>=1"]
     assert MINIMAL_SURFACE_STRUCTURES[1]["structures"] == 1
+
+
+# --- the closure-based invariant rank, kept as the oracle -------------------
+
+
+def _old_invariant_picard_rank(basis_size, action, relations, closure_bound=20000):
+    perms = []
+    for p in action:
+        p = tuple(int(x) for x in p)
+        if sorted(p) != list(range(basis_size)):
+            raise InvalidInput("action entries must be permutations of the basis")
+        perms.append(p)
+    if not perms:
+        perms = [tuple(range(basis_size))]
+    closed = {tuple(range(basis_size))}
+    frontier = list(closed)
+    while frontier:
+        g = frontier.pop()
+        for p in perms:
+            comp = tuple(g[p[i]] for i in range(basis_size))
+            if comp not in closed:
+                if len(closed) >= closure_bound:
+                    raise BoundExceeded("permutation closure exceeded the bound")
+                closed.add(comp)
+                frontier.append(comp)
+    rel_rows = qm(relations) if relations else ()
+    rel_rank = rank(rel_rows) if rel_rows else 0
+    for g in closed:
+        for row in rel_rows:
+            permuted = tuple(row[g[i]] for i in range(basis_size))
+            if rank(qm(list(rel_rows) + [qv(permuted)])) != rel_rank:
+                raise InvalidInput("action does not preserve the relation span")
+    remaining = set(range(basis_size))
+    indicators = []
+    orbit_count = 0
+    while remaining:
+        seed = remaining.pop()
+        orbit = {seed}
+        frontier = [seed]
+        while frontier:
+            x = frontier.pop()
+            for g in closed:
+                if g[x] in remaining:
+                    remaining.remove(g[x])
+                    orbit.add(g[x])
+                    frontier.append(g[x])
+        orbit_count += 1
+        indicators.append(qv([1 if i in orbit else 0 for i in range(basis_size)]))
+    result = rank(qm(list(indicators) + list(rel_rows))) - rel_rank
+    if result > orbit_count:
+        raise InvariantViolation("invariant rank exceeded the orbit count")
+    return result
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except InvalidInput as exc:
+        return ("refused", str(exc))
+
+
+def _random_action(rng, n):
+    """Up to three maps on n points, now and then one that is no permutation,
+    and relation rows: random ones, which a nontrivial action rarely keeps
+    the span of, or the images of random rows under the maps and their
+    compositions, a span the action keeps, cut to sums over orbits once
+    there are more than a dozen."""
+    maps = []
+    for _ in range(rng.randint(0, 3)):
+        p = list(range(n))
+        rng.shuffle(p)
+        if rng.random() < 0.1:
+            p[0] = p[-1]
+        maps.append(tuple(p))
+    rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.5 and all(sorted(p) == list(range(n)) for p in maps):
+        frontier, orbit = list(map(tuple, rows)), set(map(tuple, rows))
+        while frontier:
+            row = frontier.pop()
+            for p in maps:
+                image = tuple(row[p[i]] for i in range(n))
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        rows = sorted(orbit)
+        if len(rows) > 12:
+            rows = [[sum(col) for col in zip(*rows)]]
+    return maps, rows
+
+
+def test_invariant_picard_rank_matches_closure_version():
+    rng = random.Random(1307)
+    seen = {"rank": 0, "span": 0, "permutation": 0}
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        maps, rows = _random_action(rng, n)
+        got = _outcome(lambda: invariant_picard_rank(n, maps, rows))
+        assert got == _outcome(lambda: _old_invariant_picard_rank(n, maps, rows)), (n, maps, rows)
+        if isinstance(got, int):
+            seen["rank"] += 1
+        else:
+            seen["span" if "span" in got[1] else "permutation"] += 1
+    assert min(seen.values()) > 20, seen
+    # the casebook's data: the rays of the F4 and E8 subtorus surfaces, their
+    # lattice coordinates as relations, the whole group and its generators
+    for rs, group in (f4_wprime(), e8_wprime()):
+        f = subtorus_closure_fan(rs, group)
+        coords, _ = _lattice_ints(f.lattice, f.rays())
+        relations = [list(row) for row in zip(*coords)]
+        for g in (group, group[1:3], [group[0]]):
+            maps = _ray_maps(f, g)
+            assert invariant_picard_rank(8, maps, relations) == _old_invariant_picard_rank(8, maps, relations)
+        assert invariant_picard_rank(8, _ray_maps(f, group), relations) == 2
+
+
+def test_invariant_picard_rank_forms_no_closure():
+    """A transposition and a 9-cycle generate all 362,880 permutations of 9
+    points; the closure version refuses them, the generators answer at once."""
+    swap, cycle = (1, 0, *range(2, 9)), (*range(1, 9), 0)
+    with pytest.raises(BoundExceeded):
+        _old_invariant_picard_rank(9, [swap, cycle], [])
+    start = time.perf_counter()
+    assert invariant_picard_rank(9, [swap, cycle], []) == 1
+    assert invariant_picard_rank(9, [swap, cycle], [[1] * 9], closure_bound=1) == 0
+    assert time.perf_counter() - start < 0.1
