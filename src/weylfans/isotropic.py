@@ -21,7 +21,7 @@ from math import gcd
 from operator import mul
 
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
-from .linalg import Matrix, _echelon, _row_scale, _scaled_ints, _unit, qm, rank
+from .linalg import Matrix, _echelon, _primitive_ints, _unit, qm, rank
 
 # the largest half rank random_maximal_isotropic samples; the stratum tables
 # themselves are closed formulas and take any half rank
@@ -86,18 +86,6 @@ def _form_apply(space: DoubledSpace, v) -> list:
     return [s * v[j] for j, s in _form_index(space)]
 
 
-def _int_rows(basis: Matrix) -> list[list[int]]:
-    """Primitive integer representatives of the rows, which must be nonzero."""
-    out = []
-    for row in basis:
-        ints = _scaled_ints(row, _row_scale(row))
-        g = gcd(*ints)
-        if g == 0:
-            raise InvalidInput("zero vector has no direction")
-        out.append([x // g for x in ints])
-    return out
-
-
 @dataclass(frozen=True)
 class IsotropicSubspace:
     space: DoubledSpace
@@ -140,7 +128,7 @@ def intersection_invariant(v: IsotropicSubspace) -> int:
     isotropic subspaces of a difference form, so it is surfaced as an
     internal invariant violation rather than a value.
     """
-    rows = _int_rows(v.basis)
+    rows = [_primitive_ints(row) for row in v.basis]
     space = v.space
     _assert_maximal_isotropic(rows, space)
     m = space.block_dim
@@ -221,7 +209,7 @@ def tau_image(v: IsotropicSubspace) -> IsotropicSubspace:
 
 
 def subspaces_equal(a: IsotropicSubspace, b: IsotropicSubspace) -> bool:
-    stacked = _int_rows(a.basis) + _int_rows(b.basis)
+    stacked = [_primitive_ints(row) for row in (*a.basis, *b.basis)]
     return rank(stacked) == len(a.basis) == len(b.basis)
 
 

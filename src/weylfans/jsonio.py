@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .errors import InvalidInput
 from .linalg import Matrix, Vector, qm, qv, rank
-from .polyhedra import Fan, cone, fan
+from .polyhedra import Fan, _ray_keys, cone, fan
 from .rootsys import RootSystem, WeylElement, build_root_system
 
 
@@ -40,6 +40,8 @@ def encode_vector(v: Sequence) -> list[str]:
 
 
 def decode_vector(data: Sequence[str]) -> Vector:
+    if not isinstance(data, list):  # a string would read one character per entry
+        raise InvalidInput(f"malformed vector {data!r}: not an array")
     return qv([str_to_fraction(x) for x in data])
 
 
@@ -56,13 +58,12 @@ def dumps(obj) -> str:
 
 
 def fan_to_json(f: Fan) -> dict:
-    rays = f.rays()
-    index = {r: i for i, r in enumerate(rays)}
+    rays, keys = _ray_keys([c.gens for c in f.maximal_cones])
     return {
         "ambient_dim": f.ambient_dim,
         "lattice": "standard" if f.lattice is None else encode_matrix(f.lattice),
         "rays": [encode_vector(r) for r in rays],
-        "maximal_cones": sorted(sorted(index[g] for g in c.gens) for c in f.maximal_cones),
+        "maximal_cones": sorted(sorted(key) for key in keys),
     }
 
 
@@ -180,17 +181,16 @@ def ledger_from_json(data: Mapping):
 
 def colored_fan_to_json(f) -> dict:
     cones = sorted(f.cones, key=lambda cc: (cc.cone.gens, sorted(cc.colors)))
-    rays = sorted({g for cc in cones for g in cc.cone.gens})
-    index = {r: i for i, r in enumerate(rays)}
+    rays, keys = _ray_keys([cc.cone.gens for cc in cones])
     return {
         "rank": f.rank,
         "rays": [encode_vector(r) for r in rays],
         "cones": [
             {
-                "rays": sorted(index[g] for g in cc.cone.gens),
+                "rays": sorted(key),
                 "colors": sorted(cc.colors),
             }
-            for cc in cones
+            for cc, key in zip(cones, keys)
         ],
         "valuation_cone": encode_matrix(f.valuation_cone.gens),
         "rho_table": {k: encode_vector(v) for k, v in sorted(f.rho_table.items())},

@@ -7,12 +7,13 @@ reduced by Bareiss elimination with exact divisions.  A change of
 coordinates reads a dual basis, `_dual_rows`, one such elimination:
 integer rows over one denominator, so a coordinate is one integer dot
 product.  Nothing here caches them: `cone` and `faces` fill a cone's rows,
-and root systems keep their own.  Beside it sit Smith
-normal form over the integers, which also decides smoothness, and one
-feasibility question, `_eliminate`:
-a yes/no answer for a system of linear equalities and inequalities, on
-integer rows throughout, which every cone question of the package reduces
-to.  Fraction stays at every public function's inputs and outputs: the only
+and root systems keep their own.  Beside it sit `_primitive_ints`, the one
+reduction of a row to coprime integers, Smith normal form over the integers,
+which tracks one transform, the inverse of the column transform, and also
+decides smoothness, and one feasibility question, `_eliminate`: a yes/no
+answer for a system of linear equalities and inequalities, on integer rows
+throughout, which every cone question of the package reduces to.
+Fraction stays at every public function's inputs and outputs: the only
 Fraction helpers left are the coercions at that boundary, `qv`, `qm` and
 `_unit`, and no Fraction vector arithmetic.  No floating point anywhere.
 """
@@ -154,14 +155,18 @@ def _dual_rows(rows: Sequence[Sequence], dim: int) -> tuple[tuple[tuple[int, ...
 # --- integer lattice utilities ---------------------------------------------
 
 
-def primitive_direction(v: Sequence[Q]) -> Vector:
-    """Scale a nonzero rational vector to a coprime integer vector, same direction."""
-    v = qv(v)
-    if is_zero_vector(v):
-        raise InvalidInput("zero vector has no direction")
+def _primitive_ints(v: Sequence) -> list[int]:
+    """A nonzero int or Fraction vector scaled to coprime integers, same direction."""
     ints = _scaled_ints(v, _row_scale(v))
     g = gcd(*ints)
-    return tuple(Q(x // g) for x in ints)
+    if g == 0:
+        raise InvalidInput("zero vector has no direction")
+    return [x // g for x in ints]
+
+
+def primitive_direction(v: Sequence[Q]) -> Vector:
+    """Scale a nonzero rational vector to a coprime integer vector, same direction."""
+    return tuple(map(Q, _primitive_ints(qv(v))))
 
 
 def _exgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -189,19 +194,19 @@ def _exgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]], list[list[int]]]:
+def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     """Smith normal form with column transform.
 
-    Returns (diag, t, t_inv) such that the input equals S @ D @ T for some
-    unimodular S, D is diagonal with d1 | d2 | ... (trailing zeros allowed),
-    t is the unimodular T and t_inv its inverse.  Only T is tracked because
-    cokernel computations never need S: the integer row span of the input is
-    the Z-span of {diag[i] * t[i]}.
+    Returns (diag, t_inv) such that the input equals S @ D @ T for some
+    unimodular S and T, D is diagonal with d1 | d2 | ... (trailing zeros
+    allowed), and t_inv is the inverse of T, the product of the column
+    operations.  Only T^-1 is tracked because cokernel computations never
+    need S, and a caller that needs T inverts t_inv: the integer row span of
+    the input is the Z-span of {diag[i] * T[i]}.
     """
     a = [[int(x) for x in row] for row in m]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
-    t = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     t_inv = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     limit = min(nrows, ncols)
 
@@ -214,28 +219,18 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[list[int], list[list[
 
     def col_combine(i: int, j: int, s: int, u: int, p: int, q: int) -> None:
         # A <- A*C with C = [[s, -q], [u, p]] on columns (i, j), det C = 1;
-        # keep T = C_total^{-1} and T_inv = C_total in sync
-        for r in range(nrows):
-            x, y = a[r][i], a[r][j]
-            a[r][i] = s * x + u * y
-            a[r][j] = -q * x + p * y
-        for c in range(ncols):
-            x, y = t[i][c], t[j][c]
-            t[i][c] = p * x + q * y
-            t[j][c] = -u * x + s * y
-        for r in range(ncols):
-            x, y = t_inv[r][i], t_inv[r][j]
-            t_inv[r][i] = s * x + u * y
-            t_inv[r][j] = -q * x + p * y
+        # T_inv = C_total takes the same column operation
+        for rows in (a, t_inv):
+            for row in rows:
+                x, y = row[i], row[j]
+                row[i] = s * x + u * y
+                row[j] = -q * x + p * y
 
     def col_add(i: int, j: int) -> None:
-        # A <- A*(I + E_ji): column i += column j
-        for r in range(nrows):
-            a[r][i] += a[r][j]
-        for c in range(ncols):
-            t[j][c] -= t[i][c]
-        for r in range(ncols):
-            t_inv[r][i] += t_inv[r][j]
+        # A <- A*(I + E_ji): column i += column j, in A and in T_inv
+        for rows in (a, t_inv):
+            for row in rows:
+                row[i] += row[j]
 
     def reduce_at(k: int) -> bool:
         pivot = next(((i, j) for i in range(k, nrows) for j in range(k, ncols) if a[i][j] != 0), None)
@@ -245,11 +240,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[list[int], list[list[
         if pi != k:
             a[k], a[pi] = a[pi], a[k]
         if pj != k:
-            for r in range(nrows):
-                a[r][k], a[r][pj] = a[r][pj], a[r][k]
-            t[k], t[pj] = t[pj], t[k]
-            for r in range(ncols):
-                t_inv[r][k], t_inv[r][pj] = t_inv[r][pj], t_inv[r][k]
+            for row in (*a, *t_inv):
+                row[k], row[pj] = row[pj], row[k]
         while True:
             for i in range(k + 1, nrows):
                 if a[i][k] != 0:
@@ -280,11 +272,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[list[int], list[list[
         while k < r and reduce_at(k):
             k += 1
 
-    for i in range(limit):
-        if a[i][i] < 0:
-            for c in range(ncols):
-                a[i][c] = -a[i][c]
-    return [a[i][i] for i in range(limit)], t, t_inv
+    # a negative diagonal entry turns positive by an untracked row negation
+    return [abs(a[i][i]) for i in range(limit)], t_inv
 
 
 def saturation_basis(vectors: Sequence[Sequence[Q]]) -> Matrix:
@@ -292,11 +281,14 @@ def saturation_basis(vectors: Sequence[Sequence[Q]]) -> Matrix:
 
     Input vectors may be rational; they are rescaled to integers first.
     """
-    vecs = [primitive_direction(v) for v in vectors if not is_zero_vector(qv(v))]
+    vecs = [_primitive_ints(v) for v in map(qv, vectors) if any(v)]
     if not vecs:
         return ()
-    diag, t, _ = smith_normal_form(vecs)
+    diag, t_inv = smith_normal_form(vecs)
     k = sum(1 for d in diag if d != 0)
+    # the dual rows of t_inv's columns are (t_inv)^-1 = T, over d = 1
+    # because t_inv is unimodular
+    t, _ = _dual_rows(list(zip(*t_inv)), len(t_inv))
     return qm(t[:k])
 
 

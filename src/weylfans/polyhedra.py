@@ -2,7 +2,7 @@
 
 Cones are given by linearly independent generator lists, stored primitive
 with respect to a reference lattice (the standard integer lattice unless a
-basis is supplied), read with one solve for the lattice's dual rows per
+basis is supplied), whose coordinates are read off one elimination per
 call and no cache.  Each cone carries its integer description, the dual
 basis (N, d) of its generators: integer rows over one denominator d > 0,
 whose first rows are the facet functionals and the remaining rows the
@@ -13,8 +13,8 @@ integers, fan validity by a functional combined from the rows that
 separates two cones and vanishes on the generators they share, coverage
 by enumerating the open cells of the arrangement of the cover's rows read
 on the target's generator weights, each leaf cell decided by the signs its
-path fixed.  A fan compares its cones by generator indices into its ray
-list.
+path fixed.  A fan, its JSON and a colored fan name cones by generator
+indices into one sorted ray list, `_ray_keys`.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInput
 from .linalg import (
-    Matrix, Vector, _common_ints, _dual_rows, _eliminate, _int_unit, _row_scale,
-    _scaled_ints, primitive_direction, qm, qv, smith_normal_form,
+    Matrix, Vector, _common_ints, _dual_rows, _echelon, _eliminate, _int_unit, _primitive_ints,
+    _row_scale, _scaled_ints, primitive_direction, qm, qv, smith_normal_form,
 )
 
 
@@ -73,37 +73,38 @@ def _lattice_ints(
     lattice: Optional[Matrix], vectors: Sequence[Vector], name: str = "vector"
 ) -> tuple[list[list[int]], int]:
     """Coordinates in the lattice rows (the standard lattice for None), as
-    integer rows over their least common denominator, from one dual-row
-    solve whose rows past the rank vanish exactly on the span.  A vector of
-    another length (checked before the solve) or off the span is refused,
-    named by ``name.format(v)``."""
+    integer rows over their least common denominator, from one fraction-free
+    Gauss-Jordan elimination of [L^T | V^T]: its first k rows are d * [I | X],
+    and X holds the coordinates.  A vector of another length (checked before
+    the elimination) or off the span is refused, named by ``name.format(v)``:
+    the first pivot past the lattice columns names the first one off it."""
     if lattice is None or not vectors:
         return _common_ints(vectors)
     k, dim = len(lattice), len(lattice[0]) if lattice else len(vectors[0])
     off = [v for v in vectors if len(v) != dim]
     if not off:
-        dual, d = _dual_rows(lattice, dim)
-        ints, s = _common_ints(vectors)
-        rows = [[sum(map(mul, row, w)) for row in dual] for w in ints]
-        off = [v for v, dots in zip(vectors, rows) if any(dots[k:])]
+        a, pivots, d = _echelon([[*(b[i] for b in lattice), *(v[i] for v in vectors)] for i in range(dim)])
+        if pivots[:k] != list(range(k)):
+            raise InvalidInput("basis rows are linearly dependent")
+        off = [vectors[pivots[k] - k]] if len(pivots) > k else []
     if off:
         raise InvalidInput(f"{name.format(off[0])} lies outside the span of the reference lattice")
-    g = gcd(d * s, *(x for dots in rows for x in dots[:k]))
-    return [[x // g for x in dots[:k]] for dots in rows], d * s // g
+    # the coordinates X = a[:k, k:] / d, over their least positive denominator
+    g = gcd(d, *(x for row in a[:k] for x in row[k:])) * (1 if d > 0 else -1)
+    return [[a[i][k + j] // g for i in range(k)] for j in range(len(vectors))], d // g
 
 
 def _primitivize(vectors: Sequence[Vector], lattice: Optional[Matrix]) -> list[Vector]:
     """Each vector scaled to the primitive lattice vector on its ray, all
-    read from one lattice solve."""
+    read from one lattice elimination."""
     if lattice is None:
         return [primitive_direction(g) for g in vectors]
     coords, _ = _lattice_ints(lattice, vectors, "generator {}")
-    if not all(map(any, coords)):
-        raise InvalidInput("zero vector has no direction")
+    prim = [_primitive_ints(c) for c in coords]
     # the primitive integer combinations of the lattice rows, on their integer rows over s
     rows, s = _common_ints(lattice)
     cols = tuple(zip(*rows))
-    return [tuple(Q(sum(map(mul, col, c)), s * gcd(*c)) for col in cols) for c in coords]
+    return [tuple(Q(sum(map(mul, col, c)), s) for col in cols) for c in prim]
 
 
 def cone(
@@ -207,6 +208,14 @@ class Fan:
         return [seen[k] for k in sorted(seen)]
 
 
+def _ray_keys(gen_lists: Sequence[Sequence[Vector]]) -> tuple[list[Vector], list[tuple[int, ...]]]:
+    """The sorted distinct rays of the generator lists, and each list as its
+    indices into them; the index tuples order as the generator tuples."""
+    rays = sorted({g for gens in gen_lists for g in gens})
+    index = {r: i for i, r in enumerate(rays)}
+    return rays, [tuple(index[g] for g in gens) for gens in gen_lists]
+
+
 def _face_compatible(c1: RationalCone, c2: RationalCone, key1: Sequence[int], key2: Sequence[int]) -> bool:
     """Whether the two cones intersect in a common face.
 
@@ -248,12 +257,10 @@ def fan(cones: Iterable[RationalCone], validate: bool = True) -> Fan:
     for c in cones:
         if c.ambient_dim != dim or c.lattice != lattice:
             raise InvalidInput("fan cones must share one ambient space and lattice")
-    # name each cone by its generators' indices into the sorted ray list,
-    # which orders the keys as the generator tuples; drop duplicates and
-    # cones that are faces of others, which have strictly fewer generators
-    rays = sorted({g for c in cones for g in c.gens})
-    index = {r: i for i, r in enumerate(rays)}
-    unique = {tuple(index[g] for g in c.gens): c for c in cones}
+    # name each cone by its generators' indices into the sorted ray list;
+    # drop duplicates and cones that are faces of others, which have
+    # strictly fewer generators
+    unique = dict(zip(_ray_keys([c.gens for c in cones])[1], cones))
     keys = sorted(k for k in unique if not any(len(o) > len(k) and set(k) <= set(o) for o in unique))
     maximal = [unique[key] for key in keys]
     result = Fan(ambient_dim=dim, maximal_cones=tuple(maximal), lattice=lattice)
@@ -278,12 +285,10 @@ def is_complete(f: Fan) -> bool:
     sets of generator indices into the ray list.
     """
     r = f.maximal_cones[0].lattice_rank()
-    index = {ray: i for i, ray in enumerate(f.rays())}
+    if any(c.dim != r for c in f.maximal_cones):
+        return False
     walls: Counter = Counter()
-    for c in f.maximal_cones:
-        if c.dim != r:
-            return False
-        ids = frozenset(index[g] for g in c.gens)
+    for ids in map(frozenset, _ray_keys([c.gens for c in f.maximal_cones])[1]):
         walls.update(ids - {i} for i in ids)
     return all(n == 2 for n in walls.values())
 

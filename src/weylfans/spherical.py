@@ -33,6 +33,7 @@ from .polyhedra import (
     _face_subsets,
     _holds,
     _point_ints,
+    _ray_keys,
     _rows_on_weights,
     cone,
     contains,
@@ -115,7 +116,9 @@ def _relints_share_valuation_point(cones: Sequence[RationalCone], vcone: Rationa
     1.  On the point they give, every later cone's span equations vanish and
     its facets are at least 1, and the valuation cone's facets are at least
     0.  All rows are read on the weights up to a positive scale, which keeps
-    the answer: scaling a solution up satisfies the scaled rows.
+    the answer: scaling a solution up satisfies the scaled rows.  A zero
+    first cone leaves no weights, only the origin, which lies in the valuation
+    cone and in no later cone's relative interior but the zero cone's.
     """
     gens = cones[0].gens
     eqs, ineqs = [], [(_int_unit(len(gens), i), 1) for i in range(len(gens))]
@@ -128,8 +131,6 @@ def _relints_share_valuation_point(cones: Sequence[RationalCone], vcone: Rationa
 
 def _relint_meets_valuation(c: RationalCone, vcone: RationalCone) -> bool:
     """Exact test of relint(c) meeting the valuation cone."""
-    if not c.gens:
-        return True  # the origin lies in every cone
     return _relints_share_valuation_point([c], vcone)
 
 
@@ -199,13 +200,12 @@ def colored_fan_from_tops(
     """
     rho = dict(rho) if rho is not None else standard_rho_table(rs)
     vcone = valuation_cone(rs)
-    index = {r: i for i, r in enumerate(sorted({g for top in tops for g in top.cone.gens}))}
+    _, top_keys = _ray_keys([top.cone.gens for top in tops])
     collected: dict = {}
     for top in tops:
         _check_face_bound(top.cone.dim)
-    for top in tops:
+    for top, ids in zip(tops, top_keys):
         validate_colored_cone(top, vcone, rho)
-        ids = [index[g] for g in top.cone.gens]
         for subset, cc in _colored_faces(top, vcone, rho):
             key = tuple(ids[i] for i in subset)
             prev = collected.get(key)
@@ -244,8 +244,6 @@ def _relints_overlap_in_valuation(
     """Whether relint(c1), relint(c2) and the valuation cone share a point."""
     if c1.gens == c2.gens:
         return True
-    if not c1.gens or not c2.gens:
-        return False  # the origin is nobody's relative interior except its own
     return _relints_share_valuation_point([c1, c2], vcone)
 
 
@@ -447,7 +445,7 @@ def picard_presentation(ledger: DivisorLedger) -> PicardPresentation:
             torsion=(),
             classes={sym: tuple([1 if i == j else 0 for i in range(s)]) for j, sym in enumerate(ledger.symbols)},
         )
-    diag, t, t_inv = smith_normal_form([list(r) for r in ledger.relations])
+    diag, t_inv = smith_normal_form([list(r) for r in ledger.relations])
     r = sum(1 for d in diag if d != 0)
     torsion_positions = [i for i in range(r) if diag[i] > 1]
     free_positions = list(range(r, s))

@@ -3,7 +3,8 @@ bookkeeping used for anticanonical divisors of surface blowups.
 
 Chamber fans live in the coweight lattice of their root system; subtorus
 closure fans live in a two-dimensional plane of coweights, with rays stored
-primitive in the plane's saturated integer lattice.  Ray orbits and the
+primitive in the plane's saturated integer lattice; the cones' own lattice
+check is the check that the group stabilizes the plane.  Ray orbits and the
 invariant Picard rank are read off the group's generators as index maps,
 through one orbit search.
 """
@@ -64,19 +65,15 @@ def subtorus_closure_fan(
     lattice = saturation_basis(plane)
     if len(lattice) != len(plane):
         raise InvalidInput("plane spanning vectors are linearly dependent")
-    for w in wprime:
-        for b in plane:
-            if rank(qm(list(lattice) + [qv(w.apply(b))])) != len(lattice):
-                raise InvalidInput("the given subgroup does not stabilize the plane")
-    cones = []
-    for w in wprime:
-        cones.append(
-            cone(
-                [w.apply(b) for b in plane],
-                lattice=lattice,
-                ambient_dim=rs.ambient_dim,
-            )
-        )
+    images = [[w.apply(b) for b in plane] for w in wprime]
+    try:
+        cones = [cone(img, lattice=lattice, ambient_dim=rs.ambient_dim) for img in images]
+    except InvalidInput as exc:
+        # a cone refuses a generator off its lattice, here the plane's; its
+        # other refusals keep their own message
+        if "outside the span of the reference lattice" not in str(exc):
+            raise
+        raise InvalidInput("the given subgroup does not stabilize the plane") from None
     result = fan(cones)
     if not is_complete(result):
         raise InvalidInput("subtorus translates fail to tile the plane")

@@ -11,16 +11,24 @@ path before each reader solved once per call:
 per-generator ``_primitivize`` built on it.  Both read the two-pass
 ``_dual_rows`` kept here verbatim, one elimination to pick the unit-vector
 completion and one Gauss-Jordan to invert, so these oracles do not follow
-the package's one-elimination kernel.
+the package's one-elimination kernel.  Then the Smith normal form that kept
+both T and T^-1 in step, with the ``saturation_basis`` that read T off it,
+and the ``_lattice_ints`` that read coordinates off the lattice's full dual
+rows (the package's one-elimination ``linalg._dual_rows``; the name
+``_dual_rows`` here is the two-pass oracle).
 """
 
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from operator import mul
 
+from weylfans import linalg
 from weylfans.errors import InvalidInput
-from weylfans.linalg import _common_ints, _echelon, _int_mat_vec, _int_unit, is_zero_vector, primitive_direction
+from weylfans.linalg import (
+    _common_ints, _echelon, _exgcd, _int_mat_vec, _int_unit, is_zero_vector, primitive_direction, qm, qv,
+)
 
 
 def dot(x, y):
@@ -167,3 +175,135 @@ def minors_gcd(m, k):
             if g == 1:
                 return 1
     return g
+
+
+def smith_normal_form(m):
+    """Smith normal form with column transform.
+
+    Returns (diag, t, t_inv) such that the input equals S @ D @ T for some
+    unimodular S, D is diagonal with d1 | d2 | ... (trailing zeros allowed),
+    t is the unimodular T and t_inv its inverse.  Only T is tracked because
+    cokernel computations never need S: the integer row span of the input is
+    the Z-span of {diag[i] * t[i]}.
+    """
+    a = [[int(x) for x in row] for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    t = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    t_inv = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    limit = min(nrows, ncols)
+
+    def row_combine(i: int, j: int, s: int, u: int, p: int, q: int) -> None:
+        # (row_i, row_j) <- (s*row_i + u*row_j, -q*row_i + p*row_j); untracked
+        for c in range(ncols):
+            x, y = a[i][c], a[j][c]
+            a[i][c] = s * x + u * y
+            a[j][c] = -q * x + p * y
+
+    def col_combine(i: int, j: int, s: int, u: int, p: int, q: int) -> None:
+        # A <- A*C with C = [[s, -q], [u, p]] on columns (i, j), det C = 1;
+        # keep T = C_total^{-1} and T_inv = C_total in sync
+        for r in range(nrows):
+            x, y = a[r][i], a[r][j]
+            a[r][i] = s * x + u * y
+            a[r][j] = -q * x + p * y
+        for c in range(ncols):
+            x, y = t[i][c], t[j][c]
+            t[i][c] = p * x + q * y
+            t[j][c] = -u * x + s * y
+        for r in range(ncols):
+            x, y = t_inv[r][i], t_inv[r][j]
+            t_inv[r][i] = s * x + u * y
+            t_inv[r][j] = -q * x + p * y
+
+    def col_add(i: int, j: int) -> None:
+        # A <- A*(I + E_ji): column i += column j
+        for r in range(nrows):
+            a[r][i] += a[r][j]
+        for c in range(ncols):
+            t[j][c] -= t[i][c]
+        for r in range(ncols):
+            t_inv[r][i] += t_inv[r][j]
+
+    def reduce_at(k: int) -> bool:
+        pivot = next(((i, j) for i in range(k, nrows) for j in range(k, ncols) if a[i][j] != 0), None)
+        if pivot is None:
+            return False
+        pi, pj = pivot
+        if pi != k:
+            a[k], a[pi] = a[pi], a[k]
+        if pj != k:
+            for r in range(nrows):
+                a[r][k], a[r][pj] = a[r][pj], a[r][k]
+            t[k], t[pj] = t[pj], t[k]
+            for r in range(ncols):
+                t_inv[r][k], t_inv[r][pj] = t_inv[r][pj], t_inv[r][k]
+        while True:
+            for i in range(k + 1, nrows):
+                if a[i][k] != 0:
+                    g, s, u = _exgcd(a[k][k], a[i][k])
+                    row_combine(k, i, s, u, a[k][k] // g, a[i][k] // g)
+            for j in range(k + 1, ncols):
+                if a[k][j] != 0:
+                    g, s, u = _exgcd(a[k][k], a[k][j])
+                    col_combine(k, j, s, u, a[k][k] // g, a[k][j] // g)
+            if all(a[i][k] == 0 for i in range(k + 1, nrows)):
+                break
+        return True
+
+    r = 0
+    while r < limit and reduce_at(r):
+        r += 1
+
+    # enforce the divisibility chain; each fix strictly shrinks a diagonal entry
+    while True:
+        bad = next(
+            (i for i in range(r - 1) if a[i + 1][i + 1] % a[i][i] != 0),
+            None,
+        )
+        if bad is None:
+            break
+        col_add(bad, bad + 1)
+        k = bad
+        while k < r and reduce_at(k):
+            k += 1
+
+    for i in range(limit):
+        if a[i][i] < 0:
+            for c in range(ncols):
+                a[i][c] = -a[i][c]
+    return [a[i][i] for i in range(limit)], t, t_inv
+
+
+def saturation_basis(vectors):
+    """Basis of the saturated lattice Z^d intersect span_Q(vectors).
+
+    Input vectors may be rational; they are rescaled to integers first.
+    """
+    vecs = [primitive_direction(v) for v in vectors if not is_zero_vector(qv(v))]
+    if not vecs:
+        return ()
+    diag, t, _ = smith_normal_form(vecs)
+    k = sum(1 for d in diag if d != 0)
+    return qm(t[:k])
+
+
+def _lattice_ints(lattice, vectors, name="vector"):
+    """Coordinates in the lattice rows (the standard lattice for None), as
+    integer rows over their least common denominator, from one dual-row
+    solve whose rows past the rank vanish exactly on the span.  A vector of
+    another length (checked before the solve) or off the span is refused,
+    named by ``name.format(v)``."""
+    if lattice is None or not vectors:
+        return _common_ints(vectors)
+    k, dim = len(lattice), len(lattice[0]) if lattice else len(vectors[0])
+    off = [v for v in vectors if len(v) != dim]
+    if not off:
+        dual, d = linalg._dual_rows(lattice, dim)
+        ints, s = _common_ints(vectors)
+        rows = [[sum(map(mul, row, w)) for row in dual] for w in ints]
+        off = [v for v, dots in zip(vectors, rows) if any(dots[k:])]
+    if off:
+        raise InvalidInput(f"{name.format(off[0])} lies outside the span of the reference lattice")
+    g = gcd(d * s, *(x for dots in rows for x in dots[:k]))
+    return [[x // g for x in dots[:k]] for dots in rows], d * s // g

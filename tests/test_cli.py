@@ -145,6 +145,16 @@ def test_malformed_json_exit_2(capsys, tmp_path):
             {"ambient_dim": -1, "lattice": "standard", "rays": [], "maximal_cones": [[]]},
             id="negative-ambient_dim",
         ),
+        # strings where vectors belong, which once read one character per entry
+        pytest.param(
+            None,
+            {
+                "rays": ["10", "01", ["-1/1", "0/1"], ["0/1", "-1/1"]],
+                "maximal_cones": [[0, 1], [1, 2], [2, 3], [0, 3]],
+            },
+            id="string-rays",
+        ),
+        pytest.param("lattice", ["10", "01"], id="string-lattice-rows"),
     ],
 )
 def test_malformed_fan_document_exit_2(capsys, tmp_path, field, value):

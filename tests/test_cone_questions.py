@@ -347,6 +347,28 @@ def test_cone_questions_match_old_encodings():
     assert fans == 20
 
 
+def test_valuation_questions_on_zero_cones():
+    """The valuation-point questions answer a zero cone with no branch of
+    their own: its relative interior, the origin, meets every valuation cone
+    and the relative interior of no other cone, on the seeded valuation
+    cones and those of the colored and chamber fans."""
+    rng = random.Random(1776)
+    pairs = [_random_cone_pair(rng) for _ in range(150)]
+    pairs += [(c, c, vcone) for cones, vcone in _colored_and_chamber_fans() for c in cones[-3:]]
+    kinds = {"positive": 0, "negative": 0}
+    for c1, c2, vcone in pairs:
+        zero = zero_cone(vcone.ambient_dim)
+        for cones in ([zero], [zero, zero], [zero, c1], [c1, zero], [zero, c2], [c2, zero]):
+            got = spherical._relints_share_valuation_point(cones, vcone)
+            assert got == _old_relints_share_valuation_point(cones, vcone)
+            kinds["positive" if got else "negative"] += 1
+        assert spherical._relint_meets_valuation(zero, vcone) is _old_relint_meets_valuation(zero, vcone) is True
+        for a, b in ((zero, zero), (zero, c1), (c1, zero), (zero, c2), (c2, zero)):
+            overlap = spherical._relints_overlap_in_valuation(a, b, vcone)
+            assert overlap == _old_relints_overlap_in_valuation(a, b, vcone)
+    assert min(kinds.values()) > 100, kinds
+
+
 # --- the integer-native cone against the Fraction-keyed one -----------------
 
 

@@ -3,10 +3,11 @@ replaced.
 
 The oracles below are the previous implementations: the orthogonal Cayley
 transform through a Fraction ``inverse`` and two ``mat_mul`` calls, the
-symplectic transvections with the uncached form index, and ``_int_rows``
-through ``primitive_direction``.  Every draw must give the same basis,
-entry for entry and as ``Fraction`` entries, the same invariant and the
-same involution verdict.
+symplectic transvections with the uncached form index, and primitive
+integer rows through ``primitive_direction`` (the package reads them with
+``linalg._primitive_ints``).  Every draw must give the same basis, entry
+for entry and as ``Fraction`` entries, the same invariant and the same
+involution verdict.
 """
 
 import random
@@ -20,7 +21,6 @@ from weylfans.errors import BoundExceeded, InvalidInput, InvariantViolation
 from weylfans.isotropic import (
     MAX_HALF_RANK,
     IsotropicSubspace,
-    _int_rows,
     diagonal_subspace,
     intersection_invariant,
     orthogonal_doubled,
@@ -30,7 +30,7 @@ from weylfans.isotropic import (
     symplectic_doubled,
     tau_image,
 )
-from weylfans.linalg import det, primitive_direction, qm, rank
+from weylfans.linalg import _primitive_ints, det, primitive_direction, qm, rank
 
 
 # --- oracles: the Fraction code ---------------------------------------------
@@ -127,7 +127,7 @@ def assert_same_draw(space, seed):
     assert new.space == space
     assert new.basis == old.basis
     assert all(type(x) is Q for row in new.basis for x in row)
-    assert _int_rows(new.basis) == old_int_rows(old.basis)
+    assert [_primitive_ints(row) for row in new.basis] == old_int_rows(old.basis)
     assert intersection_invariant(new) == old_invariant(old)
     assert subspaces_equal(new, tau_image(new)) == old_tau_fixed(old)
 
@@ -176,12 +176,12 @@ def test_int_rows_match_primitive_direction():
             if not any(row):
                 row[rng.randrange(dim)] = Q(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
             rows.append(tuple(row))
-        assert _int_rows(qm(rows)) == old_int_rows(qm(rows))
+        assert [_primitive_ints(row) for row in qm(rows)] == old_int_rows(qm(rows))
         rows.insert(rng.randrange(len(rows) + 1), (Q(0),) * dim)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="^zero vector has no direction$"):
             old_int_rows(qm(rows))
-        with pytest.raises(InvalidInput):
-            _int_rows(qm(rows))
+        with pytest.raises(InvalidInput, match="^zero vector has no direction$"):
+            [_primitive_ints(row) for row in qm(rows)]
 
 
 @pytest.mark.parametrize("make", [symplectic_doubled, orthogonal_doubled])

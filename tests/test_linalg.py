@@ -4,7 +4,7 @@ from math import gcd, prod
 from itertools import combinations, product
 
 import pytest
-from old_linalg import _old_inverse, _old_rref, dot, identity_matrix, mat_mul, mat_vec, minors_gcd, transpose
+from old_linalg import _old_inverse, _old_rref, dot, mat_mul, mat_vec, minors_gcd, transpose
 
 from weylfans import linalg
 from weylfans.errors import InvalidInput
@@ -53,13 +53,14 @@ def test_smith_normal_form_randomized():
     for _ in range(300):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
-        diag, t, t_inv = smith_normal_form(m)
-        assert mat_mul(qm(t), qm(t_inv)) == identity_matrix(ncols)
+        diag, t_inv = smith_normal_form(m)
+        assert abs(det(qm(t_inv))) == 1
         nonzero = [d for d in diag if d != 0]
         assert all(nonzero[i + 1] % nonzero[i] == 0 for i in range(len(nonzero) - 1))
         assert all(d == 0 for d in diag[len(nonzero):])
         assert len(nonzero) == rank(qm(m))
-        # every row of m must be an integer combination of diag[i] * t[i]
+        # every row of m must be an integer combination of diag[i] * T[i]:
+        # its coordinates in the rows of T = t_inv^-1 are row @ t_inv
         for row in m:
             coords = mat_vec(transpose(qm(t_inv)), qv(row))
             for i, c in enumerate(coords):
@@ -665,6 +666,34 @@ def test_every_linalg_function_is_used_by_the_package():
     functions = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
     assert len(functions) >= 20
     assert [name for name in functions if name not in reached] == []
+
+    # every module: each private top-level name is used somewhere in the
+    # package outside its own definition, so no orphan helper is left
+    modules = {path: ast.parse(path.read_text()) for path in source.parent.glob("*.py")}
+    orphans, private = [], 0
+    for path, module in modules.items():
+        for node in module.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            inside = set(map(id, ast.walk(node)))
+            for name in (n for n in bound if n.startswith("_") and not n.startswith("__")):
+                private += 1
+                uses = (
+                    n
+                    for m in modules.values()
+                    for n in ast.walk(m)
+                    if id(n) not in inside
+                    and (getattr(n, "id", None) == name or isinstance(n, ast.Attribute) and n.attr == name)
+                )
+                if next(uses, None) is None:
+                    orphans.append(f"{path.stem}.{name}")
+    assert private >= 30
+    assert orphans == []
 
 
 def test_no_module_level_cache_in_linalg_or_polyhedra():
