@@ -28,11 +28,9 @@ from .polyhedra import is_complete, is_smooth, star_subdivision
 from .rootsys import build_root_system, weyl_order
 
 
-def _emit(payload, as_json: bool, text: Optional[str] = None) -> None:
-    if as_json:
-        sys.stdout.write(jsonio.dumps(payload))
-    else:
-        sys.stdout.write((text if text is not None else json.dumps(payload, indent=2)) + "\n")
+def _emit(payload, as_json: bool, text: str = "") -> None:
+    """Print the payload as canonical JSON, or else the text and a newline."""
+    sys.stdout.write(jsonio.dumps(payload) if as_json else text + "\n")
 
 
 def _load_json_file(path: str):
@@ -54,18 +52,15 @@ def _cmd_root_system(args) -> int:
     payload["rho"] = jsonio.encode_vector(rs.rho)
     payload["weyl_order"] = weyl_order(rs)
     payload["weight_root_index"] = lattice.weight_root_index(rs)
-    if args.json:
-        _emit(payload, True)
-    else:
-        lines = [
-            f"type {rs.label}: rank {rs.rank}, ambient dimension {rs.ambient_dim}",
-            f"roots: {len(rs.roots)} ({payload['positive_root_count']} positive)",
-            f"highest root: {payload['highest_root']}",
-            f"Weyl order: {payload['weyl_order']}",
-            f"weight/root lattice index: {payload['weight_root_index']}",
-            f"Cartan matrix: {payload['cartan_matrix']}",
-        ]
-        _emit(payload, False, "\n".join(lines))
+    lines = [
+        f"type {rs.label}: rank {rs.rank}, ambient dimension {rs.ambient_dim}",
+        f"roots: {len(rs.roots)} ({payload['positive_root_count']} positive)",
+        f"highest root: {payload['highest_root']}",
+        f"Weyl order: {payload['weyl_order']}",
+        f"weight/root lattice index: {payload['weight_root_index']}",
+        f"Cartan matrix: {payload['cartan_matrix']}",
+    ]
+    _emit(payload, args.json, "\n".join(lines))
     return 0
 
 
@@ -79,11 +74,8 @@ def _cmd_weights(args) -> int:
         rows[f"omega{i}"] = jsonio.encode_vector(w.coords)
         rows[f"alpha{i}"] = jsonio.encode_vector(a.coords)
     payload = {"type": rs.label, "basis": target, "vectors": rows}
-    if args.json:
-        _emit(payload, True)
-    else:
-        lines = [f"{name}: {coords}" for name, coords in rows.items()]
-        _emit(payload, False, f"type {rs.label} in basis {target}\n" + "\n".join(lines))
+    lines = [f"type {rs.label} in basis {target}", *(f"{name}: {coords}" for name, coords in rows.items())]
+    _emit(payload, args.json, "\n".join(lines))
     return 0
 
 
@@ -107,25 +99,18 @@ def _cmd_fan(args) -> int:
     f = jsonio.fan_from_json(_load_json_file(args.input))
     if args.action == "check":
         report = _fan_report(f)
-        if args.json:
-            _emit(report, True)
-        else:
-            _emit(
-                report,
-                False,
-                f"complete={report['complete']} smooth={report['smooth']} picard={report['picard']}",
-            )
+        text = f"complete={report['complete']} smooth={report['smooth']} picard={report['picard']}"
+        _emit(report, args.json, text)
         return 0
-    if args.action == "subdivide":
-        if not args.ray:
-            raise InvalidInput("fan subdivide needs --ray")
-        try:
-            ray = [jsonio.str_to_fraction(x) for x in args.ray.split(",")]
-        except ValueError as exc:
-            raise InvalidInput(f"malformed ray {args.ray!r}") from exc
-        _emit(jsonio.fan_to_json(star_subdivision(f, ray)), True)
-        return 0
-    raise InvalidInput(f"unknown fan action {args.action!r}")
+    # argparse's choices leave only "subdivide" here
+    if not args.ray:
+        raise InvalidInput("fan subdivide needs --ray")
+    try:
+        ray = [jsonio.str_to_fraction(x) for x in args.ray.split(",")]
+    except ValueError as exc:
+        raise InvalidInput(f"malformed ray {args.ray!r}") from exc
+    _emit(jsonio.fan_to_json(star_subdivision(f, ray)), True)
+    return 0
 
 
 def _cmd_spherical(args) -> int:
@@ -154,25 +139,20 @@ def _cmd_spherical(args) -> int:
         payload = {"fans": [jsonio.colored_fan_to_json(f) for f in fans], "steps": steps}
         _emit(payload, True)
         return 0
-    if args.action == "extend":
-        rs = build_root_system(f"C{args.rank}")
-        x_fan = spherical.wonderful_colored_fan(rs)
-        z_fan = spherical.z_colored_fan(args.rank)
-        payload = {
-            "wonderful_to_quotient": spherical.extends_to_morphism(x_fan, z_fan),
-            "quotient_to_wonderful": spherical.extends_to_morphism(z_fan, x_fan),
-        }
-        if args.json:
-            _emit(payload, True)
-        else:
-            _emit(
-                payload,
-                False,
-                f"wonderful->quotient: {payload['wonderful_to_quotient']}; "
-                f"quotient->wonderful: {payload['quotient_to_wonderful']}",
-            )
-        return 0
-    raise InvalidInput(f"unknown spherical action {args.action!r}")
+    # argparse's choices leave only "extend" here
+    rs = build_root_system(f"C{args.rank}")
+    x_fan = spherical.wonderful_colored_fan(rs)
+    z_fan = spherical.z_colored_fan(args.rank)
+    payload = {
+        "wonderful_to_quotient": spherical.extends_to_morphism(x_fan, z_fan),
+        "quotient_to_wonderful": spherical.extends_to_morphism(z_fan, x_fan),
+    }
+    text = (
+        f"wonderful->quotient: {payload['wonderful_to_quotient']}; "
+        f"quotient->wonderful: {payload['quotient_to_wonderful']}"
+    )
+    _emit(payload, args.json, text)
+    return 0
 
 
 def _cmd_orbits(args) -> int:
@@ -180,46 +160,32 @@ def _cmd_orbits(args) -> int:
     if args.kind == "lg":
         space = symplectic_doubled(n)
         table = [{"k": k, "dim": lg_orbit_dim(n, k), "codim": k * k} for k in range(n + 1)]
-        reports = []
-        if args.samples:
-            reports.append(check_equal_intersections(space, args.samples, args.seed).__dict__)
-            reports.append(tau_fixed_locus_check(space, args.samples, args.seed).__dict__)
     else:
         space = orthogonal_doubled(n)
+        data = [og_orbit_data(n, k) for k in range(n + 1)]
         table = [
-            {
-                "k": k,
-                "dim": og_orbit_data(n, k).orbit_dim,
-                "codim": og_orbit_data(n, k).codim,
-                "base": og_orbit_data(n, k).base_dim,
-                "fiber": og_orbit_data(n, k).fiber_dim,
-            }
-            for k in range(n + 1)
+            {"k": k, "dim": d.orbit_dim, "codim": d.codim, "base": d.base_dim, "fiber": d.fiber_dim}
+            for k, d in enumerate(data)
         ]
-        reports = []
-        if args.samples:
-            reports.append(check_equal_intersections(space, args.samples, args.seed).__dict__)
+    reports = []
+    if args.samples:
+        reports.append(check_equal_intersections(space, args.samples, args.seed).__dict__)
+        if args.kind == "lg":
+            reports.append(tau_fixed_locus_check(space, args.samples, args.seed).__dict__)
     payload = {"kind": args.kind, "n": n, "table": table, "sampled_checks": reports}
-    violations = sum(r["violations"] for r in reports)
-    if args.json:
-        _emit(payload, True)
-    else:
-        lines = [f"k={row['k']}: dim {row['dim']} (codim {row['codim']})" for row in table]
-        for r in reports:
-            lines.append(f"{r['lemma']}: {r['violations']} violations in {r['samples']} samples")
-        _emit(payload, False, "\n".join(lines))
-    return 0 if violations == 0 else 1
+    lines = [f"k={row['k']}: dim {row['dim']} (codim {row['codim']})" for row in table]
+    for r in reports:
+        lines.append(f"{r['lemma']}: {r['violations']} violations in {r['samples']} samples")
+    _emit(payload, args.json, "\n".join(lines))
+    return 0 if sum(r["violations"] for r in reports) == 0 else 1
 
 
 def _cmd_verify(args) -> int:
-    if args.case:
+    if args.case is not None:
         reports = [casebook.run_case(args.case, seed=args.seed)]
     else:
         reports = casebook.run_all(seed=args.seed)
-    if args.json:
-        _emit([r.to_json() for r in reports], True)
-    else:
-        _emit(None, False, "\n".join(r.render_text() for r in reports))
+    _emit([r.to_json() for r in reports], args.json, "\n".join(r.render_text() for r in reports))
     return 0 if all(r.passed() for r in reports) else 1
 
 

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction as Q
 from typing import Mapping, Sequence
 
-from .errors import InvalidInput
+from .errors import BoundExceeded, InvalidInput
 from .linalg import Matrix, Vector, qm, qv, rank
 from .polyhedra import Fan, _ray_keys, cone, fan
 from .rootsys import RootSystem, WeylElement, build_root_system
@@ -53,6 +53,12 @@ def decode_matrix(data: Sequence[Sequence[str]]) -> Matrix:
     return qm([decode_vector(row) for row in data])
 
 
+# the largest fan ambient dimension read: a zero cone's check alone
+# eliminates the identity of this size, and A44, the largest type that
+# rootsys.MAX_ROOTS admits, has ambient dimension 45
+MAX_AMBIENT_DIM = 64
+
+
 def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -67,16 +73,28 @@ def fan_to_json(f: Fan) -> dict:
     }
 
 
+def _array(value, name: str) -> list:
+    """The value, refused unless it is a JSON array, which a string or an
+    object would pass for when iterated."""
+    if not isinstance(value, list):
+        raise InvalidInput(f"fan {name} must be an array, not {type(value).__name__}")
+    return value
+
+
 def fan_from_json(data: Mapping) -> Fan:
     try:
         dim = data["ambient_dim"]
-        lattice = None if data["lattice"] == "standard" else decode_matrix(data["lattice"])
-        rays = [decode_vector(r) for r in data["rays"]]
-        cone_indices = [list(ids) for ids in data["maximal_cones"]]
+        lattice = data["lattice"]
+        lattice = None if lattice == "standard" else decode_matrix(_array(lattice, "lattice"))
+        rays = [decode_vector(r) for r in _array(data["rays"], "rays")]
+        entries = _array(data["maximal_cones"], "maximal_cones")
+        cone_indices = [_array(ids, f"maximal_cones entry {k}") for k, ids in enumerate(entries)]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed fan document: {exc}") from exc
     if type(dim) is not int or dim < 0:
         raise InvalidInput(f"fan ambient_dim must be a nonnegative integer, not {dim!r}")
+    if dim > MAX_AMBIENT_DIM:
+        raise BoundExceeded(f"fan ambient_dim {dim} is above the bound {MAX_AMBIENT_DIM}")
     if lattice is not None and (
         any(len(row) != dim for row in lattice) or rank(lattice) != len(lattice)
     ):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
@@ -129,11 +130,6 @@ def _relints_share_valuation_point(cones: Sequence[RationalCone], vcone: Rationa
     return _eliminate(len(gens), eqs, ineqs)
 
 
-def _relint_meets_valuation(c: RationalCone, vcone: RationalCone) -> bool:
-    """Exact test of relint(c) meeting the valuation cone."""
-    return _relints_share_valuation_point([c], vcone)
-
-
 def validate_colored_cone(cc: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vector]) -> None:
     for d in cc.colors:
         if d not in rho:
@@ -146,7 +142,7 @@ def validate_colored_cone(cc: ColoredCone, vcone: RationalCone, rho: Mapping[str
             raise InvalidInput(
                 f"generator {g} is neither a valuation-cone element nor a color image"
             )
-    if not _relint_meets_valuation(cc.cone, vcone):
+    if not _relints_share_valuation_point([cc.cone], vcone):
         raise InvalidInput("colored cone has no interior valuation point")
 
 
@@ -165,7 +161,7 @@ def _colored_faces(top: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vect
     inside = [contains(vcone, g) for g in c.gens]
     out = []
     for subset, f in zip(_face_subsets(c.dim), faces(c)):
-        if all(inside[i] for i in subset) or _relint_meets_valuation(f, vcone):
+        if all(inside[i] for i in subset) or _relints_share_valuation_point([f], vcone):
             kept = frozenset(d for d in top.colors if contains(f, rho[d]))
             out.append((subset, ColoredCone(cone=f, colors=kept)))
     return out
@@ -189,7 +185,6 @@ def colored_fan_from_tops(
     rs: RootSystem,
     tops: Sequence[ColoredCone],
     boundary_names: Optional[Mapping[Vector, str]] = None,
-    rho: Optional[Mapping[str, Vector]] = None,
 ) -> ColoredFan:
     """Close the given colored cones under colored faces and validate.
 
@@ -198,7 +193,7 @@ def colored_fan_from_tops(
     Faces are keyed by their generators' indices into the sorted rays of the
     tops, which orders the keys as the generator tuples.
     """
-    rho = dict(rho) if rho is not None else standard_rho_table(rs)
+    rho = standard_rho_table(rs)
     vcone = valuation_cone(rs)
     _, top_keys = _ray_keys([top.cone.gens for top in tops])
     collected: dict = {}
@@ -214,10 +209,9 @@ def colored_fan_from_tops(
             collected[key] = cc
     cones = tuple(collected[k] for k in sorted(collected))
     if len(tops) > 1:
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                if _relints_overlap_in_valuation(cones[i].cone, cones[j].cone, vcone):
-                    raise InvalidInput("colored cones overlap inside the valuation cone")
+        for a, b in combinations(cones, 2):
+            if _relints_share_valuation_point([a.cone, b.cone], vcone):
+                raise InvalidInput("colored cones overlap inside the valuation cone")
     names = dict(boundary_names or {})
     for cc in cones:
         if cc.cone.dim == 1:
@@ -236,15 +230,6 @@ def colored_fan_from_tops(
         colors=tuple(color_symbol(j) for j in range(1, rs.rank + 1)),
         boundary_names=names,
     )
-
-
-def _relints_overlap_in_valuation(
-    c1: RationalCone, c2: RationalCone, vcone: RationalCone
-) -> bool:
-    """Whether relint(c1), relint(c2) and the valuation cone share a point."""
-    if c1.gens == c2.gens:
-        return True
-    return _relints_share_valuation_point([c1, c2], vcone)
 
 
 def wonderful_colored_fan(rs: RootSystem) -> ColoredFan:
@@ -351,21 +336,23 @@ def intermediate_colored_cones(
 ) -> list[ColoredCone]:
     """Colored cones strictly between two given ones in the colored-face
     order, enumerated exhaustively from the colored faces of the upper cone,
-    each of which lies below it."""
+    each of which lies below it.
+
+    The lower cone lies below a face when its generators are among the
+    face's, it carries exactly the face's colors that land in it, and its
+    relative interior meets the valuation cone; the last test reads the
+    lower cone alone, so it runs once, after the faces are enumerated.
+    """
     rho = standard_rho_table(rs)
     vcone = valuation_cone(rs)
-    return [
+    gens = set(lower.cone.gens)
+    between = [
         cc for cc in colored_faces(upper, vcone, rho)
-        if cc.key() not in (lower.key(), upper.key()) and _is_colored_face(lower, cc, vcone, rho)
+        if cc.key() not in (lower.key(), upper.key())
+        and gens <= set(cc.cone.gens)
+        and lower.colors == frozenset(d for d in cc.colors if contains(lower.cone, rho[d]))
     ]
-
-
-def _is_colored_face(a: ColoredCone, b: ColoredCone, vcone, rho) -> bool:
-    if not set(a.cone.gens) <= set(b.cone.gens):
-        return False
-    if not _relint_meets_valuation(a.cone, vcone):
-        return False
-    return a.colors == frozenset(d for d in b.colors if contains(a.cone, rho[d]))
+    return between if between and _relints_share_valuation_point([lower.cone], vcone) else []
 
 
 @dataclass(frozen=True)
@@ -391,13 +378,25 @@ class OrbitPoset:
 
 
 def orbit_poset(f: ColoredFan) -> OrbitPoset:
-    """The colored cones ordered by the colored-face relation."""
-    nodes = f.cones
+    """The colored cones ordered by the colored-face relation: a lies below
+    b when a's generators are among b's, a's relative interior meets the
+    valuation cone, and a carries exactly the colors of b that land in it.
+
+    Generators are compared as index sets into the fan's rays, and the
+    valuation test reads a alone, so it runs once per cone, not per pair.
+    """
+    nodes, rho = f.cones, f.rho_table
+    _, keys = _ray_keys([cc.cone.gens for cc in nodes])
+    gens = [frozenset(key) for key in keys]
+    meets = [_relints_share_valuation_point([cc.cone], f.valuation_cone) for cc in nodes]
     le = tuple(
         tuple(
-            _is_colored_face(a, b, f.valuation_cone, f.rho_table) for b in nodes
+            gens[i] <= gens[j]
+            and meets[i]
+            and a.colors == frozenset(d for d in b.colors if contains(a.cone, rho[d]))
+            for j, b in enumerate(nodes)
         )
-        for a in nodes
+        for i, a in enumerate(nodes)
     )
     return OrbitPoset(nodes=nodes, less_equal=le)
 

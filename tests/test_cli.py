@@ -82,13 +82,71 @@ def test_fan_commands(capsys, tmp_path):
 
     code, out2, _ = run_cli(capsys, "fan", "check", "--input", str(fan_path))
     assert code == 0
-    assert "complete=True smooth=True picard=4" in out2
+    assert out2 == "complete=True smooth=True picard=4\n"
 
     # subdividing at an existing ray re-emits the same fan, byte for byte
     ray = ",".join(json.loads(out)["rays"][0])
     code, out3, _ = run_cli(capsys, "fan", "subdivide", "--input", str(fan_path), f"--ray={ray}")
     assert code == 0
     assert out3 == out
+
+
+# the text mode of every command with one, byte for byte
+TEXT_OUTPUT = [
+    (
+        ["root-system", "--type", "G2"],
+        "type G2: rank 2, ambient dimension 3\n"
+        "roots: 12 (6 positive)\n"
+        "highest root: ['1/1', '1/1', '-2/1']\n"
+        "Weyl order: 12\n"
+        "weight/root lattice index: 1\n"
+        "Cartan matrix: [[2, -1], [-3, 2]]\n",
+    ),
+    (
+        ["weights", "--type", "F4", "--to", "fund_weight"],
+        "type F4 in basis fund_weight\n"
+        "omega1: ['1/1', '0/1', '0/1', '0/1']\n"
+        "alpha1: ['2/1', '-1/1', '0/1', '0/1']\n"
+        "omega2: ['0/1', '1/1', '0/1', '0/1']\n"
+        "alpha2: ['-1/1', '2/1', '-2/1', '0/1']\n"
+        "omega3: ['0/1', '0/1', '1/1', '0/1']\n"
+        "alpha3: ['0/1', '-1/1', '2/1', '-1/1']\n"
+        "omega4: ['0/1', '0/1', '0/1', '1/1']\n"
+        "alpha4: ['0/1', '0/1', '-1/1', '2/1']\n",
+    ),
+    (
+        ["spherical", "extend", "--rank", "3"],
+        "wonderful->quotient: True; quotient->wonderful: False\n",
+    ),
+    (
+        ["orbits", "lg", "--n", "2", "--samples", "5"],
+        "k=0: dim 10 (codim 0)\n"
+        "k=1: dim 9 (codim 1)\n"
+        "k=2: dim 6 (codim 4)\n"
+        "maximal isotropic subspaces meet both summands in equal dimension: 0 violations in 5 samples\n"
+        "the sign involution fixes a subspace exactly when its invariant is maximal: 0 violations in 7 samples\n",
+    ),
+    (
+        ["orbits", "og", "--n", "2", "--samples", "5"],
+        "k=0: dim 10 (codim 0)\n"
+        "k=1: dim 9 (codim 1)\n"
+        "k=2: dim 6 (codim 4)\n"
+        "maximal isotropic subspaces meet both summands in equal dimension: 0 violations in 5 samples\n",
+    ),
+    (
+        ["verify", "--case", "e8-weyl-order"],
+        "[PASS] e8-weyl-order: the largest exceptional Weyl group has order 2^14 * 3^5 * 5^2 * 7, with the expected restriction ratios down the exceptional series\n"
+        "    order: computed=696729600 expected=696729600 (tabulated) ok\n"
+        "    factorization_holds: computed=True expected=True (tabulated) ok\n"
+        "    e8_to_e7_ratio: computed=240 expected=240 (recomputed) ok\n"
+        "    e7_to_d6_ratio: computed=126 expected=126 (recomputed) ok\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, expected", TEXT_OUTPUT, ids=["-".join(args) for args, _ in TEXT_OUTPUT])
+def test_text_output_is_pinned(capsys, args, expected):
+    assert run_cli(capsys, *args) == (0, expected, "")
 
 
 def test_fan_check_p2(capsys, tmp_path):
@@ -132,6 +190,19 @@ def test_malformed_json_exit_2(capsys, tmp_path):
     assert "line 1" in err
 
 
+# fields whose refusal names them: strings and objects where arrays belong,
+# and a cone entry that is not an array
+MISTYPED = [
+    ("lattice", "10"),
+    ("lattice", {"a": ["1", "0"], "b": ["0", "1"]}),
+    ("rays", "ab"),
+    ("rays", {"x": ["1/1", "0/1"]}),
+    ("maximal_cones", "01"),
+    ("maximal_cones", {"a": 1}),
+    ("maximal_cones", [[0, 1], "02", [1, 2]]),
+]
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -155,6 +226,8 @@ def test_malformed_json_exit_2(capsys, tmp_path):
             id="string-rays",
         ),
         pytest.param("lattice", ["10", "01"], id="string-lattice-rows"),
+        # a field of the wrong JSON type, once read one character or key at a time
+        *(pytest.param(field, value, id=f"mistyped-{field}-{k}") for k, (field, value) in enumerate(MISTYPED)),
     ],
 )
 def test_malformed_fan_document_exit_2(capsys, tmp_path, field, value):
@@ -171,6 +244,35 @@ def test_malformed_fan_document_exit_2(capsys, tmp_path, field, value):
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    if (field, value) in MISTYPED:
+        assert field in err
+    if (field, value) == MISTYPED[-1]:  # a cone entry is named by its position
+        assert "entry 1" in err
+
+
+def _zero_cone_document(dim):
+    return {"ambient_dim": dim, "lattice": "standard", "rays": [], "maximal_cones": [[]]}
+
+
+def test_oversized_ambient_dim_exit_2(capsys, tmp_path):
+    """A zero cone's check eliminates the identity of the ambient dimension,
+    so a short document could ask for any amount of work; it is refused
+    before any cone is built."""
+    from weylfans.jsonio import MAX_AMBIENT_DIM
+
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_zero_cone_document(MAX_AMBIENT_DIM + 1)))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fan", "check", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: fan ambient_dim {MAX_AMBIENT_DIM + 1} is above the bound {MAX_AMBIENT_DIM}\n"
+    # the bound itself is read, and A44 (ambient dimension 45), the largest
+    # type rootsys.MAX_ROOTS admits, fits under it
+    assert MAX_AMBIENT_DIM >= 45
+    path.write_text(json.dumps(_zero_cone_document(MAX_AMBIENT_DIM)))
+    code, out, _ = run_cli(capsys, "fan", "check", "--input", str(path))
+    assert (code, out) == (0, "complete=False smooth=True picard=None\n")
 
 
 def test_fan_on_empty_lattice_exit_2(capsys, tmp_path):
@@ -255,3 +357,5 @@ def test_verify_command(capsys):
     assert code == 0
     assert json.loads(out)[0]["verdict"] == "pass"
     assert run_cli(capsys, "verify", "--case", "missing-case")[0] == 2
+    # an empty case name is a missing case, not the whole casebook
+    assert run_cli(capsys, "verify", "--case", "")[:2] == (2, "")

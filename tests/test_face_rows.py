@@ -31,7 +31,7 @@ from weylfans.polyhedra import (
 from weylfans.rootsys import build_root_system
 from weylfans.spherical import (
     ColoredCone,
-    _relint_meets_valuation,
+    _relints_share_valuation_point,
     blowup_chain_fans,
     chain_cone,
     colored_faces,
@@ -61,7 +61,7 @@ def _old_colored_faces(top, vcone, rho):
     out = []
     for subset in _face_subsets(len(c.gens)):
         f = _fresh(RationalCone(c.ambient_dim, tuple(c.gens[i] for i in subset), c.lattice))
-        if all(inside[i] for i in subset) or _relint_meets_valuation(f, vcone):
+        if all(inside[i] for i in subset) or _relints_share_valuation_point([f], vcone):
             kept = frozenset(d for d in top.colors if contains(f, rho[d]))
             out.append(ColoredCone(cone=f, colors=kept))
     return out
@@ -228,8 +228,8 @@ def test_face_rows_from_the_top_answer_like_their_own_solve():
                     verdict = contains(f, p, strict)
                     assert verdict == contains(g, p, strict)
                     seen["in" if verdict else "out"] += 1
-            relint = _relint_meets_valuation(f, vcone)
-            assert relint == _relint_meets_valuation(g, vcone)
+            relint = _relints_share_valuation_point([f], vcone)
+            assert relint == _relints_share_valuation_point([g], vcone)
             seen["relint"] += relint
             seen["faces"] += 1
         top_cc = ColoredCone(cone=top, colors=frozenset(colors))

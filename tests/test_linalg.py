@@ -571,7 +571,7 @@ def _recorded_colored_fan_systems(monkeypatch):
                 spherical.is_complete_embedding(f)
                 polyhedra.covered_by(f.valuation_cone, cones, shortcut=False)
                 for c1, c2 in combinations(cones, 2):
-                    spherical._relints_overlap_in_valuation(c1, c2, f.valuation_cone)
+                    spherical._relints_share_valuation_point([c1, c2], f.valuation_cone)
     return recorded
 
 

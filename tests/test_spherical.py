@@ -275,13 +275,13 @@ RANK_LE8 = (
 
 
 def test_colored_fan_interiors_disjoint_in_valuation():
-    from weylfans.spherical import _relints_overlap_in_valuation
+    from weylfans.spherical import _relints_share_valuation_point
 
     for f in (wonderful_colored_fan(build_root_system("B3")), z_colored_fan(3)):
         cones = [cc.cone for cc in f.cones]
         for i in range(len(cones)):
             for j in range(i + 1, len(cones)):
-                assert not _relints_overlap_in_valuation(cones[i], cones[j], f.valuation_cone)
+                assert not _relints_share_valuation_point([cones[i], cones[j]], f.valuation_cone)
 
 
 def test_picard_presentations():
@@ -356,7 +356,7 @@ def test_colored_face_enumeration_is_bounded(monkeypatch):
 
     n = MAX_COLORED_FACES.bit_length()  # the least rank with too many faces
     orthant = ColoredCone(cone=cone([[-int(i == j) for j in range(n)] for i in range(n)]), colors=frozenset())
-    monkeypatch.setattr(spherical, "_relint_meets_valuation", no_face_visited)
+    monkeypatch.setattr(spherical, "_relints_share_valuation_point", no_face_visited)
     with pytest.raises(BoundExceeded, match="faces"):
         colored_faces(orthant, orthant.cone, {})
     for call in (lambda: blowup_chain_fans(n), lambda: z_colored_fan(n)):
