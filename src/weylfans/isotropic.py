@@ -41,10 +41,6 @@ class DoubledSpace:
     def dim(self) -> int:
         return 2 * self.block_dim
 
-    def block_form(self) -> Matrix:
-        """The form on one summand: the first block_dim rows of `_form_index`."""
-        return _signed_permutation(_form_index(self)[: self.block_dim])
-
     def form(self) -> Matrix:
         """The difference form on the doubled space, block diagonal."""
         return _signed_permutation(_form_index(self))

@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 from typing import Mapping, Sequence
 
 from .errors import BoundExceeded, InvalidInput
-from .linalg import Matrix, Vector, qm, qv, rank
+from .linalg import Vector, qm, qv, rank
 from .polyhedra import Fan, _ray_keys, cone, fan
 from .rootsys import RootSystem, WeylElement, build_root_system
 
@@ -39,18 +39,14 @@ def encode_vector(v: Sequence) -> list[str]:
     return [fraction_to_str(x) for x in v]
 
 
-def decode_vector(data: Sequence[str]) -> Vector:
-    if not isinstance(data, list):  # a string would read one character per entry
-        raise InvalidInput(f"malformed vector {data!r}: not an array")
-    return qv([str_to_fraction(x) for x in data])
+def decode_vector(data: Sequence[str], name: str) -> Vector:
+    """The vector of a fan document's entry `name`, refused by that name
+    unless it is an array."""
+    return qv([str_to_fraction(x) for x in _array(data, name)])
 
 
 def encode_matrix(m: Sequence[Sequence]) -> list[list[str]]:
     return [encode_vector(row) for row in m]
-
-
-def decode_matrix(data: Sequence[Sequence[str]]) -> Matrix:
-    return qm([decode_vector(row) for row in data])
 
 
 # the largest fan ambient dimension read: a zero cone's check alone
@@ -85,8 +81,12 @@ def fan_from_json(data: Mapping) -> Fan:
     try:
         dim = data["ambient_dim"]
         lattice = data["lattice"]
-        lattice = None if lattice == "standard" else decode_matrix(_array(lattice, "lattice"))
-        rays = [decode_vector(r) for r in _array(data["rays"], "rays")]
+        if lattice == "standard":
+            lattice = None
+        else:
+            rows = _array(lattice, "lattice")
+            lattice = qm([decode_vector(row, f"lattice row {k}") for k, row in enumerate(rows)])
+        rays = [decode_vector(r, f"rays entry {k}") for k, r in enumerate(_array(data["rays"], "rays"))]
         entries = _array(data["maximal_cones"], "maximal_cones")
         cone_indices = [_array(ids, f"maximal_cones entry {k}") for k, ids in enumerate(entries)]
     except (KeyError, TypeError) as exc:
@@ -114,28 +114,6 @@ def weyl_element_to_json(w: WeylElement) -> dict:
         "matrix": encode_matrix(w.matrix),
         "word": list(w.word) if w.word is not None else None,
     }
-
-
-def weyl_element_from_json(data: Mapping) -> WeylElement:
-    """Decode a Weyl element document.  The shape of the matrix and the word
-    are checked, but not the word against the matrix: a document holds no
-    root system, so the word is carried unchecked."""
-    try:
-        rows = data["matrix"]
-        word = data.get("word")
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"malformed Weyl element document: {exc}") from exc
-    if not (
-        isinstance(rows, list)
-        and rows
-        and all(isinstance(row, list) and len(row) == len(rows) for row in rows)
-    ):
-        raise InvalidInput("Weyl element matrix must be a nonempty square array of arrays")
-    if word is not None and (
-        not isinstance(word, list) or any(type(i) is not int or i < 1 for i in word)
-    ):
-        raise InvalidInput(f"Weyl element word {word!r} is not a list of positive integers")
-    return WeylElement(decode_matrix(rows), word)
 
 
 def root_system_to_json(rs: RootSystem) -> dict:
@@ -166,35 +144,6 @@ def root_system_from_json(data: Mapping) -> RootSystem:
         if key not in emitted or emitted[key] != value:
             raise InvalidInput(f"root system document field {key!r} is inconsistent")
     return rs
-
-
-def ledger_to_json(ledger) -> dict:
-    return {
-        "components": [
-            {"name": name, "coefficient": coeff} for name, coeff in ledger.components
-        ],
-        "history": [
-            {"point": point, "through": list(through), "exceptional": new}
-            for point, through, new in ledger.history
-        ],
-    }
-
-
-def ledger_from_json(data: Mapping):
-    from .toric import SurfaceBlowupLedger
-
-    try:
-        components = tuple((str(c["name"]), c["coefficient"]) for c in data["components"])
-        history = tuple(
-            (str(h["point"]), tuple(str(t) for t in h["through"]), str(h["exceptional"]))
-            for h in data["history"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"malformed ledger document: {exc}") from exc
-    for name, coefficient in components:
-        if type(coefficient) is not int:
-            raise InvalidInput(f"ledger coefficient {coefficient!r} of {name!r} is not an integer")
-    return SurfaceBlowupLedger(components=components, history=history)
 
 
 def colored_fan_to_json(f) -> dict:

@@ -127,12 +127,6 @@ def fundamental_weight(rs: RootSystem, i: int) -> LatticeVector:
     return LatticeVector(rs, "ambient", rs.fundamental_weights[i - 1])
 
 
-def fundamental_coweight(rs: RootSystem, i: int) -> LatticeVector:
-    if not 1 <= i <= rs.rank:
-        raise InvalidInput(f"coweight index {i} out of range for {rs.label}")
-    return LatticeVector(rs, "ambient", rs.fundamental_coweights[i - 1])
-
-
 def rho(rs: RootSystem) -> LatticeVector:
     return LatticeVector(rs, "ambient", rs.rho)
 

@@ -200,13 +200,6 @@ class Fan:
     def rays(self) -> tuple[Vector, ...]:
         return tuple(sorted({g for c in self.maximal_cones for g in c.gens}))
 
-    def all_cones(self) -> list[RationalCone]:
-        seen: dict[Matrix, RationalCone] = {}
-        for c in self.maximal_cones:
-            for f in faces(c):
-                seen[f.gens] = f
-        return [seen[k] for k in sorted(seen)]
-
 
 def _ray_keys(gen_lists: Sequence[Sequence[Vector]]) -> tuple[list[Vector], list[tuple[int, ...]]]:
     """The sorted distinct rays of the generator lists, and each list as its

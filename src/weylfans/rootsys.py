@@ -284,9 +284,7 @@ class WeylElement:
     use; the write is idempotent, so elements stay safe to share between
     threads.  The optional word is a non-canonical witness, a tuple of
     1-based simple reflection indices with ``matrix = S[w[0]] @ S[w[1]] @ ...``.
-    The constructor does not check that claim: a word decoded by
-    ``jsonio.weyl_element_from_json`` is carried unchecked against its
-    matrix, because a document holds no root system to check it against.
+    The constructor does not check that claim.
     """
 
     __slots__ = ("_rows", "_den", "_matrix", "word")

@@ -106,9 +106,6 @@ class ColoredFan:
                 out.append((self.boundary_names[ray], ray))
         return tuple(sorted(set(out)))
 
-    def is_strictly_convex(self) -> bool:
-        return any(cc.cone.dim == 0 for cc in self.cones)
-
 
 def _relints_share_valuation_point(cones: Sequence[RationalCone], vcone: RationalCone) -> bool:
     """Exact test of the relative interiors of the cones meeting inside the valuation cone.
@@ -154,8 +151,15 @@ def _check_face_bound(dim: int) -> None:
 
 
 def _colored_faces(top: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vector]):
-    """The colored faces of `colored_faces`, each with its generator index
-    subset of the top cone."""
+    """All colored faces of a colored cone: faces meeting the valuation cone,
+    each carrying the colors whose image lands inside it, and each with its
+    generator index subset of the top cone.
+
+    A face whose generators all lie in the valuation cone meets it in its
+    relative interior, by convexity, so only the other faces are tested.
+    A cone with more than ``MAX_COLORED_FACES`` faces is refused with
+    BoundExceeded before any face is visited.
+    """
     c = top.cone
     _check_face_bound(c.dim)
     inside = [contains(vcone, g) for g in c.gens]
@@ -165,20 +169,6 @@ def _colored_faces(top: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vect
             kept = frozenset(d for d in top.colors if contains(f, rho[d]))
             out.append((subset, ColoredCone(cone=f, colors=kept)))
     return out
-
-
-def colored_faces(
-    top: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vector]
-) -> list[ColoredCone]:
-    """All colored faces of a colored cone: faces meeting the valuation cone,
-    each carrying the colors whose image lands inside it.
-
-    A face whose generators all lie in the valuation cone meets it in its
-    relative interior, by convexity, so only the other faces are tested.
-    A cone with more than ``MAX_COLORED_FACES`` faces is refused with
-    BoundExceeded before any face is visited.
-    """
-    return [cc for _, cc in _colored_faces(top, vcone, rho)]
 
 
 def colored_fan_from_tops(
@@ -329,52 +319,10 @@ def is_complete_embedding(f: ColoredFan) -> bool:
     return covered_by(f.valuation_cone, [cc.cone for cc in f.cones])
 
 
-def intermediate_colored_cones(
-    rs: RootSystem,
-    lower: ColoredCone,
-    upper: ColoredCone,
-) -> list[ColoredCone]:
-    """Colored cones strictly between two given ones in the colored-face
-    order, enumerated exhaustively from the colored faces of the upper cone,
-    each of which lies below it.
-
-    The lower cone lies below a face when its generators are among the
-    face's, it carries exactly the face's colors that land in it, and its
-    relative interior meets the valuation cone; the last test reads the
-    lower cone alone, so it runs once, after the faces are enumerated.
-    """
-    rho = standard_rho_table(rs)
-    vcone = valuation_cone(rs)
-    gens = set(lower.cone.gens)
-    between = [
-        cc for cc in colored_faces(upper, vcone, rho)
-        if cc.key() not in (lower.key(), upper.key())
-        and gens <= set(cc.cone.gens)
-        and lower.colors == frozenset(d for d in cc.colors if contains(lower.cone, rho[d]))
-    ]
-    return between if between and _relints_share_valuation_point([lower.cone], vcone) else []
-
-
 @dataclass(frozen=True)
 class OrbitPoset:
     nodes: tuple[ColoredCone, ...]
     less_equal: tuple[tuple[bool, ...], ...]  # le[i][j]: node i is a colored face of node j
-
-    def maximal_nodes(self) -> list[int]:
-        n = len(self.nodes)
-        return [
-            j
-            for j in range(n)
-            if all(not self.less_equal[j][i] for i in range(n) if i != j)
-        ]
-
-    def is_chain(self) -> bool:
-        n = len(self.nodes)
-        return all(
-            self.less_equal[i][j] or self.less_equal[j][i]
-            for i in range(n)
-            for j in range(n)
-        )
 
 
 def orbit_poset(f: ColoredFan) -> OrbitPoset:

@@ -154,7 +154,6 @@ def invariant_picard_rank(
     basis_size: int,
     action: Sequence[Sequence[int]],
     relations: Sequence[Sequence[int]],
-    closure_bound: int = 20000,
 ) -> int:
     """Rank over Q of the invariants of (Z^basis / relations) under a
     permutation action.
@@ -163,8 +162,7 @@ def invariant_picard_rank(
     relations; the rank is the dimension of the image of the averaging
     projector in the quotient, never more than the number of orbits.  The
     generators decide both: a group preserves the span when its generators
-    do, and has their orbits.  So no group element beyond them is formed,
-    and ``closure_bound``, kept for callers, bounds nothing.
+    do, and has their orbits.  So no group element beyond them is formed.
     """
     perms = []
     for p in action:

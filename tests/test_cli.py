@@ -248,6 +248,10 @@ def test_malformed_fan_document_exit_2(capsys, tmp_path, field, value):
         assert field in err
     if (field, value) == MISTYPED[-1]:  # a cone entry is named by its position
         assert "entry 1" in err
+    if field is None and value["rays"][:1] == ["10"]:  # and so is a ray entry
+        assert err == "error: fan rays entry 0 must be an array, not str\n"
+    if value == ["10", "01"]:  # and a lattice row
+        assert err == "error: fan lattice row 0 must be an array, not str\n"
 
 
 def _zero_cone_document(dim):

@@ -3,8 +3,10 @@
 and junk arguments for every subcommand.  Every run must end in exit 0 or
 2; an exit 2 is either one stderr line starting "error: " or, for
 arguments argparse itself refuses, its usage message; and no run prints a
-traceback.  Sizes stay small, because --n, --samples and --rank scale work
-by design and their bounds are tested in test_cli."""
+traceback.  Each document `fan check` accepts also round-trips: its
+canonical text reads back to the same bytes.  Sizes stay small, because
+--n, --samples and --rank scale work by design and their bounds are tested
+in test_cli."""
 
 import contextlib
 import copy
@@ -84,6 +86,7 @@ def test_mutated_fan_documents(tmp_path):
     path = tmp_path / "fuzz.json"
     rays = ["0,1", "1,1", "1/2,-3", "0,0", "1", "1,2,3", "a,b", "1/0,1", ",", ""]
     codes = {0: 0, 2: 0}
+    round_trips = 0
     start = time.perf_counter()
     for doc in _documents(rng, 150):
         path.write_text(json.dumps(doc))
@@ -94,6 +97,10 @@ def test_mutated_fan_documents(tmp_path):
             code, err = _run(argv)
             _check(argv, code, err)
             codes[code] += 1
+            if code == 0 and argv[1] == "check":
+                text = jsonio.dumps(jsonio.fan_to_json(jsonio.fan_from_json(doc)))
+                assert jsonio.dumps(jsonio.fan_to_json(jsonio.fan_from_json(json.loads(text)))) == text
+                round_trips += 1
     # truncated documents are malformed JSON
     for cut in (1, 10, 40):
         path.write_text(json.dumps(doc)[:cut])
@@ -102,7 +109,7 @@ def test_mutated_fan_documents(tmp_path):
         _check(argv, code, err)
         assert code == 2 and "malformed JSON" in err
     assert time.perf_counter() - start < 5
-    assert min(codes.values()) > 10, codes
+    assert min(codes.values()) > 10 and round_trips > 10, (codes, round_trips)
 
 
 def _junk_argv(rng, tmp_path):

@@ -1,10 +1,8 @@
 """The colored-face relation with one valuation test per cone, against the
 relation before it, which asked the valuation question once per pair of
-cones: `orbit_poset` and `intermediate_colored_cones` on the type-C chain,
-quotient and wonderful fans, on the wonderful fans of the other types up to
-rank 6 and on hand-built colored fans."""
-
-import random
+cones: `orbit_poset` on the type-C chain, quotient and wonderful fans, on
+the wonderful fans of the other types up to rank 6 and on hand-built
+colored fans, and on the E8 wonderful fan with one elimination per cone."""
 
 from weylfans import spherical
 from weylfans.linalg import _unit
@@ -16,8 +14,6 @@ from weylfans.spherical import (
     OrbitPoset,
     _relints_share_valuation_point,
     color_symbol,
-    colored_faces,
-    intermediate_colored_cones,
     orbit_poset,
     standard_rho_table,
     valuation_cone,
@@ -45,15 +41,6 @@ def _old_orbit_poset(f):
         for a in nodes
     )
     return OrbitPoset(nodes=nodes, less_equal=le)
-
-
-def _old_intermediate_colored_cones(rs, lower, upper):
-    rho = standard_rho_table(rs)
-    vcone = valuation_cone(rs)
-    return [
-        cc for cc in colored_faces(upper, vcone, rho)
-        if cc.key() not in (lower.key(), upper.key()) and _old_is_colored_face(lower, cc, vcone, rho)
-    ]
 
 
 # --- inputs -------------------------------------------------------------------
@@ -176,44 +163,3 @@ def test_orbit_poset_of_e8_makes_one_elimination_per_cone(monkeypatch):
         for j, b in enumerate(poset.nodes):
             assert poset.less_equal[i][j] == (set(a.cone.gens) <= set(b.cone.gens))
 
-
-# --- intermediate_colored_cones -------------------------------------------------
-
-
-def _lower_cones(rng, rs, f):
-    """A seeded sample of the fan's cones, with their colors dropped or
-    swapped, and a cone whose relative interior misses the valuation cone."""
-    rho = standard_rho_table(rs)
-    lowers = rng.sample(f.cones, min(6, len(f.cones)))
-    lowers += [ColoredCone(cone=cc.cone, colors=frozenset()) for cc in lowers[:2]]
-    lowers += [ColoredCone(cone=cc.cone, colors=frozenset({color_symbol(1)})) for cc in lowers[:2]]
-    lowers.append(ColoredCone(cone=cone([rho[color_symbol(1)]], ambient_dim=rs.rank), colors=frozenset()))
-    return lowers
-
-
-def test_intermediate_colored_cones_match_the_pairwise_relation():
-    rng = random.Random(2020)
-    seen = {"empty": 0, "nonempty": 0, "raises": 0}
-    for rs, f in _library_fans():
-        if rs.rank > 4:  # every lower and upper pair enumerates the upper's faces
-            continue
-        for upper in [cc for cc in f.cones if cc.cone.dim == rs.rank]:
-            for lower in _lower_cones(rng, rs, f):
-                new = _outcome(lambda: intermediate_colored_cones(rs, lower, upper))
-                assert new == _outcome(lambda: _old_intermediate_colored_cones(rs, lower, upper))
-                seen["raises" if new[0] == "raises" else "nonempty" if new[1] else "empty"] += 1
-    # a lower cone of another dimension, and an oversized upper cone, which
-    # is refused before the lower cone is read
-    c3 = build_root_system("C3")
-    n = spherical.MAX_COLORED_FACES.bit_length()
-    orthant = ColoredCone(cone=cone([_unit(n, i, -1) for i in range(n)]), colors=frozenset())
-    top = spherical.chain_cone(c3, 3)
-    for lower, upper in [
-        (ColoredCone(cone=zero_cone(2), colors=frozenset({color_symbol(1)})), top),
-        (ColoredCone(cone=zero_cone(2), colors=frozenset()), top),
-        (ColoredCone(cone=cone([(1, 0)]), colors=frozenset()), orthant),
-    ]:
-        new = _outcome(lambda: intermediate_colored_cones(c3, lower, upper))
-        assert new == _outcome(lambda: _old_intermediate_colored_cones(c3, lower, upper))
-        seen["raises"] += new[0] == "raises"
-    assert min(seen.values()) > 0, seen

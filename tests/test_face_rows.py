@@ -31,10 +31,10 @@ from weylfans.polyhedra import (
 from weylfans.rootsys import build_root_system
 from weylfans.spherical import (
     ColoredCone,
+    _colored_faces,
     _relints_share_valuation_point,
     blowup_chain_fans,
     chain_cone,
-    colored_faces,
     standard_rho_table,
     valuation_cone,
 )
@@ -233,7 +233,7 @@ def test_face_rows_from_the_top_answer_like_their_own_solve():
             seen["relint"] += relint
             seen["faces"] += 1
         top_cc = ColoredCone(cone=top, colors=frozenset(colors))
-        assert colored_faces(top_cc, vcone, rho) == _old_colored_faces(top_cc, vcone, rho)
+        assert [cc for _, cc in _colored_faces(top_cc, vcone, rho)] == _old_colored_faces(top_cc, vcone, rho)
         # covers: every face by the other cone and a seeded face of the top
         for f, g in zip(new, old):
             i = rng.randrange(len(new))

@@ -5,7 +5,7 @@ import pytest
 from weylfans import jsonio
 from weylfans.errors import InvalidInput
 from weylfans.polyhedra import cone, fan
-from weylfans.rootsys import build_root_system, simple_reflection
+from weylfans.rootsys import build_root_system
 from weylfans.spherical import wonderful_colored_fan, z_colored_fan
 from weylfans.toric import weyl_chamber_fan
 
@@ -53,48 +53,6 @@ def test_root_system_round_trip():
     for bad in ({}, [], None, {"type": 5}, {"type": "A100000"}):
         with pytest.raises(InvalidInput):
             jsonio.root_system_from_json(bad)
-
-
-def test_weyl_element_round_trip():
-    rs = build_root_system("B3")
-    w = simple_reflection(rs, 2)
-    doc = jsonio.weyl_element_to_json(w)
-    again = jsonio.weyl_element_from_json(doc)
-    assert again == w and again.word == w.word
-    assert jsonio.weyl_element_from_json({"matrix": doc["matrix"]}) == w
-    for bad in (
-        {},
-        [],
-        {"matrix": "1/1"},
-        {"matrix": [["1/1", "0/1"]]},  # not square
-        {"matrix": [["1/1", "0/1"], ["0/1"]]},  # ragged
-        {"matrix": []},
-        {"matrix": [[1]]},  # entries are "p/q" strings
-        {"matrix": [["1/1"]], "word": "ab"},
-        {"matrix": [["1/1"]], "word": [0]},
-        {"matrix": [["1/1"]], "word": [True]},
-    ):
-        with pytest.raises(InvalidInput):
-            jsonio.weyl_element_from_json(bad)
-
-
-def test_ledger_round_trip():
-    import json
-
-    from weylfans.toric import blowup_boundary_point, projective_plane_ledger
-
-    ledger = blowup_boundary_point(projective_plane_ledger(), "y0", ["H"])
-    emitted = jsonio.dumps(jsonio.ledger_to_json(ledger))
-    again = jsonio.ledger_from_json(json.loads(emitted))
-    assert again == ledger
-    assert jsonio.dumps(jsonio.ledger_to_json(again)) == emitted
-    with pytest.raises(InvalidInput):
-        jsonio.ledger_from_json({"components": [{}], "history": []})
-    # a coefficient must be a JSON integer: no string, no float, no boolean
-    for coefficient in ("2.5", 2.5, True):
-        doc = {"components": [{"name": "H", "coefficient": coefficient}], "history": []}
-        with pytest.raises(InvalidInput):
-            jsonio.ledger_from_json(doc)
 
 
 def test_colored_fan_serialization():

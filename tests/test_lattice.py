@@ -81,7 +81,7 @@ def test_pairing_dualities():
         for j in range(1, 4):
             delta = Q(1 if i == j else 0)
             assert lat.pair(lat.fundamental_weight(b3, i), lat.simple_coroot(b3, j)) == delta
-            assert lat.pair(lat.simple_root(b3, j), lat.fundamental_coweight(b3, i)) == delta
+            assert lat.pair(lat.simple_root(b3, j), lat.vector(b3, b3.fundamental_coweights[i - 1])) == delta
     theta = lat.vector(b3, b3.highest_root)
     assert lat.pair(theta, lat.highest_coroot(b3)) == 2
     # pairings of simple roots against the highest coroot, frozen

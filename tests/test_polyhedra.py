@@ -457,4 +457,4 @@ def test_covered_by_known_answers():
 def test_fan_all_cones_and_rays():
     f = p2_fan()
     assert len(f.rays()) == 3
-    assert len(f.all_cones()) == 7  # zero cone, three rays, three sectors
+    assert len({g.gens for c in f.maximal_cones for g in faces(c)}) == 7  # zero cone, three rays, three sectors

@@ -18,7 +18,6 @@ from weylfans.spherical import (
     color_symbol,
     colored_fan_from_tops,
     extends_to_morphism,
-    intermediate_colored_cones,
     is_complete_embedding,
     orbit_poset,
     picard_presentation,
@@ -41,9 +40,8 @@ def test_wonderful_fan_b3():
     assert all(cc.colors == frozenset() for cc in f.cones)
     assert sorted(name for name, _ in f.boundary_divisors()) == ["D1", "D2", "D3"]
     poset = orbit_poset(f)
-    # boolean lattice on three boundary indices: one maximal node, and the
-    # cone ordering matches subset inclusion of the generator sets
-    assert len(poset.maximal_nodes()) == 1
+    # boolean lattice on three boundary indices: the cone ordering matches
+    # subset inclusion of the generator sets
     for i, a in enumerate(poset.nodes):
         for j, b in enumerate(poset.nodes):
             assert poset.less_equal[i][j] == (set(a.cone.gens) <= set(b.cone.gens))
@@ -61,14 +59,15 @@ def test_wonderful_fan_small_and_rank4():
 
 def test_strict_convexity_flag():
     f = wonderful_colored_fan(build_root_system("A2"))
-    assert f.is_strictly_convex()
+    assert any(cc.cone.dim == 0 for cc in f.cones)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_z_fan_chain_structure(n):
     f = z_colored_fan(n)
     assert len(f.cones) == n + 1
-    assert orbit_poset(f).is_chain()
+    le = orbit_poset(f).less_equal
+    assert all(le[i][j] or le[j][i] for i in range(len(le)) for j in range(len(le)))
     assert [name for name, _ in f.boundary_divisors()] == ["Z1"]
     top = max(f.cones, key=lambda cc: cc.cone.dim)
     assert top.colors == frozenset(color_symbol(j) for j in range(1, n))
@@ -191,48 +190,6 @@ def test_blowup_chain(n):
         assert not extends_to_morphism(chain[i + 1], chain[i])
 
 
-def test_no_intermediate_colored_cone():
-    # between the ray of the contracted divisor and the blown-up colored cone
-    rs = build_root_system("C3")
-    lower = ColoredCone(cone=cone([(0, -1, 0)], ambient_dim=3), colors=frozenset())
-    upper = ColoredCone(
-        cone=cone([(-1, 0, 0), (2, -1, 0)], ambient_dim=3),
-        colors=frozenset({color_symbol(1)}),
-    )
-    assert intermediate_colored_cones(rs, lower, upper) == []
-
-
-def _int_key(cc):
-    return tuple(tuple(int(x) for x in g) for g in cc.cone.gens), tuple(sorted(cc.colors))
-
-
-def test_intermediate_colored_cones():
-    """Every colored face of the upper cone lies below it, so the only test
-    left is the one against the lower cone."""
-    from weylfans.polyhedra import zero_cone
-
-    a2, b3 = build_root_system("A2"), build_root_system("B3")
-    expected = {
-        a2: [(((-1, 0),), ()), (((0, -1),), ())],
-        b3: [
-            (((-1, 0, 0),), ()),
-            (((0, -1, 0),), ()),
-            (((0, 0, -1),), ()),
-            (((-1, 0, 0), (0, -1, 0)), ()),
-            (((-1, 0, 0), (0, 0, -1)), ()),
-            (((0, -1, 0), (0, 0, -1)), ()),
-        ],
-    }
-    for rs, keys in expected.items():
-        lower = ColoredCone(cone=zero_cone(rs.rank), colors=frozenset())
-        upper = ColoredCone(cone=valuation_cone(rs), colors=frozenset())
-        assert [_int_key(cc) for cc in intermediate_colored_cones(rs, lower, upper)] == keys
-    c3 = build_root_system("C3")
-    between = intermediate_colored_cones(c3, chain_cone(c3, 1), chain_cone(c3, 3))
-    assert [_int_key(cc) for cc in between] == [(((-1, 0, 0), (2, -1, 0)), (color_symbol(1),))]
-    assert between == [chain_cone(c3, 2)]
-
-
 def test_is_complete_embedding():
     from weylfans.polyhedra import zero_cone
 
@@ -349,7 +306,7 @@ def test_closed_orbit_restriction():
 def test_colored_face_enumeration_is_bounded(monkeypatch):
     from weylfans import spherical
     from weylfans.errors import BoundExceeded
-    from weylfans.spherical import MAX_COLORED_FACES, colored_faces
+    from weylfans.spherical import MAX_COLORED_FACES, _colored_faces
 
     def no_face_visited(*args):
         raise AssertionError("a face was visited")
@@ -358,7 +315,7 @@ def test_colored_face_enumeration_is_bounded(monkeypatch):
     orthant = ColoredCone(cone=cone([[-int(i == j) for j in range(n)] for i in range(n)]), colors=frozenset())
     monkeypatch.setattr(spherical, "_relints_share_valuation_point", no_face_visited)
     with pytest.raises(BoundExceeded, match="faces"):
-        colored_faces(orthant, orthant.cone, {})
+        _colored_faces(orthant, orthant.cone, {})
     for call in (lambda: blowup_chain_fans(n), lambda: z_colored_fan(n)):
         with pytest.raises(BoundExceeded, match="faces"):
             call()
