@@ -261,21 +261,25 @@ def tau_fixed_locus_check(space: DoubledSpace, sample_count: int, seed: int) -> 
     )
 
 
-def lg_orbit_dim(n: int, k: int) -> int:
-    """Dimension of the stratum with invariant k in the symplectic case.
-
-    The closed form total - k^2 is cross-checked against the base-plus-fiber
-    count on every call.
-    """
+def _stratum_dims(n: int, k: int) -> tuple[int, int, int]:
+    """(total, base, fiber) for the stratum with invariant k at half rank n:
+    the group dimension n(2n+1), two isotropic Grassmannian factors, and
+    the group of the reduced space.  Base plus fiber is cross-checked
+    against the closed form total - k^2 on every call."""
     if not 0 <= k <= n:
         raise InvalidInput("the invariant must lie between 0 and the half rank")
-    total = 2 * n * n + n
-    closed_form = total - k * k
-    base = k * (4 * n + 1 - 3 * k)  # two isotropic Grassmannian factors
-    fiber = (n - k) * (2 * (n - k) + 1)  # symplectic group of the reduced space
-    if base + fiber != closed_form:
+    total = n * (2 * n + 1)
+    base = k * (4 * n + 1 - 3 * k)
+    fiber = (n - k) * (2 * (n - k) + 1)
+    if base + fiber != total - k * k:
         raise InvariantViolation("orbit dimension formulas disagree")
-    return closed_form
+    return total, base, fiber
+
+
+def lg_orbit_dim(n: int, k: int) -> int:
+    """Dimension of the stratum with invariant k in the symplectic case."""
+    total, _, _ = _stratum_dims(n, k)
+    return total - k * k
 
 
 @dataclass(frozen=True)
@@ -290,18 +294,11 @@ class OrbitData:
 def og_orbit_data(n: int, k: int) -> OrbitData:
     """Base, fiber and total dimensions of the orthogonal stratum with
     invariant k; the fiber group itself is not asserted."""
-    if not 0 <= k <= n:
-        raise InvalidInput("the invariant must lie between 0 and the half rank")
-    total = n * (2 * n + 1)
-    base = k * (4 * n + 1 - 3 * k)
-    fiber = (n - k) * (2 * (n - k) + 1)
-    orbit = base + fiber
-    if orbit != total - k * k:
-        raise InvariantViolation("orthogonal orbit dimension formulas disagree")
+    total, base, fiber = _stratum_dims(n, k)
     return OrbitData(
         total_dim=total,
-        orbit_dim=orbit,
-        codim=total - orbit,
+        orbit_dim=base + fiber,
+        codim=total - base - fiber,
         base_dim=base,
         fiber_dim=fiber,
     )

@@ -76,8 +76,8 @@ def _lattice_ints(
     integer rows over their least common denominator, from one fraction-free
     Gauss-Jordan elimination of [L^T | V^T]: its first k rows are d * [I | X],
     and X holds the coordinates.  A vector of another length (checked before
-    the elimination) or off the span is refused, named by ``name.format(v)``:
-    the first pivot past the lattice columns names the first one off it."""
+    the elimination) or off the span is refused, named by ``name.format(v)``,
+    v written as (1/2, -3): the first pivot past the lattice columns names it."""
     if lattice is None or not vectors:
         return _common_ints(vectors)
     k, dim = len(lattice), len(lattice[0]) if lattice else len(vectors[0])
@@ -88,7 +88,8 @@ def _lattice_ints(
             raise InvalidInput("basis rows are linearly dependent")
         off = [vectors[pivots[k] - k]] if len(pivots) > k else []
     if off:
-        raise InvalidInput(f"{name.format(off[0])} lies outside the span of the reference lattice")
+        text = f"({', '.join(map(str, off[0]))})"
+        raise InvalidInput(f"{name.format(text)} lies outside the span of the reference lattice")
     # the coordinates X = a[:k, k:] / d, over their least positive denominator
     g = gcd(d, *(x for row in a[:k] for x in row[k:])) * (1 if d > 0 else -1)
     return [[a[i][k + j] // g for i in range(k)] for j in range(len(vectors))], d // g
@@ -287,9 +288,12 @@ def is_complete(f: Fan) -> bool:
 
 
 def star_subdivision(f: Fan, ray: Sequence) -> Fan:
-    """Subdivide at a ray: cones containing it are replaced by joins with
-    their facets that avoid it, the facets opposite the generators where the
-    ray's coordinate is nonzero.  The ray must lie in the support."""
+    """Subdivide at a ray of the fan's ambient dimension (checked before any
+    lattice is read) in its support: cones containing it are replaced by joins
+    with their facets that avoid it, the facets opposite the generators where
+    the ray's coordinate is nonzero."""
+    if len(ray) != f.ambient_dim:
+        raise InvalidInput(f"subdivision ray has length {len(ray)}, not the fan's ambient dimension {f.ambient_dim}")
     (ray_p,) = _primitivize([qv(ray)], f.lattice)
     inside = [contains(c, ray_p) for c in f.maximal_cones]
     if not any(inside):

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
 from .linalg import (
@@ -107,24 +106,17 @@ class ColoredFan:
         return tuple(sorted(set(out)))
 
 
-def _relints_share_valuation_point(cones: Sequence[RationalCone], vcone: RationalCone) -> bool:
-    """Exact test of the relative interiors of the cones meeting inside the valuation cone.
-
-    The variables are the generator weights of the first cone, each at least
-    1.  On the point they give, every later cone's span equations vanish and
-    its facets are at least 1, and the valuation cone's facets are at least
-    0.  All rows are read on the weights up to a positive scale, which keeps
-    the answer: scaling a solution up satisfies the scaled rows.  A zero
-    first cone leaves no weights, only the origin, which lies in the valuation
-    cone and in no later cone's relative interior but the zero cone's.
-    """
-    gens = cones[0].gens
-    eqs, ineqs = [], [(_int_unit(len(gens), i), 1) for i in range(len(gens))]
-    for c, bound in [*((c, 1) for c in cones[1:]), (vcone, 0)]:
-        rows = _rows_on_weights(c, gens)
-        eqs += [(row, 0) for row in rows[len(c.gens):]]
-        ineqs += [(row, bound) for row in rows[: len(c.gens)]]
-    return _eliminate(len(gens), eqs, ineqs)
+def _relint_meets_valuation(c: RationalCone, vcone: RationalCone) -> bool:
+    """Exact test of the cone's relative interior meeting the valuation cone:
+    the cone's generator weights, each at least 1, give a point on which the
+    valuation cone's span equations vanish and its facets are at least 0,
+    all read on the weights up to a positive scale, which keeps the answer.
+    A zero cone leaves no weights, only the origin, a valuation-cone point."""
+    k, facets = len(c.gens), len(vcone.gens)
+    rows = _rows_on_weights(vcone, c.gens)
+    eqs = [(row, 0) for row in rows[facets:]]
+    ineqs = [(_int_unit(k, i), 1) for i in range(k)] + [(row, 0) for row in rows[:facets]]
+    return _eliminate(k, eqs, ineqs)
 
 
 def validate_colored_cone(cc: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vector]) -> None:
@@ -139,7 +131,7 @@ def validate_colored_cone(cc: ColoredCone, vcone: RationalCone, rho: Mapping[str
             raise InvalidInput(
                 f"generator {g} is neither a valuation-cone element nor a color image"
             )
-    if not _relints_share_valuation_point([cc.cone], vcone):
+    if not _relint_meets_valuation(cc.cone, vcone):
         raise InvalidInput("colored cone has no interior valuation point")
 
 
@@ -165,43 +157,24 @@ def _colored_faces(top: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vect
     inside = [contains(vcone, g) for g in c.gens]
     out = []
     for subset, f in zip(_face_subsets(c.dim), faces(c)):
-        if all(inside[i] for i in subset) or _relints_share_valuation_point([f], vcone):
+        if all(inside[i] for i in subset) or _relint_meets_valuation(f, vcone):
             kept = frozenset(d for d in top.colors if contains(f, rho[d]))
             out.append((subset, ColoredCone(cone=f, colors=kept)))
     return out
 
 
-def colored_fan_from_tops(
+def colored_fan_from_top(
     rs: RootSystem,
-    tops: Sequence[ColoredCone],
+    top: ColoredCone,
     boundary_names: Optional[Mapping[Vector, str]] = None,
 ) -> ColoredFan:
-    """Close the given colored cones under colored faces and validate.
-
-    Interior disjointness inside the valuation cone is automatic for faces
-    of a single simplicial cone and is checked pairwise across distinct tops.
-    Faces are keyed by their generators' indices into the sorted rays of the
-    tops, which orders the keys as the generator tuples.
-    """
+    """The colored faces of one validated colored cone, whose relative
+    interiors are disjoint, ordered by generator index subset of the top: as
+    their generator tuples, because `cone` sorts the top's generators."""
     rho = standard_rho_table(rs)
     vcone = valuation_cone(rs)
-    _, top_keys = _ray_keys([top.cone.gens for top in tops])
-    collected: dict = {}
-    for top in tops:
-        _check_face_bound(top.cone.dim)
-    for top, ids in zip(tops, top_keys):
-        validate_colored_cone(top, vcone, rho)
-        for subset, cc in _colored_faces(top, vcone, rho):
-            key = tuple(ids[i] for i in subset)
-            prev = collected.get(key)
-            if prev is not None and prev.colors != cc.colors:
-                raise InvalidInput("one cone carries two different color sets")
-            collected[key] = cc
-    cones = tuple(collected[k] for k in sorted(collected))
-    if len(tops) > 1:
-        for a, b in combinations(cones, 2):
-            if _relints_share_valuation_point([a.cone, b.cone], vcone):
-                raise InvalidInput("colored cones overlap inside the valuation cone")
+    validate_colored_cone(top, vcone, rho)
+    cones = tuple(cc for _, cc in sorted(_colored_faces(top, vcone, rho), key=lambda face: face[0]))
     names = dict(boundary_names or {})
     for cc in cones:
         if cc.cone.dim == 1:
@@ -226,7 +199,7 @@ def wonderful_colored_fan(rs: RootSystem) -> ColoredFan:
     """The colored fan of the wonderful compactification: every colored face
     of the pair (valuation cone, no colors)."""
     top = ColoredCone(cone=valuation_cone(rs), colors=frozenset())
-    return colored_fan_from_tops(rs, [top])
+    return colored_fan_from_top(rs, top)
 
 
 def chain_cone(rs: RootSystem, k: int) -> ColoredCone:
@@ -247,7 +220,7 @@ def z_colored_fan(n: int) -> ColoredFan:
     _check_face_bound(n)
     rs = build_root_system(f"C{n}")
     top = chain_cone(rs, n)
-    f = colored_fan_from_tops(rs, [top], boundary_names={_unit(n, 0, -1): "Z1"})
+    f = colored_fan_from_top(rs, top, boundary_names={_unit(n, 0, -1): "Z1"})
     expected = {chain_cone(rs, k).key() for k in range(1, n + 1)}
     expected.add((zero_cone(n).gens, ()))
     if {cc.key() for cc in f.cones} != expected:
@@ -273,8 +246,7 @@ def blowup_chain_fans(n: int) -> list[ColoredFan]:
         gens += [_unit(n, t, -1) for t in range(i + 1, n)]
         colors = frozenset(color_symbol(j) for j in range(1, i + 1))
         top = ColoredCone(cone=cone(gens, ambient_dim=n), colors=colors)
-        names = {_unit(n, 0, -1): boundary_symbol(1)}
-        fans.append(colored_fan_from_tops(rs, [top], boundary_names=names))
+        fans.append(colored_fan_from_top(rs, top))
     return fans
 
 
@@ -336,7 +308,7 @@ def orbit_poset(f: ColoredFan) -> OrbitPoset:
     nodes, rho = f.cones, f.rho_table
     _, keys = _ray_keys([cc.cone.gens for cc in nodes])
     gens = [frozenset(key) for key in keys]
-    meets = [_relints_share_valuation_point([cc.cone], f.valuation_cone) for cc in nodes]
+    meets = [_relint_meets_valuation(cc.cone, f.valuation_cone) for cc in nodes]
     le = tuple(
         tuple(
             gens[i] <= gens[j]

@@ -15,7 +15,12 @@ the package's one-elimination kernel.  Then the Smith normal form that kept
 both T and T^-1 in step, with the ``saturation_basis`` that read T off it,
 and the ``_lattice_ints`` that read coordinates off the lattice's full dual
 rows (the package's one-elimination ``linalg._dual_rows``; the name
-``_dual_rows`` here is the two-pass oracle).
+``_dual_rows`` here is the two-pass oracle); their refusals write a
+vector as the package's do, as (1/2, -3).  Last, the Fraction
+Fourier-Motzkin ``_old_feasible`` with its witness, which the integer
+yes/no ``_eliminate`` replaced, and on it the block valuation-point system
+with one weight variable per generator of every cone, which the package's
+one-cone question replaced.
 """
 
 from fractions import Fraction as Q
@@ -27,7 +32,7 @@ from operator import mul
 from weylfans import linalg
 from weylfans.errors import InvalidInput
 from weylfans.linalg import (
-    _common_ints, _echelon, _exgcd, _int_mat_vec, _int_unit, is_zero_vector, primitive_direction, qm, qv,
+    _common_ints, _echelon, _exgcd, _int_mat_vec, _int_unit, _unit, is_zero_vector, primitive_direction, qm, qv,
 )
 
 
@@ -151,12 +156,17 @@ def coords_in_basis(basis_rows, v):
     return tuple(Q(x, ds) for x in dots[:k])
 
 
+def _written(v):
+    """A vector as the package's refusals write it, as (1/2, -3)."""
+    return f"({', '.join(map(str, v))})"
+
+
 def _old_primitivize(g, lattice):
     if lattice is None:
         return primitive_direction(g)
     coords = coords_in_basis(lattice, g)
     if coords is None:
-        raise InvalidInput(f"generator {g} lies outside the span of the reference lattice")
+        raise InvalidInput(f"generator {_written(g)} lies outside the span of the reference lattice")
     rows, s = _common_ints(lattice)
     dots, den = _int_mat_vec(tuple(zip(*rows)), s, primitive_direction(coords))
     return tuple(Q(x, den) for x in dots)
@@ -304,6 +314,145 @@ def _lattice_ints(lattice, vectors, name="vector"):
         rows = [[sum(map(mul, row, w)) for row in dual] for w in ints]
         off = [v for v, dots in zip(vectors, rows) if any(dots[k:])]
     if off:
-        raise InvalidInput(f"{name.format(off[0])} lies outside the span of the reference lattice")
+        raise InvalidInput(f"{name.format(_written(off[0]))} lies outside the span of the reference lattice")
     g = gcd(d * s, *(x for dots in rows for x in dots[:k]))
     return [[x // g for x in dots[:k]] for dots in rows], d * s // g
+
+
+def _old_normalize_ineq(coeffs, rhs):
+    coeffs = qv(coeffs)
+    rhs = Q(rhs)
+    if all(a == 0 for a in coeffs):
+        return None if rhs <= 0 else (coeffs, Q(1))
+    denom = 1
+    for a in list(coeffs) + [rhs]:
+        denom = denom * a.denominator // gcd(denom, a.denominator)
+    ints = [int(a * denom) for a in coeffs]
+    r = int(rhs * denom)
+    g = gcd(*ints, *([r] if r else []))
+    return tuple(Q(x // g) for x in ints), Q(r // g if g else r)
+
+
+def _old_feasible(num_vars, eqs, ineqs):
+    if eqs:
+        aug = [list(c) + [r] for c, r in eqs]
+        aug, pivots = _old_rref(aug)
+        for row in aug:
+            if all(x == 0 for x in row[:num_vars]) and row[num_vars] != 0:
+                return None
+        pivot_expr = {}
+        for r, c in enumerate(pivots):
+            if c >= num_vars:
+                return None
+            pivot_expr[c] = ([-aug[r][j] for j in range(num_vars)], aug[r][num_vars])
+            pivot_expr[c][0][c] = Q(0)
+        free_vars = [j for j in range(num_vars) if j not in pivot_expr]
+        index_of = {v: i for i, v in enumerate(free_vars)}
+
+        def project(coeffs, rhs):
+            out = [Q(0)] * len(free_vars)
+            const = Q(0)
+            for j, a in enumerate(coeffs):
+                if a == 0:
+                    continue
+                if j in pivot_expr:
+                    expr, c0 = pivot_expr[j]
+                    const += a * c0
+                    for f in free_vars:
+                        out[index_of[f]] += a * expr[f]
+                else:
+                    out[index_of[j]] += a
+            return out, Q(rhs) - const
+
+        reduced = []
+        for coeffs, rhs in ineqs:
+            c, r = project(coeffs, rhs)
+            reduced.append((tuple(c), r))
+        sub = _old_feasible(len(free_vars), (), reduced)
+        if sub is None:
+            return None
+        x = [Q(0)] * num_vars
+        for f, val in zip(free_vars, sub):
+            x[f] = val
+        for c, (expr, c0) in pivot_expr.items():
+            x[c] = c0 + sum((expr[j] * x[j] for j in range(num_vars)), Q(0))
+        return tuple(x)
+
+    system = set()
+    for coeffs, rhs in ineqs:
+        n = _old_normalize_ineq(coeffs, rhs)
+        if n is not None:
+            if all(a == 0 for a in n[0]):
+                return None
+            system.add(n)
+
+    active = list(range(num_vars))
+    stack = []
+    while active:
+        best, best_cost = None, None
+        for v in active:
+            pos = sum(1 for c, _ in system if c[v] > 0)
+            neg = sum(1 for c, _ in system if c[v] < 0)
+            cost = pos * neg - pos - neg
+            if best_cost is None or cost < best_cost:
+                best, best_cost = v, cost
+        v = best
+        lowers = []
+        uppers = []
+        rest = []
+        for coeffs, rhs in system:
+            a = coeffs[v]
+            if a == 0:
+                rest.append((coeffs, rhs))
+            else:
+                expr = (tuple(-coeffs[j] / a if j != v else Q(0) for j in range(num_vars)), rhs / a)
+                (lowers if a > 0 else uppers).append(expr)
+        new_system = set(rest)
+        for lc, lr in lowers:
+            for uc, ur in uppers:
+                n = _old_normalize_ineq(tuple(u - l for u, l in zip(uc, lc)), lr - ur)
+                if n is not None:
+                    if all(a == 0 for a in n[0]):
+                        return None
+                    new_system.add(n)
+        stack.append((v, lowers, uppers))
+        active.remove(v)
+        system = new_system
+
+    for coeffs, rhs in system:
+        if rhs > 0:
+            return None
+
+    x = [Q(0)] * num_vars
+    for v, lowers, uppers in reversed(stack):
+        lo = max((r + dot(c, x) for c, r in lowers), default=None)
+        hi = min((r + dot(c, x) for c, r in uppers), default=None)
+        if lo is None and hi is None:
+            x[v] = Q(0)
+        elif lo is None:
+            x[v] = min(hi, Q(0))
+        elif hi is None:
+            x[v] = max(lo, Q(0))
+        else:
+            x[v] = (lo + hi) / 2
+    return tuple(x)
+
+
+def _old_relints_share_valuation_point(cones, vcone):
+    """The block system with one weight variable per generator of every cone
+    and of the valuation cone: the first cone's point equals each later
+    cone's point and a valuation-cone point, every cone weight at least 1
+    and every valuation weight at least 0."""
+    blocks = [c.gens for c in cones] + [vcone.gens]
+    total = sum(len(b) for b in blocks)
+    eqs = []
+    for t in range(1, len(blocks)):
+        for coord in range(cones[0].ambient_dim):
+            row = []
+            for s, block in enumerate(blocks):
+                sign = 1 if s == 0 else -1 if s == t else 0
+                row += [sign * g[coord] for g in block]
+            eqs.append((qv(row), Q(0)))
+    free = total - len(vcone.gens)
+    ineqs = [(_unit(total, i), Q(1 if i < free else 0)) for i in range(total)]
+    return _old_feasible(total, eqs, ineqs) is not None

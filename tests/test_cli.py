@@ -285,10 +285,36 @@ def test_fan_on_empty_lattice_exit_2(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "fan", "check", "--json", "--input", str(path))
     assert (code, out) == (2, "")
-    assert err == (
-        "error: generator (Fraction(1, 1), Fraction(0, 1)) "
-        "lies outside the span of the reference lattice\n"
-    )
+    assert err == "error: generator (1, 0) lies outside the span of the reference lattice\n"
+
+
+def test_lattice_refusals_name_lengths_and_plain_entries(capsys, tmp_path):
+    """A subdivision ray of the wrong length is refused by both lengths
+    before any lattice is read, in a reference lattice (the G2 chamber fan)
+    and in the standard one (P^2); a generator off the reference lattice is
+    written with plain rational entries."""
+    code, out, _ = run_cli(capsys, "fan", "build", "--type", "G2")
+    assert code == 0
+    g2 = json.loads(out)
+    p2 = {
+        "ambient_dim": 2,
+        "lattice": "standard",
+        "rays": [["-1/1", "-1/1"], ["0/1", "1/1"], ["1/1", "0/1"]],
+        "maximal_cones": [[0, 1], [0, 2], [1, 2]],
+    }
+    path = tmp_path / "fan.json"
+    for doc, ray, message in (
+        (g2, "1,1", "subdivision ray has length 2, not the fan's ambient dimension 3"),
+        (p2, "1,1,1", "subdivision ray has length 3, not the fan's ambient dimension 2"),
+    ):
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "fan", "subdivide", "--input", str(path), f"--ray={ray}")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    g2["rays"][0] = ["1/1", "0/1", "0/1"]
+    path.write_text(json.dumps(g2))
+    code, out, err = run_cli(capsys, "fan", "check", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: generator (1, 0, 0) lies outside the span of the reference lattice\n"
 
 
 def test_spherical_commands(capsys):

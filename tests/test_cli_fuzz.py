@@ -35,6 +35,7 @@ def _run(argv):
 def _check(argv, code, err):
     assert code in (0, 2), (argv, code, err)
     assert "Traceback" not in err, argv
+    assert "Fraction(" not in err, (argv, err)
     if code == 0:
         return
     lines = err.splitlines()

@@ -1,8 +1,10 @@
 """The colored-face relation with one valuation test per cone, against the
 relation before it, which asked the valuation question once per pair of
-cones: `orbit_poset` on the type-C chain, quotient and wonderful fans, on
-the wonderful fans of the other types up to rank 6 and on hand-built
-colored fans, and on the E8 wonderful fan with one elimination per cone."""
+cones.  Both ask the one-cone question `_relint_meets_valuation`, so what
+is compared is the relation built on it: `orbit_poset` on the type-C
+chain, quotient and wonderful fans, on the wonderful fans of the other
+types up to rank 6 and on hand-built colored fans, and on the E8 wonderful
+fan with one elimination per cone."""
 
 from weylfans import spherical
 from weylfans.linalg import _unit
@@ -12,7 +14,7 @@ from weylfans.spherical import (
     ColoredCone,
     ColoredFan,
     OrbitPoset,
-    _relints_share_valuation_point,
+    _relint_meets_valuation,
     color_symbol,
     orbit_poset,
     standard_rho_table,
@@ -22,14 +24,10 @@ from weylfans.spherical import (
 # --- the code before, kept as the oracle --------------------------------------
 
 
-def _old_relint_meets_valuation(c, vcone):
-    return _relints_share_valuation_point([c], vcone)
-
-
 def _old_is_colored_face(a, b, vcone, rho):
     if not set(a.cone.gens) <= set(b.cone.gens):
         return False
-    if not _old_relint_meets_valuation(a.cone, vcone):
+    if not _relint_meets_valuation(a.cone, vcone):
         return False
     return a.colors == frozenset(d for d in b.colors if contains(a.cone, rho[d]))
 

@@ -14,13 +14,18 @@ import threading
 from fractions import Fraction as Q
 from itertools import combinations
 
-from old_linalg import dot, mat_vec, transpose, vadd, vneg, vscale, vsub
-from test_linalg import (
-    _old_coords_in_basis,
-    _old_dual_rows,
+from old_linalg import (
     _old_feasible,
-    _old_nullspace,
+    _old_relints_share_valuation_point,
+    dot,
+    mat_vec,
+    transpose,
+    vadd,
+    vneg,
+    vscale,
+    vsub,
 )
+from test_linalg import _old_coords_in_basis, _old_dual_rows, _old_nullspace
 
 from weylfans import polyhedra, spherical
 from weylfans.errors import InvalidInput
@@ -104,36 +109,12 @@ def _set_fan_accepts(cones, face_compatible):
     )
 
 
-def _old_relints_share_valuation_point(cones, vcone):
-    blocks = [c.gens for c in cones] + [vcone.gens]
-    total = sum(len(b) for b in blocks)
-    eqs = []
-    for t in range(1, len(blocks)):
-        for coord in range(cones[0].ambient_dim):
-            row = []
-            for s, block in enumerate(blocks):
-                sign = 1 if s == 0 else -1 if s == t else 0
-                row += [sign * g[coord] for g in block]
-            eqs.append((qv(row), Q(0)))
-    free = total - len(vcone.gens)
-    ineqs = [(_unit(total, i), Q(1 if i < free else 0)) for i in range(total)]
-    return _old_feasible(total, eqs, ineqs) is not None
-
-
 def _old_relint_meets_valuation(c, vcone):
     if not c.gens:
         return True
     if all(contains(vcone, g) for g in c.gens):
         return True
     return _old_relints_share_valuation_point([c], vcone)
-
-
-def _old_relints_overlap_in_valuation(c1, c2, vcone):
-    if c1.gens == c2.gens:
-        return True
-    if not c1.gens or not c2.gens:
-        return False
-    return _old_relints_share_valuation_point([c1, c2], vcone)
 
 
 def _old_covered_by(target, cover, shortcut=True):
@@ -302,17 +283,8 @@ def _compare(c1, c2, vcone, seen):
     compatible = polyhedra._face_compatible(c1, c2, *_ray_ids(c1, c2))
     assert compatible == _old_face_compatible(c1, c2, r1, r2)
     assert compatible == _set_face_compatible(c1, c2, r1, r2)
-    # the old overlap answers equal generators by a shortcut, so such a pair
-    # is asked of the same cone on doubled generators instead
-    other = c2
-    if c1.gens == c2.gens:
-        other = RationalCone(c2.ambient_dim, tuple(vscale(Q(2), g) for g in c2.gens), c2.lattice)
-    if c1.gens != other.gens:
-        overlap = spherical._relints_share_valuation_point([c1, other], vcone)
-        assert overlap == _old_relints_overlap_in_valuation(c1, other, vcone)
-        seen["overlap", overlap] += 1
     for c in (c1, c2):
-        meets = spherical._relints_share_valuation_point([c], vcone)
+        meets = spherical._relint_meets_valuation(c, vcone)
         assert meets == _old_relint_meets_valuation(c, vcone)
         seen["meets", meets] += 1
     for target, cover in ((c1, [c2]), (c2, [c1, vcone])):
@@ -324,7 +296,7 @@ def _compare(c1, c2, vcone, seen):
 
 
 def test_cone_questions_match_old_encodings():
-    seen = {(q, b): 0 for q in ("compatible", "overlap", "meets", "covered") for b in (True, False)}
+    seen = {(q, b): 0 for q in ("compatible", "meets", "covered") for b in (True, False)}
     rng = random.Random(1991)
     accepted = {True: 0, False: 0}
     for _ in range(500):
@@ -354,27 +326,22 @@ def test_cone_questions_match_old_encodings():
 
 
 def test_valuation_questions_on_zero_cones():
-    """The valuation-point questions answer a zero cone with no branch of
-    their own: its relative interior, the origin, meets every valuation cone
-    and the relative interior of no other cone, on the seeded valuation
-    cones and those of the colored and chamber fans."""
+    """The valuation question answers a zero cone with no branch of its own:
+    its relative interior, the origin, meets every valuation cone.  It is
+    asked of the zero cone and of both cones of each seeded pair, on the
+    seeded valuation cones and those of the colored and chamber fans."""
     rng = random.Random(1776)
     pairs = [_random_cone_pair(rng) for _ in range(150)]
     pairs += [(c, c, vcone) for cones, vcone in _colored_and_chamber_fans() for c in cones[-3:]]
-    kinds = {"positive": 0, "negative": 0}
+    seen = {(kind, answer): 0 for kind in ("zero", "c1", "c2") for answer in (True, False)}
     for c1, c2, vcone in pairs:
         zero = zero_cone(vcone.ambient_dim)
-        for cones in ([zero], [zero, zero], [zero, c1], [c1, zero], [zero, c2], [c2, zero]):
-            got = spherical._relints_share_valuation_point(cones, vcone)
-            assert got == _old_relints_share_valuation_point(cones, vcone)
-            kinds["positive" if got else "negative"] += 1
-        assert spherical._relints_share_valuation_point([zero], vcone) is _old_relint_meets_valuation(zero, vcone) is True
-        # distinct pairs only: the old overlap answers equal generators by a shortcut
-        for a, b in ((zero, c1), (c1, zero), (zero, c2), (c2, zero)):
-            if a.gens != b.gens:
-                overlap = spherical._relints_share_valuation_point([a, b], vcone)
-                assert overlap == _old_relints_overlap_in_valuation(a, b, vcone)
-    assert min(kinds.values()) > 100, kinds
+        for kind, c in (("zero", zero), ("c1", c1), ("c2", c2)):
+            got = spherical._relint_meets_valuation(c, vcone)
+            assert got == _old_relint_meets_valuation(c, vcone)
+            seen[kind, got] += 1
+    assert seen["zero", True] == len(pairs), seen
+    assert min(seen[kind, answer] for kind in ("c1", "c2") for answer in (True, False)) > 60, seen
 
 
 # --- the integer-native cone against the Fraction-keyed one -----------------
@@ -443,7 +410,7 @@ def _shortcut_free_colored_faces(top, vcone, rho):
     return [
         spherical.ColoredCone(cone=f, colors=frozenset(d for d in top.colors if contains(f, rho[d])))
         for f in faces(top.cone)
-        if spherical._relints_share_valuation_point([f], vcone)
+        if spherical._relint_meets_valuation(f, vcone)
     ]
 
 

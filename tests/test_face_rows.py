@@ -32,7 +32,7 @@ from weylfans.rootsys import build_root_system
 from weylfans.spherical import (
     ColoredCone,
     _colored_faces,
-    _relints_share_valuation_point,
+    _relint_meets_valuation,
     blowup_chain_fans,
     chain_cone,
     standard_rho_table,
@@ -61,13 +61,16 @@ def _old_colored_faces(top, vcone, rho):
     out = []
     for subset in _face_subsets(len(c.gens)):
         f = _fresh(RationalCone(c.ambient_dim, tuple(c.gens[i] for i in subset), c.lattice))
-        if all(inside[i] for i in subset) or _relints_share_valuation_point([f], vcone):
+        if all(inside[i] for i in subset) or _relint_meets_valuation(f, vcone):
             kept = frozenset(d for d in top.colors if contains(f, rho[d]))
             out.append(ColoredCone(cone=f, colors=kept))
     return out
 
 
 def _old_star_subdivision(f, ray):
+    # the package refuses a ray of the wrong length before it reads any lattice
+    if len(ray) != f.ambient_dim:
+        raise InvalidInput(f"subdivision ray has length {len(ray)}, not the fan's ambient dimension {f.ambient_dim}")
     (ray_p,) = _primitivize([qv(ray)], f.lattice)
     containing = [c for c in f.maximal_cones if contains(c, ray_p)]
     if not containing:
@@ -228,8 +231,8 @@ def test_face_rows_from_the_top_answer_like_their_own_solve():
                     verdict = contains(f, p, strict)
                     assert verdict == contains(g, p, strict)
                     seen["in" if verdict else "out"] += 1
-            relint = _relints_share_valuation_point([f], vcone)
-            assert relint == _relints_share_valuation_point([g], vcone)
+            relint = _relint_meets_valuation(f, vcone)
+            assert relint == _relint_meets_valuation(g, vcone)
             seen["relint"] += relint
             seen["faces"] += 1
         top_cc = ColoredCone(cone=top, colors=frozenset(colors))

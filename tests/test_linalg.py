@@ -4,7 +4,7 @@ from math import gcd, prod
 from itertools import combinations, product
 
 import pytest
-from old_linalg import _old_inverse, _old_rref, dot, mat_mul, mat_vec, minors_gcd, transpose
+from old_linalg import _old_feasible, _old_inverse, _old_rref, dot, mat_mul, mat_vec, minors_gcd, transpose
 
 from weylfans import linalg
 from weylfans.errors import InvalidInput
@@ -395,130 +395,6 @@ def test_feasible_against_grid_search():
                 assert not all(dot(c, point) >= r for c, r in ineqs)
 
 
-# --- the Fraction Fourier-Motzkin loop that the integer rows replaced, kept
-# verbatim as the oracle for the differential test below; the Fraction dual
-# basis it pairs with is _old_dual_rows above ---
-
-
-def _old_normalize_ineq(coeffs, rhs):
-    coeffs = qv(coeffs)
-    rhs = Q(rhs)
-    if all(a == 0 for a in coeffs):
-        return None if rhs <= 0 else (coeffs, Q(1))
-    denom = 1
-    for a in list(coeffs) + [rhs]:
-        denom = denom * a.denominator // gcd(denom, a.denominator)
-    ints = [int(a * denom) for a in coeffs]
-    r = int(rhs * denom)
-    g = gcd(*ints, *([r] if r else []))
-    return tuple(Q(x // g) for x in ints), Q(r // g if g else r)
-
-
-def _old_feasible(num_vars, eqs, ineqs):
-    if eqs:
-        aug = [list(c) + [r] for c, r in eqs]
-        aug, pivots = _old_rref(aug)
-        for row in aug:
-            if all(x == 0 for x in row[:num_vars]) and row[num_vars] != 0:
-                return None
-        pivot_expr = {}
-        for r, c in enumerate(pivots):
-            if c >= num_vars:
-                return None
-            pivot_expr[c] = ([-aug[r][j] for j in range(num_vars)], aug[r][num_vars])
-            pivot_expr[c][0][c] = Q(0)
-        free_vars = [j for j in range(num_vars) if j not in pivot_expr]
-        index_of = {v: i for i, v in enumerate(free_vars)}
-
-        def project(coeffs, rhs):
-            out = [Q(0)] * len(free_vars)
-            const = Q(0)
-            for j, a in enumerate(coeffs):
-                if a == 0:
-                    continue
-                if j in pivot_expr:
-                    expr, c0 = pivot_expr[j]
-                    const += a * c0
-                    for f in free_vars:
-                        out[index_of[f]] += a * expr[f]
-                else:
-                    out[index_of[j]] += a
-            return out, Q(rhs) - const
-
-        reduced = []
-        for coeffs, rhs in ineqs:
-            c, r = project(coeffs, rhs)
-            reduced.append((tuple(c), r))
-        sub = _old_feasible(len(free_vars), (), reduced)
-        if sub is None:
-            return None
-        x = [Q(0)] * num_vars
-        for f, val in zip(free_vars, sub):
-            x[f] = val
-        for c, (expr, c0) in pivot_expr.items():
-            x[c] = c0 + sum((expr[j] * x[j] for j in range(num_vars)), Q(0))
-        return tuple(x)
-
-    system = set()
-    for coeffs, rhs in ineqs:
-        n = _old_normalize_ineq(coeffs, rhs)
-        if n is not None:
-            if all(a == 0 for a in n[0]):
-                return None
-            system.add(n)
-
-    active = list(range(num_vars))
-    stack = []
-    while active:
-        best, best_cost = None, None
-        for v in active:
-            pos = sum(1 for c, _ in system if c[v] > 0)
-            neg = sum(1 for c, _ in system if c[v] < 0)
-            cost = pos * neg - pos - neg
-            if best_cost is None or cost < best_cost:
-                best, best_cost = v, cost
-        v = best
-        lowers = []
-        uppers = []
-        rest = []
-        for coeffs, rhs in system:
-            a = coeffs[v]
-            if a == 0:
-                rest.append((coeffs, rhs))
-            else:
-                expr = (tuple(-coeffs[j] / a if j != v else Q(0) for j in range(num_vars)), rhs / a)
-                (lowers if a > 0 else uppers).append(expr)
-        new_system = set(rest)
-        for lc, lr in lowers:
-            for uc, ur in uppers:
-                n = _old_normalize_ineq(tuple(u - l for u, l in zip(uc, lc)), lr - ur)
-                if n is not None:
-                    if all(a == 0 for a in n[0]):
-                        return None
-                    new_system.add(n)
-        stack.append((v, lowers, uppers))
-        active.remove(v)
-        system = new_system
-
-    for coeffs, rhs in system:
-        if rhs > 0:
-            return None
-
-    x = [Q(0)] * num_vars
-    for v, lowers, uppers in reversed(stack):
-        lo = max((r + dot(c, x) for c, r in lowers), default=None)
-        hi = min((r + dot(c, x) for c, r in uppers), default=None)
-        if lo is None and hi is None:
-            x[v] = Q(0)
-        elif lo is None:
-            x[v] = min(hi, Q(0))
-        elif hi is None:
-            x[v] = max(lo, Q(0))
-        else:
-            x[v] = (lo + hi) / 2
-    return tuple(x)
-
-
 def _random_system(rng):
     """A seeded system in at most 5 variables around a random point: tight
     and slack rows, a third of them pushed past the point (often making the
@@ -545,9 +421,26 @@ def _random_system(rng):
     return n, eqs, ineqs
 
 
+def _pair_system(c1, c2, vcone):
+    """The system that asked whether two relative interiors share a point of
+    the valuation cone: c1's generator weights, each at least 1, with c2's
+    span equations vanishing, its facets at least 1 and the valuation
+    cone's facets at least 0 on the point they give."""
+    from weylfans.polyhedra import _rows_on_weights
+
+    gens = c1.gens
+    eqs, ineqs = [], [(linalg._int_unit(len(gens), i), 1) for i in range(len(gens))]
+    for c, bound in ((c2, 1), (vcone, 0)):
+        rows = _rows_on_weights(c, gens)
+        eqs += [(row, 0) for row in rows[len(c.gens):]]
+        ineqs += [(row, bound) for row in rows[: len(c.gens)]]
+    return len(gens), eqs, ineqs
+
+
 def _recorded_colored_fan_systems(monkeypatch):
     """Every feasibility system that polyhedra and spherical ask while
-    checking, covering and pairing the type-C colored fans of ranks 2-4."""
+    checking and covering the type-C colored fans of ranks 2-4, and the
+    pair systems of their colored cones."""
     from weylfans import polyhedra, spherical
     from weylfans.rootsys import build_root_system
 
@@ -570,8 +463,7 @@ def _recorded_colored_fan_systems(monkeypatch):
                 cones = [cc.cone for cc in f.cones]
                 spherical.is_complete_embedding(f)
                 polyhedra.covered_by(f.valuation_cone, cones, shortcut=False)
-                for c1, c2 in combinations(cones, 2):
-                    spherical._relints_share_valuation_point([c1, c2], f.valuation_cone)
+                recorded += [_pair_system(c1, c2, f.valuation_cone) for c1, c2 in combinations(cones, 2)]
     return recorded
 
 

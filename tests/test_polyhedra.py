@@ -99,17 +99,17 @@ _OFF_SPAN = "lies outside the span of the reference lattice"
     [
         pytest.param(  # generators shorter than the lattice rows
             lambda: cone([[1, 0], [0, 1]], lattice=[[1, 0, 0], [0, 1, 0]]),
-            f"generator (Fraction(1, 1), Fraction(0, 1)) {_OFF_SPAN}",
+            f"generator (1, 0) {_OFF_SPAN}",
             id="wrong-length",
         ),
         pytest.param(
             lambda: cone([[0, 0], [1, 0]], lattice=()),
-            f"generator (Fraction(1, 1), Fraction(0, 1)) {_OFF_SPAN}",
+            f"generator (1, 0) {_OFF_SPAN}",
             id="empty-lattice",
         ),
         pytest.param(
             lambda: cone([[1, 0, 0], [0, 0, 3]], lattice=[[1, 0, 0], [0, 1, 0]]),
-            f"generator (Fraction(0, 1), Fraction(0, 1), Fraction(3, 1)) {_OFF_SPAN}",
+            f"generator (0, 0, 3) {_OFF_SPAN}",
             id="off-span",
         ),
         pytest.param(

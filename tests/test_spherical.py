@@ -16,7 +16,7 @@ from weylfans.spherical import (
     chain_cone,
     closed_orbit_restriction,
     color_symbol,
-    colored_fan_from_tops,
+    colored_fan_from_top,
     extends_to_morphism,
     is_complete_embedding,
     orbit_poset,
@@ -197,9 +197,7 @@ def test_is_complete_embedding():
         f = z_colored_fan(n)
         assert is_complete_embedding(f)
     rs = build_root_system("A2")
-    origin_only = colored_fan_from_tops(
-        rs, [ColoredCone(cone=zero_cone(2), colors=frozenset())]
-    )
+    origin_only = colored_fan_from_top(rs, ColoredCone(cone=zero_cone(2), colors=frozenset()))
     assert not is_complete_embedding(origin_only)
     assert len(orbit_poset(origin_only).nodes) == 1
 
@@ -232,13 +230,15 @@ RANK_LE8 = (
 
 
 def test_colored_fan_interiors_disjoint_in_valuation():
-    from weylfans.spherical import _relints_share_valuation_point
+    """No two colored cones of a fan share a relative-interior point inside
+    the valuation cone, asked of the pairwise block-system oracle."""
+    from old_linalg import _old_relints_share_valuation_point
 
     for f in (wonderful_colored_fan(build_root_system("B3")), z_colored_fan(3)):
         cones = [cc.cone for cc in f.cones]
         for i in range(len(cones)):
             for j in range(i + 1, len(cones)):
-                assert not _relints_share_valuation_point([cones[i], cones[j]], f.valuation_cone)
+                assert not _old_relints_share_valuation_point([cones[i], cones[j]], f.valuation_cone)
 
 
 def test_picard_presentations():
@@ -313,7 +313,7 @@ def test_colored_face_enumeration_is_bounded(monkeypatch):
 
     n = MAX_COLORED_FACES.bit_length()  # the least rank with too many faces
     orthant = ColoredCone(cone=cone([[-int(i == j) for j in range(n)] for i in range(n)]), colors=frozenset())
-    monkeypatch.setattr(spherical, "_relints_share_valuation_point", no_face_visited)
+    monkeypatch.setattr(spherical, "_relint_meets_valuation", no_face_visited)
     with pytest.raises(BoundExceeded, match="faces"):
         _colored_faces(orthant, orthant.cone, {})
     for call in (lambda: blowup_chain_fans(n), lambda: z_colored_fan(n)):
