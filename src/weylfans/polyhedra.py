@@ -9,17 +9,19 @@ whose first rows are the facet functionals and the remaining rows the
 equations of the span, from one elimination per cone built by `cone`; its
 faces read theirs off these rows.  Every cone question reads them exactly:
 membership by the signs of integer dot products with the query scaled to
-integers, fan validity by a functional combined from the rows that
-separates two cones and vanishes on the generators they share, coverage
-by enumerating the open cells of the arrangement of the cover's rows read
-on the target's generator weights, each leaf cell decided by the signs its
-path fixed.  A fan, its JSON and a colored fan name cones by generator
-indices into one sorted ray list, `_ray_keys`.
+integers; fan validity first by a certificate linear in the cones, which
+accepts exactly the complete fans (a pseudomanifold whose two cones on each
+wall lie on its two sides, with one point covered once), and otherwise
+pairwise, by a functional combined from the rows that separates two cones
+and vanishes on the generators they share; coverage by enumerating the open
+cells of the arrangement of the cover's rows read on the target's generator
+weights, each leaf cell decided by the signs its path fixed.  A fan, its
+JSON and a colored fan name cones by generator indices into one sorted ray
+list, `_ray_keys`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from itertools import combinations, compress
@@ -27,11 +29,17 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .errors import InvalidInput
+from .errors import BoundExceeded, InvalidInput
 from .linalg import (
     Matrix, Vector, _common_ints, _dual_rows, _echelon, _eliminate, _int_unit, _primitive_ints,
     _row_scale, _scaled_ints, primitive_direction, qm, qv, smith_normal_form,
 )
+
+# Pairs of maximal cones `fan` checks one by one when its certificate fails,
+# refused above the bound as weyl_enumerate refuses a large group: the most
+# the library, its casebook, tests and benchmark check is 1,176 pairs, and
+# 18,145 pairs (the D4 chamber fan less one cone) take about 2 s.
+MAX_FAN_PAIRS = 20_000
 
 
 @dataclass(frozen=True)
@@ -238,9 +246,58 @@ def _face_compatible(c1: RationalCone, c2: RationalCone, key1: Sequence[int], ke
     return _eliminate(len(free), [], ineqs)
 
 
+def _walls(cones: Sequence[RationalCone], keys: Sequence[Sequence[int]]) -> Optional[dict]:
+    """The pseudomanifold test of a simplicial fan's maximal cones, named by
+    their keys: each wall, a key less one index, mapped to the (cone
+    position, generator position) of every maximal cone it lies in; None
+    unless every maximal cone spans the lattice rank and every wall lies in
+    exactly two of them."""
+    r = cones[0].lattice_rank()
+    if any(c.dim != r for c in cones):
+        return None
+    walls: dict[frozenset, list[tuple[int, int]]] = {}
+    for n, key in enumerate(keys):
+        ids = frozenset(key)
+        for i in ids:
+            walls.setdefault(ids - {i}, []).append((n, key.index(i)))
+    return walls if all(len(sides) == 2 for sides in walls.values()) else None
+
+
+def _certified_complete(cones: Sequence[RationalCone], keys: Sequence[Sequence[int]], rays: Sequence[Vector]) -> bool:
+    """A certificate, in time linear in the cones, that the maximal cones
+    meet in common faces and cover the span of their lattice; False
+    certifies nothing.
+
+    The cones pass when all of them lie in the span of the first, they form
+    a pseudomanifold (`_walls`), the two cones on each wall lie on its two
+    sides (the facet row of one, opposite the wall, is negative on the other
+    cone's generator off the wall), and the sum of the first cone's
+    generators lies in no other cone.  The first three make the cones a
+    locally one-to-one cover of the sphere, and the last says one point is
+    covered once, so every point is: the cones triangulate the span (De
+    Loera, Rambau and Santos, Triangulations, ch. 4).
+    """
+    walls = _walls(cones, keys)
+    if walls is None:
+        return False
+    ints = [_point_ints(g) for g in rays]
+    # a cone built directly may lie off its lattice's span, so one plane is checked
+    rows, _ = cones[0].dual_basis()
+    if any(sum(map(mul, row, w)) for row in rows[len(cones[0].gens) :] for w in ints):
+        return False
+    for (a, i), (b, j) in walls.values():
+        if sum(map(mul, cones[a].dual_basis()[0][i], ints[keys[b][j]])) >= 0:
+            return False
+    point = _point_ints([sum(col) for col in zip(*cones[0].gens)])
+    return not any(_holds(c, point) for c in cones[1:])
+
+
 def fan(cones: Iterable[RationalCone], validate: bool = True) -> Fan:
     """Assemble a fan from maximal cones and re-check its validity.
 
+    A complete fan is validated by `_certified_complete`; any other set of
+    maximal cones by one elimination per pair, refused with BoundExceeded
+    before the first pair when there are more than ``MAX_FAN_PAIRS`` pairs.
     With validate=False the cones are trusted to meet in common faces;
     `is_complete` relies on that and may answer wrongly on a fan that breaks it."""
     cones = list(cones)
@@ -253,12 +310,21 @@ def fan(cones: Iterable[RationalCone], validate: bool = True) -> Fan:
             raise InvalidInput("fan cones must share one ambient space and lattice")
     # name each cone by its generators' indices into the sorted ray list;
     # drop duplicates and cones that are faces of others, which have
-    # strictly fewer generators
-    unique = dict(zip(_ray_keys([c.gens for c in cones])[1], cones))
-    keys = sorted(k for k in unique if not any(len(o) > len(k) and set(k) <= set(o) for o in unique))
+    # strictly fewer generators, so the longest keys are kept unsearched
+    rays, all_keys = _ray_keys([c.gens for c in cones])
+    unique = dict(zip(all_keys, cones))
+    longest = max(map(len, unique))
+    keys = sorted(
+        k for k in unique if len(k) == longest or not any(len(o) > len(k) and set(k) <= set(o) for o in unique)
+    )
     maximal = [unique[key] for key in keys]
     result = Fan(ambient_dim=dim, maximal_cones=tuple(maximal), lattice=lattice)
-    if validate:
+    if validate and not _certified_complete(maximal, keys, rays):
+        pairs = len(maximal) * (len(maximal) - 1) // 2
+        if pairs > MAX_FAN_PAIRS:
+            raise BoundExceeded(
+                f"{len(maximal)} maximal cones make {pairs} pairs to check, above the bound {MAX_FAN_PAIRS}"
+            )
         for (a, key_a), (b, key_b) in combinations(zip(maximal, keys), 2):
             if not _face_compatible(a, b, key_a, key_b):
                 raise InvalidInput(f"cones {a.gens} and {b.gens} do not intersect in a common face")
@@ -272,19 +338,12 @@ def is_complete(f: Fan) -> bool:
     Then this is the pseudomanifold criterion for complete simplicial fans
     (Cox, Little and Schenck, Toric Varieties, ch. 3): every maximal cone
     spans the lattice, and every wall, a facet of a maximal cone, lies in
-    exactly two maximal cones.  Two full cones on one wall lie on its two
-    sides, so the boundary of the support could only lie in cones of
+    exactly two maximal cones (`_walls`).  Two full cones on one wall lie on
+    its two sides, so the boundary of the support could only lie in cones of
     codimension two, which cannot separate the sphere; in rank 1 the one
-    wall, the origin, lies in the two opposite rays.  Walls are compared as
-    sets of generator indices into the ray list.
+    wall, the origin, lies in the two opposite rays.
     """
-    r = f.maximal_cones[0].lattice_rank()
-    if any(c.dim != r for c in f.maximal_cones):
-        return False
-    walls: Counter = Counter()
-    for ids in map(frozenset, _ray_keys([c.gens for c in f.maximal_cones])[1]):
-        walls.update(ids - {i} for i in ids)
-    return all(n == 2 for n in walls.values())
+    return _walls(f.maximal_cones, _ray_keys([c.gens for c in f.maximal_cones])[1]) is not None
 
 
 def star_subdivision(f: Fan, ray: Sequence) -> Fan:

@@ -279,6 +279,30 @@ def test_oversized_ambient_dim_exit_2(capsys, tmp_path):
     assert (code, out) == (0, "complete=False smooth=True picard=None\n")
 
 
+def test_oversized_incomplete_fan_exit_2(capsys, tmp_path):
+    """A document whose cones are not a complete fan is checked pair by
+    pair; with more pairs than the bound it is refused before the first."""
+    from weylfans.polyhedra import MAX_FAN_PAIRS
+
+    n = 500  # a strip of plane cones, each meeting the next in a ray
+    doc = {
+        "ambient_dim": 2,
+        "lattice": "standard",
+        "rays": [["1", str(k)] for k in range(n + 1)],
+        "maximal_cones": [[k, k + 1] for k in range(n)],
+    }
+    pairs = n * (n - 1) // 2
+    assert pairs > MAX_FAN_PAIRS
+    path = tmp_path / "strip.json"
+    path.write_text(json.dumps(doc))
+    for args in (["check"], ["subdivide", "--ray=1,1"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "fan", *args, "--input", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: {n} maximal cones make {pairs} pairs to check, above the bound {MAX_FAN_PAIRS}\n"
+
+
 def test_fan_on_empty_lattice_exit_2(capsys, tmp_path):
     doc = {"ambient_dim": 2, "lattice": [], "rays": [["1/1", "0/1"]], "maximal_cones": [[0]]}
     path = tmp_path / "empty_lattice.json"

@@ -476,7 +476,9 @@ def _rays_in_faces(cones):
 def test_fan_validation_reads_shared_generators_not_ray_membership(monkeypatch):
     """fan() gives the membership-based verdict and refusal message on the
     seeded cone pairs and on rays placed in the faces of the chamber and
-    colored fans, without testing any ray against any cone."""
+    colored fans; its pairwise validation, forced on every case, gives them
+    without testing any ray against any cone.  (The certificate in front of
+    it tests one interior point of the first cone against the others.)"""
     assert list(inspect.signature(polyhedra._face_compatible).parameters) == ["c1", "c2", "key1", "key2"]
     cases = [list(_random_cone_pair(random.Random(seed))) for seed in range(60)]
     for cones, _ in _colored_and_chamber_fans():
@@ -488,7 +490,9 @@ def test_fan_validation_reads_shared_generators_not_ray_membership(monkeypatch):
     verdicts = {True: 0, False: 0}
     for cones in cases:
         expected = _membership_fan_outcome(cones)
+        assert _outcome(cones) == expected
         with monkeypatch.context() as m:
+            m.setattr(polyhedra, "_certified_complete", lambda *args: False)
             m.setattr(polyhedra, "_holds", refuse)
             m.setattr(polyhedra, "contains", refuse)
             assert _outcome(cones) == expected

@@ -273,6 +273,18 @@ def _projective_space_fan(n):
     return fan([cone(rays[:i] + rays[i + 1 :]) for i in range(n + 1)])
 
 
+def _rank_two_subdivisions(rng, fans):
+    """Three star subdivisions of each rank-two fan, each at a seeded positive
+    combination of the generators of one of its maximal cones."""
+    out = []
+    for f in [f for f in fans if f.maximal_cones[0].lattice_rank() == 2]:
+        for _ in range(3):
+            g1, g2 = rng.choice(f.maximal_cones).gens
+            a, b = rng.randint(1, 3), rng.randint(1, 3)
+            out.append(star_subdivision(f, [a * x + b * y for x, y in zip(g1, g2)]))
+    return out
+
+
 def test_is_complete_matches_orthant_search():
     """Wall counts against the orthant search on chamber fans, subtorus fans,
     star subdivisions of the rank-two ones, projective spaces, and each of
@@ -286,11 +298,7 @@ def test_is_complete_matches_orthant_search():
         for label in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2")
     ]
     fans += [subtorus_closure_fan(*_f4_wprime()), subtorus_closure_fan(*_e8_wprime())]
-    for f in [f for f in fans if f.maximal_cones[0].lattice_rank() == 2]:
-        for _ in range(3):
-            g1, g2 = rng.choice(f.maximal_cones).gens
-            a, b = rng.randint(1, 3), rng.randint(1, 3)
-            fans.append(star_subdivision(f, [a * x + b * y for x, y in zip(g1, g2)]))
+    fans += _rank_two_subdivisions(rng, fans)
     projective = [_projective_space_fan(n) for n in range(1, 6)]
     fans += projective + [fan(p.maximal_cones[1:]) for p in projective]
     assert len(fans) == 12 + 5 * 3 + 10

@@ -2,14 +2,17 @@
 row of the Layout table is an attribute of that row's module or of the
 package (a dotted name is followed attribute by attribute, and a name with a
 leading dot is an attribute of some class of the module).  The one
-exception is the cli row's `weylfans`, which names the command."""
+exception is the cli row's `weylfans`, which names the command.  The
+README's `fan` commands run as written."""
 
 import importlib
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import weylfans
+from weylfans.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 ROW = re.compile(r"\| `weylfans\.(\w+)` \| (.*) \|$")
@@ -51,3 +54,17 @@ def test_layout_table_names_only_code_that_exists():
             if not _resolves(module, span):
                 missing.append((module_name, span))
     assert missing == [] and checked > 10
+
+
+def test_fan_commands_run_as_written(capsys, tmp_path):
+    """The Command line section's `fan` commands, in order: `fan build` writes
+    the document the next two read as fan.json, and each exits 0."""
+    block = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("weylfans fan ")]
+    assert [argv[2] for argv in commands] == ["build", "check", "subdivide"]
+    document = tmp_path / "fan.json"
+    for argv in commands:
+        assert main([str(document) if arg == "fan.json" else arg for arg in argv[1:]]) == 0, argv
+        out = capsys.readouterr().out
+        if argv[2] == "build":
+            document.write_text(out)
