@@ -12,7 +12,10 @@ reduction of a row to coprime integers, Smith normal form over the integers,
 which tracks one transform, the inverse of the column transform, and also
 decides smoothness, and one feasibility question, `_eliminate`: a yes/no
 answer for a system of linear equalities and inequalities, on integer rows
-throughout, which every cone question of the package reduces to.
+throughout, which every cone question of the package reduces to.  Its dual
+form, the double description of a cone in the nonnegative orthant,
+`_extreme_ray_supports`, takes the same positive-times-negative step,
+`_cancel`, on the same primitive rows, `_primitive_row`.
 Fraction stays at every public function's inputs and outputs: the only
 Fraction helpers left are the coercions at that boundary, `qv`, `qm` and
 `_unit`, and no Fraction vector arithmetic.  No floating point anywhere.
@@ -292,20 +295,24 @@ def saturation_basis(vectors: Sequence[Sequence[Q]]) -> Matrix:
     return qm(t[:k])
 
 
-# --- exact linear feasibility (Fourier-Motzkin) -----------------------------
+# --- exact linear feasibility (Fourier-Motzkin) and double description ---------
 
 Constraint = tuple[Vector, Q]  # (coeffs, rhs), meaning coeffs . x >= rhs
-# inside _eliminate, inequalities are held as primitive integer rows (coeffs, rhs)
-IntConstraint = tuple[tuple[int, ...], int]
 
 
-def _primitive_ineq(coeffs: Sequence[int], rhs: int) -> Optional[IntConstraint]:
-    """Divide an integer row by the gcd of its entries; None means trivially
-    satisfied, and a zero row with rhs 1 encodes an infeasible one."""
-    if not any(coeffs):
-        return None if rhs <= 0 else (tuple(coeffs), 1)
-    g = gcd(*coeffs, rhs)
-    return tuple(x // g for x in coeffs), rhs // g
+def _primitive_row(row: Sequence[int]) -> tuple[int, ...]:
+    """An integer row divided by the gcd of its entries; a zero row is kept."""
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
+
+
+def _cancel(lo: Sequence[int], a: int, hi: Sequence[int], b: int) -> tuple[int, ...]:
+    """b * lo + a * hi for a, b > 0, primitive: the one positive-times-negative
+    step of both eliminations here.  Fourier-Motzkin passes two rows
+    (coeffs, rhs) with a = lo[v] and b = -hi[v], so the sum drops x_v; the
+    double description passes two rays with a and -b their values on a new
+    constraint, so the sum lies on its hyperplane."""
+    return _primitive_row([b * x + a * y for x, y in zip(lo, hi)])
 
 
 def _int_row(coeffs: Sequence, rhs) -> Sequence[int]:
@@ -322,7 +329,9 @@ def _eliminate(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constra
     each pivot variable is substituted out of every inequality scaled by
     |d|, a positive factor that keeps the inequality.  What is left, in the
     free variables, goes through Fourier-Motzkin elimination on primitive
-    integer rows (Schrijver, Theory of Linear and Integer Programming, 12.2).
+    integer rows (coeffs, rhs) (Schrijver, Theory of Linear and Integer
+    Programming, 12.2); a row with zero coefficients reads 0 >= rhs, and the
+    primitive one with rhs 1 is the infeasible one.
     """
     rows = [_int_row(coeffs, rhs) for coeffs, rhs in ineqs]
     free_vars = range(num_vars)
@@ -343,43 +352,67 @@ def _eliminate(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constra
             projected.append([*(t[j] for j in free_vars), t[-1]])
         rows = projected
 
-    system: set[IntConstraint] = set()
-    for row in rows:
-        n = _primitive_ineq(row[:-1], row[-1])
-        if n is not None:
-            if not any(n[0]):
-                return False
-            system.add(n)
-
+    infeasible = (0,) * len(free_vars) + (1,)
+    system = {_primitive_row(row) for row in rows}
     active = list(range(len(free_vars)))
-    while active:
+    while active and infeasible not in system:
         # eliminate the variable with the fewest pos*neg pairings
         best, best_cost = None, None
         for v in active:
-            pos = sum(1 for c, _ in system if c[v] > 0)
-            neg = sum(1 for c, _ in system if c[v] < 0)
+            pos = sum(1 for row in system if row[v] > 0)
+            neg = sum(1 for row in system if row[v] < 0)
             cost = pos * neg - pos - neg
             if best_cost is None or cost < best_cost:
                 best, best_cost = v, cost
         v = best
-        lowers = []  # c[v] > 0: x_v >= (rhs - sum of the other terms) / c[v]
-        uppers = []  # c[v] < 0: x_v <= the same
+        lowers = []  # row[v] > 0: x_v >= (rhs - sum of the other terms) / row[v]
+        uppers = []  # row[v] < 0: x_v <= the same
         rest = []
         for row in system:
-            a = row[0][v]
-            (rest if a == 0 else lowers if a > 0 else uppers).append(row)
-        new_system: set[IntConstraint] = set(rest)
-        for lc, lr in lowers:
-            a = lc[v]
-            for uc, ur in uppers:
-                # lower <= upper, scaled by a*b > 0: (b*lc + a*uc) . x >= b*lr + a*ur
-                b = -uc[v]
-                n = _primitive_ineq([b * x + a * y for x, y in zip(lc, uc)], b * lr + a * ur)
-                if n is not None:
-                    if not any(n[0]):
-                        return False
-                    new_system.add(n)
+            (rest if row[v] == 0 else lowers if row[v] > 0 else uppers).append(row)
+        # lower <= upper, each pair scaled by a positive factor
+        system = {*rest, *(_cancel(lo, lo[v], hi, -hi[v]) for lo in lowers for hi in uppers)}
         active.remove(v)
-        system = new_system
 
-    return all(rhs <= 0 for _, rhs in system)
+    return all(row[-1] <= 0 for row in system)
+
+
+def _extreme_ray_supports(
+    num_vars: int, eqs: Sequence[Sequence[int]], ineqs: Sequence[Sequence[int]], bound: int
+) -> Optional[list[int]]:
+    """The supports, as bitmasks of coordinates, of the extreme rays of the
+    pointed cone {w >= 0 : eq . w = 0, ineq . w >= 0} on integer rows; None
+    once the ray list passes ``bound``.
+
+    Double description (Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda
+    and Prodon, "Double description method revisited", 1996): start from
+    the unit rays of the orthant and add one row at a time.  Each ray keeps
+    the bitmask of the constraints it is tight on, the orthant's first.  A
+    ray positive and a ray negative on the new row are combined by
+    `_cancel` only when they are adjacent, which is when no third ray is
+    tight on every constraint both are; an equality keeps only the rays on
+    its hyperplane and these combinations.  The rays stay nonnegative, so a
+    ray's support is the complement of its orthant bits.
+    """
+    full = (1 << num_vars) - 1
+    rays = [(_int_unit(num_vars, i), full & ~(1 << i)) for i in range(num_vars)]
+    rows = [(row, True) for row in eqs] + [(row, False) for row in ineqs]
+    for bit, (row, equality) in enumerate(rows, num_vars):
+        values = [sum(map(mul, row, ray)) for ray, _ in rays]
+        kept = []
+        for (ray, tight), x in zip(rays, values):
+            if x == 0:
+                kept.append((ray, tight | 1 << bit))
+            elif x > 0 and not equality:
+                kept.append((ray, tight))
+        pos = [i for i, x in enumerate(values) if x > 0]
+        neg = [i for i, x in enumerate(values) if x < 0]
+        for i in pos:
+            for j in neg:
+                common = rays[i][1] & rays[j][1]
+                if not any(t & common == common for n, (_, t) in enumerate(rays) if n != i and n != j):
+                    kept.append((_cancel(rays[i][0], values[i], rays[j][0], -values[j]), common | (1 << bit)))
+        if len(kept) > bound:
+            return None
+        rays = kept
+    return [full & ~tight for _, tight in rays]

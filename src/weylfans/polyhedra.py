@@ -77,6 +77,11 @@ class RationalCone:
         return tuple(Q(x, d) for x in coords)
 
 
+def _text(v: Iterable) -> str:
+    """A vector as a message writes it: (1/2, -3)."""
+    return f"({', '.join(map(str, v))})"
+
+
 def _lattice_ints(
     lattice: Optional[Matrix], vectors: Sequence[Vector], name: str = "vector"
 ) -> tuple[list[list[int]], int]:
@@ -96,8 +101,7 @@ def _lattice_ints(
             raise InvalidInput("basis rows are linearly dependent")
         off = [vectors[pivots[k] - k]] if len(pivots) > k else []
     if off:
-        text = f"({', '.join(map(str, off[0]))})"
-        raise InvalidInput(f"{name.format(text)} lies outside the span of the reference lattice")
+        raise InvalidInput(f"{name.format(_text(off[0]))} lies outside the span of the reference lattice")
     # the coordinates X = a[:k, k:] / d, over their least positive denominator
     g = gcd(d, *(x for row in a[:k] for x in row[k:])) * (1 if d > 0 else -1)
     return [[a[i][k + j] // g for i in range(k)] for j in range(len(vectors))], d // g
@@ -174,19 +178,22 @@ def _face_subsets(k: int) -> Iterable[tuple[int, ...]]:
     return (s for size in range(k + 1) for s in combinations(range(k), size))
 
 
+def _face(c: RationalCone, s: Sequence[int]) -> RationalCone:
+    """The face on the generator index subset s, with the cone's dual basis
+    reordered: its own generators' rows first, then the other generators'
+    rows and the span equations, which together vanish exactly on the
+    face's span."""
+    rows, d = c.dual_basis()
+    f = RationalCone(c.ambient_dim, tuple(c.gens[i] for i in s), c.lattice)
+    order = [*s, *(i for i in range(c.dim) if i not in s)]
+    object.__setattr__(f, "_dual", (tuple(rows[i] for i in order) + rows[c.dim :], d))
+    return f
+
+
 def faces(c: RationalCone) -> list[RationalCone]:
     """Every face, one per generator subset in `_face_subsets` order, each
-    with the cone's dual basis reordered: its own generators' rows first,
-    then the other generators' rows and the span equations, which together
-    vanish exactly on the face's span."""
-    rows, d = c.dual_basis()
-    out = []
-    for s in _face_subsets(c.dim):
-        f = RationalCone(c.ambient_dim, tuple(c.gens[i] for i in s), c.lattice)
-        order = [*s, *(i for i in range(c.dim) if i not in s)]
-        object.__setattr__(f, "_dual", (tuple(rows[i] for i in order) + rows[c.dim :], d))
-        out.append(f)
-    return out
+    reading its rows off the cone's (`_face`)."""
+    return [_face(c, s) for s in _face_subsets(c.dim)]
 
 
 def is_smooth(c: RationalCone) -> bool:
@@ -212,10 +219,14 @@ class Fan:
 
 def _ray_keys(gen_lists: Sequence[Sequence[Vector]]) -> tuple[list[Vector], list[tuple[int, ...]]]:
     """The sorted distinct rays of the generator lists, and each list as its
-    indices into them; the index tuples order as the generator tuples."""
-    rays = sorted({g for gens in gen_lists for g in gens})
+    indices into them; the index tuples order as the generator tuples.
+    Each generator object is hashed once, so faces, which share their top
+    cone's generator objects, cost no Fraction hashing."""
+    objects = {id(g): g for gens in gen_lists for g in gens}
+    rays = sorted(set(objects.values()))
     index = {r: i for i, r in enumerate(rays)}
-    return rays, [tuple(index[g] for g in gens) for gens in gen_lists]
+    by_id = {k: index[g] for k, g in objects.items()}
+    return rays, [tuple(by_id[id(g)] for g in gens) for gens in gen_lists]
 
 
 def _face_compatible(c1: RationalCone, c2: RationalCone, key1: Sequence[int], key2: Sequence[int]) -> bool:
@@ -327,7 +338,8 @@ def fan(cones: Iterable[RationalCone], validate: bool = True) -> Fan:
             )
         for (a, key_a), (b, key_b) in combinations(zip(maximal, keys), 2):
             if not _face_compatible(a, b, key_a, key_b):
-                raise InvalidInput(f"cones {a.gens} and {b.gens} do not intersect in a common face")
+                a_text, b_text = (_text(map(_text, c.gens)) for c in (a, b))
+                raise InvalidInput(f"cones {a_text} and {b_text} do not intersect in a common face")
     return result
 
 

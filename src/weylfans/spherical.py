@@ -6,14 +6,17 @@ maps to minus the i-th unit vector and the j-th color to the j-th column of
 the Cartan matrix.  The valuation cone is the negative of the dominant
 chamber.  Only the embeddings instantiated by group compactifications and
 their contractions are modeled; colors are opaque symbols with a recorded
-image in the lattice.
+image in the lattice.  The colored faces of a top cone are answered from the
+supports of the extreme rays of its valuation-weight cone, found once per
+top, and an extension is checked from the largest source cone down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, Mapping, Optional
+from operator import mul
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
 from .linalg import (
@@ -21,6 +24,7 @@ from .linalg import (
     Vector,
     _common_ints,
     _eliminate,
+    _extreme_ray_supports,
     _int_mat_vec,
     _int_unit,
     _unit,
@@ -30,6 +34,7 @@ from .linalg import (
 )
 from .polyhedra import (
     RationalCone,
+    _face,
     _face_subsets,
     _holds,
     _point_ints,
@@ -38,7 +43,6 @@ from .polyhedra import (
     cone,
     contains,
     covered_by,
-    faces,
     zero_cone,
 )
 from .rootsys import RootSystem, build_root_system, longest_element
@@ -147,20 +151,52 @@ def _colored_faces(top: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vect
     each carrying the colors whose image lands inside it, and each with its
     generator index subset of the top cone.
 
-    A face whose generators all lie in the valuation cone meets it in its
-    relative interior, by convexity, so only the other faces are tested.
-    A cone with more than ``MAX_COLORED_FACES`` faces is refused with
-    BoundExceeded before any face is visited.
+    Let P be the generator weights w >= 0 whose point sum w_i g_i lies in the
+    valuation cone.  The face on a subset S meets it in its relative interior
+    exactly when a point of P has support S.  Points of P cancel no
+    coordinate, so their supports are the unions of the supports of P's
+    extreme rays, found once per top (`_extreme_ray_supports`), as bitmasks
+    of generator indices.  Should the ray list pass ``MAX_COLORED_FACES``,
+    each face is asked `_relint_meets_valuation` instead.  A color lands in
+    the face on S exactly when it lies in the top with its coordinates in
+    the generators supported in S, so each color's coordinates are read
+    once.  A cone with more than ``MAX_COLORED_FACES`` faces is refused with
+    BoundExceeded before any work.
     """
     c = top.cone
     _check_face_bound(c.dim)
-    inside = [contains(vcone, g) for g in c.gens]
+    rows = _rows_on_weights(vcone, c.gens)
+    rays = _extreme_ray_supports(c.dim, rows[vcone.dim :], rows[: vcone.dim], MAX_COLORED_FACES)
+    if rays is None:
+        supports = {_mask(s) for s in _face_subsets(c.dim) if _relint_meets_valuation(_face(c, s), vcone)}
+    else:
+        supports = {0}
+        for r in rays:
+            supports |= {u | r for u in supports}
+    colors = [(d, _coordinate_support(c, rho[d])) for d in top.colors]
     out = []
-    for subset, f in zip(_face_subsets(c.dim), faces(c)):
-        if all(inside[i] for i in subset) or _relint_meets_valuation(f, vcone):
-            kept = frozenset(d for d in top.colors if contains(f, rho[d]))
-            out.append((subset, ColoredCone(cone=f, colors=kept)))
+    for subset in _face_subsets(c.dim):
+        s = _mask(subset)
+        if s in supports:
+            kept = frozenset(d for d, m in colors if m is not None and m | s == s)
+            out.append((subset, ColoredCone(cone=_face(c, subset), colors=kept)))
     return out
+
+
+def _mask(subset: Iterable[int]) -> int:
+    return sum(1 << i for i in subset)
+
+
+def _coordinate_support(c: RationalCone, v: Sequence) -> Optional[int]:
+    """The bitmask of v's nonzero coordinates in the cone's generators, or
+    None when v lies off the cone."""
+    if len(v) != c.ambient_dim:
+        raise InvalidInput("dimension mismatch in cone membership")
+    w = _point_ints(v)
+    dots = [sum(map(mul, row, w)) for row in c.dual_basis()[0]]
+    if any(dots[c.dim :]) or any(x < 0 for x in dots[: c.dim]):
+        return None
+    return _mask(i for i, x in enumerate(dots[: c.dim]) if x)
 
 
 def colored_fan_from_top(
@@ -259,30 +295,41 @@ def extends_to_morphism(
     """Whether the identity on the open orbit extends equivariantly.
 
     True exactly when every source colored cone maps into some target
-    colored cone whose colors absorb the non-dominant source colors.
+    colored cone whose colors absorb the non-dominant source colors.  Source
+    cones are visited largest first, and one whose generators and colors lie
+    among those of a cone already mapped is skipped: its image lies in the
+    same target cone, whose colors absorb its colors too (Knop, The
+    Luna-Vust theory of spherical embeddings, 1991, section 4).  Generators
+    are compared as indices into the source's rays, each ray mapped and
+    scaled to integers once.  The ambient dimensions are checked before any
+    cone is read, so no visiting order changes the answer.
     """
     dominant = frozenset(dominant_colors)
     if lattice_map is not None:
         if len(lattice_map) != target.rank or any(len(row) != source.rank for row in lattice_map):
             raise InvalidInput(f"lattice map must be {target.rank} rows of length {source.rank}")
-        # a positive multiple of each image: membership is scale-invariant
+    rays, keys = _ray_keys([cc.cone.gens for cc in source.cones])
+    image_dims = {len(r) if lattice_map is None else len(lattice_map) for r in rays}
+    if image_dims and len(image_dims | {tc.cone.ambient_dim for tc in target.cones}) > 1:
+        raise InvalidInput("dimension mismatch in cone membership")
+    # a positive multiple of each image: membership is scale-invariant
+    if lattice_map is None:
+        points = [_point_ints(r) for r in rays]
+    else:
         rows, _ = _common_ints(qm(lattice_map))
+        points = [_int_mat_vec(rows, 1, r)[0] for r in rays]
 
-    for cc in source.cones:
-        mapped = [g if lattice_map is None else _int_mat_vec(rows, 1, g)[0] for g in cc.cone.gens]
-        # each image scaled to integers once, then read by every target cone
-        points = [_point_ints(g) for g in mapped]
-        found = False
-        for tc in target.cones:
-            if mapped and len(mapped[0]) != tc.cone.ambient_dim:
-                raise InvalidInput("dimension mismatch in cone membership")
-            if all(_holds(tc.cone, w) for w in points) and all(
-                d in dominant or d in tc.colors for d in cc.colors
-            ):
-                found = True
-                break
-        if not found:
+    mapped: list[tuple[frozenset, frozenset]] = []
+    for n in sorted(range(len(keys)), key=lambda n: -len(keys[n])):
+        ids, colors = frozenset(keys[n]), source.cones[n].colors
+        if any(ids <= m_ids and colors <= m_colors for m_ids, m_colors in mapped):
+            continue
+        if not any(
+            all(d in dominant or d in tc.colors for d in colors) and all(_holds(tc.cone, points[r]) for r in ids)
+            for tc in target.cones
+        ):
             return False
+        mapped.append((ids, colors))
     return True
 
 

@@ -303,6 +303,25 @@ def test_oversized_incomplete_fan_exit_2(capsys, tmp_path):
         assert err == f"error: {n} maximal cones make {pairs} pairs to check, above the bound {MAX_FAN_PAIRS}\n"
 
 
+def test_overlapping_cones_refused_with_plain_entries(capsys, tmp_path):
+    """A P^2 document with one more cone overlapping two of its cones fails
+    the completeness certificate and is refused by the pairwise check,
+    which writes both cones' generators with plain rational entries."""
+    doc = {
+        "ambient_dim": 2,
+        "lattice": "standard",
+        "rays": [["-1/1", "-1/1"], ["0/1", "1/1"], ["1/1", "0/1"], ["-1/1", "0/1"], ["1/2", "1/2"]],
+        "maximal_cones": [[0, 1], [0, 2], [1, 2], [3, 4]],
+    }
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(doc))
+    for args in (["check"], ["subdivide", "--ray=1,1"]):
+        code, out, err = run_cli(capsys, "fan", *args, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: cones ((-1, -1), (0, 1)) and ((-1, 0), (1, 1)) do not intersect in a common face\n"
+        assert "Fraction(" not in err and "Traceback" not in err and err.count("\n") == 1
+
+
 def test_fan_on_empty_lattice_exit_2(capsys, tmp_path):
     doc = {"ambient_dim": 2, "lattice": [], "rays": [["1/1", "0/1"]], "maximal_cones": [[0]]}
     path = tmp_path / "empty_lattice.json"

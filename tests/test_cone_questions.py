@@ -239,8 +239,13 @@ def _membership_fan_outcome(cones):
     for i, j in combinations(range(len(maximal)), 2):
         a, b = maximal[i], maximal[j]
         if not _membership_face_compatible(a, b, keys[i], keys[j], membership[i], membership[j]):
-            return f"cones {a.gens} and {b.gens} do not intersect in a common face"
+            return f"cones {_cone_text(a)} and {_cone_text(b)} do not intersect in a common face"
     return None
+
+
+def _cone_text(c):
+    """A cone's generators as a refusal writes them: ((1/2, -3), (0, 1))."""
+    return "(" + ", ".join("(" + ", ".join(map(str, g)) + ")" for g in c.gens) + ")"
 
 
 def _outcome(cones):
@@ -278,15 +283,19 @@ def _ray_ids(c1, c2):
     return tuple(tuple(rays.index(g) for g in c.gens) for c in (c1, c2))
 
 
+def _compare_meets(c, vcone, seen):
+    meets = spherical._relint_meets_valuation(c, vcone)
+    assert meets == _old_relint_meets_valuation(c, vcone)
+    seen["meets", meets] += 1
+
+
 def _compare(c1, c2, vcone, seen):
+    """Every pair question on the two cones; the valuation question reads
+    one cone and is asked by `_compare_meets`."""
     r1, r2 = _ray_sets(c1, c2)
     compatible = polyhedra._face_compatible(c1, c2, *_ray_ids(c1, c2))
     assert compatible == _old_face_compatible(c1, c2, r1, r2)
     assert compatible == _set_face_compatible(c1, c2, r1, r2)
-    for c in (c1, c2):
-        meets = spherical._relint_meets_valuation(c, vcone)
-        assert meets == _old_relint_meets_valuation(c, vcone)
-        seen["meets", meets] += 1
     for target, cover in ((c1, [c2]), (c2, [c1, vcone])):
         for shortcut in (True, False):
             covered = covered_by(target, cover, shortcut)
@@ -301,14 +310,25 @@ def test_cone_questions_match_old_encodings():
     accepted = {True: 0, False: 0}
     for _ in range(500):
         c1, c2, vcone = _random_cone_pair(rng)
+        for c in (c1, c2):
+            _compare_meets(c, vcone, seen)
         _compare(c1, c2, vcone, seen)
         new = _accepts([c1, c2])
         assert _old_accepts([c1, c2]) == new
         accepted[new] += 1
     assert min(seen.values()) > 40 and min(accepted.values()) > 40
 
-    fans = 0
+    fans, asked = 0, set()
     for cones, vcone in _colored_and_chamber_fans():
+        fans += 1
+        # each distinct fan is asked once: the wonderful fan of C_n is the
+        # first fan of its chain, and the quotient fan the last
+        if (tuple(cones), vcone) in asked:
+            continue
+        asked.add((tuple(cones), vcone))
+        # each cone is asked the valuation question once, not once per pair
+        for c in cones:
+            _compare_meets(c, vcone, seen)
         for c1, c2 in combinations(cones, 2):
             _compare(c1, c2, vcone, seen)
         for shortcut in (True, False):
@@ -321,8 +341,7 @@ def test_cone_questions_match_old_encodings():
         for candidate, valid in ((cones, True), (cones + [inner], False)):
             assert _accepts(candidate) == valid
             assert _old_accepts(candidate) == valid
-        fans += 1
-    assert fans == 20
+    assert fans == 20 and len(asked) == 14
 
 
 def test_valuation_questions_on_zero_cones():

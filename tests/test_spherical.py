@@ -313,7 +313,9 @@ def test_colored_face_enumeration_is_bounded(monkeypatch):
 
     n = MAX_COLORED_FACES.bit_length()  # the least rank with too many faces
     orthant = ColoredCone(cone=cone([[-int(i == j) for j in range(n)] for i in range(n)]), colors=frozenset())
-    monkeypatch.setattr(spherical, "_relint_meets_valuation", no_face_visited)
+    # the per-top ray kernel, the per-face fallback and every elimination
+    for name in ("_extreme_ray_supports", "_relint_meets_valuation", "_eliminate"):
+        monkeypatch.setattr(spherical, name, no_face_visited)
     with pytest.raises(BoundExceeded, match="faces"):
         _colored_faces(orthant, orthant.cone, {})
     for call in (lambda: blowup_chain_fans(n), lambda: z_colored_fan(n)):
