@@ -11,10 +11,10 @@ at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Mapping
 
+from ._record import Record
 from .errors import InvalidInput
 from . import lattice as lat
 from . import spherical as sph
@@ -70,14 +70,12 @@ IHSS_TABLE = (
 )
 
 
-@dataclass(frozen=True)
-class Expected:
+class Expected(Record):
     value: object
     provenance: str  # "tabulated" | "recomputed" | "definitional"
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(Record):
     case_id: str
     claim: str
     inputs: Mapping[str, object]

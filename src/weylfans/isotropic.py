@@ -14,12 +14,12 @@ division per entry when the public Fraction basis is built.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
 from operator import mul
 
+from ._record import Record
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
 from .linalg import Matrix, _echelon, _primitive_ints, _unit, qm, rank
 
@@ -28,10 +28,14 @@ from .linalg import Matrix, _echelon, _primitive_ints, _unit, qm, rank
 MAX_HALF_RANK = 10
 
 
-@dataclass(frozen=True)
-class DoubledSpace:
+class DoubledSpace(Record):
     half_rank: int
     kind: str  # "symplectic" or "orthogonal"
+
+    def __init__(self, half_rank: int, kind: str):
+        set_ = object.__setattr__
+        set_(self, "half_rank", half_rank)
+        set_(self, "kind", kind)
 
     @property
     def block_dim(self) -> int:
@@ -82,10 +86,14 @@ def _form_apply(space: DoubledSpace, v) -> list:
     return [s * v[j] for j, s in _form_index(space)]
 
 
-@dataclass(frozen=True)
-class IsotropicSubspace:
+class IsotropicSubspace(Record):
     space: DoubledSpace
     basis: Matrix  # rows span the subspace
+
+    def __init__(self, space: DoubledSpace, basis: Matrix):
+        set_ = object.__setattr__
+        set_(self, "space", space)
+        set_(self, "basis", basis)
 
 
 def diagonal_subspace(space: DoubledSpace) -> IsotropicSubspace:
@@ -209,8 +217,7 @@ def subspaces_equal(a: IsotropicSubspace, b: IsotropicSubspace) -> bool:
     return rank(stacked) == len(a.basis) == len(b.basis)
 
 
-@dataclass(frozen=True)
-class SampleReport:
+class SampleReport(Record):
     lemma: str  # plain-language statement of the verified law
     samples: int
     violations: int
@@ -282,8 +289,7 @@ def lg_orbit_dim(n: int, k: int) -> int:
     return total - k * k
 
 
-@dataclass(frozen=True)
-class OrbitData:
+class OrbitData(Record):
     total_dim: int
     orbit_dim: int
     codim: int

@@ -12,12 +12,12 @@ of ambient coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd
 from operator import mul
 from typing import Sequence
 
+from ._record import Record
 from .errors import BasisChangeError, InvalidInput
 from .linalg import (
     Matrix,
@@ -48,21 +48,21 @@ def _basis_rows(rs: RootSystem, tag: str) -> Matrix:
     raise InvalidInput(f"unknown basis tag {tag!r}")
 
 
-@dataclass(frozen=True)
-class LatticeVector:
+class LatticeVector(Record):
     rs: RootSystem
     basis: str
     coords: Vector
 
-    def __post_init__(self):
-        if self.basis not in BASIS_TAGS:
-            raise InvalidInput(f"unknown basis tag {self.basis!r}")
-        expected = self.rs.ambient_dim if self.basis == "ambient" else self.rs.rank
-        if len(self.coords) != expected:
-            raise InvalidInput(
-                f"{self.basis} coordinates for {self.rs.label} must have length {expected}"
-            )
-        object.__setattr__(self, "coords", qv(self.coords))
+    def __init__(self, rs: RootSystem, basis: str, coords: Vector):
+        if basis not in BASIS_TAGS:
+            raise InvalidInput(f"unknown basis tag {basis!r}")
+        expected = rs.ambient_dim if basis == "ambient" else rs.rank
+        if len(coords) != expected:
+            raise InvalidInput(f"{basis} coordinates for {rs.label} must have length {expected}")
+        set_ = object.__setattr__
+        set_(self, "rs", rs)
+        set_(self, "basis", basis)
+        set_(self, "coords", qv(coords))
 
     def ambient(self) -> Vector:
         if self.basis == "ambient":

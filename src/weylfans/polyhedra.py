@@ -22,13 +22,13 @@ list, `_ray_keys`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from itertools import combinations, compress
 from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record
 from .errors import BoundExceeded, InvalidInput
 from .linalg import (
     Matrix, Vector, _common_ints, _dual_rows, _echelon, _eliminate, _int_unit, _primitive_ints,
@@ -42,8 +42,7 @@ from .linalg import (
 MAX_FAN_PAIRS = 20_000
 
 
-@dataclass(frozen=True)
-class RationalCone:
+class RationalCone(Record):
     """A simplicial cone: independent generators, primitive in the lattice.
 
     The integer dual basis of the generators is kept on the cone, out of
@@ -55,7 +54,14 @@ class RationalCone:
     ambient_dim: int
     gens: Matrix
     lattice: Optional[Matrix] = None
-    _dual: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _dual: Optional[tuple] = None
+
+    def __init__(self, ambient_dim: int, gens: Matrix, lattice: Optional[Matrix] = None):
+        set_ = object.__setattr__
+        set_(self, "ambient_dim", ambient_dim)
+        set_(self, "gens", gens)
+        set_(self, "lattice", lattice)
+        set_(self, "_dual", None)
 
     def dual_basis(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(N, d): the rows of N/d read the coordinates of a vector in the
@@ -205,8 +211,7 @@ def is_smooth(c: RationalCone) -> bool:
     return s == 1 and smith_normal_form(rows)[0].count(1) == len(rows)
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """A finite collection of cones closed under faces, faces left implicit."""
 
     ambient_dim: int

@@ -14,12 +14,12 @@ Fraction appears only in the values handed out.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
 from .linalg import Matrix, Vector, _common_ints, _echelon, _int_mat_vec, _int_unit, det, qm, qv
 
@@ -97,8 +97,7 @@ def _coroot(beta: Vector) -> Vector:
     return tuple(Q(2 * s * x, n) for x in b)
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     """A simple root system with all derived lattice data precomputed."""
 
     label: str
@@ -114,10 +113,16 @@ class RootSystem:
     fundamental_coweights: Matrix
     highest_root: Vector
     rho: Vector
-    _simple_coords: dict = field(repr=False, hash=False, compare=False)
+    _simple_coords: dict
     # (source tag, target tag) -> (integer rows, denominator), filled on
     # first use by the lattice module; each write stores the same value
-    _basis_changes: dict = field(default_factory=dict, repr=False, hash=False, compare=False)
+    _basis_changes: dict
+
+    def __init__(self, *args, _simple_coords: dict, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "_simple_coords", _simple_coords)
+        # one fresh dict per root system: a shared one would mix types' changes
+        object.__setattr__(self, "_basis_changes", {})
 
     def simple_root_coords(self, beta: Vector) -> Vector:
         """Coordinates of a root in the simple-root basis, always integral."""

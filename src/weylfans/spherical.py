@@ -13,11 +13,11 @@ top, and an extension is checked from the largest source cone down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
+from ._record import Record
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
 from .linalg import (
     Matrix,
@@ -83,17 +83,20 @@ def standard_rho_table(rs: RootSystem) -> dict[str, Vector]:
     return table
 
 
-@dataclass(frozen=True)
-class ColoredCone:
+class ColoredCone(Record):
     cone: RationalCone
     colors: frozenset[str]
+
+    def __init__(self, cone: RationalCone, colors: frozenset[str]):
+        set_ = object.__setattr__
+        set_(self, "cone", cone)
+        set_(self, "colors", colors)
 
     def key(self):
         return (self.cone.gens, tuple(sorted(self.colors)))
 
 
-@dataclass(frozen=True)
-class ColoredFan:
+class ColoredFan(Record):
     rank: int
     cones: tuple[ColoredCone, ...]
     valuation_cone: RationalCone
@@ -115,7 +118,10 @@ def _relint_meets_valuation(c: RationalCone, vcone: RationalCone) -> bool:
     the cone's generator weights, each at least 1, give a point on which the
     valuation cone's span equations vanish and its facets are at least 0,
     all read on the weights up to a positive scale, which keeps the answer.
-    A zero cone leaves no weights, only the origin, a valuation-cone point."""
+    A zero cone leaves no weights, only the origin, a valuation-cone point.
+    Cones of different ambient dimensions are refused, as `contains` does."""
+    if c.ambient_dim != vcone.ambient_dim:
+        raise InvalidInput("dimension mismatch in cone membership")
     k, facets = len(c.gens), len(vcone.gens)
     rows = _rows_on_weights(vcone, c.gens)
     eqs = [(row, 0) for row in rows[facets:]]
@@ -338,8 +344,7 @@ def is_complete_embedding(f: ColoredFan) -> bool:
     return covered_by(f.valuation_cone, [cc.cone for cc in f.cones])
 
 
-@dataclass(frozen=True)
-class OrbitPoset:
+class OrbitPoset(Record):
     nodes: tuple[ColoredCone, ...]
     less_equal: tuple[tuple[bool, ...], ...]  # le[i][j]: node i is a colored face of node j
 
@@ -381,8 +386,7 @@ def closed_orbit_restriction(rs: RootSystem, k: int) -> tuple[LatticeVector, Lat
 # --- Picard presentations ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivisorLedger:
+class DivisorLedger(Record):
     """Named prime-divisor symbols with one integer relation row per weight."""
 
     symbols: tuple[str, ...]
@@ -394,8 +398,7 @@ class DivisorLedger:
                 raise InvalidInput("relation length must match the symbol count")
 
 
-@dataclass(frozen=True)
-class PicardPresentation:
+class PicardPresentation(Record):
     free_rank: int
     torsion: tuple[int, ...]
     classes: Mapping[str, tuple]
@@ -465,8 +468,7 @@ def spinor_divisor_ledger(rs: RootSystem) -> DivisorLedger:
     return DivisorLedger(symbols=symbols, relations=tuple(rows))
 
 
-@dataclass(frozen=True)
-class FormalDivisor:
+class FormalDivisor(Record):
     terms: tuple[tuple[str, int], ...]
 
     def coefficient(self, symbol: str) -> int:

@@ -11,9 +11,9 @@ through one orbit search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record
 from .errors import InvalidInput, InvariantViolation
 from .linalg import Vector, qm, qv, rank, saturation_basis
 from .polyhedra import Fan, RationalCone, cone, fan, is_complete, is_smooth, _primitivize
@@ -80,8 +80,7 @@ def subtorus_closure_fan(
     return result
 
 
-@dataclass(frozen=True)
-class ToricSurface:
+class ToricSurface(Record):
     """A complete smooth toric surface: a 2D fan plus named boundary divisors."""
 
     fan: Fan
@@ -191,8 +190,7 @@ def invariant_picard_rank(
 # --- anticanonical bookkeeping for surface blowups --------------------------
 
 
-@dataclass(frozen=True)
-class SurfaceBlowupLedger:
+class SurfaceBlowupLedger(Record):
     """Boundary components with their anticanonical coefficients.
 
     Only incidence and coefficients are modeled: blowing up a point on the
@@ -258,8 +256,7 @@ def blowup_boundary_point(
     )
 
 
-@dataclass(frozen=True)
-class CoefficientSpectrum:
+class CoefficientSpectrum(Record):
     counts: tuple[tuple[int, int], ...]  # (coefficient, multiplicity), descending
     violations: tuple[tuple[str, int], ...]  # components with coefficient < 2
 

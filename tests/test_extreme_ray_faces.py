@@ -4,7 +4,6 @@ largest source cone down, against the scan of every source cone before
 them.  The two old functions are kept here verbatim as the oracles; both
 are compared on outcomes, exceptions included."""
 
-import dataclasses
 import random
 from fractions import Fraction as Q
 
@@ -19,6 +18,7 @@ from weylfans.polyhedra import _face_subsets, _holds, _point_ints, cone, contain
 from weylfans.rootsys import build_root_system
 from weylfans.spherical import (
     ColoredCone,
+    ColoredFan,
     _check_face_bound,
     _colored_faces,
     _relint_meets_valuation,
@@ -258,14 +258,32 @@ def test_extensions_match_the_scan_of_every_source_cone():
     assert seen.pop(("hand", "raises")) == 0 and min(seen.values()) > 100, seen
 
 
+def _mixed_fan():
+    """The C3 wonderful fan, and it with one cone of the C2 fan appended."""
+    x = spherical.wonderful_colored_fan(build_root_system("C3"))
+    x2 = spherical.wonderful_colored_fan(build_root_system("C2"))
+    return x, ColoredFan(x.rank, x.cones + x2.cones[1:2], x.valuation_cone, x.rho_table, x.colors, x.boundary_names)
+
+
 def test_mixed_dimension_target_always_raises():
     """The one outcome allowed to change: the dimensions are checked before
     any cone is read, so a target whose cones differ in ambient dimension
     raises however the cones are ordered, where the scan returned early."""
-    x = spherical.wonderful_colored_fan(build_root_system("C3"))
-    x2 = spherical.wonderful_colored_fan(build_root_system("C2"))
-    mixed = dataclasses.replace(x, cones=x.cones + x2.cones[1:2])
+    x, mixed = _mixed_fan()
     assert _old_extends_to_morphism(x, mixed) is True
-    for target in (mixed, dataclasses.replace(mixed, cones=mixed.cones[::-1])):
+    reordered = ColoredFan(x.rank, mixed.cones[::-1], x.valuation_cone, x.rho_table, x.colors, x.boundary_names)
+    for target in (mixed, reordered):
         with pytest.raises(InvalidInput, match="dimension mismatch"):
             extends_to_morphism(x, target)
+
+
+def test_valuation_meet_refuses_another_ambient_dimension():
+    """A cone and a valuation cone of different ambient dimensions are
+    refused as `contains` refuses a point of the wrong length, so
+    `orbit_poset` refuses a fan whose cones differ in ambient dimension."""
+    with pytest.raises(InvalidInput, match="^dimension mismatch in cone membership$"):
+        _relint_meets_valuation(cone([[-1, 0, 5]]), cone([[-1, 0], [0, -1]]))
+    with pytest.raises(InvalidInput, match="^dimension mismatch in cone membership$"):
+        contains(cone([[-1, 0], [0, -1]]), (-1, 0, 5))
+    with pytest.raises(InvalidInput, match="^dimension mismatch in cone membership$"):
+        spherical.orbit_poset(_mixed_fan()[1])

@@ -7,7 +7,6 @@ a ``WeylElement`` holding a Fraction matrix composed by ``mat_mul`` with its
 ``subgroup_closure``, and ``to_basis`` through the ambient model.
 """
 
-import dataclasses
 import random
 import sys
 import threading
@@ -35,6 +34,7 @@ from weylfans import rootsys
 from weylfans.errors import BasisChangeError, InvariantViolation
 from weylfans.linalg import _unit, qm, qv
 from weylfans.rootsys import (
+    RootSystem,
     WeylElement,
     _simple_root_model,
     build_root_system,
@@ -350,7 +350,8 @@ def test_lazy_views_are_safe_to_share_between_threads():
     # the basis-change matrices on a root system and the Fraction view of a
     # composed element are filled on first use by whichever thread asks
     # first; every thread must read the same answers
-    rs = dataclasses.replace(build_root_system("E7"), _basis_changes={})
+    # a fresh E7 through the constructor, whose basis-change cache starts empty
+    rs = RootSystem(**{k: v for k, v in vars(build_root_system("E7")).items() if k != "_basis_changes"})
     group = weyl_enumerate(build_root_system("B4"))
     rng = random.Random(7)
     vectors = [lat.vector(rs, _random_vector(rng, rs.rank), tag) for tag in lat.BASIS_TAGS[1:]]

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction as Q
 from itertools import combinations, product
@@ -308,7 +307,7 @@ def test_is_complete_matches_orthant_search():
         for k in range(min(3, len(cones))):
             # a subset of a valid fan's maximal cones is a valid fan
             kept = sorted(rng.sample(range(len(cones)), len(cones) - k))
-            g = dataclasses.replace(f, maximal_cones=tuple(cones[i] for i in kept))
+            g = Fan(f.ambient_dim, tuple(cones[i] for i in kept), f.lattice)
             verdict = is_complete(g)
             assert verdict == _old_is_complete(g)
             verdicts[verdict] += 1

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as Q
 
 import pytest
@@ -10,6 +9,7 @@ from weylfans.polyhedra import cone, contains
 from weylfans.rootsys import build_root_system
 from weylfans.spherical import (
     ColoredCone,
+    ColoredFan,
     DivisorLedger,
     anticanonical_divisor,
     blowup_chain_fans,
@@ -146,6 +146,10 @@ def _extension_outcome(extends, *args, **kwargs):
         return str(exc)
 
 
+def _with_cones(f: ColoredFan, cones) -> ColoredFan:
+    return ColoredFan(f.rank, cones, f.valuation_cone, f.rho_table, f.colors, f.boundary_names)
+
+
 def test_extension_scales_each_generator_once(monkeypatch):
     """Every ordered pair among the chain, quotient and wonderful fans of
     ranks 2-4, with and without a lattice map and a dominant color, against
@@ -156,7 +160,7 @@ def test_extension_scales_each_generator_once(monkeypatch):
     for n in range(2, 5):
         fans += [*blowup_chain_fans(n), z_colored_fan(n), wonderful_colored_fan(build_root_system(f"C{n}"))]
     zero = next(cc for cc in fans[0].cones if not cc.cone.gens)
-    fans += [dataclasses.replace(fans[0], cones=(zero,)), dataclasses.replace(fans[-1], cones=())]
+    fans += [_with_cones(fans[0], (zero,)), _with_cones(fans[-1], ())]
     scaled = []
     real = spherical._point_ints
     monkeypatch.setattr(spherical, "_point_ints", lambda v: scaled.append(v) or real(v))
