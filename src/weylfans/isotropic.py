@@ -32,11 +32,6 @@ class DoubledSpace(Record):
     half_rank: int
     kind: str  # "symplectic" or "orthogonal"
 
-    def __init__(self, half_rank: int, kind: str):
-        set_ = object.__setattr__
-        set_(self, "half_rank", half_rank)
-        set_(self, "kind", kind)
-
     @property
     def block_dim(self) -> int:
         return 2 * self.half_rank if self.kind == "symplectic" else 2 * self.half_rank + 1
@@ -89,11 +84,6 @@ def _form_apply(space: DoubledSpace, v) -> list:
 class IsotropicSubspace(Record):
     space: DoubledSpace
     basis: Matrix  # rows span the subspace
-
-    def __init__(self, space: DoubledSpace, basis: Matrix):
-        set_ = object.__setattr__
-        set_(self, "space", space)
-        set_(self, "basis", basis)
 
 
 def diagonal_subspace(space: DoubledSpace) -> IsotropicSubspace:
