@@ -8,7 +8,14 @@ every sampled subspace is maximal isotropic by construction.  Both samplers
 work on integer rows from the draw to the basis: the symplectic one moves
 primitive integer rows by transvections, and the orthogonal one takes its
 Cayley transform from one fraction-free elimination, with one exact
-division per entry when the public Fraction basis is built.
+division per entry when the public Fraction basis is built.  Their integer
+draws read ``rng.getrandbits`` with ``randint``'s own rejection, so the
+stream is that of ``randint``.  A sampled subspace keeps its primitive
+integer rows beside the basis, and the involution image keeps them negated;
+the invariant and the equality test read them there, and read them off the
+basis of a subspace built by hand.  Equality first stacks one row of the
+second subspace on the first: when that raises the rank, which it does for
+almost every sample, the full stacked rank is not needed.
 """
 
 from __future__ import annotations
@@ -16,12 +23,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 from operator import mul
+from typing import Optional
 
 from ._record import Record
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
-from .linalg import Matrix, _echelon, _primitive_ints, _unit, qm, rank
+from .linalg import Matrix, _echelon, _int_unit, _primitive_ints, qm, rank
 
 # the largest half rank random_maximal_isotropic samples; the stratum tables
 # themselves are closed formulas and take any half rank
@@ -60,7 +69,8 @@ def orthogonal_doubled(n: int) -> DoubledSpace:
 @lru_cache(maxsize=64)
 def _form_index(space: DoubledSpace) -> tuple[tuple[int, int], ...]:
     """The form as a permutation with signs: row i of the form matrix has a
-    single nonzero entry, sign at column position.  Cached per space."""
+    single nonzero entry, sign at column position.  Cached per space; each
+    sampler call and each invariant reads it once."""
     m, n = space.block_dim, space.half_rank
     if space.kind == "symplectic":
         first = [(n + i, 1) for i in range(n)] + [(i, -1) for i in range(n)]
@@ -77,60 +87,109 @@ def _signed_permutation(index: tuple[tuple[int, int], ...]) -> Matrix:
     return tuple(tuple(Q(sign if c == j else 0) for c in range(n)) for j, sign in index)
 
 
-def _form_apply(space: DoubledSpace, v) -> list:
-    return [s * v[j] for j, s in _form_index(space)]
-
-
 class IsotropicSubspace(Record):
+    """A subspace given by the rows of its basis.
+
+    The samplers, the base points and `tau_image` also keep the primitive
+    integer rows of the basis, row by row, as `_ints`, out of equality,
+    hashing and repr (`_with_ints` writes them before the subspace is
+    returned); a subspace built directly has none, and its rows are read
+    off the basis on each use.
+    """
+
     space: DoubledSpace
     basis: Matrix  # rows span the subspace
+    _ints: Optional[tuple] = None
+
+
+def _int_rows(v: IsotropicSubspace):
+    """The primitive integer rows of the basis: the kept ones, else read off."""
+    if v._ints is not None:
+        return v._ints
+    dim = v.space.dim
+    if any(len(row) != dim for row in v.basis):
+        raise InvalidInput(f"basis rows must have {dim} entries, the dimension of the doubled space")
+    return [_primitive_ints(row) for row in v.basis]
+
+
+def _with_ints(space: DoubledSpace, basis: Matrix, ints: Optional[tuple]) -> IsotropicSubspace:
+    """The subspace with this basis, keeping its primitive integer rows."""
+    v = IsotropicSubspace(space, basis)
+    object.__setattr__(v, "_ints", ints)
+    return v
+
+
+def _diagonal_rows(space: DoubledSpace, i: int) -> tuple[int, ...]:
+    """e_i + e_{m+i}: the same unit in both blocks of the doubled space."""
+    m = space.block_dim
+    return tuple(int(j % m == i) for j in range(space.dim))
+
+
+def _split_rows(space: DoubledSpace) -> tuple[tuple[int, ...], ...]:
+    n, m, dim = space.half_rank, space.block_dim, space.dim
+    rows = [_int_unit(dim, i) for i in range(n)] + [_int_unit(dim, m + i) for i in range(n)]
+    if space.kind == "orthogonal":
+        # the middle diagonal direction completes an odd-dimensional maximal
+        rows.append(_diagonal_rows(space, n))
+    return tuple(rows)
 
 
 def diagonal_subspace(space: DoubledSpace) -> IsotropicSubspace:
     """The graph of the identity: the base point with invariant zero."""
-    m = space.block_dim
-    # e_i + e_{m+i}: the same unit in both blocks of the doubled space
-    rows = [tuple(int(j % m == i) for j in range(space.dim)) for i in range(m)]
-    return IsotropicSubspace(space=space, basis=qm(rows))
+    rows = tuple(_diagonal_rows(space, i) for i in range(space.block_dim))
+    return _with_ints(space, qm(rows), rows)
 
 
 def split_subspace(space: DoubledSpace) -> IsotropicSubspace:
     """A direct sum of maximal isotropics from each factor: invariant n."""
-    n, m = space.half_rank, space.block_dim
-    rows = [_unit(space.dim, i) for i in range(n)]
-    rows += [_unit(space.dim, m + i) for i in range(n)]
-    if space.kind == "orthogonal":
-        # the middle diagonal direction completes an odd-dimensional maximal
-        rows.append(tuple(int(j % m == n) for j in range(space.dim)))
-    return IsotropicSubspace(space=space, basis=qm(rows))
-
-
-def _assert_maximal_isotropic(rows: list[list[int]], space: DoubledSpace) -> None:
-    if len(rows) != space.block_dim or rank(rows) != space.block_dim:
-        raise InvalidInput("subspace is not of maximal isotropic dimension")
-    images = [_form_apply(space, r) for r in rows]
-    for i, r in enumerate(rows):
-        for img in images[: i + 1]:
-            if sum(map(mul, r, img)) != 0:
-                raise InvalidInput("the difference form does not vanish on the subspace")
+    rows = _split_rows(space)
+    return _with_ints(space, qm(rows), rows)
 
 
 def intersection_invariant(v: IsotropicSubspace) -> int:
     """dim of the intersection with either summand, asserted equal.
 
-    An unequal pair would contradict the defining property of maximal
-    isotropic subspaces of a difference form, so it is surfaced as an
-    internal invariant violation rather than a value.
+    The subspace is first asserted maximal isotropic: block_dim rows of
+    full rank on which the form vanishes.  An unequal pair would contradict
+    the defining property of maximal isotropic subspaces of a difference
+    form, so it is surfaced as an internal invariant violation rather than
+    a value.
     """
-    rows = [_primitive_ints(row) for row in v.basis]
+    rows = _int_rows(v)
     space = v.space
-    _assert_maximal_isotropic(rows, space)
     m = space.block_dim
-    k1 = m - rank([row[m:] for row in rows])  # kernel of the second projection
+    # one elimination of [B2 | B1] gives the rank of the rows and, from its
+    # pivots in the first m columns, the rank of B2
+    pivots = _echelon([row[m:] + row[:m] for row in rows], reduced=False)[1] if len(rows) == m else ()
+    if len(pivots) != m:
+        raise InvalidInput("subspace is not of maximal isotropic dimension")
+    index = _form_index(space)
+    images = [[s * r[j] for j, s in index] for r in rows]
+    for i, r in enumerate(rows):
+        for img in images[: i + 1]:
+            if sum(map(mul, r, img)) != 0:
+                raise InvalidInput("the difference form does not vanish on the subspace")
+    k1 = m - sum(p < m for p in pivots)  # kernel of the second projection
     k2 = m - rank([row[:m] for row in rows])
     if k1 != k2:
         raise InvariantViolation(f"intersection dimensions differ: {k1} versus {k2}")
     return k1
+
+
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """count draws of ``rng.randint(lo, hi)``, the same stream: CPython's
+    ``_randbelow_with_getrandbits`` draws k = width.bit_length() bits and
+    redraws while they reach the width."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(lo + r)
+    return out
 
 
 def random_maximal_isotropic(space: DoubledSpace, seed: int) -> IsotropicSubspace:
@@ -140,71 +199,100 @@ def random_maximal_isotropic(space: DoubledSpace, seed: int) -> IsotropicSubspac
     transvections; orthogonal spaces move the diagonal by the Cayley
     transform (I - A)(I + A)^-1 of a form-antisymmetric integer matrix A,
     redrawing on the rare singular draw.  One fraction-free elimination
-    gives d and the integer matrix d (I + A)^-1, so the transform is an
-    integer product over d and each basis entry is one exact division.
-    Half ranks above ``MAX_HALF_RANK`` are refused with BoundExceeded
-    before the first draw.
+    gives d and the integer matrix d (I + A)^-1 J, where the columns of J
+    span the diagonal; the transform equals 2 (I + A)^-1 - I, so each basis
+    entry is one integer over d, reduced by one exact division.  Half ranks
+    above ``MAX_HALF_RANK`` are refused with BoundExceeded before the first
+    draw.
     """
     if space.half_rank > MAX_HALF_RANK:
         raise BoundExceeded(f"half rank {space.half_rank} is above the sampling bound {MAX_HALF_RANK}")
     rng = random.Random(seed)
     dim, m = space.dim, space.block_dim
+    index = _form_index(space)
     if space.kind == "symplectic":
         # integer rows throughout: a transvection with parameter p/q sends a
         # row r to q*r + p*pairing*v, the same ray as r + (p/q)*pairing*v
-        rows = [[int(x) for x in row] for row in split_subspace(space).basis]
+        rows = _split_rows(space)
         count = space.half_rank * (2 * space.half_rank + 1)
         for _ in range(count):
-            v = [rng.randint(-2, 2) for _ in range(dim)]
-            while all(x == 0 for x in v):
-                v = [rng.randint(-2, 2) for _ in range(dim)]
-            p, q = rng.randint(-9, 9), rng.randint(1, 4)
-            fv = _form_apply(space, v)
+            v = _randints(rng, -2, 2, dim)
+            while not any(v):
+                v = _randints(rng, -2, 2, dim)
+            p = _randints(rng, -9, 9, 1)[0]
+            q = _randints(rng, 1, 4, 1)[0]
+            if not p:
+                continue
+            fv = [s * v[j] for j, s in index]
             new_rows = []
             for row in rows:
+                # rows stay primitive, so a row pairing to zero is fixed: q*r over gcd q
                 pairing = sum(map(mul, row, fv))
-                new = [q * x + p * pairing * y for x, y in zip(row, v)]
-                g = gcd(*new)
-                new_rows.append([x // g for x in new] if g > 1 else new)
+                if pairing:
+                    c = p * pairing
+                    row = [q * x + c * y for x, y in zip(row, v)]
+                    g = gcd(*row)
+                    if g > 1:
+                        row = [x // g for x in row]
+                new_rows.append(row)
             rows = new_rows
-        return IsotropicSubspace(space=space, basis=qm(rows))
+        rows = tuple(map(tuple, rows))
+        return _with_ints(space, qm(rows), rows)
     for _ in range(32):
+        draws = iter(_randints(rng, -3, 3, dim * (dim - 1) // 2))
         s_rows = [[0] * dim for _ in range(dim)]
         for i in range(dim):
             for j in range(i + 1, dim):
-                x = rng.randint(-3, 3)
+                x = next(draws)
                 s_rows[i][j] = x
                 s_rows[j][i] = -x
         # the split form squares to the identity, so A = F^{-1} S = F S is
-        # just a signed row shuffle of S
-        a = [[sign * x for x in s_rows[j]] for j, sign in _form_index(space)]
-        # Gauss-Jordan on [I + A | I] leaves d * [I | (I + A)^-1]
+        # just a signed row shuffle of S; J's row r holds 1 at column r mod m
         aug = [
-            [int(r == c) + x for c, x in enumerate(row)] + [int(r == c) for c in range(dim)]
-            for r, row in enumerate(a)
+            [int(r == c) + sign * x for c, x in enumerate(s_rows[j])] + [int(r % m == c) for c in range(m)]
+            for r, (j, sign) in enumerate(index)
         ]
+        # Gauss-Jordan on [I + A | J] leaves d * [I | (I + A)^-1 J]
         reduced, pivots, d = _echelon(aug)
         if pivots != list(range(dim)):
             continue
-        # the diagonal's row i is e_i + e_{m+i}, so its image is column i
-        # plus column m+i of the transform (I - A) N / d, N = d (I + A)^-1
-        cols = [[row[dim + i] + row[dim + m + i] for row in reduced] for i in range(m)]
-        i_minus = [[int(r == c) - x for c, x in enumerate(row)] for r, row in enumerate(a)]
-        basis = tuple(tuple(Q(sum(map(mul, row, col)), d) for row in i_minus) for col in cols)
-        return IsotropicSubspace(space=space, basis=basis)
+        # the diagonal's row i is column i of J; its image (2 (I + A)^-1 - I) J_i
+        # is (2 N_i - d J_i) / d with N_i column i of the reduced right block
+        ints, basis = [], []
+        for i in range(m):
+            nums = [2 * row[dim + i] - d * (r % m == i) for r, row in enumerate(reduced)]
+            g = gcd(*nums) if d > 0 else -gcd(*nums)
+            ints.append(tuple(x // g for x in nums))
+            basis.append(tuple(Q(x, d) for x in nums))
+        return _with_ints(space, tuple(basis), tuple(ints))
     raise InvariantViolation("all Cayley transform draws were singular")
 
 
+def _tau_rows(rows, m: int) -> tuple:
+    return tuple((*row[:m], *(-x for x in row[m:])) for row in rows)
+
+
 def tau_image(v: IsotropicSubspace) -> IsotropicSubspace:
-    """Image under the involution fixing the first summand and negating the second."""
+    """Image under the involution fixing the first summand and negating the
+    second; negated kept rows stay primitive and are kept."""
     m = v.space.block_dim
-    rows = [tuple(list(row[:m]) + [-x for x in row[m:]]) for row in v.basis]
-    return IsotropicSubspace(space=v.space, basis=qm(rows))
+    ints = None if v._ints is None else _tau_rows(v._ints, m)
+    return _with_ints(v.space, qm(_tau_rows(v.basis, m)), ints)
 
 
 def subspaces_equal(a: IsotropicSubspace, b: IsotropicSubspace) -> bool:
-    stacked = [_primitive_ints(row) for row in (*a.basis, *b.basis)]
-    return rank(stacked) == len(a.basis) == len(b.basis)
+    """Whether a and b lie in one space, have k basis rows each, and their
+    2k rows stacked have rank k: for independent rows, the same span.  Rank
+    never falls when rows are added, so when the first row of b raises the
+    rank of a's rows above k the answer is no; only otherwise is the whole
+    stack ranked."""
+    ra, rb = _int_rows(a), _int_rows(b)
+    k = len(ra)
+    if a.space != b.space or len(rb) != k:
+        return False
+    if k and rank([*ra, rb[0]]) > k:
+        return False
+    return rank([*ra, *rb]) == k
 
 
 class SampleReport(Record):
@@ -242,10 +330,9 @@ def tau_fixed_locus_check(space: DoubledSpace, sample_count: int, seed: int) -> 
         raise InvalidInput(f"sample count must be nonnegative, not {sample_count}")
     violations = 0
     checked = 0
-    samples = [random_maximal_isotropic(space, seed * 2_000_003 + i) for i in range(sample_count)]
-    samples.append(split_subspace(space))
-    samples.append(diagonal_subspace(space))
-    for v in samples:
+    # drawn one at a time as they are checked; the two base points come last
+    draws = (random_maximal_isotropic(space, seed * 2_000_003 + i) for i in range(sample_count))
+    for v in chain(draws, (split_subspace(space), diagonal_subspace(space))):
         checked += 1
         fixed = subspaces_equal(v, tau_image(v))
         if fixed != (intersection_invariant(v) == space.half_rank):

@@ -135,6 +135,7 @@ class DoubledSpace:
 class IsotropicSubspace:
     space: DoubledSpace
     basis: Matrix
+    _ints: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

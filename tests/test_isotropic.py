@@ -65,6 +65,21 @@ def test_non_isotropic_rejected():
         intersection_invariant(short)
 
 
+@pytest.mark.parametrize("length", [8, 12])
+def test_rows_of_the_wrong_length_are_refused(length):
+    # orthogonal_doubled(2) has dimension 10: rows one block short, and longer
+    space = orthogonal_doubled(2)
+    rows = [_unit(length, i) for i in range(space.block_dim)]
+    bad = IsotropicSubspace(space=space, basis=qm(rows))
+    message = "^basis rows must have 10 entries, the dimension of the doubled space$"
+    with pytest.raises(InvalidInput, match=message):
+        intersection_invariant(bad)
+    with pytest.raises(InvalidInput, match=message):
+        subspaces_equal(bad, diagonal_subspace(space))
+    with pytest.raises(InvalidInput, match=message):
+        subspaces_equal(split_subspace(space), bad)
+
+
 def test_seed_stability():
     for space in (symplectic_doubled(2), orthogonal_doubled(2)):
         a = random_maximal_isotropic(space, 42)

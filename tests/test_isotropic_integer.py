@@ -7,7 +7,11 @@ symplectic transvections with the uncached form index, and primitive
 integer rows through ``primitive_direction`` (the package reads them with
 ``linalg._primitive_ints``).  Every draw must give the same basis, entry
 for entry and as ``Fraction`` entries, the same invariant and the same
-involution verdict.
+involution verdict, and the integer rows a draw and its involution image
+keep must be those read off their bases.  Equality is checked against the
+full stacked rank also on the equal and nearly equal pairs the samples
+almost never reach, and the involution check against the version that
+held every sample in a list.
 """
 
 import random
@@ -17,10 +21,13 @@ from math import gcd
 import pytest
 from old_linalg import _old_inverse, identity_matrix, mat_mul, transpose, vadd
 
+from weylfans import isotropic
 from weylfans.errors import BoundExceeded, InvalidInput, InvariantViolation
 from weylfans.isotropic import (
     MAX_HALF_RANK,
     IsotropicSubspace,
+    SampleReport,
+    _randints,
     diagonal_subspace,
     intersection_invariant,
     orthogonal_doubled,
@@ -28,6 +35,7 @@ from weylfans.isotropic import (
     split_subspace,
     subspaces_equal,
     symplectic_doubled,
+    tau_fixed_locus_check,
     tau_image,
 )
 from weylfans.linalg import _primitive_ints, det, primitive_direction, qm, rank
@@ -113,9 +121,29 @@ def old_invariant(v):
     return k1
 
 
+def old_equal(a, b):
+    stacked = old_int_rows(a.basis) + old_int_rows(b.basis)
+    return rank(stacked) == len(a.basis) == len(b.basis)
+
+
 def old_tau_fixed(v):
-    stacked = old_int_rows(v.basis) + old_int_rows(tau_image(v).basis)
-    return rank(stacked) == len(v.basis)
+    return old_equal(v, tau_image(v))
+
+
+def old_tau_fixed_locus_check(space, sample_count, seed):
+    samples = [random_maximal_isotropic(space, seed * 2_000_003 + i) for i in range(sample_count)]
+    samples.append(split_subspace(space))
+    samples.append(diagonal_subspace(space))
+    violations = 0
+    for v in samples:
+        if subspaces_equal(v, tau_image(v)) != (intersection_invariant(v) == space.half_rank):
+            violations += 1
+    return SampleReport(
+        lemma="the sign involution fixes a subspace exactly when its invariant is maximal",
+        samples=len(samples),
+        violations=violations,
+        seed=seed,
+    )
 
 
 # --- the differential checks -------------------------------------------------
@@ -128,6 +156,8 @@ def assert_same_draw(space, seed):
     assert new.basis == old.basis
     assert all(type(x) is Q for row in new.basis for x in row)
     assert [_primitive_ints(row) for row in new.basis] == old_int_rows(old.basis)
+    for v in (new, tau_image(new)):
+        assert [list(row) for row in v._ints] == [_primitive_ints(row) for row in v.basis]
     assert intersection_invariant(new) == old_invariant(old)
     assert subspaces_equal(new, tau_image(new)) == old_tau_fixed(old)
 
@@ -192,3 +222,95 @@ def test_half_rank_bound(make):
         random_maximal_isotropic(make(MAX_HALF_RANK + 1), 0)
     v = random_maximal_isotropic(make(MAX_HALF_RANK), 0)
     assert len(v.basis) == make(MAX_HALF_RANK).block_dim
+
+
+# --- equality on the pairs the samples rarely reach -------------------------
+
+
+def hand_built(v, rows):
+    """A subspace of v's space with the given rows and no kept integer rows."""
+    return IsotropicSubspace(space=v.space, basis=qm(rows))
+
+
+def rescaled(rows, rng):
+    scales = [Q(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5)) for _ in rows]
+    out = [tuple(c * x for x in row) for c, row in zip(scales, rows)]
+    rng.shuffle(out)
+    return out
+
+
+def assert_equal_as_oracle(a, b, expected):
+    assert subspaces_equal(a, b) == old_equal(a, b) == expected
+    assert subspaces_equal(b, a) == old_equal(b, a) == expected
+
+
+@pytest.mark.parametrize("space", [symplectic_doubled(1), symplectic_doubled(3), orthogonal_doubled(2)])
+def test_equality_matches_stacked_rank_on_near_pairs(space):
+    rng = random.Random(space.dim)
+    draw = random_maximal_isotropic(space, 5)
+    for v in (split_subspace(space), diagonal_subspace(space), draw):
+        rows = list(v.basis)
+        k = len(rows)
+        # the same subspace, its rows permuted and rescaled; kept rows or not
+        same = hand_built(v, rescaled(rows, rng))
+        assert_equal_as_oracle(v, same, True)
+        assert_equal_as_oracle(hand_built(v, rows), same, True)
+        # dependent rows inside the span: the stacked rank is still len(a)
+        inside = [tuple(x + 2 * y for x, y in zip(rows[0], rows[-1]))] * k
+        assert_equal_as_oracle(v, hand_built(v, inside), True)
+        # a row count that differs, in either order
+        assert_equal_as_oracle(v, hand_built(v, rows[:-1]), False)
+        assert_equal_as_oracle(v, hand_built(v, rows + rows[:1]), False)
+        # equal up to the last row, which leaves the span
+        other = next(r for r in diagonal_subspace(space).basis + split_subspace(space).basis if rank(rows + [r]) > k)
+        assert_equal_as_oracle(v, hand_built(v, rows[:-1] + [other]), False)
+        # and up to the last row of the other side, first rows shared
+        assert_equal_as_oracle(v, hand_built(v, [other] + rows[1:]), False)
+
+
+def test_equality_of_subspaces_of_different_spaces_is_false():
+    a, b = split_subspace(symplectic_doubled(2)), split_subspace(symplectic_doubled(3))
+    assert not subspaces_equal(a, b) and not subspaces_equal(b, a)
+    # as many rows as a, but rows of the larger space
+    c = hand_built(b, b.basis[: len(a.basis)])
+    assert not subspaces_equal(a, c) and not subspaces_equal(c, a)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12])
+def test_streamed_involution_check_matches_the_list_version(seed):
+    space = symplectic_doubled(2 + seed % 2)
+    assert tau_fixed_locus_check(space, 12, seed) == old_tau_fixed_locus_check(space, 12, seed)
+    assert tau_fixed_locus_check(space, 0, seed) == old_tau_fixed_locus_check(space, 0, seed)
+
+
+def test_involution_check_checks_each_draw_before_the_next(monkeypatch):
+    events = []
+    draw, invariant = isotropic.random_maximal_isotropic, isotropic.intersection_invariant
+    monkeypatch.setattr(isotropic, "random_maximal_isotropic", lambda *a: events.append("draw") or draw(*a))
+    monkeypatch.setattr(isotropic, "intersection_invariant", lambda v: events.append("check") or invariant(v))
+    tau_fixed_locus_check(symplectic_doubled(2), 4, seed=3)
+    assert events == ["draw", "check"] * 4 + ["check"] * 2
+
+
+def test_kept_rows_are_still_checked():
+    # integer rows kept on a subspace get the same maximal-isotropic checks
+    space = symplectic_doubled(2)
+    summand = tuple(tuple(int(i == j) for j in range(space.dim)) for i in range(4))
+    with pytest.raises(InvalidInput, match="does not vanish"):
+        intersection_invariant(isotropic._with_ints(space, qm(summand), summand))
+    with pytest.raises(InvalidInput, match="maximal isotropic dimension"):
+        intersection_invariant(isotropic._with_ints(space, qm(summand[:3]), summand[:3]))
+
+
+# --- the draw stream ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("lo,hi", [(-2, 2), (-9, 9), (1, 4), (-3, 3)])
+def test_getrandbits_draws_match_randint(lo, hi):
+    # _randints repeats CPython's _randbelow_with_getrandbits, the draw behind
+    # randint; a change there would change every sampled subspace
+    for seed in range(200):
+        old, new = random.Random(seed), random.Random(seed)
+        assert _randints(new, lo, hi, 40) == [old.randint(lo, hi) for _ in range(40)]
+        # and both leave the generator in the same state
+        assert new.getstate() == old.getstate()
