@@ -249,6 +249,7 @@ def test_equality_matches_stacked_rank_on_near_pairs(space):
     rng = random.Random(space.dim)
     draw = random_maximal_isotropic(space, 5)
     for v in (split_subspace(space), diagonal_subspace(space), draw):
+        assert [list(row) for row in v._ints] == [_primitive_ints(row) for row in v.basis]
         rows = list(v.basis)
         k = len(rows)
         # the same subspace, its rows permuted and rescaled; kept rows or not
