@@ -271,11 +271,9 @@ def _fans_lattice_isomorphic(f1, f2) -> bool:
     """
 
     def data(f):
-        rays = f.rays()
-        coords, _ = _lattice_ints(f.lattice, rays)
-        on_ray = {r: tuple(x) for r, x in zip(rays, coords)}
-        cones = {tuple(sorted(on_ray[g] for g in c.gens)) for c in f.maximal_cones}
-        return sorted({r for c in cones for r in c}), cones
+        rays, keys = f._names
+        coords = [tuple(x) for x in _lattice_ints(f.lattice, rays)[0]]
+        return sorted(coords), {tuple(sorted(coords[i] for i in key)) for key in keys}
 
     rays1, cones1 = data(f1)
     rays2, cones2 = data(f2)

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .errors import BoundExceeded, InvalidInput
 from .linalg import Vector, qm, qv, rank
-from .polyhedra import Fan, _ray_keys, cone, fan
+from .polyhedra import Fan, cone, fan
 from .rootsys import RootSystem, WeylElement, build_root_system
 
 
@@ -60,7 +60,7 @@ def dumps(obj) -> str:
 
 
 def fan_to_json(f: Fan) -> dict:
-    rays, keys = _ray_keys([c.gens for c in f.maximal_cones])
+    rays, keys = f._names
     return {
         "ambient_dim": f.ambient_dim,
         "lattice": "standard" if f.lattice is None else encode_matrix(f.lattice),
@@ -147,18 +147,13 @@ def root_system_from_json(data: Mapping) -> RootSystem:
 
 
 def colored_fan_to_json(f) -> dict:
-    cones = sorted(f.cones, key=lambda cc: (cc.cone.gens, sorted(cc.colors)))
-    rays, keys = _ray_keys([cc.cone.gens for cc in cones])
+    # index tuples into the sorted rays order as the generator tuples
+    rays, keys = f._names
+    cones = sorted((key, sorted(cc.colors)) for key, cc in zip(keys, f.cones))
     return {
         "rank": f.rank,
         "rays": [encode_vector(r) for r in rays],
-        "cones": [
-            {
-                "rays": sorted(key),
-                "colors": sorted(cc.colors),
-            }
-            for cc, key in zip(cones, keys)
-        ],
+        "cones": [{"rays": sorted(key), "colors": colors} for key, colors in cones],
         "valuation_cone": encode_matrix(f.valuation_cone.gens),
         "rho_table": {k: encode_vector(v) for k, v in sorted(f.rho_table.items())},
         "boundary_divisors": [

@@ -2,7 +2,8 @@
 
 Everything in the package funnels through this module.  Rank, determinant,
 dual bases and the equality step of feasibility all run on one
-fraction-free core, `_echelon`: rational rows are scaled to integer rows and
+fraction-free core, `_echelon`: rational rows are scaled to integer rows
+by the one helper `_int_row`, which takes an all-int row as it is, and
 reduced by Bareiss elimination with exact divisions.  A change of
 coordinates reads a dual basis, `_dual_rows`, one such elimination:
 integer rows over one denominator, so a coordinate is one integer dot
@@ -69,6 +70,12 @@ def _scaled_ints(row: Sequence, s: int) -> list[int]:
     return [x.numerator * (s // x.denominator) for x in row]
 
 
+def _int_row(row: Sequence) -> Sequence[int]:
+    """An int or Fraction row scaled to integers by the least positive
+    factor; an all-int row is returned itself, not copied."""
+    return row if all(type(x) is int for x in row) else _scaled_ints(row, _row_scale(row))
+
+
 def _common_ints(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """Rational rows as integer rows over their one least common denominator."""
     s = lcm(*(_row_scale(row) for row in rows))
@@ -86,16 +93,17 @@ def _int_mat_vec(rows: Sequence[Sequence[int]], d: int, v: Sequence) -> tuple[li
 def _echelon(rows: Iterable[Sequence], reduced: bool = True) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free (Bareiss) row reduction; returns (int rows, pivot columns, d).
 
-    Each rational row is first scaled by the lcm of its denominators, which
-    keeps the row span.  Every update then divides exactly by the previous
-    pivot, so all entries stay integer minors of the scaled rows.  Swapping
-    two rows negates one of them, which makes d, the last pivot (1 if there
-    is none), the determinant of the scaled rows when they are square and
-    nonsingular.  With ``reduced`` all other rows are cleared at each pivot
-    (fraction-free Gauss-Jordan) and the pivot rows equal d times the reduced
-    row echelon form; otherwise only the rows below it are.
+    Each rational row is first scaled by the lcm of its denominators
+    (`_int_row`), which keeps the row span; no given row is ever changed.
+    Every update divides exactly by the previous pivot, so all entries stay
+    integer minors of the scaled rows.  Swapping two rows negates one of
+    them, which makes d, the last pivot (1 if there is none), the
+    determinant of the scaled rows when they are square and nonsingular.
+    With ``reduced`` all other rows are cleared at each pivot (fraction-free
+    Gauss-Jordan) and the pivot rows equal d times the reduced row echelon
+    form; otherwise only the rows below it are.
     """
-    a = [_scaled_ints(row, _row_scale(row)) for row in rows]
+    a = [_int_row(row) for row in rows]
     pivots: list[int] = []
     d = 1
     nrows = len(a)
@@ -160,7 +168,7 @@ def _dual_rows(rows: Sequence[Sequence], dim: int) -> tuple[tuple[tuple[int, ...
 
 def _primitive_ints(v: Sequence) -> list[int]:
     """A nonzero int or Fraction vector scaled to coprime integers, same direction."""
-    ints = _scaled_ints(v, _row_scale(v))
+    ints = _int_row(v)
     g = gcd(*ints)
     if g == 0:
         raise InvalidInput("zero vector has no direction")
@@ -315,12 +323,6 @@ def _cancel(lo: Sequence[int], a: int, hi: Sequence[int], b: int) -> tuple[int, 
     return _primitive_row([b * x + a * y for x, y in zip(lo, hi)])
 
 
-def _int_row(coeffs: Sequence, rhs) -> Sequence[int]:
-    """An int or Fraction row (coeffs, rhs) scaled to integers by a positive factor."""
-    row = (*coeffs, rhs)
-    return row if all(type(x) is int for x in row) else _scaled_ints(row, _row_scale(row))
-
-
 def _eliminate(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constraint]) -> bool:
     """Whether {x : eq . x = rhs, ineq . x >= rhs} has a point, decided exactly.
 
@@ -333,7 +335,7 @@ def _eliminate(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constra
     Programming, 12.2); a row with zero coefficients reads 0 >= rhs, and the
     primitive one with rhs 1 is the infeasible one.
     """
-    rows = [_int_row(coeffs, rhs) for coeffs, rhs in ineqs]
+    rows = [_int_row((*coeffs, rhs)) for coeffs, rhs in ineqs]
     free_vars = range(num_vars)
     if eqs:
         a, pivots, d = _echelon([(*coeffs, rhs) for coeffs, rhs in eqs])

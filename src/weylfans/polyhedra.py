@@ -15,9 +15,9 @@ wall lie on its two sides, with one point covered once), and otherwise
 pairwise, by a functional combined from the rows that separates two cones
 and vanishes on the generators they share; coverage by enumerating the open
 cells of the arrangement of the cover's rows read on the target's generator
-weights, each leaf cell decided by the signs its path fixed.  A fan, its
-JSON and a colored fan name cones by generator indices into one sorted ray
-list, `_ray_keys`.
+weights, each leaf cell decided by the signs its path fixed.  A fan and a
+colored fan name their cones once, where they are built, by generator
+indices into one sorted ray list, `_ray_keys`, and every reader reads them.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from typing import Iterable, Optional, Sequence
 from ._record import Record
 from .errors import BoundExceeded, InvalidInput
 from .linalg import (
-    Matrix, Vector, _common_ints, _dual_rows, _echelon, _eliminate, _int_unit, _primitive_ints,
-    _row_scale, _scaled_ints, primitive_direction, qm, qv, smith_normal_form,
+    Matrix, Vector, _common_ints, _dual_rows, _echelon, _eliminate, _int_row, _int_unit, _primitive_ints,
+    primitive_direction, qm, qv, smith_normal_form,
 )
 
 # Pairs of maximal cones `fan` checks one by one when its certificate fails,
@@ -154,11 +154,9 @@ def zero_cone(ambient_dim: int, lattice: Optional[Matrix] = None) -> RationalCon
     return RationalCone(ambient_dim=ambient_dim, gens=(), lattice=qm(lattice) if lattice else None)
 
 
-def _point_ints(v: Sequence) -> list[int]:
+def _point_ints(v: Sequence) -> Sequence[int]:
     """A positive integer multiple of a rational point."""
-    if not all(type(x) is int or type(x) is Q for x in v):
-        v = qv(v)
-    return _scaled_ints(v, _row_scale(v))
+    return _int_row(v if all(type(x) is int or type(x) is Q for x in v) else qv(v))
 
 
 def _holds(c: RationalCone, w: Sequence[int], strict: bool = False) -> bool:
@@ -212,14 +210,28 @@ def is_smooth(c: RationalCone) -> bool:
 
 
 class Fan(Record):
-    """A finite collection of cones closed under faces, faces left implicit."""
+    """A finite collection of cones closed under faces, faces left implicit.
+
+    Its ray names, the sorted distinct rays and each maximal cone's indices
+    into them (`_ray_keys`), are kept on the fan, out of equality, hashing
+    and repr: `fan` hands over the names it has found, and the constructor
+    finds them for a fan built directly.
+    """
 
     ambient_dim: int
     maximal_cones: tuple[RationalCone, ...]
     lattice: Optional[Matrix] = None
+    _names: Optional[tuple] = None
+
+    def __init__(self, ambient_dim: int, maximal_cones, lattice: Optional[Matrix] = None, *, _names=None):
+        set_ = object.__setattr__
+        set_(self, "ambient_dim", ambient_dim)
+        set_(self, "maximal_cones", maximal_cones)
+        set_(self, "lattice", lattice)
+        set_(self, "_names", _ray_keys([c.gens for c in maximal_cones]) if _names is None else _names)
 
     def rays(self) -> tuple[Vector, ...]:
-        return tuple(sorted({g for c in self.maximal_cones for g in c.gens}))
+        return tuple(self._names[0])
 
 
 def _ray_keys(gen_lists: Sequence[Sequence[Vector]]) -> tuple[list[Vector], list[tuple[int, ...]]]:
@@ -334,7 +346,7 @@ def fan(cones: Iterable[RationalCone], validate: bool = True) -> Fan:
         k for k in unique if len(k) == longest or not any(len(o) > len(k) and set(k) <= set(o) for o in unique)
     )
     maximal = [unique[key] for key in keys]
-    result = Fan(ambient_dim=dim, maximal_cones=tuple(maximal), lattice=lattice)
+    result = Fan(ambient_dim=dim, maximal_cones=tuple(maximal), lattice=lattice, _names=(rays, keys))
     if validate and not _certified_complete(maximal, keys, rays):
         pairs = len(maximal) * (len(maximal) - 1) // 2
         if pairs > MAX_FAN_PAIRS:
@@ -360,7 +372,7 @@ def is_complete(f: Fan) -> bool:
     codimension two, which cannot separate the sphere; in rank 1 the one
     wall, the origin, lies in the two opposite rays.
     """
-    return _walls(f.maximal_cones, _ray_keys([c.gens for c in f.maximal_cones])[1]) is not None
+    return _walls(f.maximal_cones, f._names[1]) is not None
 
 
 def star_subdivision(f: Fan, ray: Sequence) -> Fan:

@@ -103,6 +103,11 @@ class ColoredFan(Record):
     rho_table: Mapping[str, Vector]
     colors: tuple[str, ...]  # the abstract color set of the open orbit
     boundary_names: Mapping[Vector, str]  # ray of the fan -> divisor symbol
+    _names: Optional[tuple] = None  # (rays, each cone's indices into them), out of equality
+
+    def __post_init__(self):
+        # faces share their top's generator objects, so this hashes each ray once
+        object.__setattr__(self, "_names", _ray_keys([cc.cone.gens for cc in self.cones]))
 
     def boundary_divisors(self) -> tuple[tuple[str, Vector], ...]:
         out = []
@@ -314,7 +319,7 @@ def extends_to_morphism(
     if lattice_map is not None:
         if len(lattice_map) != target.rank or any(len(row) != source.rank for row in lattice_map):
             raise InvalidInput(f"lattice map must be {target.rank} rows of length {source.rank}")
-    rays, keys = _ray_keys([cc.cone.gens for cc in source.cones])
+    rays, keys = source._names
     image_dims = {len(r) if lattice_map is None else len(lattice_map) for r in rays}
     if image_dims and len(image_dims | {tc.cone.ambient_dim for tc in target.cones}) > 1:
         raise InvalidInput("dimension mismatch in cone membership")
@@ -358,8 +363,7 @@ def orbit_poset(f: ColoredFan) -> OrbitPoset:
     valuation test reads a alone, so it runs once per cone, not per pair.
     """
     nodes, rho = f.cones, f.rho_table
-    _, keys = _ray_keys([cc.cone.gens for cc in nodes])
-    gens = [frozenset(key) for key in keys]
+    gens = [frozenset(key) for key in f._names[1]]
     meets = [_relint_meets_valuation(cc.cone, f.valuation_cone) for cc in nodes]
     le = tuple(
         tuple(

@@ -60,6 +60,7 @@ class Fan:
     ambient_dim: int
     maximal_cones: tuple
     lattice: Optional[Matrix] = None
+    _names: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,7 @@ class ColoredFan:
     rho_table: Mapping
     colors: tuple
     boundary_names: Mapping
+    _names: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

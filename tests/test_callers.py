@@ -5,7 +5,9 @@ definition, or is the console script `cli.main`.  An exported name counts,
 because `__init__` imports it.  A name named only inside definitions
 without a caller has no caller either.  The few names kept for a caller
 outside src/ are listed below with their reason, and each of them must
-really have no caller in src/, so the list cannot go stale."""
+really have no caller in src/, so the list cannot go stale.  A second
+guard keeps the calls of `_ray_keys`, which names a fan's rays, to where
+fans are built."""
 
 import ast
 from pathlib import Path
@@ -84,3 +86,26 @@ def test_every_name_in_src_has_a_caller():
     assert missing == [], "no caller in src/: " + ", ".join(f"{m}.{name}" for m, name in missing)
     # an allowed name that gains a caller in src/ leaves the list
     assert sorted(set(ALLOWED) - uncalled) == []
+
+
+# the definitions that name a fan's rays, where the fan is built; every other
+# reader reads the names kept on the fan
+RAY_KEY_CALLERS = {("polyhedra", "fan"), ("polyhedra", "Fan.__init__"), ("spherical", "ColoredFan.__post_init__")}
+
+
+def _calls(node, module, enclosing=""):
+    """(module, enclosing qualified definition) of each call of `_ray_keys`
+    under `node`."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_ray_keys":
+        yield module, enclosing
+    if isinstance(node, DEFS):
+        enclosing = f"{enclosing}.{node.name}" if enclosing else node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, module, enclosing)
+
+
+def test_only_fan_constructors_name_rays():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    assert {call for module, tree in trees.items() for call in _calls(tree, module)} == RAY_KEY_CALLERS
+    naming = {module for module, tree in trees.items() for ref, _ in _references(tree) if ref == "_ray_keys"}
+    assert naming == {"polyhedra", "spherical"}

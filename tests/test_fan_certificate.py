@@ -19,7 +19,6 @@ from weylfans.polyhedra import (
     RationalCone,
     _certified_complete,
     _face_compatible,
-    _ray_keys,
     cone,
     fan,
     is_complete,
@@ -33,9 +32,9 @@ CHAMBER_TYPES = (*test_lattice_readers.CHAMBER_TYPES, "F4")
 
 def _named(cones):
     """The maximal cones as `fan` keeps them, their keys and the ray list."""
-    maximal = fan(cones, validate=False).maximal_cones
-    rays, keys = _ray_keys([c.gens for c in maximal])
-    return maximal, keys, rays
+    f = fan(cones, validate=False)
+    rays, keys = f._names
+    return f.maximal_cones, keys, rays
 
 
 def _pairwise_valid(maximal, keys, pairs=None):

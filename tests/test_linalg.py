@@ -513,6 +513,35 @@ def test_integer_rows_match_old_fraction_routines(monkeypatch):
         linalg._dual_rows(qm([[1, 0], [0, 1], [1, 1]]), 2)
 
 
+def test_integer_rows_are_scaled_once_and_never_changed():
+    """`_int_row` against the scaling it replaced, the lcm of the
+    denominators times each entry; an all-int row comes back itself.
+    `_echelon` reads seeded int, Fraction and mixed rows, lists and tuples,
+    and leaves every one of them as it was given."""
+    rng = random.Random(22)
+    kinds = {"int": 0, "fraction": 0}
+    for _ in range(400):
+        dim, k = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(k)]
+        for row in rows[: rng.randint(0, k)]:
+            row[rng.randrange(dim)] = Q(rng.randint(-4, 4), rng.randint(1, 3))
+        rows = [row if rng.random() < 0.5 else tuple(row) for row in rows]
+        for row in rows:
+            scaled = linalg._int_row(row)
+            assert list(scaled) == linalg._scaled_ints(row, linalg._row_scale(row))
+            if all(type(x) is int for x in row):
+                assert scaled is row
+                kinds["int"] += 1
+            else:
+                kinds["fraction"] += 1
+        before = [type(row)(row) for row in rows]
+        for reduced in (True, False):
+            a, pivots, d = linalg._echelon(rows, reduced=reduced)
+            assert rows == before and all(type(x) is int for row in a for x in row)
+            assert len(pivots) == rank(qm(rows))
+    assert min(kinds.values()) > 300
+
+
 def test_every_linalg_function_is_used_by_the_package():
     """Each function defined in weylfans.linalg is used by another module of
     the package, directly or through a linalg function that is: a helper the

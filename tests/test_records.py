@@ -167,6 +167,22 @@ def test_root_systems_do_not_share_basis_changes():
     assert build_root_system("C3")._basis_changes is not b3._basis_changes
 
 
+def test_fans_keep_their_names_out_of_their_value():
+    """A fan from `fan` and the same fan built directly are one value with
+    the same names; a colored fan rebuilt from its fields names its cones
+    alike (its dict fields leave it unhashable)."""
+    a2 = build_root_system("A2")
+    chamber = toric.weyl_chamber_fan(a2)
+    for f in (chamber, polyhedra.star_subdivision(chamber, (1, 1, -2)), polyhedra.fan([cone([[1, 0], [0, 1]])])):
+        direct = polyhedra.Fan(f.ambient_dim, f.maximal_cones, f.lattice)
+        assert direct == f and hash(direct) == hash(f) and repr(direct) == repr(f)
+        assert direct._names == f._names and direct._names is not f._names
+    for f in spherical.blowup_chain_fans(3):
+        rebuilt = spherical.ColoredFan(f.rank, f.cones, f.valuation_cone, f.rho_table, f.colors, f.boundary_names)
+        assert rebuilt == f and repr(rebuilt) == repr(f)
+        assert rebuilt._names == f._names
+
+
 def test_sample_report_dict_holds_its_four_fields_in_order():
     report = isotropic.check_equal_intersections(isotropic.symplectic_doubled(2), 3, seed=9)
     old = _old(report, {})
