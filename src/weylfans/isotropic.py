@@ -6,16 +6,19 @@ subspaces are handled as exact rational basis matrices; the samplers are
 deterministic per seed and stay inside the relevant isometry group, so
 every sampled subspace is maximal isotropic by construction.  Both samplers
 work on integer rows from the draw to the basis: the symplectic one moves
-primitive integer rows by transvections, and the orthogonal one takes its
-Cayley transform from one fraction-free elimination, with one exact
-division per entry when the public Fraction basis is built.  Their integer
-draws read ``rng.getrandbits`` with ``randint``'s own rejection, so the
-stream is that of ``randint``.  A sampled subspace keeps its primitive
-integer rows beside the basis, and the involution image keeps them negated;
-the invariant and the equality test read them there, and read them off the
-basis of a subspace built by hand.  Equality first stacks one row of the
-second subspace on the first: when that raises the rank, which it does for
-almost every sample, the full stacked rank is not needed.
+integer rows by transvections and reduces each row to primitive once per
+draw, after the last transvection, and the orthogonal one takes its Cayley
+transform from one fraction-free elimination, with one exact division per
+entry when the public Fraction basis is built.  Their integer draws read
+``rng.getrandbits`` with ``randint``'s own rejection, so the stream is that
+of ``randint``.  A sampled subspace keeps its primitive integer rows beside
+the basis, and the involution image keeps them negated; the invariant and
+the equality test read them there, and read them off the basis of a
+subspace built by hand.  The fraction-free echelon of a subspace's rows,
+taken as [B2 | B1], is kept on the subspace on first use: the invariant
+reads its pivots, and equality reduces each row of the second subspace
+against it, as the same elimination would an appended last row, and stops
+at the first row that stays nonzero.
 """
 
 from __future__ import annotations
@@ -94,12 +97,16 @@ class IsotropicSubspace(Record):
     integer rows of the basis, row by row, as `_ints`, out of equality,
     hashing and repr (`_with_ints` writes them before the subspace is
     returned); a subspace built directly has none, and its rows are read
-    off the basis on each use.
+    off the basis on each use.  `_ech`, also outside equality, hashing and
+    repr, is the fraction-free echelon of those rows as [B2 | B1], written
+    on first use by `_stacked_echelon`; the write is idempotent, as
+    `RationalCone.dual_basis`'s is.
     """
 
     space: DoubledSpace
     basis: Matrix  # rows span the subspace
     _ints: Optional[tuple] = None
+    _ech: Optional[tuple] = None
 
 
 def _int_rows(v: IsotropicSubspace):
@@ -110,6 +117,15 @@ def _int_rows(v: IsotropicSubspace):
     if any(len(row) != dim for row in v.basis):
         raise InvalidInput(f"basis rows must have {dim} entries, the dimension of the doubled space")
     return [_primitive_ints(row) for row in v.basis]
+
+
+def _stacked_echelon(v: IsotropicSubspace, rows) -> tuple:
+    """`_echelon([B2 | B1], reduced=False)` of the subspace's integer rows,
+    kept on the subspace."""
+    if v._ech is None:
+        m = v.space.block_dim
+        object.__setattr__(v, "_ech", _echelon([row[m:] + row[:m] for row in rows], reduced=False))
+    return v._ech
 
 
 def _with_ints(space: DoubledSpace, basis: Matrix, ints: Optional[tuple]) -> IsotropicSubspace:
@@ -158,9 +174,9 @@ def intersection_invariant(v: IsotropicSubspace) -> int:
     rows = _int_rows(v)
     space = v.space
     m = space.block_dim
-    # one elimination of [B2 | B1] gives the rank of the rows and, from its
-    # pivots in the first m columns, the rank of B2
-    pivots = _echelon([row[m:] + row[:m] for row in rows], reduced=False)[1] if len(rows) == m else ()
+    # the kept elimination of [B2 | B1] gives the rank of the rows and, from
+    # its pivots in the first m columns, the rank of B2
+    pivots = _stacked_echelon(v, rows)[1] if len(rows) == m else ()
     if len(pivots) != m:
         raise InvalidInput("subspace is not of maximal isotropic dimension")
     index = _form_index(space)
@@ -212,8 +228,11 @@ def random_maximal_isotropic(space: DoubledSpace, seed: int) -> IsotropicSubspac
     index = _form_index(space)
     if space.kind == "symplectic":
         # integer rows throughout: a transvection with parameter p/q sends a
-        # row r to q*r + p*pairing*v, the same ray as r + (p/q)*pairing*v
-        rows = _split_rows(space)
+        # row r to q*r + p*pairing*v, the same ray as r + (p/q)*pairing*v.
+        # Each row is a positive multiple of its primitive row until the one
+        # gcd after the last transvection, and pairs to zero exactly when
+        # that row does, so a row pairing to zero is left as it is
+        rows = list(_split_rows(space))
         count = space.half_rank * (2 * space.half_rank + 1)
         for _ in range(count):
             v = _randints(rng, -2, 2, dim)
@@ -224,19 +243,12 @@ def random_maximal_isotropic(space: DoubledSpace, seed: int) -> IsotropicSubspac
             if not p:
                 continue
             fv = [s * v[j] for j, s in index]
-            new_rows = []
-            for row in rows:
-                # rows stay primitive, so a row pairing to zero is fixed: q*r over gcd q
+            for i, row in enumerate(rows):
                 pairing = sum(map(mul, row, fv))
                 if pairing:
                     c = p * pairing
-                    row = [q * x + c * y for x, y in zip(row, v)]
-                    g = gcd(*row)
-                    if g > 1:
-                        row = [x // g for x in row]
-                new_rows.append(row)
-            rows = new_rows
-        rows = tuple(map(tuple, rows))
+                    rows[i] = [q * x + c * y for x, y in zip(row, v)]
+        rows = tuple(tuple(_primitive_ints(row)) for row in rows)
         return _with_ints(space, qm(rows), rows)
     for _ in range(32):
         draws = iter(_randints(rng, -3, 3, dim * (dim - 1) // 2))
@@ -280,19 +292,34 @@ def tau_image(v: IsotropicSubspace) -> IsotropicSubspace:
     return _with_ints(v.space, qm(_tau_rows(v.basis, m)), ints)
 
 
+def _reduces_to_zero(ech: tuple, x) -> bool:
+    """Whether the row x lies in the span of the echelon's rows, which have a
+    pivot each: the Bareiss steps of their elimination, run on x as on an
+    appended last row, leave x zero exactly then."""
+    d = 1
+    for prow, c in zip(ech[0], ech[1]):
+        pv, f = prow[c], x[c]
+        x = [(pv * y - f * z) // d for y, z in zip(x, prow)]
+        d = pv
+    return not any(x)
+
+
 def subspaces_equal(a: IsotropicSubspace, b: IsotropicSubspace) -> bool:
     """Whether a and b lie in one space, have k basis rows each, and their
-    2k rows stacked have rank k: for independent rows, the same span.  Rank
-    never falls when rows are added, so when the first row of b raises the
-    rank of a's rows above k the answer is no; only otherwise is the whole
-    stack ranked."""
+    2k rows stacked have rank k: for independent rows, the same span.  When
+    a's rows are independent that holds exactly when every row of b lies in
+    their span, so each row of b, as [B2 | B1], is reduced against a's kept
+    echelon, and the first row that stays nonzero answers no; dependent rows
+    of a rank the whole stack."""
     ra, rb = _int_rows(a), _int_rows(b)
     k = len(ra)
     if a.space != b.space or len(rb) != k:
         return False
-    if k and rank([*ra, rb[0]]) > k:
-        return False
-    return rank([*ra, *rb]) == k
+    ech = _stacked_echelon(a, ra)
+    if len(ech[1]) < k:
+        return rank([*ra, *rb]) == k
+    m = a.space.block_dim
+    return all(_reduces_to_zero(ech, row[m:] + row[:m]) for row in rb)
 
 
 class SampleReport(Record):

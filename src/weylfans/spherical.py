@@ -40,6 +40,7 @@ from .polyhedra import (
     _point_ints,
     _ray_keys,
     _rows_on_weights,
+    _text,
     cone,
     contains,
     covered_by,
@@ -110,10 +111,14 @@ class ColoredFan(Record):
         object.__setattr__(self, "_names", _ray_keys([cc.cone.gens for cc in self.cones]))
 
     def boundary_divisors(self) -> tuple[tuple[str, Vector], ...]:
+        """(name, ray) of every ray of the fan; a ray without a boundary
+        name is refused."""
         out = []
         for cc in self.cones:
             if cc.cone.dim == 1:
                 ray = cc.cone.gens[0]
+                if ray not in self.boundary_names:
+                    raise InvalidInput(f"ray {_text(ray)} has no boundary divisor name")
                 out.append((self.boundary_names[ray], ray))
         return tuple(sorted(set(out)))
 

@@ -138,6 +138,7 @@ class IsotropicSubspace:
     space: DoubledSpace
     basis: Matrix
     _ints: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _ech: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

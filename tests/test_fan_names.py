@@ -4,7 +4,10 @@ itself, and the colored-fan JSON sorting its cones by Fraction generator
 tuples, are kept here as the oracle; rays, keys, completeness, both JSON
 encodings (as bytes), extensions and orbit posets must match it on seeded
 library fans, star subdivisions, fan document round trips and fans built
-directly, including cone lists of mixed ambient dimension and reversed."""
+directly, including cone lists of mixed ambient dimension and reversed.
+The one difference allowed is a ray without a boundary name: the old
+lookup raised a bare KeyError, and the encoder and the anticanonical
+divisor now refuse it with InvalidInput naming the ray."""
 
 import json
 import random
@@ -16,7 +19,7 @@ from weylfans import jsonio, spherical
 from weylfans.errors import InvalidInput
 from weylfans.linalg import _common_ints, _int_mat_vec, qm
 from weylfans.polyhedra import (
-    Fan, RationalCone, _holds, _point_ints, _ray_keys, _walls, contains, is_complete, star_subdivision,
+    Fan, RationalCone, _holds, _point_ints, _ray_keys, _text, _walls, contains, is_complete, star_subdivision,
 )
 from weylfans.rootsys import build_root_system
 from weylfans.spherical import ColoredFan, OrbitPoset, _relint_meets_valuation
@@ -46,6 +49,15 @@ def _old_fan_to_json(f):
     }
 
 
+def _old_boundary_divisors(f):
+    out = []
+    for cc in f.cones:
+        if cc.cone.dim == 1:
+            ray = cc.cone.gens[0]
+            out.append((f.boundary_names[ray], ray))
+    return tuple(sorted(set(out)))
+
+
 def _old_colored_fan_to_json(f):
     cones = sorted(f.cones, key=lambda cc: (cc.cone.gens, sorted(cc.colors)))
     rays, keys = _ray_keys([cc.cone.gens for cc in cones])
@@ -56,7 +68,7 @@ def _old_colored_fan_to_json(f):
         "valuation_cone": jsonio.encode_matrix(f.valuation_cone.gens),
         "rho_table": {k: jsonio.encode_vector(v) for k, v in sorted(f.rho_table.items())},
         "boundary_divisors": [
-            {"name": name, "ray": jsonio.encode_vector(ray)} for name, ray in f.boundary_divisors()
+            {"name": name, "ray": jsonio.encode_vector(ray)} for name, ray in _old_boundary_divisors(f)
         ],
     }
 
@@ -170,8 +182,15 @@ def test_colored_fans_keep_the_names_each_reader_found():
     encoded = {"value": 0, "raises": 0}
     for f in fans:
         assert f._names == _ray_keys([cc.cone.gens for cc in f.cones])
-        got = _bytes(jsonio.colored_fan_to_json, f)
-        assert got == _bytes(_old_colored_fan_to_json, f)
+        got, old = _bytes(jsonio.colored_fan_to_json, f), _bytes(_old_colored_fan_to_json, f)
+        if old[0] == "raises":
+            # the old lookup's bare KeyError is now a refusal naming the ray
+            assert old[1] is KeyError
+            refusal = ("raises", InvalidInput, (f"ray {_text(old[2][0])} has no boundary divisor name",))
+            assert got == refusal
+            assert _outcome(lambda: spherical.anticanonical_divisor(f, dict.fromkeys(f.colors, 2))) == refusal
+        else:
+            assert got == old
         encoded[got[0]] += 1
         if max(len(cc.cone.gens) for cc in f.cones) <= 4:
             assert _outcome(lambda: spherical.orbit_poset(f)) == _outcome(lambda: _old_orbit_poset(f))

@@ -11,12 +11,16 @@ involution verdict, and the integer rows a draw and its involution image
 keep must be those read off their bases.  Equality is checked against the
 full stacked rank also on the equal and nearly equal pairs the samples
 almost never reach, and the involution check against the version that
-held every sample in a list.
+held every sample in a list.  The symplectic draw, which takes each row's
+gcd once after the last transvection, is checked against the loop that
+took it after every transvection, and the echelon a subspace keeps for the
+invariant and equality against the eliminations run afresh on each call.
 """
 
 import random
 from fractions import Fraction as Q
 from math import gcd
+from operator import mul
 
 import pytest
 from old_linalg import _old_inverse, identity_matrix, mat_mul, transpose, vadd
@@ -38,7 +42,7 @@ from weylfans.isotropic import (
     tau_fixed_locus_check,
     tau_image,
 )
-from weylfans.linalg import _primitive_ints, det, primitive_direction, qm, rank
+from weylfans.linalg import _echelon, _primitive_ints, det, primitive_direction, qm, rank
 
 
 # --- oracles: the Fraction code ---------------------------------------------
@@ -315,3 +319,161 @@ def test_getrandbits_draws_match_randint(lo, hi):
         assert _randints(new, lo, hi, 40) == [old.randint(lo, hi) for _ in range(40)]
         # and both leave the generator in the same state
         assert new.getstate() == old.getstate()
+
+
+# --- one gcd per row per draw -------------------------------------------------
+
+
+def per_step_gcd_draw(space, seed):
+    """The symplectic draw reducing every changed row to primitive after each
+    transvection: (basis, kept integer rows)."""
+    rng = random.Random(seed)
+    index = isotropic._form_index(space)
+    rows = isotropic._split_rows(space)
+    for _ in range(space.half_rank * (2 * space.half_rank + 1)):
+        v = _randints(rng, -2, 2, space.dim)
+        while not any(v):
+            v = _randints(rng, -2, 2, space.dim)
+        p = _randints(rng, -9, 9, 1)[0]
+        q = _randints(rng, 1, 4, 1)[0]
+        if not p:
+            continue
+        fv = [s * v[j] for j, s in index]
+        new_rows = []
+        for row in rows:
+            pairing = sum(map(mul, row, fv))
+            if pairing:
+                row = [q * x + p * pairing * y for x, y in zip(row, v)]
+                g = gcd(*row)
+                row = [x // g for x in row]
+            new_rows.append(row)
+        rows = new_rows
+    rows = tuple(map(tuple, rows))
+    return qm(rows), rows
+
+
+# (half rank, seeds): 214 draws, about 1 s in all
+GCD_DRAWS = ((1, 60), (2, 60), (3, 40), (4, 30), (5, 12), (6, 8), (MAX_HALF_RANK, 4))
+
+
+@pytest.mark.parametrize("n,count", GCD_DRAWS)
+def test_one_gcd_per_row_matches_the_per_step_gcd(n, count):
+    space = symplectic_doubled(n)
+    seeds = list(range(count // 2)) + [random.Random(n).randrange(2**31) for _ in range(count - count // 2)]
+    for seed in seeds:
+        v = random_maximal_isotropic(space, seed)
+        basis, ints = per_step_gcd_draw(space, seed)
+        assert v.basis == basis and v._ints == ints
+
+
+# --- the kept echelon ---------------------------------------------------------
+
+
+def fresh(v):
+    """v with the same kept integer rows and no kept echelon."""
+    return isotropic._with_ints(v.space, v.basis, v._ints)
+
+
+def as_lists(ech):
+    """An echelon with its rows as lists; a row elimination never touched is
+    the given row itself, a tuple for kept rows."""
+    rows, pivots, d = ech
+    return [list(row) for row in rows], pivots, d
+
+
+def stacked_echelon(v):
+    m = v.space.block_dim
+    return as_lists(_echelon([row[m:] + row[:m] for row in isotropic._int_rows(v)], reduced=False))
+
+
+def kept_samples():
+    out = []
+    for space in (symplectic_doubled(1), symplectic_doubled(2), symplectic_doubled(3), orthogonal_doubled(2)):
+        out += [split_subspace(space), diagonal_subspace(space)]
+        out += [random_maximal_isotropic(space, seed) for seed in range(12)]
+    return out
+
+
+def test_invariant_then_equality_and_equality_then_invariant():
+    for v in kept_samples():
+        want_k, want_eq = old_invariant(v), old_equal(v, tau_image(v))
+        # the perfbench order: the invariant fills the echelon, equality reads it
+        first = fresh(v)
+        assert intersection_invariant(first) == want_k
+        assert as_lists(first._ech) == stacked_echelon(first)
+        assert subspaces_equal(first, tau_image(first)) == want_eq
+        # the involution check's order: equality fills it, the invariant reads it
+        second = fresh(v)
+        assert subspaces_equal(second, tau_image(second)) == want_eq
+        assert as_lists(second._ech) == stacked_echelon(second)
+        assert intersection_invariant(second) == want_k
+        # a second call reads the same kept echelon and answers the same
+        kept = second._ech
+        assert intersection_invariant(second) == want_k and subspaces_equal(second, v)
+        assert second._ech is kept
+
+
+def test_kept_echelon_of_hand_built_subspaces():
+    for v in kept_samples():
+        rows = list(v.basis)
+        built = hand_built(v, rows)
+        assert subspaces_equal(built, v) and as_lists(built._ech) == stacked_echelon(v)
+        assert intersection_invariant(built) == old_invariant(v)
+        # dependent rows of a take the stacked-rank fallback, on either side
+        dependent = hand_built(v, [rows[0]] * len(rows))
+        for a, b in ((dependent, v), (v, dependent), (dependent, dependent)):
+            assert subspaces_equal(a, b) == old_equal(a, b)
+        if len(rows) > 1:
+            assert len(dependent._ech[1]) == 1 and not subspaces_equal(dependent, dependent)
+
+
+def test_kept_echelon_on_empty_foreign_and_ragged_subspaces():
+    space, other = symplectic_doubled(2), symplectic_doubled(3)
+    empty = IsotropicSubspace(space=space, basis=())
+    assert subspaces_equal(empty, empty) == old_equal(empty, empty) is True
+    assert empty._ech == ([], [], 1)
+    assert not subspaces_equal(empty, split_subspace(space))
+    with pytest.raises(InvalidInput, match="maximal isotropic dimension"):
+        intersection_invariant(empty)
+    # subspaces of two spaces are unequal, before any elimination
+    a, b = split_subspace(space), split_subspace(other)
+    assert not subspaces_equal(a, b) and not subspaces_equal(b, a)
+    assert a._ech is None and b._ech is None
+    # rows of the wrong length are refused, and leave no echelon behind
+    v = random_maximal_isotropic(space, 3)
+    ragged = hand_built(v, [row[:-1] for row in v.basis])
+    for call in (lambda: subspaces_equal(ragged, v), lambda: subspaces_equal(v, ragged), lambda: intersection_invariant(ragged)):
+        with pytest.raises(InvalidInput, match="basis rows must have 8 entries"):
+            call()
+    assert ragged._ech is None
+
+
+def test_kept_echelon_leaves_equality_hash_and_repr_alone():
+    for v in kept_samples()[:8]:
+        before = (hash(v), repr(v))
+        w = fresh(v)
+        intersection_invariant(v)
+        subspaces_equal(v, tau_image(v))
+        assert v._ech is not None and w._ech is None
+        assert v == w and w == v and (hash(v), repr(v)) == before == (hash(w), repr(w))
+
+
+def test_appended_row_reduction_matches_rank():
+    # a's independent rows with zero columns between their pivots, so a row of
+    # b can be nonzero where a's elimination skipped a column
+    rng = random.Random(23)
+    tried = {True: 0, False: 0}
+    for _ in range(400):
+        k, width = rng.randint(1, 4), rng.randint(4, 8)
+        cols = sorted(rng.sample(range(width), k + rng.randint(0, width - k)))
+        rows = [[rng.randint(-5, 5) if c in cols and rng.random() < 0.7 else 0 for c in range(width)] for _ in range(k)]
+        ech = _echelon(rows, reduced=False)
+        if len(ech[1]) < k:
+            continue
+        inside = [sum(rng.randint(-3, 3) * r[c] for r in rows) for c in range(width)]
+        outside = [x + rng.randint(-1, 1) * (c not in ech[1]) for c, x in enumerate(inside)]
+        for x in (inside, outside):
+            got = isotropic._reduces_to_zero(ech, x)
+            assert got == (rank([*rows, x]) == k)
+            tried[got] += 1
+    assert min(tried.values()) > 100, tried
