@@ -1,12 +1,14 @@
 """Named verification cases with frozen expected values.
 
 Each case recomputes a finite claim from scratch and compares against
-expectations embedded here.  Provenance tags mark where an expected value
-comes from: "tabulated" for classical published data, "recomputed" for
-values frozen from an independent computation, "definitional" for
-immediate consequences of the definitions.  A case fails loudly when the
-computation and the expectation disagree; expectations are never adjusted
-at run time.
+expectations embedded here.  A case declares each check once, as one row:
+(key, computed value, expected value, provenance) for a checked value, or
+(key, computed value) for one that is only reported.  Provenance tags mark
+where an expected value comes from: "tabulated" for classical published
+data, "recomputed" for values frozen from an independent computation,
+"definitional" for immediate consequences of the definitions.  A case fails
+loudly when the computation and the expectation disagree; expectations are
+never adjusted at run time.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction as Q
 from typing import Callable, Mapping
 
 from ._record import Record
-from .errors import InvalidInput
+from .errors import InvalidInput, InvariantViolation
 from . import lattice as lat
 from . import spherical as sph
 from .isotropic import (
@@ -32,6 +34,7 @@ from .polyhedra import _lattice_ints, contains, covered_by, is_smooth
 from .rootsys import (
     build_root_system,
     coordinate_swap,
+    orbit,
     sign_flip,
     subgroup_closure,
     weyl_enumerate,
@@ -108,18 +111,27 @@ class CaseReport(Record):
         return "\n".join(lines)
 
 
-def _report(case_id, claim, inputs, computed, expected) -> CaseReport:
-    verdict = "pass"
-    for key, exp in expected.items():
-        if computed.get(key) != exp.value:
-            verdict = "fail"
+def _report(case_id, claim, inputs, checks) -> CaseReport:
+    """The report of one case from its check rows, in order: a row
+    (key, computed, value, provenance) is checked against Expected(value,
+    provenance), a row (key, computed) is only reported.  A repeated key
+    would overwrite the first row, so it raises InvariantViolation."""
+    computed: dict[str, object] = {}
+    expected: dict[str, Expected] = {}
+    for key, got, *exp in checks:
+        if key in computed:
+            raise InvariantViolation(f"case {case_id} declares the check {key!r} twice")
+        computed[key] = got
+        if exp:
+            expected[key] = Expected(*exp)
+    failed = any(computed[key] != exp.value for key, exp in expected.items())
     return CaseReport(
         case_id=case_id,
         claim=claim,
         inputs=inputs,
         computed=computed,
         expected=expected,
-        verdict=verdict,
+        verdict="fail" if failed else "pass",
     )
 
 
@@ -132,27 +144,18 @@ def _case_g2_surface(seed: int) -> CaseReport:
     f = weyl_chamber_fan(rs)
     surface = toric_surface(f)
     group = weyl_enumerate(rs)
-    computed = {
-        "maximal_cones": len(f.maximal_cones),
-        "complete": True,  # enforced by the chamber-fan constructor
-        "smooth": all(is_smooth(c) for c in f.maximal_cones),
-        "picard_number": picard_number(surface),
-        "ray_orbit_sizes": list(ray_orbit_partition(surface, group)),
-    }
-    expected = {
-        "maximal_cones": Expected(12, "tabulated"),
-        "complete": Expected(True, "tabulated"),
-        "smooth": Expected(True, "tabulated"),
-        "picard_number": Expected(10, "tabulated"),
-        "ray_orbit_sizes": Expected([6, 6], "tabulated"),
-    }
     return _report(
         "g2-surface",
         "the chamber fan of the rank-two exceptional group is a complete smooth "
         "surface fan of Picard number 10 with two six-element ray orbits",
         {"type": "G2"},
-        computed,
-        expected,
+        [
+            ("maximal_cones", len(f.maximal_cones), 12, "tabulated"),
+            ("complete", True, True, "tabulated"),  # enforced by the chamber-fan constructor
+            ("smooth", all(is_smooth(c) for c in f.maximal_cones), True, "tabulated"),
+            ("picard_number", picard_number(surface), 10, "tabulated"),
+            ("ray_orbit_sizes", list(ray_orbit_partition(surface, group)), [6, 6], "tabulated"),
+        ],
     )
 
 
@@ -170,74 +173,52 @@ def _e8_wprime():
 
 def _case_f4_wprime(seed: int) -> CaseReport:
     rs, group = _f4_wprime()
-    from .rootsys import orbit
-
     o1 = orbit(group, rs.fundamental_coweights[0])
     o4 = orbit(group, rs.fundamental_coweights[3])
-    computed = {
-        "order": len(group),
-        "orbit_of_first_coweight": _sorted_vectors(o1),
-        "orbit_of_last_coweight": _sorted_vectors(o4),
-    }
-    expected = {
-        "order": Expected(8, "tabulated"),
-        "orbit_of_first_coweight": Expected(
-            _sorted_vectors([qv(v) for v in [(1, 0, 0, 1), (1, 0, 0, -1), (-1, 0, 0, 1), (-1, 0, 0, -1)]]),
-            "tabulated",
-        ),
-        "orbit_of_last_coweight": Expected(
-            _sorted_vectors([qv(v) for v in [(2, 0, 0, 0), (-2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 0, -2)]]),
-            "tabulated",
-        ),
-    }
+    first = [(1, 0, 0, 1), (1, 0, 0, -1), (-1, 0, 0, 1), (-1, 0, 0, -1)]
+    last = [(2, 0, 0, 0), (-2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 0, -2)]
     return _report(
         "f4-wprime",
         "the reflection subgroup generated by the outer coordinate swap and the "
         "double sign flip has order 8 and the stated coweight orbits",
         {"type": "F4", "generators": ["swap(e1,e4)", "flip(e1)flip(e2)"]},
-        computed,
-        expected,
+        [
+            ("order", len(group), 8, "tabulated"),
+            ("orbit_of_first_coweight", _sorted_vectors(o1), _sorted_vectors(map(qv, first)), "tabulated"),
+            ("orbit_of_last_coweight", _sorted_vectors(o4), _sorted_vectors(map(qv, last)), "tabulated"),
+        ],
     )
 
 
-def _subtorus_case(case_id: str, label: str, rs, group, f) -> CaseReport:
+def _subtorus_case(case_id: str, label: str, rs, group, f, extra=()) -> CaseReport:
+    """The subtorus-fan checks of f, followed by the extra rows."""
     surface = toric_surface(f)
     rays = list(f.rays())
     # the rays are primitive lattice vectors, so their coordinates are integers
     coords, _ = _lattice_ints(f.lattice, rays)
     relations = [list(row) for row in zip(*coords)]
     inv_rank = invariant_picard_rank(len(rays), _ray_maps(f, group), relations)
-    given = sorted(
+    given = _sorted_vectors(
         {tuple(w.apply(rs.fundamental_coweights[0])) for w in group}
         | {tuple(w.apply(rs.fundamental_coweights[rs.rank - 1])) for w in group}
     )
-    computed = {
-        "ray_count": len(rays),
-        "complete": True,  # enforced by the subtorus-fan constructor
-        "picard_number": picard_number(surface),
-        "ray_orbit_sizes": list(ray_orbit_partition(surface, group)),
-        "invariant_picard_rank": inv_rank,
-        "order_matches_picard_plus_two": len(group) == picard_number(surface) + 2,
-        "given_generators": _sorted_vectors(given),
-        "primitive_rays": _sorted_vectors(rays),
-    }
-    expected = {
-        "ray_count": Expected(8, "tabulated"),
-        "complete": Expected(True, "tabulated"),
-        "picard_number": Expected(6, "tabulated"),
-        "ray_orbit_sizes": Expected([4, 4], "recomputed"),
-        "invariant_picard_rank": Expected(2, "recomputed"),
-        "order_matches_picard_plus_two": Expected(True, "tabulated"),
-        "given_generators": Expected(computed["given_generators"], "definitional"),
-        "primitive_rays": Expected(computed["primitive_rays"], "definitional"),
-    }
+    primitive = _sorted_vectors(rays)
     return _report(
         case_id,
         "the two-coweight plane fan tiled by the order-8 subgroup is complete "
         "with 8 rays, Picard number 6 and invariant Picard rank 2",
         {"type": label},
-        computed,
-        expected,
+        [
+            ("ray_count", len(rays), 8, "tabulated"),
+            ("complete", True, True, "tabulated"),  # enforced by the subtorus-fan constructor
+            ("picard_number", picard_number(surface), 6, "tabulated"),
+            ("ray_orbit_sizes", list(ray_orbit_partition(surface, group)), [4, 4], "recomputed"),
+            ("invariant_picard_rank", inv_rank, 2, "recomputed"),
+            ("order_matches_picard_plus_two", len(group) == picard_number(surface) + 2, True, "tabulated"),
+            ("given_generators", given, given, "definitional"),
+            ("primitive_rays", primitive, primitive, "definitional"),
+            *extra,
+        ],
     )
 
 
@@ -249,15 +230,10 @@ def _case_f4_subtorus(seed: int) -> CaseReport:
 def _case_e8_subtorus(seed: int) -> CaseReport:
     rs, group = _e8_wprime()
     e8_fan = subtorus_closure_fan(rs, group)
-    report = _subtorus_case("e8-subtorus-fan", "E8", rs, group, e8_fan)
     # additionally: the surface is lattice-isomorphic to the one from F4
-    rs4, group4 = _f4_wprime()
-    same = _fans_lattice_isomorphic(subtorus_closure_fan(rs4, group4), e8_fan)
-    computed = dict(report.computed)
-    computed["same_combinatorial_fan_as_f4"] = same
-    expected = dict(report.expected)
-    expected["same_combinatorial_fan_as_f4"] = Expected(True, "tabulated")
-    return _report(report.case_id, report.claim, report.inputs, computed, expected)
+    same = _fans_lattice_isomorphic(subtorus_closure_fan(*_f4_wprime()), e8_fan)
+    extra = [("same_combinatorial_fan_as_f4", same, True, "tabulated")]
+    return _subtorus_case("e8-subtorus-fan", "E8", rs, group, e8_fan, extra)
 
 
 def _fans_lattice_isomorphic(f1, f2) -> bool:
@@ -302,25 +278,17 @@ def _case_e8_weyl_order(seed: int) -> CaseReport:
     e8 = build_root_system("E8")
     e7 = build_root_system("E7")
     d6 = build_root_system("D6")
-    computed = {
-        "order": weyl_order(e8),
-        "factorization_holds": weyl_order(e8) == 2**14 * 3**5 * 5**2 * 7,
-        "e8_to_e7_ratio": weyl_order(e8) // weyl_order(e7),
-        "e7_to_d6_ratio": weyl_order(e7) // weyl_order(d6),
-    }
-    expected = {
-        "order": Expected(696729600, "tabulated"),
-        "factorization_holds": Expected(True, "tabulated"),
-        "e8_to_e7_ratio": Expected(240, "recomputed"),
-        "e7_to_d6_ratio": Expected(126, "recomputed"),
-    }
     return _report(
         "e8-weyl-order",
         "the largest exceptional Weyl group has order 2^14 * 3^5 * 5^2 * 7, "
         "with the expected restriction ratios down the exceptional series",
         {"type": "E8"},
-        computed,
-        expected,
+        [
+            ("order", weyl_order(e8), 696729600, "tabulated"),
+            ("factorization_holds", weyl_order(e8) == 2**14 * 3**5 * 5**2 * 7, True, "tabulated"),
+            ("e8_to_e7_ratio", weyl_order(e8) // weyl_order(e7), 240, "recomputed"),
+            ("e7_to_d6_ratio", weyl_order(e7) // weyl_order(d6), 126, "recomputed"),
+        ],
     )
 
 
@@ -337,18 +305,10 @@ def _case_lattice_coincidence(seed: int) -> CaseReport:
         ]
         if bad:
             nonprimitive[label] = bad
-    computed = {
-        "index_one_types": sorted(t for t, v in indices.items() if v == 1),
-        "nonprimitive_simple_roots": {k: v for k, v in sorted(nonprimitive.items())},
-    }
     # A1 and B2 coincide with C1 and C2 up to relabeling, so the long-root
     # exception of the symplectic series also appears under those labels
-    expected_nonprimitive = {"A1": [1], "B2": [1]}
-    expected_nonprimitive.update({f"C{n}": [n] for n in range(2, 9)})
-    expected = {
-        "index_one_types": Expected(["E8", "F4", "G2"], "tabulated"),
-        "nonprimitive_simple_roots": Expected(expected_nonprimitive, "tabulated"),
-    }
+    long_roots = {"A1": [1], "B2": [1], **{f"C{n}": [n] for n in range(2, 9)}}
+    index_one = sorted(t for t, v in indices.items() if v == 1)
     return _report(
         "lattice-coincidence",
         "among simple types of rank at most 8, the weight and root lattices "
@@ -356,8 +316,10 @@ def _case_lattice_coincidence(seed: int) -> CaseReport:
         "non-primitive simple root is the long one of the symplectic series "
         "(including its low-rank incarnations labeled A1 and B2)",
         {"types": list(RANK_LE8_TYPES)},
-        computed,
-        expected,
+        [
+            ("index_one_types", index_one, ["E8", "F4", "G2"], "tabulated"),
+            ("nonprimitive_simple_roots", dict(sorted(nonprimitive.items())), long_roots, "tabulated"),
+        ],
     )
 
 
@@ -372,25 +334,19 @@ def _case_type_a_pullback(seed: int) -> CaseReport:
         degrees = [lat.minimal_curve_degree(lat.simple_root(rs, i)) for i in range(1, n + 1)]
         if degrees != [Q(1)] + [Q(0)] * (n - 2) + [Q(1)]:
             degree_ok = False
-    sample = lat.to_basis(lat.fundamental_weight(build_root_system("A3"), 1), "simple_root")
-    computed = {
-        "first_weight_coefficients_hold_to_rank_12": coeff_ok,
-        "degree_vector_holds_to_rank_12": degree_ok,
-        "rank3_first_weight_in_simple_roots": encode_vector(sample.coords),
-    }
-    expected = {
-        "first_weight_coefficients_hold_to_rank_12": Expected(True, "tabulated"),
-        "degree_vector_holds_to_rank_12": Expected(True, "tabulated"),
-        "rank3_first_weight_in_simple_roots": Expected(["3/4", "1/2", "1/4"], "recomputed"),
-    }
+    a3 = build_root_system("A3")
+    sample = encode_vector(lat.to_basis(lat.fundamental_weight(a3, 1), "simple_root").coords)
     return _report(
         "typeA-pullback",
         "in type A the first fundamental weight expands with coefficients "
         "1 - i/(n+1) over the simple roots, and only the outer simple roots "
         "meet the minimal curve class",
         {"ranks": "2..12"},
-        computed,
-        expected,
+        [
+            ("first_weight_coefficients_hold_to_rank_12", coeff_ok, True, "tabulated"),
+            ("degree_vector_holds_to_rank_12", degree_ok, True, "tabulated"),
+            ("rank3_first_weight_in_simple_roots", sample, ["3/4", "1/2", "1/4"], "recomputed"),
+        ],
     )
 
 
@@ -405,32 +361,22 @@ def _case_type_b_spinor(seed: int) -> CaseReport:
         if lat.minimal_curve_degree(lat.fundamental_weight(rs, n)) != 1:
             degree_ok = False
     pres = sph.picard_presentation(sph.spinor_divisor_ledger(build_root_system("B3")))
-    computed = {
-        "half_sum_identity_holds_to_rank_12": half_ok,
-        "spin_weight_degree_one_to_rank_12": degree_ok,
-        "cokernel_free_rank": pres.free_rank,
-        "cokernel_torsion": list(pres.torsion),
-        "hyperplane_class": list(pres.classes["OG(1)"]),
-        "last_color_class": list(pres.classes[sph.color_symbol(3)]),
-        "other_color_classes": [list(pres.classes[sph.color_symbol(j)]) for j in (1, 2)],
-    }
-    expected = {
-        "half_sum_identity_holds_to_rank_12": Expected(True, "tabulated"),
-        "spin_weight_degree_one_to_rank_12": Expected(True, "tabulated"),
-        "cokernel_free_rank": Expected(1, "tabulated"),
-        "cokernel_torsion": Expected([], "tabulated"),
-        "hyperplane_class": Expected([2], "tabulated"),
-        "last_color_class": Expected([1], "tabulated"),
-        "other_color_classes": Expected([[2], [2]], "tabulated"),
-    }
+    others = [list(pres.classes[sph.color_symbol(j)]) for j in (1, 2)]
     return _report(
         "typeB-spinor-pic",
         "the spin weight is half the weighted sum of simple roots, pairs to one "
         "with the highest coroot, and the spinor divisor ledger has cokernel Z "
         "with the hyperplane class twice the generator",
         {"ranks": "2..12", "picard_rank_case": "B3"},
-        computed,
-        expected,
+        [
+            ("half_sum_identity_holds_to_rank_12", half_ok, True, "tabulated"),
+            ("spin_weight_degree_one_to_rank_12", degree_ok, True, "tabulated"),
+            ("cokernel_free_rank", pres.free_rank, 1, "tabulated"),
+            ("cokernel_torsion", list(pres.torsion), [], "tabulated"),
+            ("hyperplane_class", list(pres.classes["OG(1)"]), [2], "tabulated"),
+            ("last_color_class", list(pres.classes[sph.color_symbol(3)]), [1], "tabulated"),
+            ("other_color_classes", others, [[2], [2]], "tabulated"),
+        ],
     )
 
 
@@ -465,30 +411,20 @@ def _case_type_c_contraction(seed: int) -> CaseReport:
         cones = [cc.cone for cc in z_fan.cones]
         covered = covered and covered_by(z_fan.valuation_cone, cones)
         covered = covered and covered_by(z_fan.valuation_cone, cones, shortcut=False)
-    computed = {
-        "interior_containment_to_rank_6": interior_ok,
-        "extends_to_quotient": forward,
-        "reverse_extension_fails": backward_fails,
-        "chain_extends_stepwise": chain_forward,
-        "chain_reverse_fails_stepwise": chain_backward_fails,
-        "valuation_cone_covered_to_rank_4": covered,
-    }
-    expected = {
-        "interior_containment_to_rank_6": Expected(True, "recomputed"),
-        "extends_to_quotient": Expected(True, "tabulated"),
-        "reverse_extension_fails": Expected(True, "recomputed"),
-        "chain_extends_stepwise": Expected(True, "tabulated"),
-        "chain_reverse_fails_stepwise": Expected(True, "recomputed"),
-        "valuation_cone_covered_to_rank_4": Expected(True, "tabulated"),
-    }
     return _report(
         "typeC-contraction",
         "boundary divisors map into the chain cones interiorly, the wonderful "
         "fan maps to the quotient fan but never back, stepwise along the whole "
         "contraction chain, and the valuation cone is covered by the quotient fan",
         {"ranks": "2..6 (containment, chain), 2..4 (coverage)"},
-        computed,
-        expected,
+        [
+            ("interior_containment_to_rank_6", interior_ok, True, "recomputed"),
+            ("extends_to_quotient", forward, True, "tabulated"),
+            ("reverse_extension_fails", backward_fails, True, "recomputed"),
+            ("chain_extends_stepwise", chain_forward, True, "tabulated"),
+            ("chain_reverse_fails_stepwise", chain_backward_fails, True, "recomputed"),
+            ("valuation_cone_covered_to_rank_4", covered, True, "tabulated"),
+        ],
     )
 
 
@@ -501,29 +437,21 @@ def _case_lg_orbits(seed: int) -> CaseReport:
     rep2 = check_equal_intersections(symplectic_doubled(2), 1000, seed)
     rep3 = check_equal_intersections(symplectic_doubled(3), 1000, seed)
     tau = tau_fixed_locus_check(symplectic_doubled(2), 500, seed)
-    computed = {
-        "dimension_table_consistent_to_rank_6": table_ok,
-        "codims_rank_3": [lg_orbit_dim(3, 0) - lg_orbit_dim(3, k) for k in range(4)],
-        "equal_intersection_violations_rank_2": rep2.violations,
-        "equal_intersection_violations_rank_3": rep3.violations,
-        "tau_fixed_violations_rank_2": tau.violations,
-        "samples": [rep2.samples, rep3.samples, tau.samples],
-    }
-    expected = {
-        "dimension_table_consistent_to_rank_6": Expected(True, "tabulated"),
-        "codims_rank_3": Expected([0, 1, 4, 9], "tabulated"),
-        "equal_intersection_violations_rank_2": Expected(0, "tabulated"),
-        "equal_intersection_violations_rank_3": Expected(0, "tabulated"),
-        "tau_fixed_violations_rank_2": Expected(0, "tabulated"),
-    }
+    codims = [lg_orbit_dim(3, 0) - lg_orbit_dim(3, k) for k in range(4)]
     return _report(
         "lg-orbits",
         "the symplectic strata have codimension k squared, sampled maximal "
         "isotropics always meet the two summands equally, and the sign "
         "involution fixes exactly the split stratum",
         {"seed": seed, "samples": [1000, 1000, 500]},
-        computed,
-        expected,
+        [
+            ("dimension_table_consistent_to_rank_6", table_ok, True, "tabulated"),
+            ("codims_rank_3", codims, [0, 1, 4, 9], "tabulated"),
+            ("equal_intersection_violations_rank_2", rep2.violations, 0, "tabulated"),
+            ("equal_intersection_violations_rank_3", rep3.violations, 0, "tabulated"),
+            ("tau_fixed_violations_rank_2", tau.violations, 0, "tabulated"),
+            ("samples", [rep2.samples, rep3.samples, tau.samples]),
+        ],
     )
 
 
@@ -535,26 +463,18 @@ def _case_og_orbits(seed: int) -> CaseReport:
             if rec.codim != k * k or rec.total_dim != n * (2 * n + 1):
                 table_ok = False
     rep = check_equal_intersections(orthogonal_doubled(2), 500, seed)
-    computed = {
-        "dimension_table_consistent_to_rank_6": table_ok,
-        "base_plus_fiber_rank_3": [
-            [og_orbit_data(3, k).base_dim, og_orbit_data(3, k).fiber_dim] for k in range(4)
-        ],
-        "equal_intersection_violations_rank_2": rep.violations,
-        "samples": rep.samples,
-    }
-    expected = {
-        "dimension_table_consistent_to_rank_6": Expected(True, "tabulated"),
-        "base_plus_fiber_rank_3": Expected([[0, 21], [10, 10], [14, 3], [12, 0]], "recomputed"),
-        "equal_intersection_violations_rank_2": Expected(0, "tabulated"),
-    }
+    dims = [[og_orbit_data(3, k).base_dim, og_orbit_data(3, k).fiber_dim] for k in range(4)]
     return _report(
         "og-orbits",
         "the orthogonal strata mirror the symplectic dimension count and "
         "sampled maximal isotropics meet the two summands equally",
         {"seed": seed, "samples": 500},
-        computed,
-        expected,
+        [
+            ("dimension_table_consistent_to_rank_6", table_ok, True, "tabulated"),
+            ("base_plus_fiber_rank_3", dims, [[0, 21], [10, 10], [14, 3], [12, 0]], "recomputed"),
+            ("equal_intersection_violations_rank_2", rep.violations, 0, "tabulated"),
+            ("samples", rep.samples),
+        ],
     )
 
 
@@ -571,36 +491,31 @@ def _case_surface_blowups(seed: int) -> CaseReport:
     ruled_bad = blowup_boundary_point(ruled, "y1", ["H2"])
     ruled_k2 = blowup_boundary_point(hirzebruch_ledger(2), "y0", ["H1"])
 
-    computed = {
-        "plane_after_one_blowup": [list(t) for t in plane.components],
-        "plane_spectrum_two_blowups": [list(t) for t in coefficient_spectrum(plane2).counts],
-        "plane_violation_on_exceptional": [list(t) for t in coefficient_spectrum(plane_bad).violations],
-        "quadric_corner_coefficient": quadric.coefficient("E1"),
-        "quadric_spectrum": [list(t) for t in coefficient_spectrum(quadric2).counts],
-        "quadric_violation_off_center": [list(t) for t in coefficient_spectrum(quadric_bad).violations],
-        "ruled_first_coefficient": ruled.coefficient("E1"),
-        "ruled_violation_on_section": [list(t) for t in coefficient_spectrum(ruled_bad).violations],
-        "ruled_k2_distinct_coefficients": len(coefficient_spectrum(ruled_k2).counts),
-    }
-    expected = {
-        "plane_after_one_blowup": Expected([["H", 3], ["E1", 2]], "tabulated"),
-        "plane_spectrum_two_blowups": Expected([[3, 1], [2, 2]], "tabulated"),
-        "plane_violation_on_exceptional": Expected([["E2", 1]], "recomputed"),
-        "quadric_corner_coefficient": Expected(3, "tabulated"),
-        "quadric_spectrum": Expected([[3, 1], [2, 3]], "tabulated"),
-        "quadric_violation_off_center": Expected([["E2", 1]], "recomputed"),
-        "ruled_first_coefficient": Expected(2, "tabulated"),
-        "ruled_violation_on_section": Expected([["E2", 1]], "recomputed"),
-        "ruled_k2_distinct_coefficients": Expected(3, "recomputed"),
-    }
+    components = [list(t) for t in plane.components]
+
+    def counts(ledger):
+        return [list(t) for t in coefficient_spectrum(ledger).counts]
+
+    def violations(ledger):
+        return [list(t) for t in coefficient_spectrum(ledger).violations]
+
     return _report(
         "surface-blowup-cases",
         "the three minimal-surface ledgers reproduce the stated anticanonical "
         "expansions, and any blowup centered on a single coefficient-two "
         "component forces a coefficient below two",
         {"ledgers": ["plane", "quadric", "ruled"]},
-        computed,
-        expected,
+        [
+            ("plane_after_one_blowup", components, [["H", 3], ["E1", 2]], "tabulated"),
+            ("plane_spectrum_two_blowups", counts(plane2), [[3, 1], [2, 2]], "tabulated"),
+            ("plane_violation_on_exceptional", violations(plane_bad), [["E2", 1]], "recomputed"),
+            ("quadric_corner_coefficient", quadric.coefficient("E1"), 3, "tabulated"),
+            ("quadric_spectrum", counts(quadric2), [[3, 1], [2, 3]], "tabulated"),
+            ("quadric_violation_off_center", violations(quadric_bad), [["E2", 1]], "recomputed"),
+            ("ruled_first_coefficient", ruled.coefficient("E1"), 2, "tabulated"),
+            ("ruled_violation_on_section", violations(ruled_bad), [["E2", 1]], "recomputed"),
+            ("ruled_k2_distinct_coefficients", len(coefficient_spectrum(ruled_k2).counts), 3, "recomputed"),
+        ],
     )
 
 
@@ -620,37 +535,27 @@ def _case_wonderful_anticanonical(seed: int) -> CaseReport:
             matches_weight = False
     a1 = build_root_system("A1")
     degree = lat.pair(lat.anticanonical_weight(a1), lat.simple_coroot(a1, 1))
-    computed = {
-        "divisor_matches_weight_all_rank_le8": matches_weight,
-        "regular_dominant_all_rank_le8": all_regular,
-        "rank_one_anticanonical_degree": int(degree),
-    }
-    expected = {
-        "divisor_matches_weight_all_rank_le8": Expected(True, "tabulated"),
-        "regular_dominant_all_rank_le8": Expected(True, "tabulated"),
-        "rank_one_anticanonical_degree": Expected(4, "tabulated"),
-    }
     return _report(
         "wonderful-anticanonical",
         "twice the colors plus the boundary equals the weight two rho plus the "
         "sum of simple roots, regular dominant in every rank up to 8; rank one "
         "gives the degree-four projective space",
         {"types": list(RANK_LE8_TYPES)},
-        computed,
-        expected,
+        [
+            ("divisor_matches_weight_all_rank_le8", matches_weight, True, "tabulated"),
+            ("regular_dominant_all_rank_le8", all_regular, True, "tabulated"),
+            ("rank_one_anticanonical_degree", int(degree), 4, "tabulated"),
+        ],
     )
 
 
 def _case_ihss_table(seed: int) -> CaseReport:
-    computed = {"table": [dict(row) for row in IHSS_TABLE]}
-    expected = {"table": Expected([dict(row) for row in IHSS_TABLE], "tabulated")}
     return _report(
         "ihss-table",
         "the bundled table of irreducible Hermitian symmetric spaces, their "
         "tangent varieties and ranks matches the frozen reference data",
         {},
-        computed,
-        expected,
+        [("table", [dict(row) for row in IHSS_TABLE], [dict(row) for row in IHSS_TABLE], "tabulated")],
     )
 
 

@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import casebook, jsonio, lattice, spherical, toric
-from .errors import InvalidInput, InvariantViolation
+from .errors import BoundExceeded, InvalidInput, InvariantViolation
 from .isotropic import (
     check_equal_intersections,
     lg_orbit_dim,
@@ -26,6 +26,9 @@ from .isotropic import (
 )
 from .polyhedra import is_complete, is_smooth, star_subdivision
 from .rootsys import build_root_system, weyl_order
+
+# the orbits table has a row per invariant 0..n, so n is bounded before any row is built
+MAX_TABLE_HALF_RANK = 10_000
 
 
 def _emit(payload, as_json: bool, text: str = "") -> None:
@@ -157,6 +160,8 @@ def _cmd_spherical(args) -> int:
 
 def _cmd_orbits(args) -> int:
     n = args.n
+    if n > MAX_TABLE_HALF_RANK:
+        raise BoundExceeded(f"half rank {n} is above the table bound {MAX_TABLE_HALF_RANK}")
     if args.kind == "lg":
         space = symplectic_doubled(n)
         table = [{"k": k, "dim": lg_orbit_dim(n, k), "codim": k * k} for k in range(n + 1)]

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from ._record import Record
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
-from .linalg import Matrix, Vector, _common_ints, _echelon, _int_mat_vec, _int_unit, det, qm, qv
+from .linalg import Matrix, Vector, _common_ints, _dual_rows, _int_mat_vec, _int_unit, det, qm, qv
 
 FAMILIES = "ABCDEFG"
 
@@ -225,14 +225,9 @@ def build_root_system(type_label: str) -> RootSystem:
         root: tuple(Q(x) for x in c) for root, (_, c) in zip(root_list, by_ambient)
     }
 
-    # pivot rows of [A | I] in fraction-free Gauss-Jordan form are d [I | A^-1]
-    aug = [[*row, *u] for row, u in zip(cartan_ints, units)]
-    reduced, pivots, d = _echelon(aug)
-    if pivots != list(range(n)):
-        raise InvariantViolation(f"singular Cartan matrix in {label}")
-    if d < 0:
-        reduced, d = [[-x for x in row] for row in reduced], -d
-    inv_ints = [row[n:] for row in reduced]
+    # A^-1 as integers over d > 0: with the columns of A as its basis rows,
+    # _dual_rows eliminates [A | I] once and returns the rows of A^-1
+    inv_ints, d = _dual_rows(columns, n)
     cartan_inv = tuple(tuple(Q(x, d) for x in row) for row in inv_ints)
 
     # omega_i = sum_k (A^-1)[i][k] alpha_k and omega_i^vee = sum_k (A^-1)[k][i] alpha_k^vee,

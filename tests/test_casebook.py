@@ -1,11 +1,21 @@
+import hashlib
 import random
 
 import pytest
 from old_linalg import _old_inverse, mat_mul, mat_vec, transpose, vadd, vscale
 
-from weylfans import jsonio
-from weylfans.casebook import _e8_wprime, _f4_wprime, _fans_lattice_isomorphic, list_cases, run_case
-from weylfans.errors import InvalidInput
+from weylfans import casebook, cli, jsonio
+from weylfans.casebook import (
+    Expected,
+    _e8_wprime,
+    _f4_wprime,
+    _fans_lattice_isomorphic,
+    _report,
+    list_cases,
+    run_all,
+    run_case,
+)
+from weylfans.errors import InvalidInput, InvariantViolation
 from weylfans.linalg import det, qm
 from weylfans.polyhedra import cone, fan, star_subdivision
 from weylfans.rootsys import build_root_system
@@ -65,6 +75,50 @@ def test_report_text_rendering():
     text = run_case("e8-weyl-order").render_text()
     assert text.startswith("[PASS] e8-weyl-order")
     assert "696729600" in text
+
+
+# sha256 of what `weylfans verify --all` prints at seed 0, frozen from the
+# casebook as it stood when each case named every key in two parallel dicts
+VERIFY_ALL_SHA256 = {
+    "json": "6a194aa5807d8a2b04f3f329a359364b37089d9fce581987ea0fc547e40f8ef4",
+    "text": "205849948b316f735624ef8110b93d82119a09ad1bfcf4ab49dc9149cdbbf8f8",
+}
+
+
+def test_verify_all_prints_the_pinned_bytes(monkeypatch, capsys):
+    """One run of the whole casebook (about 2 s), printed by the command in
+    both formats: every key, value, provenance and verdict, and their order,
+    are byte for byte the pinned ones."""
+    reports = run_all(0)
+    monkeypatch.setattr(casebook, "run_all", lambda seed=0: reports)
+    for fmt, flags in (("json", ["--json"]), ("text", [])):
+        assert cli.main(["verify", "--all", *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_ALL_SHA256[fmt], fmt
+
+
+def test_report_builds_both_maps_from_one_row_per_check():
+    checks = [("order", 8, 8, "tabulated"), ("samples", [500]), ("rays", [1, 2], [1, 2], "definitional")]
+    report = _report("case", "claim", {"seed": 0}, checks)
+    assert report.passed()
+    assert list(report.computed.items()) == [("order", 8), ("samples", [500]), ("rays", [1, 2])]
+    # the reported-only row adds nothing to the expectations
+    assert list(report.expected.items()) == [
+        ("order", Expected(8, "tabulated")),
+        ("rays", Expected([1, 2], "definitional")),
+    ]
+    assert "samples" not in report.render_text()
+    assert _report("case", "claim", {}, [("order", 7, 8, "tabulated"), ("samples", 1)]).verdict == "fail"
+
+
+def test_report_refuses_a_repeated_key():
+    for checks in (
+        [("order", 8, 8, "tabulated"), ("order", 8, 8, "tabulated")],
+        [("order", 8, 8, "tabulated"), ("order", 7)],
+        [("samples", 1), ("samples", 1)],
+    ):
+        with pytest.raises(InvariantViolation, match="case demo declares the check '(order|samples)' twice"):
+            _report("demo", "claim", {}, checks)
 
 
 def _old_fans_lattice_isomorphic(f1, f2):

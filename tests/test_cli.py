@@ -403,9 +403,27 @@ def test_oversized_sampler_exit_2(capsys, kind):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
-    # the stratum table alone is a closed formula and stays unbounded
+    # the stratum table alone is a closed formula, bounded only by its row
+    # count (MAX_TABLE_HALF_RANK), so it is still printed at this half rank
     code, out, _ = run_cli(capsys, "orbits", kind, "--n", "24", "--json")
     assert code == 0 and len(json.loads(out)["table"]) == 25
+
+
+@pytest.mark.parametrize("kind", ["lg", "og"])
+def test_oversized_orbit_table_exit_2(capsys, kind):
+    """The orbits table has a row per invariant 0..n; a half rank above the
+    bound is refused before the first row is built, and the bound itself is
+    still printed."""
+    from weylfans.cli import MAX_TABLE_HALF_RANK
+
+    above = str(MAX_TABLE_HALF_RANK + 1)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "orbits", kind, "--n", above, "--json")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: half rank {above} is above the table bound {MAX_TABLE_HALF_RANK}\n"
+    code, out, _ = run_cli(capsys, "orbits", kind, "--n", str(MAX_TABLE_HALF_RANK), "--json")
+    assert code == 0 and len(json.loads(out)["table"]) == MAX_TABLE_HALF_RANK + 1
 
 
 def test_unexpected_exception_exit_3(capsys, monkeypatch):
