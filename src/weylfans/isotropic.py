@@ -39,6 +39,11 @@ from .linalg import Matrix, _echelon, _int_unit, _primitive_ints, qm, rank
 # themselves are closed formulas and take any half rank
 MAX_HALF_RANK = 10
 
+# the largest sample count the law checks draw: the casebook's largest
+# (1,000) runs, and at half rank MAX_HALF_RANK one draw already takes about
+# 0.3 s, so a count this size runs for minutes and a larger one for hours
+MAX_SAMPLES = 1000
+
 
 class DoubledSpace(Record):
     half_rank: int
@@ -329,10 +334,19 @@ class SampleReport(Record):
     seed: int
 
 
-def check_equal_intersections(space: DoubledSpace, sample_count: int, seed: int) -> SampleReport:
-    """Sample maximal isotropics and verify equal intersection dimensions."""
+def _check_sample_count(sample_count: int) -> None:
     if sample_count < 0:
         raise InvalidInput(f"sample count must be nonnegative, not {sample_count}")
+    if sample_count > MAX_SAMPLES:
+        raise BoundExceeded(f"sample count {sample_count} is above the bound {MAX_SAMPLES}")
+
+
+def check_equal_intersections(space: DoubledSpace, sample_count: int, seed: int) -> SampleReport:
+    """Sample maximal isotropics and verify equal intersection dimensions.
+
+    A count above ``MAX_SAMPLES`` is refused with BoundExceeded before the
+    first draw."""
+    _check_sample_count(sample_count)
     violations = 0
     for i in range(sample_count):
         v = random_maximal_isotropic(space, seed * 1_000_003 + i)
@@ -350,11 +364,11 @@ def check_equal_intersections(space: DoubledSpace, sample_count: int, seed: int)
 
 def tau_fixed_locus_check(space: DoubledSpace, sample_count: int, seed: int) -> SampleReport:
     """Verify per sample that the involution fixes a subspace exactly when
-    its invariant is maximal."""
+    its invariant is maximal.  A count above ``MAX_SAMPLES`` is refused
+    with BoundExceeded before the first draw."""
     if space.kind != "symplectic":
         raise InvalidInput("the involution check applies to symplectic doubled spaces")
-    if sample_count < 0:
-        raise InvalidInput(f"sample count must be nonnegative, not {sample_count}")
+    _check_sample_count(sample_count)
     violations = 0
     checked = 0
     # drawn one at a time as they are checked; the two base points come last

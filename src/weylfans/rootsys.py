@@ -8,7 +8,9 @@ and coweights, the highest root) is computed once at construction time and
 frozen, so instances are immutable and safe to share between threads.  The
 roots are closed in integer simple-root coordinates under the integer Cartan
 matrix, and Weyl group elements are integer matrices over one denominator;
-Fraction appears only in the values handed out.
+Fraction appears only in the values handed out.  Enumerating a Weyl group
+walks the orbit of rho on integer weight coordinates and builds each
+element's matrix once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,18 @@ from typing import Iterable, Optional, Sequence
 
 from ._record import Record
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
-from .linalg import Matrix, Vector, _common_ints, _dual_rows, _int_mat_vec, _int_unit, det, qm, qv
+from .linalg import (
+    Matrix,
+    Vector,
+    _common_ints,
+    _dual_rows,
+    _int_mat_vec,
+    _int_unit,
+    _primitive_ints,
+    det,
+    qm,
+    qv,
+)
 
 FAMILIES = "ABCDEFG"
 
@@ -333,12 +346,12 @@ class WeylElement:
         if self.word is not None and other.word is not None:
             word = self.word + other.word
         cols = tuple(zip(*other._rows))
-        rows = [[sum(map(mul, row, col)) for col in cols] for row in self._rows]
+        rows = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self._rows])
         den = self._den * other._den
         g = gcd(den, *(x for row in rows for x in row)) if den > 1 else 1
-        return WeylElement._from_ints(
-            tuple(tuple(x // g for x in row) for row in rows), den // g, word
-        )
+        if g > 1:
+            rows = tuple([tuple([x // g for x in row]) for row in rows])
+        return WeylElement._from_ints(rows, den // g, word)
 
 
 def identity_element(dim: int) -> WeylElement:
@@ -415,19 +428,93 @@ def weyl_order(rs: RootSystem) -> int:
 
 
 def weyl_enumerate(rs: RootSystem, bound: int = 2000) -> list[WeylElement]:
-    """Every element of the Weyl group as a matrix, refused above the bound."""
+    """Every element of the Weyl group as a matrix, refused above the bound.
+
+    The elements are found by a walk on the orbit of rho.  It runs breadth
+    first from the identity and multiplies on the right by s_1, ..., s_n in
+    turn, as ``subgroup_closure`` does, so it finds the same elements with
+    the same words; but it keys each element w by y = w^-1 rho in integer
+    fundamental-weight coordinates, where rho is (1, ..., 1).  Since
+    (w s_i)^-1 rho = s_i(y) = y - y_i (row i of the Cartan matrix), an edge
+    costs O(rank), and each element's matrix is built once, when its key is
+    new, by the rank-one update w s_i = w - (2 / (a . a)) (w a) a^T.  An
+    edge with y_i < 0 is skipped: then w alpha_i < 0, so w s_i is shorter
+    than w and an earlier layer already holds it.
+
+    Rho is regular, so W acts simply transitively on its orbit and the key
+    is injective.  The certificate is the count against ``weyl_order``; a
+    miscount can only be a bug and raises InvariantViolation.  The result is
+    sorted by matrix for determinism.
+    """
     order = weyl_order(rs)
     if order > bound:
         raise BoundExceeded(
             f"Weyl group of {rs.label} has order {order}, above the bound {bound}"
         )
-    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
-    elements = subgroup_closure(gens, bound=order)
+    cartan = [[x.numerator for x in row] for row in rs.cartan]
+    # each simple root as a primitive integer row a, with 2 / (a . a) = p / q
+    steps = []
+    for alpha in rs.simple_roots:
+        a = _primitive_ints(alpha)
+        n = sum(x * x for x in a)
+        steps.append((a, 2 // gcd(2, n), n // gcd(2, n)))
+    ident = identity_element(rs.ambient_dim)
+    rho = (1,) * rs.rank
+    seen = {rho}
+    elements = [ident]
+    frontier = [(ident, rho)]
+    while frontier:
+        new_frontier = []
+        for w, y in frontier:
+            for i, step in enumerate(steps):
+                k = y[i]
+                if k < 0:
+                    continue
+                key = tuple([x - k * c for x, c in zip(y, cartan[i])])
+                if key not in seen:
+                    seen.add(key)
+                    prod = _times_reflection(w, *step, w.word + (i + 1,))
+                    elements.append(prod)
+                    new_frontier.append((prod, key))
+        frontier = new_frontier
     if len(elements) != order:
         raise InvariantViolation(
             f"enumerated {len(elements)} elements of W({rs.label}), expected {order}"
         )
-    return elements
+    return _sorted_by_matrix(elements)
+
+
+def _times_reflection(
+    w: WeylElement, a: Sequence[int], p: int, q: int, word: Optional[tuple[int, ...]]
+) -> WeylElement:
+    """w s_a for the reflection in the integer row a, where 2 / (a . a) = p / q
+    in lowest terms: x - <x, a^vee> a is x - (p / q)(a . x) a, so w s_a is
+    the rank-one update q N - p (N a) a^T over q d, for w = N over d,
+    reduced to canonical form.  A row with N a = 0 is kept as it is when q
+    is 1."""
+    rows = []
+    for row in w._rows:
+        k = p * sum(map(mul, row, a))
+        rows.append(tuple([q * x - k * y for x, y in zip(row, a)]) if k or q > 1 else row)
+    den = q * w._den
+    g = gcd(den, *(x for row in rows for x in row)) if den > 1 else 1
+    if g > 1:
+        rows = [tuple([x // g for x in row]) for row in rows]
+    return WeylElement._from_ints(tuple(rows), den // g, word)
+
+
+def _sorted_by_matrix(elements: Iterable[WeylElement]) -> list[WeylElement]:
+    """The elements sorted as their Fraction matrices sort, without building
+    them: rescaled to one common denominator, the integer rows sort alike,
+    and an element already over it is keyed by its rows as they are."""
+    elements = list(elements)
+    common = lcm(*(w._den for w in elements))
+
+    def key(w: WeylElement):
+        f = common // w._den
+        return w._rows if f == 1 else tuple([tuple([x * f for x in row]) for row in w._rows])
+
+    return sorted(elements, key=key)
 
 
 def subgroup_closure(
@@ -462,12 +549,7 @@ def subgroup_closure(
                     seen.add(prod)
                     new_frontier.append(prod)
         frontier = new_frontier
-    # rescaled to one common denominator, the integer rows sort as the
-    # Fraction matrices do, without building them
-    common = lcm(*(w._den for w in seen))
-    return sorted(
-        seen, key=lambda w: tuple(tuple(x * (common // w._den) for x in row) for row in w._rows)
-    )
+    return _sorted_by_matrix(seen)
 
 
 def orbit(group: Iterable[WeylElement], v) -> tuple[Vector, ...]:

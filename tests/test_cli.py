@@ -396,6 +396,20 @@ def test_orbits_negative_samples_exit_2(capsys, kind):
 
 
 @pytest.mark.parametrize("kind", ["lg", "og"])
+def test_orbits_oversized_samples_exit_2(capsys, kind):
+    """A sample count above MAX_SAMPLES is refused before the first draw, in
+    one line with no traceback, at the sampling bound's half rank, where a
+    draw takes about 0.3 s."""
+    from weylfans.isotropic import MAX_SAMPLES
+
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "orbits", kind, "--n", "10", "--samples", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: sample count 1000000000 is above the bound {MAX_SAMPLES}\n"
+
+
+@pytest.mark.parametrize("kind", ["lg", "og"])
 def test_oversized_sampler_exit_2(capsys, kind):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "orbits", kind, "--n", "24", "--samples", "1")

@@ -11,6 +11,7 @@ import random
 import sys
 import threading
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from old_linalg import (
@@ -229,6 +230,41 @@ def test_weyl_groups_match_old_fraction_elements():
         for w in elements:
             assert w.compose(WeylElement(transpose(w.matrix))) == ident
     assert "F4" in labels and "A5" in labels and "E8'" in labels and len(labels) == 16
+
+
+def test_orbit_walk_matches_generic_closure():
+    """The walk on the orbit of rho finds the elements, order and words of
+    the generic closure of the simple reflections, for every bundled type
+    with |W| <= 1,920; G2 (denominators 1 and 3) and F4 (1 and 2) mix
+    denominators in the sort.  Every element it builds is canonical."""
+    dens = {}
+    for label in ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "F4", "G2"):
+        rs = build_root_system(label)
+        order = weyl_order(rs)
+        walked = weyl_enumerate(rs, bound=1920)
+        gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+        closed = subgroup_closure(gens, bound=order)
+        assert walked == closed, label
+        assert [w.word for w in walked] == [w.word for w in closed], label
+        for w in walked:
+            assert w._den > 0 and gcd(w._den, *(x for row in w._rows for x in row)) == 1, label
+        dens[label] = {w._den for w in walked}
+    assert dens["G2"] == {1, 3} and dens["F4"] == {1, 2}
+    # the next groups of each family are above the bound: |W(A6)| = 5,040,
+    # |W(B5)| = |W(C5)| = 3,840 and |W(D6)| = 23,040
+    assert all(weyl_order(build_root_system(label)) > 1920 for label in ("A6", "B5", "C5", "D6"))
+
+
+def test_orbit_walk_builds_each_element_once(monkeypatch):
+    """One matrix product per element past the identity: 383 on B4, where
+    closing the simple reflections takes one per edge, 384 * 4 = 1,536."""
+    calls = []
+    compose, times_reflection = WeylElement.compose, rootsys._times_reflection
+    monkeypatch.setattr(WeylElement, "compose", lambda *a: calls.append(1) or compose(*a))
+    monkeypatch.setattr(rootsys, "_times_reflection", lambda *a: calls.append(1) or times_reflection(*a))
+    rs = build_root_system("B4")
+    assert len(weyl_enumerate(rs)) == 384
+    assert len(calls) == 383
 
 
 def test_longest_element_matches_old_product():
