@@ -46,6 +46,13 @@ def _load_json_file(path: str):
         raise InvalidInput(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
+    except ValueError:
+        # json reads a number through int(), which refuses one past the digit limit
+        raise BoundExceeded(
+            f"a number in {path} is above the {jsonio.digit_limit()}-digit limit for reading integers"
+        ) from None
 
 
 def _cmd_root_system(args) -> int:
@@ -110,7 +117,9 @@ def _cmd_fan(args) -> int:
         raise InvalidInput("fan subdivide needs --ray")
     try:
         ray = [jsonio.str_to_fraction(x) for x in args.ray.split(",")]
-    except ValueError as exc:
+    except BoundExceeded:
+        raise
+    except InvalidInput as exc:
         raise InvalidInput(f"malformed ray {args.ray!r}") from exc
     _emit(jsonio.fan_to_json(star_subdivision(f, ray)), True)
     return 0

@@ -9,6 +9,7 @@ document and re-encoding it reproduces the bytes exactly.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction as Q
 from typing import Mapping, Sequence
 
@@ -18,9 +19,23 @@ from .polyhedra import Fan, cone, fan
 from .rootsys import RootSystem, WeylElement, build_root_system
 
 
+def digit_limit() -> int:
+    """CPython's limit on the digits of an integer converted to or from a
+    string (``sys.get_int_max_str_digits``); 0, no limit, on a Python
+    without one."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def fraction_to_str(x) -> str:
+    """"p/q"; an integer past the digit limit is refused with BoundExceeded."""
     x = Q(x)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+        raise BoundExceeded(
+            f"an entry of {bits} bits is above the {digit_limit()}-digit limit for writing integers"
+        ) from None
 
 
 def str_to_fraction(s: str) -> Q:
@@ -32,6 +47,12 @@ def str_to_fraction(s: str) -> Q:
             return Q(int(p), int(q))
         return Q(int(s))
     except (ValueError, ZeroDivisionError) as exc:
+        limit = digit_limit()
+        if limit and len(s) > limit:
+            # no string this long is short enough to echo
+            raise BoundExceeded(
+                f"an entry of {len(s)} characters is above the {limit}-digit limit for reading integers"
+            ) from None
         raise InvalidInput(f"malformed rational {s!r}") from exc
 
 

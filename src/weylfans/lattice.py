@@ -1,13 +1,22 @@
 """Weight, root and coweight lattice arithmetic.
 
 A LatticeVector is an exact rational coordinate tuple tagged with the basis
-it is written in.  Each change of basis is one integer matrix over one
-denominator per (source, target) pair, held on the root system and filled
-on first use.  Into the ambient model it is the transposed basis rows; out
-of it, the target's dual rows, whose span equations reject vectors off the
-root span; between two bases, those dual rows times the source rows, with
-no ambient round trip.  The Cartan pairing is the standard inner product
-of ambient coordinates.
+it is written in; it also keeps those coordinates as integers over one
+denominator, out of its value: a converted vector gets the integers of its
+change, and a hand-built one reads them off on first use.  Each change of
+basis is one integer matrix over one denominator per (source, target) pair,
+held on the root system and filled on first use.  Into the ambient model it
+is the transposed basis rows.  Out of it, it is the dual basis the root
+system already holds (the simple coroots for fundamental-weight
+coordinates, the fundamental weights for simple-coroot ones, the simple
+roots for fundamental-coweight ones), and for simple-root coordinates the
+dual rows of the simple roots, from one elimination per type; the span
+equations of that elimination, below the dual rows of every target, reject
+vectors off the root span.  Between two bases it is the target's dual rows
+times the source rows, with no ambient round trip.  A change reads and
+hands on the vectors' integers, so no coordinate is rescaled to integers
+twice.  The Cartan pairing is the standard inner product of ambient
+coordinates.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ._record import Record
 from .errors import BasisChangeError, InvalidInput
@@ -24,7 +33,6 @@ from .linalg import (
     Vector,
     _common_ints,
     _dual_rows,
-    _int_mat_vec,
     _row_scale,
     _scaled_ints,
     det,
@@ -48,10 +56,19 @@ def _basis_rows(rs: RootSystem, tag: str) -> Matrix:
     raise InvalidInput(f"unknown basis tag {tag!r}")
 
 
+# the basis whose rows are dual to each target basis on the root span; the
+# simple roots' dual rows come from their own elimination, with the span
+# equations
+_DUAL_BASIS = {"fund_weight": "simple_coroot", "simple_coroot": "fund_weight", "fund_coweight": "simple_root"}
+
+
 class LatticeVector(Record):
     rs: RootSystem
     basis: str
     coords: Vector
+    # the coordinates as integers over one denominator d > 0, (ints, d):
+    # written by to_basis, else read off coords on first use (`_int_coords`)
+    _ints: Optional[tuple] = None
 
     def __init__(self, rs: RootSystem, basis: str, coords: Vector):
         if basis not in BASIS_TAGS:
@@ -65,9 +82,7 @@ class LatticeVector(Record):
         set_(self, "coords", qv(coords))
 
     def ambient(self) -> Vector:
-        if self.basis == "ambient":
-            return self.coords
-        return _convert(self, "ambient")
+        return to_basis(self, "ambient").coords
 
 
 def _change(rs: RootSystem, source: str, target: str) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -78,31 +93,46 @@ def _change(rs: RootSystem, source: str, target: str) -> tuple[tuple[tuple[int, 
     change = rs._basis_changes.get(key)
     if change is not None:
         return change
-    if source == "ambient":
-        change = _dual_rows(_basis_rows(rs, target), rs.ambient_dim)
-    else:
+    if target == "ambient":
         ints, s = _common_ints(_basis_rows(rs, source))
-        if target == "ambient":
-            change = tuple(zip(*ints)), s
-        else:
-            dual, d = _change(rs, "ambient", target)
-            product = [[sum(map(mul, row, b)) for b in ints] for row in dual[: rs.rank]]
-            g = gcd(d * s, *(x for row in product for x in row))
-            change = tuple(tuple(x // g for x in row) for row in product), d * s // g
+        change = tuple(zip(*ints)), s
+    elif source != "ambient":
+        cols, s = _change(rs, source, "ambient")
+        dual, d = _change(rs, "ambient", target)
+        product = [[sum(map(mul, row, b)) for b in zip(*cols)] for row in dual[: rs.rank]]
+        g = gcd(d * s, *(x for row in product for x in row))
+        change = tuple(tuple(x // g for x in row) for row in product), d * s // g
+    elif target == "simple_root":
+        change = _dual_rows(rs.simple_roots, rs.ambient_dim)
+    else:
+        # the dual basis: the columns of its own change into the ambient model
+        cols, d = _change(rs, _DUAL_BASIS[target], "ambient")
+        change = (*zip(*cols), *_change(rs, "ambient", "simple_root")[0][rs.rank :]), d
     rs._basis_changes[key] = change
     return change
 
 
-def _convert(v: LatticeVector, target: str) -> Vector:
-    """The coordinates of v in the target basis; off the root span an
-    ambient vector raises BasisChangeError."""
-    dots, den = _int_mat_vec(*_change(v.rs, v.basis, target), v.coords)
+def _int_coords(v: LatticeVector) -> tuple[list[int], int]:
+    """The coordinates of v as integers over one denominator: the kept ones,
+    else read off its coordinates and kept; the write is idempotent."""
+    if v._ints is None:
+        s = _row_scale(v.coords)
+        object.__setattr__(v, "_ints", (_scaled_ints(v.coords, s), s))
+    return v._ints
+
+
+def _convert(v: LatticeVector, target: str) -> tuple[list[int], int]:
+    """The coordinates of v in the target basis as integers over one
+    denominator; off the root span an ambient vector raises BasisChangeError."""
+    rows, d = _change(v.rs, v.basis, target)
+    ints, s = _int_coords(v)
+    dots = [sum(map(mul, row, ints)) for row in rows]
     k = v.rs.ambient_dim if target == "ambient" else v.rs.rank
     if any(dots[k:]):
         raise BasisChangeError(
             f"vector {v.coords} of {v.rs.label} lies outside the span of the {target} basis"
         )
-    return tuple(Q(x, den) for x in dots[:k])
+    return dots[:k], d * s
 
 
 def vector(rs: RootSystem, coords: Sequence, basis: str = "ambient") -> LatticeVector:
@@ -151,7 +181,10 @@ def to_basis(v: LatticeVector, target_tag: str) -> LatticeVector:
         raise InvalidInput(f"unknown basis tag {target_tag!r}")
     if target_tag == v.basis:
         return v
-    return LatticeVector(v.rs, target_tag, _convert(v, target_tag))
+    dots, den = _convert(v, target_tag)
+    w = LatticeVector(v.rs, target_tag, tuple(Q(x, den) for x in dots))
+    object.__setattr__(w, "_ints", (dots, den))
+    return w
 
 
 def pair(weight_side: LatticeVector, coweight_side: LatticeVector) -> Q:
@@ -167,10 +200,7 @@ def pair(weight_side: LatticeVector, coweight_side: LatticeVector) -> Q:
 
 def _ambient_ints(v: LatticeVector) -> tuple[list[int], int]:
     """The ambient coordinates of v as integers over one denominator."""
-    if v.basis == "ambient":
-        s = _row_scale(v.coords)
-        return _scaled_ints(v.coords, s), s
-    return _int_mat_vec(*_change(v.rs, v.basis, "ambient"), v.coords)
+    return _int_coords(v) if v.basis == "ambient" else _convert(v, "ambient")
 
 
 def weight_root_index(rs: RootSystem) -> int:

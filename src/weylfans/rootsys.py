@@ -3,14 +3,17 @@
 Each bundled type comes with an explicit rational coordinate model: the
 classical families use the usual orthonormal models, G2 lives in the
 sum-zero plane of Q^3, F4 in Q^4, and E6/E7/E8 inside the even/half-integer
-model of Q^8.  All derived data (roots, Cartan matrix, fundamental weights
+model of Q^8.  The derived data (roots, Cartan matrix, fundamental weights
 and coweights, the highest root) is computed once at construction time and
-frozen, so instances are immutable and safe to share between threads.  The
-roots are closed in integer simple-root coordinates under the integer Cartan
-matrix, and Weyl group elements are integer matrices over one denominator;
-Fraction appears only in the values handed out.  Enumerating a Weyl group
-walks the orbit of rho on integer weight coordinates and builds each
-element's matrix once.
+frozen.  The roots are closed in integer simple-root coordinates under the
+integer Cartan matrix, and each root keeps those integer coordinates; the
+Fraction-keyed map that ``simple_root_coords`` reads and the lattice
+module's basis changes are filled on first use, by idempotent writes, so
+instances are immutable in value and safe to share between threads.  Weyl
+group elements are integer matrices over one denominator; Fraction appears
+only in the values handed out.  Enumerating a Weyl group walks the orbit of
+rho on integer weight coordinates and builds each element's matrix once,
+and the longest element is built by rank-one updates too.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .linalg import (
     _int_mat_vec,
     _int_unit,
     _primitive_ints,
-    det,
     qm,
     qv,
 )
@@ -110,8 +112,15 @@ def _coroot(beta: Vector) -> Vector:
     return tuple(Q(2 * s * x, n) for x in b)
 
 
+def _nonzero(columns: Iterable[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """Each integer column as its (index, entry) pairs with a nonzero entry:
+    Cartan and simple-root columns are sparse, so a dot product with one
+    reads a few entries instead of the rank."""
+    return [[(j, x) for j, x in enumerate(col) if x] for col in columns]
+
+
 class RootSystem(Record):
-    """A simple root system with all derived lattice data precomputed."""
+    """A simple root system with its derived lattice data."""
 
     label: str
     family: str
@@ -126,12 +135,15 @@ class RootSystem(Record):
     fundamental_coweights: Matrix
     highest_root: Vector
     rho: Vector
-    _simple_coords: dict
+    # the integer simple-root coordinates of each root, aligned with roots
+    _simple_coords: tuple
+    # root -> its Fraction simple-root coordinates, built on first use
+    _coords_by_root: Optional[dict] = None
     # (source tag, target tag) -> (integer rows, denominator), filled on
     # first use by the lattice module; each write stores the same value
     _basis_changes: dict
 
-    def __init__(self, *args, _simple_coords: dict, **kwargs):
+    def __init__(self, *args, _simple_coords: tuple, **kwargs):
         super().__init__(*args, **kwargs)
         object.__setattr__(self, "_simple_coords", _simple_coords)
         # one fresh dict per root system: a shared one would mix types' changes
@@ -139,8 +151,14 @@ class RootSystem(Record):
 
     def simple_root_coords(self, beta: Vector) -> Vector:
         """Coordinates of a root in the simple-root basis, always integral."""
+        coords = self._coords_by_root
+        if coords is None:
+            # the few distinct entries are each built once
+            entry = {x: Q(x) for x in {x for c in self._simple_coords for x in c}}.__getitem__
+            coords = {b: tuple(map(entry, c)) for b, c in zip(self.roots, self._simple_coords)}
+            object.__setattr__(self, "_coords_by_root", coords)
         try:
-            return self._simple_coords[beta]
+            return coords[beta]
         except KeyError:
             raise InvalidInput(f"{beta} is not a root of {self.label}") from None
 
@@ -148,14 +166,12 @@ class RootSystem(Record):
         return sum(self.simple_root_coords(beta), Q(0))
 
     def positive_root_vectors(self) -> list[Vector]:
-        # ties inside one height level break toward lower simple-root
-        # indices; the coordinates are integral, so their numerators order them
+        # ties inside one height level break toward lower simple-root indices
         keyed = []
-        for b, c in self._simple_coords.items():
-            ints = [x.numerator for x in c]
-            height = sum(ints)
+        for b, c in zip(self.roots, self._simple_coords):
+            height = sum(c)
             if height > 0:
-                keyed.append((height, [-x for x in ints], b))
+                keyed.append((height, [-x for x in c], b))
         return [b for _, _, b in sorted(keyed)]
 
     def coroot(self, beta: Vector) -> Vector:
@@ -204,43 +220,54 @@ def build_root_system(type_label: str) -> RootSystem:
                 raise InvariantViolation(f"Cartan diagonal is not 2 in {label}")
             if i != j and x > 0:
                 raise InvariantViolation(f"positive off-diagonal Cartan entry in {label}")
-    for k in range(1, n + 1):
-        if det(tuple(row[:k] for row in gram[:k])) <= 0:
-            raise InvariantViolation(f"symmetrized Cartan form not positive definite in {label}")
+    # the Gram matrix G of real vectors is positive semidefinite, so the form
+    # is positive definite, and the closure below finite, exactly when G is
+    # nonsingular, that is when A = G diag(2 / G[j][j]) is.  With the columns
+    # of A as its basis rows, _dual_rows eliminates [A | I] once, refuses a
+    # singular A, and returns A^-1 as integers over d > 0
+    columns = list(zip(*cartan_ints))
+    try:
+        inv_ints, d = _dual_rows(columns, n)
+    except InvalidInput:
+        raise InvariantViolation(f"symmetrized Cartan form not positive definite in {label}") from None
 
     # close the simple roots under simple reflections in simple-root
     # coordinates: s_i(c) = c - <c, alpha_i^vee> e_i with <c, alpha_i^vee> =
-    # sum_j c_j A[j][i]
-    columns = list(zip(*cartan_ints))
+    # sum_j c_j A[j][i], summed over the nonzero entries of column i.  Every
+    # positive root but a simple one is s_i of a lower positive root c with
+    # <c, alpha_i^vee> < 0 (Bourbaki, Lie Groups and Lie Algebras, ch. VI
+    # §1), so the steps that raise the height find the positive roots, and
+    # the negative roots are their negatives
+    nonzero_cols = _nonzero(columns)
     units = [_int_unit(n, i) for i in range(n)]
-    coords = set(units)
+    positive_coords = set(units)
     queue = list(units)
     while queue:
         c = queue.pop()
-        for i, col in enumerate(columns):
-            k = sum(map(mul, c, col))
-            if k:
+        for i, col in enumerate(nonzero_cols):
+            k = sum([c[j] * x for j, x in col])
+            if k < 0:
                 image = list(c)
                 image[i] -= k
                 image = tuple(image)
-                if image not in coords:
-                    coords.add(image)
+                if image not in positive_coords:
+                    positive_coords.add(image)
                     queue.append(image)
-    if len(coords) != count:
-        raise InvariantViolation(f"closure found {len(coords)} roots of {label}, expected {count}")
+    if 2 * len(positive_coords) != count:
+        raise InvariantViolation(f"closure found {2 * len(positive_coords)} roots of {label}, expected {count}")
 
     # each root in the ambient model, as integers over s; sorting them sorts
-    # the rational roots
+    # the rational roots, whose few distinct entries are each built once
     ambient_cols = list(zip(*simple_ints))
-    by_ambient = sorted((tuple(sum(map(mul, c, col)) for col in ambient_cols), c) for c in coords)
-    root_list = tuple(tuple(Q(x, s) for x in amb) for amb, _ in by_ambient)
-    simple_coords = {
-        root: tuple(Q(x) for x in c) for root, (_, c) in zip(root_list, by_ambient)
-    }
+    nonzero_amb = _nonzero(ambient_cols)
+    by_ambient = []
+    for c in positive_coords:
+        amb = tuple([sum([c[j] * x for j, x in col]) for col in nonzero_amb])
+        by_ambient += [(amb, c), (tuple([-x for x in amb]), tuple([-x for x in c]))]
+    by_ambient.sort()
+    entry = {x: Q(x, s) for x in {x for amb, _ in by_ambient for x in amb}}.__getitem__
+    root_list = tuple(tuple(map(entry, amb)) for amb, _ in by_ambient)
 
-    # A^-1 as integers over d > 0: with the columns of A as its basis rows,
-    # _dual_rows eliminates [A | I] once and returns the rows of A^-1
-    inv_ints, d = _dual_rows(columns, n)
     cartan_inv = tuple(tuple(Q(x, d) for x in row) for row in inv_ints)
 
     # omega_i = sum_k (A^-1)[i][k] alpha_k and omega_i^vee = sum_k (A^-1)[k][i] alpha_k^vee,
@@ -280,7 +307,7 @@ def build_root_system(type_label: str) -> RootSystem:
         fundamental_coweights=coweights,
         highest_root=theta,
         rho=rho,
-        _simple_coords=simple_coords,
+        _simple_coords=tuple(c for _, c in by_ambient),
     )
     _CACHE[label] = rs
     return rs
@@ -346,12 +373,8 @@ class WeylElement:
         if self.word is not None and other.word is not None:
             word = self.word + other.word
         cols = tuple(zip(*other._rows))
-        rows = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self._rows])
-        den = self._den * other._den
-        g = gcd(den, *(x for row in rows for x in row)) if den > 1 else 1
-        if g > 1:
-            rows = tuple([tuple([x // g for x in row]) for row in rows])
-        return WeylElement._from_ints(rows, den // g, word)
+        rows = [tuple([sum(map(mul, row, col)) for col in cols]) for row in self._rows]
+        return _canonical(rows, self._den * other._den, word)
 
 
 def identity_element(dim: int) -> WeylElement:
@@ -415,7 +438,7 @@ def weyl_order(rs: RootSystem) -> int:
     as the conjugate of the partition counting positive roots by height.
     No group element is ever enumerated, which is what makes E8 instant.
     """
-    heights = Counter(int(rs.height(b)) for b in rs.positive_root_vectors())
+    heights = Counter(h for h in map(sum, rs._simple_coords) if h > 0)
     top = max(heights)
     parts = [heights.get(i, 0) for i in range(1, top + 1)]
     exponents = [sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)]
@@ -452,12 +475,7 @@ def weyl_enumerate(rs: RootSystem, bound: int = 2000) -> list[WeylElement]:
             f"Weyl group of {rs.label} has order {order}, above the bound {bound}"
         )
     cartan = [[x.numerator for x in row] for row in rs.cartan]
-    # each simple root as a primitive integer row a, with 2 / (a . a) = p / q
-    steps = []
-    for alpha in rs.simple_roots:
-        a = _primitive_ints(alpha)
-        n = sum(x * x for x in a)
-        steps.append((a, 2 // gcd(2, n), n // gcd(2, n)))
+    steps = _reflection_steps(rs)
     ident = identity_element(rs.ambient_dim)
     rho = (1,) * rs.rank
     seen = {rho}
@@ -484,6 +502,17 @@ def weyl_enumerate(rs: RootSystem, bound: int = 2000) -> list[WeylElement]:
     return _sorted_by_matrix(elements)
 
 
+def _reflection_steps(rs: RootSystem) -> list[tuple[list[int], int, int]]:
+    """Each simple root as a primitive integer row a, with 2 / (a . a) = p / q
+    in lowest terms: the data of a rank-one update by its reflection."""
+    steps = []
+    for alpha in rs.simple_roots:
+        a = _primitive_ints(alpha)
+        n = sum(x * x for x in a)
+        steps.append((a, 2 // gcd(2, n), n // gcd(2, n)))
+    return steps
+
+
 def _times_reflection(
     w: WeylElement, a: Sequence[int], p: int, q: int, word: Optional[tuple[int, ...]]
 ) -> WeylElement:
@@ -496,7 +525,25 @@ def _times_reflection(
     for row in w._rows:
         k = p * sum(map(mul, row, a))
         rows.append(tuple([q * x - k * y for x, y in zip(row, a)]) if k or q > 1 else row)
-    den = q * w._den
+    return _canonical(rows, q * w._den, word)
+
+
+def _reflection_times(
+    a: Sequence[int], p: int, q: int, w: WeylElement, word: Optional[tuple[int, ...]]
+) -> WeylElement:
+    """s_a w, the left-hand twin of ``_times_reflection``: s_a x is
+    x - (p / q) a (a . x), so s_a w is q N - p a (a^T N) over q d, for
+    w = N over d.  A row where a vanishes is kept as it is when q is 1."""
+    u = [p * sum(map(mul, a, col)) for col in zip(*w._rows)]
+    rows = []
+    for x, row in zip(a, w._rows):
+        rows.append(tuple([q * y - x * z for y, z in zip(row, u)]) if x or q > 1 else row)
+    return _canonical(rows, q * w._den, word)
+
+
+def _canonical(rows: list, den: int, word: Optional[tuple[int, ...]]) -> WeylElement:
+    """The element with integer rows over den > 0, divided by their common
+    gcd with den into canonical form."""
     g = gcd(den, *(x for row in rows for x in row)) if den > 1 else 1
     if g > 1:
         rows = [tuple([x // g for x in row]) for row in rows]
@@ -568,10 +615,11 @@ def longest_element(rs: RootSystem) -> WeylElement:
     The descent runs on integer fundamental-weight coordinates, where rho is
     (1, ..., 1), <lambda, alpha_k^vee> is lambda_k and s_i subtracts lambda_i
     times row i of the Cartan matrix, the weight coordinates of alpha_i.
+    Each step multiplies on the left by s_i, one rank-one update.
     """
     cartan = [[x.numerator for x in row] for row in rs.cartan]
     v, target = [1] * rs.rank, [-1] * rs.rank
-    reflections = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+    steps = _reflection_steps(rs)
     w0 = identity_element(rs.ambient_dim)
     num_pos = len(rs.roots) // 2
     while v != target:
@@ -579,7 +627,7 @@ def longest_element(rs: RootSystem) -> WeylElement:
         if i is None or len(w0.word) > num_pos:
             raise InvariantViolation(f"descent from rho to -rho failed in {rs.label}")
         v = [x - v[i] * a for x, a in zip(v, cartan[i])]
-        w0 = reflections[i].compose(w0)
+        w0 = _reflection_times(*steps[i], w0, (i + 1,) + w0.word)
     if len(w0.word) != num_pos:
         raise InvariantViolation(f"longest element of {rs.label} has wrong length")
     # on integer rows: w0, N over d, sends p/s to minus q/s exactly when N p = -d q

@@ -26,7 +26,8 @@ class RootSystem:
     fundamental_coweights: Matrix
     highest_root: Vector
     rho: Vector
-    _simple_coords: dict = field(repr=False, hash=False, compare=False)
+    _simple_coords: tuple = field(repr=False, hash=False, compare=False)
+    _coords_by_root: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
     _basis_changes: dict = field(default_factory=dict, repr=False, hash=False, compare=False)
 
 
@@ -35,6 +36,7 @@ class LatticeVector:
     rs: RootSystem
     basis: str
     coords: Vector
+    _ints: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.basis not in BASIS_TAGS:

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from weylfans import jsonio
 from weylfans.cli import main
 
 
@@ -188,6 +189,49 @@ def test_malformed_json_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "fan", "check", "--input", str(path))
     assert code == 2
     assert "line 1" in err
+
+
+# CPython refuses to convert an integer of more than jsonio.digit_limit()
+# digits (4,300 by default) to or from a string.
+# Each entry of the first ray is under the limit, but its primitive ray is
+# not; the second ray has an entry over the limit.
+A, B = 10**3001 + 1, 10**3000 + 3
+OVER_THE_LIMIT = "1" + "0" * 4400
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ([f"--ray={A}/{B},{B}/{A}"], "an entry of 19939 bits is above the 4300-digit limit for writing integers"),
+        ([f"--ray={A}/{B},{B}/{A}", "--json"], "an entry of 19939 bits is above the 4300-digit limit for writing integers"),
+        ([f"--ray={OVER_THE_LIMIT},1"], "an entry of 4401 characters is above the 4300-digit limit for reading integers"),
+        ([f"--ray=1,-{OVER_THE_LIMIT}/3"], "an entry of 4404 characters is above the 4300-digit limit for reading integers"),
+    ],
+    ids=["primitive-ray", "primitive-ray-json", "entry", "fraction-entry"],
+)
+def test_digit_limit_exit_2(capsys, tmp_path, args, message):
+    """Past the digit limit a ray or its output is refused in one line that
+    does not echo the digits; before, the first two exited 3."""
+    assert jsonio.digit_limit() == 4300
+    path = tmp_path / "p2.json"
+    p2 = {"ambient_dim": 2, "lattice": "standard", "rays": [["1", "0"], ["0", "1"], ["-1", "-1"]]}
+    path.write_text(json.dumps({**p2, "maximal_cones": [[0, 1], [1, 2], [0, 2]]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fan", "subdivide", "--input", str(path), *args)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_unreadable_documents_exit_2(capsys, tmp_path):
+    """A number past the digit limit in a fan document, and bytes that are
+    not UTF-8, are refused in one line; before, both exited 3."""
+    path = tmp_path / "doc.json"
+    path.write_text('{"ambient_dim": ' + "1" * 5000 + ', "lattice": "standard", "rays": [], "maximal_cones": []}')
+    code, out, err = run_cli(capsys, "fan", "check", "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: a number in {path} is above the 4300-digit limit for reading integers\n")
+    path.write_bytes(b'{"rays": "\xff"}')
+    code, out, err = run_cli(capsys, "fan", "check", "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: cannot read {path}: not UTF-8 at byte 10\n")
 
 
 # fields whose refusal names them: strings and objects where arrays belong,

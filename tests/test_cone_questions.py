@@ -12,6 +12,7 @@ import inspect
 import random
 import threading
 from fractions import Fraction as Q
+from functools import cache
 from itertools import combinations
 
 from old_linalg import (
@@ -37,10 +38,12 @@ from weylfans.toric import weyl_chamber_fan
 # --- the old encodings, kept as the oracle ----------------------------------
 
 
+@cache
 def _old_membership_functionals(c):
+    """Computed once per cone, a hashable record, for the whole test run."""
     if not c.gens:
-        return [_unit(c.ambient_dim, j) for j in range(c.ambient_dim)], []
-    return _old_nullspace(qm(c.gens)), list(_old_dual_rows(c.gens)[: len(c.gens)])
+        return tuple(_unit(c.ambient_dim, j) for j in range(c.ambient_dim)), ()
+    return tuple(_old_nullspace(qm(c.gens))), tuple(_old_dual_rows(c.gens)[: len(c.gens)])
 
 
 def _old_face_compatible(c1, c2, rays_in_c1, rays_in_c2):
@@ -124,6 +127,14 @@ def _old_covered_by(target, cover, shortcut=True):
         for c in cover:
             if all(contains(c, g) for g in target.gens):
                 return True
+    return _old_cells_covered(target, tuple(cover))
+
+
+@cache
+def _old_cells_covered(target, cover):
+    """The cell recursion of `_old_covered_by`, which a shortcut that does
+    not fire leaves to decide alone: computed once per (target, cover) for
+    the whole test run."""
     gens = target.gens
     k = len(gens)
     funcs, seen = [], set()

@@ -64,7 +64,7 @@ def _outcome(f):
 
 def _rebuilt(rs):
     """A root system through its constructor, from another one's fields."""
-    return RootSystem(**{k: v for k, v in vars(rs).items() if k != "_basis_changes"})
+    return RootSystem(**{k: v for k, v in vars(rs).items() if k not in ("_basis_changes", "_coords_by_root")})
 
 
 def _instances():
