@@ -5,11 +5,15 @@ a fixed symplectic or split odd orthogonal space.  Maximal isotropic
 subspaces are handled as exact rational basis matrices; the samplers are
 deterministic per seed and stay inside the relevant isometry group, so
 every sampled subspace is maximal isotropic by construction.  Both samplers
-work on integer rows from the draw to the basis: the symplectic one moves
-integer rows by transvections and reduces each row to primitive once per
-draw, after the last transvection, and the orthogonal one takes its Cayley
-transform from one fraction-free elimination, with one exact division per
-entry when the public Fraction basis is built.  Their integer draws read
+work on integer rows from the draw to the basis: the symplectic one draws
+all its transvections first, bounds the entries they can reach, and runs
+them on the columns, each packed into one integer with one signed field of
+that width per row, so a step is O(dim) big-integer operations; every row
+is scaled by the step's denominator q, which moves no row off its ray, and
+is unpacked and reduced to primitive once per draw, after the last
+transvection.  The orthogonal one takes its Cayley transform from one
+fraction-free elimination, with one exact division per entry when the
+public Fraction basis is built.  Their integer draws read
 ``rng.getrandbits`` with ``randint``'s own rejection, so the stream is that
 of ``randint``.  A sampled subspace keeps its primitive integer rows beside
 the basis, and the involution image keeps them negated; the invariant and
@@ -40,14 +44,24 @@ from .linalg import Matrix, _echelon, _int_unit, _primitive_ints, qm, rank
 MAX_HALF_RANK = 10
 
 # the largest sample count the law checks draw: the casebook's largest
-# (1,000) runs, and at half rank MAX_HALF_RANK one draw already takes about
-# 0.3 s, so a count this size runs for minutes and a larger one for hours
+# (1,000) runs, and at half rank MAX_HALF_RANK one symplectic draw takes
+# about 0.05-0.08 s and one check_equal_intersections sample, the draw and
+# its invariant, about 0.15-0.3 s on a 2-core x86_64 host, so a count this
+# size runs for minutes and a larger one for hours
 MAX_SAMPLES = 1000
 
 
 class DoubledSpace(Record):
     half_rank: int
     kind: str  # "symplectic" or "orthogonal"
+
+    def __post_init__(self):
+        if self.kind not in ("symplectic", "orthogonal"):
+            raise InvalidInput(f"kind must be 'symplectic' or 'orthogonal', not {self.kind!r}")
+        if type(self.half_rank) is not int:
+            raise InvalidInput(f"half rank must be an integer, not {self.half_rank!r}")
+        if self.half_rank < 1:
+            raise InvalidInput("half rank must be at least 1")
 
     @property
     def block_dim(self) -> int:
@@ -63,14 +77,10 @@ class DoubledSpace(Record):
 
 
 def symplectic_doubled(n: int) -> DoubledSpace:
-    if n < 1:
-        raise InvalidInput("half rank must be at least 1")
     return DoubledSpace(half_rank=n, kind="symplectic")
 
 
 def orthogonal_doubled(n: int) -> DoubledSpace:
-    if n < 1:
-        raise InvalidInput("half rank must be at least 1")
     return DoubledSpace(half_rank=n, kind="orthogonal")
 
 
@@ -213,6 +223,25 @@ def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
     return out
 
 
+def _unpack(c: int, w: int, count: int) -> list[int]:
+    """The count fields x_i of c = sum(x_i << (i * w)), each |x_i| < 2**(w - 1).
+
+    The lowest field is c mod 2**w taken in [-2**(w - 1), 2**(w - 1)), the
+    one residue in that range, and c minus it is the rest shifted up by w;
+    a column left nonzero had an entry outside its field."""
+    mask, half, full = (1 << w) - 1, 1 << (w - 1), 1 << w
+    out = []
+    for _ in range(count):
+        f = c & mask
+        if f >= half:
+            f -= full
+        out.append(f)
+        c = (c - f) >> w
+    if c:
+        raise InvariantViolation("a packed entry overflowed its field")
+    return out
+
+
 def random_maximal_isotropic(space: DoubledSpace, seed: int) -> IsotropicSubspace:
     """Deterministic pseudo-random maximal isotropic subspace.
 
@@ -232,14 +261,14 @@ def random_maximal_isotropic(space: DoubledSpace, seed: int) -> IsotropicSubspac
     dim, m = space.dim, space.block_dim
     index = _form_index(space)
     if space.kind == "symplectic":
-        # integer rows throughout: a transvection with parameter p/q sends a
-        # row r to q*r + p*pairing*v, the same ray as r + (p/q)*pairing*v.
-        # Each row is a positive multiple of its primitive row until the one
-        # gcd after the last transvection, and pairs to zero exactly when
-        # that row does, so a row pairing to zero is left as it is
-        rows = list(_split_rows(space))
-        count = space.half_rank * (2 * space.half_rank + 1)
-        for _ in range(count):
+        # a transvection with parameter p/q sends a row r to q*r + p*pairing*v,
+        # a positive multiple of r + (p/q)*pairing*v, so each row stays a
+        # positive multiple of its primitive row until the one gcd after the
+        # last transvection.  The draws never read the rows, so they come
+        # first, with the bound they put on the entries
+        steps = []
+        growth = 1
+        for _ in range(space.half_rank * (2 * space.half_rank + 1)):
             v = _randints(rng, -2, 2, dim)
             while not any(v):
                 v = _randints(rng, -2, 2, dim)
@@ -248,12 +277,26 @@ def random_maximal_isotropic(space: DoubledSpace, seed: int) -> IsotropicSubspac
             if not p:
                 continue
             fv = [s * v[j] for j, s in index]
-            for i, row in enumerate(rows):
-                pairing = sum(map(mul, row, fv))
-                if pairing:
-                    c = p * pairing
-                    rows[i] = [q * x + c * y for x, y in zip(row, v)]
-        rows = tuple(tuple(_primitive_ints(row)) for row in rows)
+            steps.append((v, fv, p, q))
+            # |pairing| <= B * sum|fv|, so a step takes a bound B on |entry|
+            # to B * (q + |p| * max|v| * sum|fv|); entries start in {0, 1}
+            growth *= q + abs(p) * max(map(abs, v)) * sum(map(abs, fv))
+        # every final entry has |x| <= growth < 2**(w - 2): one w-bit field
+        # each, signed.  Column j is packed as sum(rows[i][j] << (i * w));
+        # packing is Z-linear and a step is a Z-linear map of the columns, so
+        # the packed arithmetic is exact, and the fields unpack uniquely.
+        # Every row, also one pairing to zero, is scaled by q > 0 at each
+        # step, so it stays a positive multiple of the row it would be
+        # without the scaling, and its primitive row is unchanged
+        w = growth.bit_length() + 2
+        rows = _split_rows(space)
+        cols = [sum(row[j] << (i * w) for i, row in enumerate(rows)) for j in range(dim)]
+        for v, fv, p, q in steps:
+            pc = p * sum(map(mul, fv, cols))
+            # y * pc for each y in -2..2, at index y (from the end when y < 0)
+            multiples = (0, pc, 2 * pc, -2 * pc, -pc)
+            cols = [q * c + multiples[y] for c, y in zip(cols, v)]
+        rows = tuple(tuple(_primitive_ints(row)) for row in zip(*(_unpack(c, w, len(rows)) for c in cols)))
         return _with_ints(space, qm(rows), rows)
     for _ in range(32):
         draws = iter(_randints(rng, -3, 3, dim * (dim - 1) // 2))

@@ -5,6 +5,7 @@ from old_linalg import vadd, vscale
 
 from weylfans.errors import InvalidInput
 from weylfans.isotropic import (
+    DoubledSpace,
     IsotropicSubspace,
     check_equal_intersections,
     diagonal_subspace,
@@ -78,6 +79,31 @@ def test_rows_of_the_wrong_length_are_refused(length):
         subspaces_equal(bad, diagonal_subspace(space))
     with pytest.raises(InvalidInput, match=message):
         subspaces_equal(split_subspace(space), bad)
+
+
+@pytest.mark.parametrize(
+    "half_rank,kind,message",
+    [
+        (2, "sympletic", "^kind must be 'symplectic' or 'orthogonal', not 'sympletic'$"),
+        (2, "Symplectic", "^kind must be 'symplectic' or 'orthogonal', not 'Symplectic'$"),
+        (0, "symplectic", "^half rank must be at least 1$"),
+        (-1, "orthogonal", "^half rank must be at least 1$"),
+        (2.0, "symplectic", "^half rank must be an integer, not 2.0$"),
+        (True, "orthogonal", "^half rank must be an integer, not True$"),
+    ],
+)
+def test_doubled_space_checks_its_fields(half_rank, kind, message):
+    with pytest.raises(InvalidInput, match=message):
+        DoubledSpace(half_rank, kind)
+    with pytest.raises(InvalidInput, match=message):
+        DoubledSpace(half_rank=half_rank, kind=kind)
+
+
+@pytest.mark.parametrize("make", [symplectic_doubled, orthogonal_doubled])
+@pytest.mark.parametrize("n", [0, -1])
+def test_factories_refuse_half_ranks_below_one(make, n):
+    with pytest.raises(InvalidInput, match="^half rank must be at least 1$"):
+        make(n)
 
 
 def test_seed_stability():

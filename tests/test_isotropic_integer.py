@@ -166,7 +166,8 @@ def assert_same_draw(space, seed):
     assert subspaces_equal(new, tau_image(new)) == old_tau_fixed(old)
 
 
-# (kind, half rank, draws): 660 draws in all
+# (kind, half rank, draws): 671 draws in all; the symplectic half ranks past
+# 4 check the packed columns where their fields are widest, up to the bound
 SPACES = (
     ("orthogonal", 1, 120),
     ("orthogonal", 2, 100),
@@ -175,6 +176,10 @@ SPACES = (
     ("symplectic", 2, 100),
     ("symplectic", 3, 100),
     ("symplectic", 4, 100),
+    ("symplectic", 5, 6),
+    ("symplectic", 6, 3),
+    ("symplectic", 8, 1),
+    ("symplectic", MAX_HALF_RANK, 1),
 )
 
 
@@ -319,6 +324,42 @@ def test_getrandbits_draws_match_randint(lo, hi):
         assert _randints(new, lo, hi, 40) == [old.randint(lo, hi) for _ in range(40)]
         # and both leave the generator in the same state
         assert new.getstate() == old.getstate()
+
+
+# --- packed columns -----------------------------------------------------------
+
+
+def pack(fields, w):
+    return sum(x << (i * w) for i, x in enumerate(fields))
+
+
+@pytest.mark.parametrize("w", [2, 3, 8, 64, 1000])
+def test_packed_fields_unpack_at_the_edges_of_their_width(w):
+    # every field may reach 2**(w - 1) - 1 in absolute value
+    top = 2 ** (w - 1) - 1
+    rng = random.Random(w)
+    cases = [
+        [top],
+        [-top],
+        [0],
+        [0, 0, 0],
+        [top, -top, 0, -top, top],
+        [-top, -top, -top],
+        [top, top, top],
+        [0, 0, -top],
+        [-1, 1, -1, 0],
+        [rng.randint(-top, top) for _ in range(12)],
+    ]
+    for fields in cases:
+        assert isotropic._unpack(pack(fields, w), w, len(fields)) == fields
+
+
+def test_a_field_past_its_width_is_refused():
+    # the top field at 2**(w - 1) reads as -2**(w - 1) and leaves a carry
+    w = 8
+    for fields in ([2 ** (w - 1)], [0, 2 ** (w - 1)], [5, -(2 ** (w - 1)) - 1]):
+        with pytest.raises(InvariantViolation, match="overflowed"):
+            isotropic._unpack(pack(fields, w), w, len(fields))
 
 
 # --- one gcd per row per draw -------------------------------------------------
