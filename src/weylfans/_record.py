@@ -4,6 +4,8 @@ A record class declares its fields once, as class annotations in order,
 each with an optional default as a class attribute.  Its public fields are
 its value: they give equality (``NotImplemented`` against any other class),
 the hash, and the repr ``Cls(field=value, ...)``, in declaration order.  A
+class may define a cheaper hash of its own, which it keeps; it must agree
+with the value equality (equal records hash equal).  A
 field whose name starts with an underscore is a cache, kept out of all
 three.  Assigning or deleting an attribute raises AttributeError, so a
 cache is written with ``object.__setattr__``.
@@ -42,7 +44,11 @@ class Record:
         def __hash__(self):
             return hash(get(self))
 
-        cls.__eq__, cls.__hash__ = __eq__, __hash__
+        cls.__eq__ = __eq__
+        # a class keeps a hash of its own (Python writes None for a class
+        # that defines __eq__ alone)
+        if cls.__dict__.get("__hash__") is None:
+            cls.__hash__ = __hash__
         cls._fields = names
         cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
 

@@ -194,8 +194,9 @@ def _subtorus_case(case_id: str, label: str, rs, group, f, extra=()) -> CaseRepo
     """The subtorus-fan checks of f, followed by the extra rows."""
     surface = toric_surface(f)
     rays = list(f.rays())
-    # the rays are primitive lattice vectors, so their coordinates are integers
-    coords, _ = _lattice_ints(f.lattice, rays)
+    # the rays are primitive lattice vectors, so their coordinates are
+    # integers, read off the lattice rows the fan's cones keep
+    coords, _ = _lattice_ints(f.lattice, rays, rows=f.maximal_cones[0]._lat)
     relations = [list(row) for row in zip(*coords)]
     inv_rank = invariant_picard_rank(len(rays), _ray_maps(f, group), relations)
     given = _sorted_vectors(
@@ -248,7 +249,7 @@ def _fans_lattice_isomorphic(f1, f2) -> bool:
 
     def data(f):
         rays, keys = f._names
-        coords = [tuple(x) for x in _lattice_ints(f.lattice, rays)[0]]
+        coords = [tuple(x) for x in _lattice_ints(f.lattice, rays, rows=f.maximal_cones[0]._lat)[0]]
         return sorted(coords), {tuple(sorted(coords[i] for i in key)) for key in keys}
 
     rays1, cones1 = data(f1)

@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 from typing import Mapping, Sequence
 
 from .errors import BoundExceeded, InvalidInput
-from .linalg import Vector, qm, qv, rank
+from .linalg import Vector, _dual_rows, qm, qv
 from .polyhedra import Fan, cone, fan
 from .rootsys import RootSystem, WeylElement, build_root_system
 
@@ -116,17 +116,20 @@ def fan_from_json(data: Mapping) -> Fan:
         raise InvalidInput(f"fan ambient_dim must be a nonnegative integer, not {dim!r}")
     if dim > MAX_AMBIENT_DIM:
         raise BoundExceeded(f"fan ambient_dim {dim} is above the bound {MAX_AMBIENT_DIM}")
-    if lattice is not None and (
-        any(len(row) != dim for row in lattice) or rank(lattice) != len(lattice)
-    ):
-        raise InvalidInput(f"fan lattice rows must be {dim} long and linearly independent")
+    # one solve of the lattice checks it and serves every cone
+    lat = None
+    if lattice is not None:
+        if all(len(row) == dim for row in lattice):
+            try:
+                lat = _dual_rows(lattice, dim)
+            except InvalidInput:
+                pass
+        if lat is None:
+            raise InvalidInput(f"fan lattice rows must be {dim} long and linearly independent")
     for ids in cone_indices:
         if any(type(i) is not int or not 0 <= i < len(rays) for i in ids):
             raise InvalidInput(f"fan cone {ids} needs integer ray indices in 0..{len(rays) - 1}")
-    cones = [
-        cone([rays[i] for i in ids], lattice=lattice, ambient_dim=dim)
-        for ids in cone_indices
-    ]
+    cones = [cone([rays[i] for i in ids], lattice=lattice, ambient_dim=dim, _lat=lat) for ids in cone_indices]
     return fan(cones)
 
 

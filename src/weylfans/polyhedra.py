@@ -2,22 +2,29 @@
 
 Cones are given by linearly independent generator lists, stored primitive
 with respect to a reference lattice (the standard integer lattice unless a
-basis is supplied), whose coordinates are read off one elimination per
-call and no cache.  Each cone carries its integer description, the dual
-basis (N, d) of its generators: integer rows over one denominator d > 0,
-whose first rows are the facet functionals and the remaining rows the
-equations of the span, from one elimination per cone built by `cone`; its
-faces read theirs off these rows.  Every cone question reads them exactly:
-membership by the signs of integer dot products with the query scaled to
-integers; fan validity first by a certificate linear in the cones, which
-accepts exactly the complete fans (a pseudomanifold whose two cones on each
-wall lie on its two sides, with one point covered once), and otherwise
-pairwise, by a functional combined from the rows that separates two cones
-and vanishes on the generators they share; coverage by enumerating the open
-cells of the arrangement of the cover's rows read on the target's generator
-weights, each leaf cell decided by the signs its path fixed.  A fan and a
-colored fan name their cones once, where they are built, by generator
-indices into one sorted ray list, `_ray_keys`, and every reader reads them.
+basis is supplied).  `cone` works on integer rows from its input on: on
+the standard lattice the generators are primitive integer rows,
+deduplicated and sorted as int tuples, and Fraction appears only in the
+public generators built from them.  A reference lattice is read through
+its dual rows, integer dot products with no elimination, solved once per
+fan by the callers that build many cones on one lattice and kept on the
+cones, with no module-level cache.  Each cone carries its integer
+description, the dual basis (N, d) of its generators: integer rows over
+one denominator d > 0, whose first rows are the facet functionals and the
+remaining rows the equations of the span, from one elimination per cone
+built by `cone`, or handed over where the structure gives it (the
+valuation cone, the Weyl chambers); its faces read theirs off these rows.
+Every cone question reads them exactly: membership by the signs of integer
+dot products with the query scaled to integers; fan validity first by a
+certificate linear in the cones, which accepts exactly the complete fans
+(a pseudomanifold whose two cones on each wall lie on its two sides, with
+one point covered once), and otherwise pairwise, by a functional combined
+from the rows that separates two cones and vanishes on the generators they
+share; coverage by enumerating the open cells of the arrangement of the
+cover's rows read on the target's generator weights, each leaf cell
+decided by the signs its path fixed.  A fan and a colored fan name their
+cones once, where they are built, by generator indices into one sorted ray
+list, `_ray_keys`, and every reader reads them.
 """
 
 from __future__ import annotations
@@ -25,13 +32,13 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from itertools import combinations, compress
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from ._record import Record
 from .errors import BoundExceeded, InvalidInput
 from .linalg import (
-    Matrix, Vector, _common_ints, _dual_rows, _echelon, _eliminate, _int_row, _int_unit, _primitive_ints,
+    Matrix, Vector, _common_ints, _dual_rows, _eliminate, _int_row, _int_unit, _primitive_ints,
     primitive_direction, qm, qv, smith_normal_form,
 )
 
@@ -45,23 +52,30 @@ MAX_FAN_PAIRS = 20_000
 class RationalCone(Record):
     """A simplicial cone: independent generators, primitive in the lattice.
 
-    The integer dual basis of the generators is kept on the cone, out of
-    equality, hashing and repr: `cone` and `faces` fill it, and `dual_basis`
-    fills it on first use for a cone built directly.  The write is
-    idempotent, so cones stay safe to share between threads.
+    Two integer solves are kept on the cone, out of equality, hashing and
+    repr.  The dual basis of the generators: `cone` and `faces` fill it, a
+    caller that knows it may hand it over (``_dual``), and `dual_basis`
+    fills it on first use for a cone built directly.  The lattice's dual
+    rows, read by `_lattice_ints` (``_lat``, None for the standard lattice
+    or when not handed over): a caller building many cones on one lattice
+    solves it once and hands the rows to each, and faces share them.  The
+    one later write, `dual_basis`'s, is idempotent, so cones stay safe to
+    share between threads.
     """
 
     ambient_dim: int
     gens: Matrix
     lattice: Optional[Matrix] = None
     _dual: Optional[tuple] = None
+    _lat: Optional[tuple] = None
 
-    def __init__(self, ambient_dim: int, gens: Matrix, lattice: Optional[Matrix] = None):
+    def __init__(self, ambient_dim: int, gens: Matrix, lattice: Optional[Matrix] = None, *, _dual=None, _lat=None):
         set_ = object.__setattr__
         set_(self, "ambient_dim", ambient_dim)
         set_(self, "gens", gens)
         set_(self, "lattice", lattice)
-        set_(self, "_dual", None)
+        set_(self, "_dual", _dual)
+        set_(self, "_lat", _lat)
 
     def dual_basis(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(N, d): the rows of N/d read the coordinates of a vector in the
@@ -79,7 +93,7 @@ class RationalCone(Record):
         return self.ambient_dim if self.lattice is None else len(self.lattice)
 
     def lattice_coords(self, v: Sequence[Q]) -> Vector:
-        (coords,), d = _lattice_ints(self.lattice, [qv(v)])
+        (coords,), d = _lattice_ints(self.lattice, [qv(v)], rows=self._lat)
         return tuple(Q(x, d) for x in coords)
 
 
@@ -89,40 +103,43 @@ def _text(v: Iterable) -> str:
 
 
 def _lattice_ints(
-    lattice: Optional[Matrix], vectors: Sequence[Vector], name: str = "vector"
+    lattice: Optional[Matrix], vectors: Sequence[Vector], name: str = "vector", rows: Optional[tuple] = None
 ) -> tuple[list[list[int]], int]:
     """Coordinates in the lattice rows (the standard lattice for None), as
-    integer rows over their least common denominator, from one fraction-free
-    Gauss-Jordan elimination of [L^T | V^T]: its first k rows are d * [I | X],
-    and X holds the coordinates.  A vector of another length (checked before
-    the elimination) or off the span is refused, named by ``name.format(v)``,
-    v written as (1/2, -3): the first pivot past the lattice columns names it."""
+    integer rows over their least common denominator, read as integer dot
+    products with the lattice's dual rows (N, d) = `_dual_rows` of L: the
+    first k rows of N/d give the coordinates and the others vanish exactly
+    on the span.  ``rows`` hands over that solve, made once per lattice by
+    a caller building many cones on it; without it this call solves.  A
+    vector of another length (checked before any solve) or off the span is
+    refused, named by ``name.format(v)``, v written as (1/2, -3): the first
+    vector an off-span row does not vanish on."""
     if lattice is None or not vectors:
         return _common_ints(vectors)
     k, dim = len(lattice), len(lattice[0]) if lattice else len(vectors[0])
     off = [v for v in vectors if len(v) != dim]
     if not off:
-        a, pivots, d = _echelon([[*(b[i] for b in lattice), *(v[i] for v in vectors)] for i in range(dim)])
-        if pivots[:k] != list(range(k)):
-            raise InvalidInput("basis rows are linearly dependent")
-        off = [vectors[pivots[k] - k]] if len(pivots) > k else []
+        n, d = rows if rows is not None else _dual_rows(lattice, dim)
+        ints, s = _common_ints(vectors)
+        dots = [[sum(map(mul, row, w)) for row in n] for w in ints]
+        off = [v for v, x in zip(vectors, dots) if any(x[k:])]
     if off:
         raise InvalidInput(f"{name.format(_text(off[0]))} lies outside the span of the reference lattice")
-    # the coordinates X = a[:k, k:] / d, over their least positive denominator
-    g = gcd(d, *(x for row in a[:k] for x in row[k:])) * (1 if d > 0 else -1)
-    return [[a[i][k + j] // g for i in range(k)] for j in range(len(vectors))], d // g
+    # the coordinates, over their least positive denominator
+    g = gcd(d * s, *(x for row in dots for x in row[:k]))
+    return [[x // g for x in row[:k]] for row in dots], d * s // g
 
 
-def _primitivize(vectors: Sequence[Vector], lattice: Optional[Matrix]) -> list[Vector]:
+def _primitivize(vectors: Sequence[Vector], lattice: Optional[Matrix], rows: Optional[tuple] = None) -> list[Vector]:
     """Each vector scaled to the primitive lattice vector on its ray, all
-    read from one lattice elimination."""
+    read from one lattice solve, or from its ``rows`` (`_lattice_ints`)."""
     if lattice is None:
         return [primitive_direction(g) for g in vectors]
-    coords, _ = _lattice_ints(lattice, vectors, "generator {}")
+    coords, _ = _lattice_ints(lattice, vectors, "generator {}", rows)
     prim = [_primitive_ints(c) for c in coords]
     # the primitive integer combinations of the lattice rows, on their integer rows over s
-    rows, s = _common_ints(lattice)
-    cols = tuple(zip(*rows))
+    ints, s = _common_ints(lattice)
+    cols = tuple(zip(*ints))
     return [tuple(Q(sum(map(mul, col, c)), s) for col in cols) for c in prim]
 
 
@@ -130,8 +147,16 @@ def cone(
     generators: Iterable[Sequence],
     lattice: Optional[Matrix] = None,
     ambient_dim: Optional[int] = None,
+    *,
+    _lat: Optional[tuple] = None,
 ) -> RationalCone:
-    """Build a simplicial cone; dependent generator sets are rejected."""
+    """Build a simplicial cone; dependent generator sets are rejected.
+
+    On the standard lattice the generators are primitive integer rows,
+    deduplicated and sorted as int tuples (which order as their Fractions
+    do), and the dual basis is solved on those rows; ``_lat`` hands over the
+    dual rows of a reference lattice, solved once by the caller
+    (`_lattice_ints`)."""
     gens = [qv(g) for g in generators]
     if ambient_dim is None:
         if not gens:
@@ -139,15 +164,18 @@ def cone(
         ambient_dim = len(gens[0])
     if any(len(g) != ambient_dim for g in gens):
         raise InvalidInput("cone generators of mixed dimension")
-    if lattice is not None:
+    nonzero = [g for g in gens if any(g)]
+    if lattice is None:
+        rows = sorted({tuple(_primitive_ints(g)) for g in nonzero})
+        prim = tuple(tuple(map(Q, row)) for row in rows)
+    else:
         lattice = qm(lattice)
-    prim = tuple(sorted(set(_primitivize([g for g in gens if any(g)], lattice))))
-    result = RationalCone(ambient_dim=ambient_dim, gens=prim, lattice=lattice)
+        prim = rows = tuple(sorted(set(_primitivize(nonzero, lattice, _lat))))
     try:
-        object.__setattr__(result, "_dual", _dual_rows(prim, ambient_dim))
+        dual = _dual_rows(rows, ambient_dim)
     except InvalidInput:
         raise InvalidInput("cone generators must be linearly independent (simplicial cones only)") from None
-    return result
+    return RationalCone(ambient_dim, prim, lattice, _dual=dual, _lat=_lat)
 
 
 def zero_cone(ambient_dim: int, lattice: Optional[Matrix] = None) -> RationalCone:
@@ -188,10 +216,9 @@ def _face(c: RationalCone, s: Sequence[int]) -> RationalCone:
     rows and the span equations, which together vanish exactly on the
     face's span."""
     rows, d = c.dual_basis()
-    f = RationalCone(c.ambient_dim, tuple(c.gens[i] for i in s), c.lattice)
     order = [*s, *(i for i in range(c.dim) if i not in s)]
-    object.__setattr__(f, "_dual", (tuple(rows[i] for i in order) + rows[c.dim :], d))
-    return f
+    dual = (tuple(rows[i] for i in order) + rows[c.dim :], d)
+    return RationalCone(c.ambient_dim, tuple(c.gens[i] for i in s), c.lattice, _dual=dual, _lat=c._lat)
 
 
 def faces(c: RationalCone) -> list[RationalCone]:
@@ -204,7 +231,7 @@ def is_smooth(c: RationalCone) -> bool:
     """True when the primitive generators extend to a basis of the lattice."""
     if not c.gens:
         return True
-    rows, s = _lattice_ints(c.lattice, c.gens)
+    rows, s = _lattice_ints(c.lattice, c.gens, rows=c._lat)
     # exactly when their integer coordinates have one invariant factor 1 per row
     return s == 1 and smith_normal_form(rows)[0].count(1) == len(rows)
 
@@ -237,13 +264,17 @@ class Fan(Record):
 def _ray_keys(gen_lists: Sequence[Sequence[Vector]]) -> tuple[list[Vector], list[tuple[int, ...]]]:
     """The sorted distinct rays of the generator lists, and each list as its
     indices into them; the index tuples order as the generator tuples.
-    Each generator object is hashed once, so faces, which share their top
-    cone's generator objects, cost no Fraction hashing."""
+    Each generator object is hashed once, where its id is grouped under its
+    value, and the groups are sorted and named in that order, so faces,
+    which share their top cone's generator objects, cost no Fraction
+    hashing."""
     objects = {id(g): g for gens in gen_lists for g in gens}
-    rays = sorted(set(objects.values()))
-    index = {r: i for i, r in enumerate(rays)}
-    by_id = {k: index[g] for k, g in objects.items()}
-    return rays, [tuple(by_id[id(g)] for g in gens) for gens in gen_lists]
+    groups: dict[Vector, list[int]] = {}
+    for k, g in objects.items():
+        groups.setdefault(g, []).append(k)
+    ordered = sorted(groups.items(), key=itemgetter(0))
+    by_id = {k: i for i, (_, ids) in enumerate(ordered) for k in ids}
+    return [r for r, _ in ordered], [tuple(by_id[id(g)] for g in gens) for gens in gen_lists]
 
 
 def _face_compatible(c1: RationalCone, c2: RationalCone, key1: Sequence[int], key2: Sequence[int]) -> bool:
@@ -382,7 +413,8 @@ def star_subdivision(f: Fan, ray: Sequence) -> Fan:
     the ray's coordinate is nonzero."""
     if len(ray) != f.ambient_dim:
         raise InvalidInput(f"subdivision ray has length {len(ray)}, not the fan's ambient dimension {f.ambient_dim}")
-    (ray_p,) = _primitivize([qv(ray)], f.lattice)
+    lat = f.maximal_cones[0]._lat
+    (ray_p,) = _primitivize([qv(ray)], f.lattice, lat)
     inside = [contains(c, ray_p) for c in f.maximal_cones]
     if not any(inside):
         raise InvalidInput("subdivision ray lies outside the support of the fan")
@@ -392,7 +424,7 @@ def star_subdivision(f: Fan, ray: Sequence) -> Fan:
         for i, row in enumerate(c.dual_basis()[0][: c.dim]):
             if sum(map(mul, row, w)):
                 facet = [*c.gens[:i], *c.gens[i + 1 :]]
-                new_cones.append(cone([*facet, ray_p], lattice=c.lattice, ambient_dim=c.ambient_dim))
+                new_cones.append(cone([*facet, ray_p], lattice=c.lattice, ambient_dim=c.ambient_dim, _lat=lat))
     return fan(new_cones)
 
 

@@ -149,6 +149,11 @@ class RootSystem(Record):
         # one fresh dict per root system: a shared one would mix types' changes
         object.__setattr__(self, "_basis_changes", {})
 
+    def __hash__(self) -> int:
+        # the label determines the system, so equal systems hash equal, and
+        # a hash reads none of the root data (a lattice vector hashes its system)
+        return hash(self.label)
+
     def simple_root_coords(self, beta: Vector) -> Vector:
         """Coordinates of a root in the simple-root basis, always integral."""
         coords = self._coords_by_root

@@ -65,9 +65,12 @@ def boundary_symbol(i: int) -> str:
 
 
 def valuation_cone(rs: RootSystem) -> RationalCone:
-    """The negative chamber cone spanned by the negated coweight basis vectors."""
+    """The negative chamber cone spanned by the negated coweight basis
+    vectors, which sort in index order and are primitive: their dual basis
+    is -I over 1, so the cone is built with it and needs no solve."""
     n = rs.rank
-    return cone([_unit(n, i, -1) for i in range(n)], ambient_dim=n)
+    minus_identity = tuple(tuple(-x for x in _int_unit(n, i)) for i in range(n))
+    return RationalCone(n, tuple(_unit(n, i, -1) for i in range(n)), _dual=(minus_identity, 1))
 
 
 def coroot_coords(rs: RootSystem, j: int) -> Vector:

@@ -11,11 +11,12 @@ through one orbit search.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from ._record import Record
 from .errors import InvalidInput, InvariantViolation
-from .linalg import Vector, qm, qv, rank, saturation_basis
+from .linalg import Vector, _dual_rows, qm, qv, rank, saturation_basis
 from .polyhedra import Fan, RationalCone, cone, fan, is_complete, is_smooth, _primitivize
 from .rootsys import RootSystem, WeylElement, weyl_enumerate, weyl_order
 
@@ -28,13 +29,26 @@ def weyl_chamber_fan(rs: RootSystem, bound: int = 2000) -> Fan:
     """
     group = weyl_enumerate(rs, bound=bound)
     lattice = qm(rs.fundamental_coweights)
-    # W permutes the coweight lattice, so each translate of the coweight
-    # basis is again a basis: its vectors are primitive and independent, and
-    # the cone needs no lattice solve
-    cones = [
-        RationalCone(rs.ambient_dim, tuple(sorted(w.apply(cw) for cw in lattice)), lattice)
-        for w in group
-    ]
+    k = len(lattice)
+    # one solve of the coweight lattice gives every cone's lattice rows and,
+    # permuted to the sorted basis, the dominant chamber's dual basis
+    lat = _dual_rows(lattice, rs.ambient_dim)
+    order = sorted(range(k), key=lattice.__getitem__)
+    base = [lattice[i] for i in order]
+    base_rows = [lat[0][i] for i in order] + list(lat[0][k:])
+    cones = []
+    for w in group:
+        # W permutes the coweight lattice, so each translate of the basis is
+        # again a basis, primitive and independent.  w is orthogonal, so the
+        # rows w r of the chamber's rows r, over d * den(w), read coordinates
+        # in the translated generators and vanish on their span: a positive
+        # multiple of their own solve's rows on the span, facet rows reordered
+        # to match the sorted generators
+        images = [w.apply(g) for g in base]
+        perm = sorted(range(k), key=images.__getitem__)
+        rows = [tuple(sum(map(mul, wrow, r)) for wrow in w._rows) for r in base_rows]
+        dual = (tuple(rows[i] for i in perm) + tuple(rows[k:]), lat[1] * w._den)
+        cones.append(RationalCone(rs.ambient_dim, tuple(images[i] for i in perm), lattice, _dual=dual, _lat=lat))
     result = fan(cones)
     if len(result.maximal_cones) != weyl_order(rs):
         raise InvariantViolation(
@@ -66,8 +80,9 @@ def subtorus_closure_fan(
     if len(lattice) != len(plane):
         raise InvalidInput("plane spanning vectors are linearly dependent")
     images = [[w.apply(b) for b in plane] for w in wprime]
+    lat = _dual_rows(lattice, rs.ambient_dim)
     try:
-        cones = [cone(img, lattice=lattice, ambient_dim=rs.ambient_dim) for img in images]
+        cones = [cone(img, lattice=lattice, ambient_dim=rs.ambient_dim, _lat=lat) for img in images]
     except InvalidInput as exc:
         # a cone refuses a generator off its lattice, here the plane's; its
         # other refusals keep their own message
@@ -136,7 +151,7 @@ def _ray_maps(f: Fan, group: Sequence[WeylElement]) -> list[tuple[int, ...]]:
     rays = f.rays()
     index = {r: i for i, r in enumerate(rays)}
     n = len(group)
-    flat = _primitivize([w.apply(r) for r in rays for w in group], f.lattice)
+    flat = _primitivize([w.apply(r) for r in rays for w in group], f.lattice, f.maximal_cones[0]._lat)
     for i, r in enumerate(rays):
         if not all(img in index for img in flat[i * n:(i + 1) * n]):
             raise InvalidInput(f"group element moves ray {r} off the ray set")

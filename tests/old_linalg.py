@@ -20,7 +20,11 @@ vector as the package's do, as (1/2, -3).  Last, the Fraction
 Fourier-Motzkin ``_old_feasible`` with its witness, which the integer
 yes/no ``_eliminate`` replaced, and on it the block valuation-point system
 with one weight variable per generator of every cone, which the package's
-one-cone question replaced.
+one-cone question replaced.  Last, the Fraction cone path: the per-call
+[L^T | V^T] elimination ``echelon_lattice_ints``, and on it the ``cone``
+that deduplicated and sorted Fraction generators and solved each cone's
+lattice (``fraction_cone``), and the ray names that hashed each generator
+object twice (``fraction_ray_keys``).
 """
 
 from fractions import Fraction as Q
@@ -456,3 +460,70 @@ def _old_relints_share_valuation_point(cones, vcone):
     free = total - len(vcone.gens)
     ineqs = [(_unit(total, i), Q(1 if i < free else 0)) for i in range(total)]
     return _old_feasible(total, eqs, ineqs) is not None
+
+
+# --- the Fraction cone path before cones were built on integers ---------------
+
+
+def echelon_lattice_ints(lattice, vectors, name="vector"):
+    """Coordinates in the lattice rows from one fraction-free Gauss-Jordan
+    elimination of [L^T | V^T] per call: its first k rows are d * [I | X].
+    A vector of another length or off the span is refused, the first pivot
+    past the lattice columns naming it."""
+    if lattice is None or not vectors:
+        return _common_ints(vectors)
+    k, dim = len(lattice), len(lattice[0]) if lattice else len(vectors[0])
+    off = [v for v in vectors if len(v) != dim]
+    if not off:
+        a, pivots, d = _echelon([[*(b[i] for b in lattice), *(v[i] for v in vectors)] for i in range(dim)])
+        if pivots[:k] != list(range(k)):
+            raise InvalidInput("basis rows are linearly dependent")
+        off = [vectors[pivots[k] - k]] if len(pivots) > k else []
+    if off:
+        raise InvalidInput(f"{name.format(_written(off[0]))} lies outside the span of the reference lattice")
+    g = gcd(d, *(x for row in a[:k] for x in row[k:])) * (1 if d > 0 else -1)
+    return [[a[i][k + j] // g for i in range(k)] for j in range(len(vectors))], d // g
+
+
+def fraction_primitivize(vectors, lattice):
+    if lattice is None:
+        return [primitive_direction(g) for g in vectors]
+    coords, _ = echelon_lattice_ints(lattice, vectors, "generator {}")
+    prim = [linalg._primitive_ints(c) for c in coords]
+    rows, s = _common_ints(lattice)
+    cols = tuple(zip(*rows))
+    return [tuple(Q(sum(map(mul, col, c)), s) for col in cols) for c in prim]
+
+
+def fraction_cone(generators, lattice=None, ambient_dim=None):
+    """`cone` as it was: Fraction generators deduplicated and sorted as
+    Fraction tuples, a lattice solved per cone, the dual basis solved on the
+    Fraction rows."""
+    from weylfans.polyhedra import RationalCone
+
+    gens = [qv(g) for g in generators]
+    if ambient_dim is None:
+        if not gens:
+            raise InvalidInput("a generator-free cone needs an explicit ambient dimension")
+        ambient_dim = len(gens[0])
+    if any(len(g) != ambient_dim for g in gens):
+        raise InvalidInput("cone generators of mixed dimension")
+    if lattice is not None:
+        lattice = qm(lattice)
+    prim = tuple(sorted(set(fraction_primitivize([g for g in gens if any(g)], lattice))))
+    result = RationalCone(ambient_dim, prim, lattice)
+    try:
+        object.__setattr__(result, "_dual", linalg._dual_rows(prim, ambient_dim))
+    except InvalidInput:
+        raise InvalidInput("cone generators must be linearly independent (simplicial cones only)") from None
+    return result
+
+
+def fraction_ray_keys(gen_lists):
+    """Ray names as they were: each object hashed by a set, then by the
+    index lookup, and each distinct ray once more by the index dict."""
+    objects = {id(g): g for gens in gen_lists for g in gens}
+    rays = sorted(set(objects.values()))
+    index = {r: i for i, r in enumerate(rays)}
+    by_id = {k: index[g] for k, g in objects.items()}
+    return rays, [tuple(by_id[id(g)] for g in gens) for gens in gen_lists]

@@ -1,7 +1,8 @@
 """The value classes as they were declared before `weylfans._record`, with
 `@dataclass(frozen=True)`: the oracle for equality, hashing, repr and the
 refusal of assignment.  Each keeps its fields, their order and options, and
-its `__post_init__` checks; methods that compute are left out."""
+its `__post_init__` checks; methods that compute are left out.  The one
+hash changed on purpose, `RootSystem`'s, is declared as the package's."""
 
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -30,6 +31,11 @@ class RootSystem:
     _coords_by_root: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
     _basis_changes: dict = field(default_factory=dict, repr=False, hash=False, compare=False)
 
+    # the one hash changed since: a root system hashes its label, which
+    # determines it, instead of every root and weight
+    def __hash__(self):
+        return hash(self.label)
+
 
 @dataclass(frozen=True)
 class LatticeVector:
@@ -55,6 +61,7 @@ class RationalCone:
     gens: Matrix
     lattice: Optional[Matrix] = None
     _dual: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _lat: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import json
+import random
 import time
 
 import pytest
 
 from weylfans import jsonio
 from weylfans.cli import main
+from weylfans.linalg import rank
 
 
 def run_cli(capsys, *args):
@@ -364,6 +366,40 @@ def test_overlapping_cones_refused_with_plain_entries(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert err == "error: cones ((-1, -1), (0, 1)) and ((-1, 0), (1, 1)) do not intersect in a common face\n"
         assert "Fraction(" not in err and "Traceback" not in err and err.count("\n") == 1
+
+
+def _two_cone_document(d: int) -> dict:
+    """Two random full cones in d dimensions, standard lattice: each cone's
+    d x d block of entries in -3..3 is drawn again until it has rank d."""
+    rng = random.Random(3)
+    rays = []
+    for _ in range(2):
+        while True:
+            block = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+            if rank(block) == d:
+                break
+        rays += block
+    return {
+        "ambient_dim": d,
+        "lattice": "standard",
+        "rays": [[str(x) for x in row] for row in rays],
+        "maximal_cones": [list(range(d)), list(range(d, 2 * d))],
+    }
+
+
+@pytest.mark.parametrize("d, rows", [(10, 735450), (12, 753167), (16, 57961)])
+def test_two_cone_documents_exit_2_past_the_elimination_bound(capsys, tmp_path, d, rows):
+    """The pairwise check of two random cones poses a Fourier-Motzkin system
+    that squares at each step; a step past the bound is refused in one
+    line.  Before, d = 10 took 10 s and exited 0, and d = 12 ran out of
+    memory (exit 3)."""
+    path = tmp_path / f"two_cones_{d}.json"
+    path.write_text(json.dumps(_two_cone_document(d)))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fan", "check", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: a Fourier-Motzkin step would make {rows} rows, above the bound 20000\n"
 
 
 def test_fan_on_empty_lattice_exit_2(capsys, tmp_path):

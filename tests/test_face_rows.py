@@ -308,15 +308,16 @@ def _counting(monkeypatch):
 
 
 def test_faces_and_facets_solve_nothing(monkeypatch):
-    """The contraction chain solves once per cone it builds (12 at rank 6,
-    where faces solving on their own took 126); faces of a cone with rows
-    and the facets of a subdivision solve nothing more."""
+    """The contraction chain solves once per cone it builds (6 at rank 6,
+    one per top, where faces solving on their own took 126 and rebuilding
+    the valuation cone per fan 12); faces of a cone with rows, the
+    valuation cone and the facets of a subdivision solve nothing more."""
     counts = _counting(monkeypatch)
     for n in range(2, 7):
         counts.update(rows=0, cone=0)
         blowup_chain_fans(n)
         assert counts["rows"] <= counts["cone"]
-    assert counts == {"rows": 12, "cone": 12}
+    assert counts == {"rows": 6, "cone": 6}
     c = cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     counts.update(rows=0, cone=0)
     assert len(faces(c)) == 8 and counts["rows"] == 0

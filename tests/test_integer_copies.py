@@ -4,8 +4,8 @@ The oracles are kept in old_linalg: the Smith normal form that kept T and
 T^-1 in step, the ``saturation_basis`` that read T off it, and the
 ``_lattice_ints`` that read coordinates off the lattice's full dual rows.
 The package's Smith form tracks T^-1 alone, ``saturation_basis`` inverts
-it, ``_lattice_ints`` is one elimination of [L^T | V^T], and a subtorus
-fan checks its plane through its cones' lattice instead of a rank test per
+it, ``_lattice_ints`` reads the same dual rows, solved per call or handed
+over once per fan, and a subtorus fan checks its plane through its cones' lattice instead of a rank test per
 group element.
 """
 
@@ -126,14 +126,11 @@ def _random_vectors(rng, lattice, dim, k):
 
 
 def test_lattice_ints_match_dual_row_oracle(monkeypatch):
+    """One solve per call, none when the lattice's rows are handed over,
+    and the oracle's answer or refusal either way."""
     calls = []
-    echelon = polyhedra._echelon
-    monkeypatch.setattr(polyhedra, "_echelon", lambda *a, **kw: calls.append(1) or echelon(*a, **kw))
-
-    def no_dual_rows(*args):
-        raise AssertionError("_lattice_ints solved for dual rows")
-
-    monkeypatch.setattr(polyhedra, "_dual_rows", no_dual_rows)
+    dual_rows = polyhedra._dual_rows
+    monkeypatch.setattr(polyhedra, "_dual_rows", lambda *a: calls.append(1) or dual_rows(*a))
     rng = random.Random(1411)
     seen = {"coords": 0, "off span": 0, "length": 0, "dependent": 0, "rank 0": 0, "full rank": 0}
     for _ in range(600):
@@ -148,6 +145,10 @@ def test_lattice_ints_match_dual_row_oracle(monkeypatch):
         assert got == _outcome(lambda: old_lattice_ints(lattice, vectors, name))
         assert len(calls) == (0 if any(len(v) != dim for v in vectors) else 1)
         message = got[1] if got[0] == "refused" else ""
+        if calls and message != "basis rows are linearly dependent":
+            rows = dual_rows(lattice, dim)
+            calls.clear()
+            assert _outcome(lambda: _lattice_ints(lattice, vectors, name, rows)) == got and not calls
         seen["coords"] += not message
         seen["off span"] += message.endswith("span of the reference lattice")
         seen["length"] += any(len(v) != dim for v in vectors)
