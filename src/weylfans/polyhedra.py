@@ -14,23 +14,24 @@ one denominator d > 0, whose first rows are the facet functionals and the
 remaining rows the equations of the span, from one elimination per cone
 built by `cone`, or handed over where the structure gives it (the
 valuation cone, the Weyl chambers); its faces read theirs off these rows.
-Every cone question reads them exactly: membership by the signs of integer
-dot products with the query scaled to integers; fan validity first by a
-certificate linear in the cones, which accepts exactly the complete fans
-(a pseudomanifold whose two cones on each wall lie on its two sides, with
-one point covered once), and otherwise pairwise, by a functional combined
-from the rows that separates two cones and vanishes on the generators they
+Every cone question reads them exactly: membership and a point's support in
+the generators by one reader, `_support`, the signs of integer dot products
+with the point scaled to integers; fan validity first by a certificate
+linear in the cones, which accepts exactly the complete fans (a
+pseudomanifold whose two cones on each wall lie on its two sides, with one
+point covered once), and otherwise pairwise, by a functional combined from
+the rows that separates two cones and vanishes on the generators they
 share; coverage by enumerating the open cells of the arrangement of the
-cover's rows read on the target's generator weights, each leaf cell
-decided by the signs its path fixed.  A fan and a colored fan name their
-cones once, where they are built, by generator indices into one sorted ray
-list, `_ray_keys`, and every reader reads them.
+cover's rows read on the target's generator weights, each leaf cell decided
+by the signs its path fixed.  A fan and a colored fan name their cones
+once, where they are built, by generator indices into one sorted ray list,
+`_ray_keys`, and every reader reads them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from itertools import combinations, compress
+from itertools import combinations
 from math import gcd
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
@@ -47,6 +48,12 @@ from .linalg import (
 # the library, its casebook, tests and benchmark check is 1,176 pairs, and
 # 18,145 pairs (the D4 chamber fan less one cone) take about 2 s.
 MAX_FAN_PAIRS = 20_000
+
+# The distinct rows cutting a `covered_by` target (one recursion level each,
+# so Python's limit stays far) and the cells it visits, refused above the
+# bounds: the library, its casebook, tests and benchmark reach 16 and 1,201.
+MAX_COVER_ROWS = 256
+MAX_COVER_CELLS = 20_000
 
 
 class RationalCone(Record):
@@ -187,22 +194,33 @@ def _point_ints(v: Sequence) -> Sequence[int]:
     return _int_row(v if all(type(x) is int or type(x) is Q for x in v) else qv(v))
 
 
-def _holds(c: RationalCone, w: Sequence[int], strict: bool = False) -> bool:
-    """Membership of a point given by integers up to a positive scale: the
-    span rows vanish at it and the facet rows are nonnegative (positive when
-    strict); the positive d and scale change no sign."""
+def _support(c: RationalCone, w: Sequence[int]) -> Optional[int]:
+    """The bitmask of a point's nonzero coordinates in the generators, or
+    None off the cone (a span row nonzero or a facet row negative at it);
+    the point is integers up to a positive scale, which changes no sign."""
     k = len(c.gens)
     dots = [sum(map(mul, row, w)) for row in c.dual_basis()[0]]
     if any(dots[k:]):
-        return False
-    return all(x > 0 for x in dots[:k]) if strict else all(x >= 0 for x in dots[:k])
+        return None
+    m = 0
+    for i, x in enumerate(dots[:k]):
+        if x < 0:
+            return None
+        m |= (x > 0) << i
+    return m
+
+
+def _coordinate_support(c: RationalCone, v: Sequence) -> Optional[int]:
+    """`_support` of a rational point of the cone's ambient dimension."""
+    if len(v) != c.ambient_dim:
+        raise InvalidInput("dimension mismatch in cone membership")
+    return _support(c, _point_ints(v))
 
 
 def contains(c: RationalCone, v: Sequence, strict: bool = False) -> bool:
-    """Exact membership; strict means membership in the relative interior."""
-    if len(v) != c.ambient_dim:
-        raise InvalidInput("dimension mismatch in cone membership")
-    return _holds(c, _point_ints(v), strict)
+    """Exact membership; strict means the relative interior (full support)."""
+    m = _coordinate_support(c, v)
+    return m is not None and (not strict or m == (1 << c.dim) - 1)
 
 
 def _face_subsets(k: int) -> Iterable[tuple[int, ...]]:
@@ -348,7 +366,7 @@ def _certified_complete(cones: Sequence[RationalCone], keys: Sequence[Sequence[i
         if sum(map(mul, cones[a].dual_basis()[0][i], ints[keys[b][j]])) >= 0:
             return False
     point = _point_ints([sum(col) for col in zip(*cones[0].gens)])
-    return not any(_holds(c, point) for c in cones[1:])
+    return all(_support(c, point) is None for c in cones[1:])
 
 
 def fan(cones: Iterable[RationalCone], validate: bool = True) -> Fan:
@@ -410,26 +428,28 @@ def star_subdivision(f: Fan, ray: Sequence) -> Fan:
     """Subdivide at a ray of the fan's ambient dimension (checked before any
     lattice is read) in its support: cones containing it are replaced by joins
     with their facets that avoid it, the facets opposite the generators where
-    the ray's coordinate is nonzero."""
+    the ray's coordinate is nonzero, both read off one `_support` per cone."""
     if len(ray) != f.ambient_dim:
         raise InvalidInput(f"subdivision ray has length {len(ray)}, not the fan's ambient dimension {f.ambient_dim}")
     lat = f.maximal_cones[0]._lat
     (ray_p,) = _primitivize([qv(ray)], f.lattice, lat)
-    inside = [contains(c, ray_p) for c in f.maximal_cones]
-    if not any(inside):
-        raise InvalidInput("subdivision ray lies outside the support of the fan")
-    new_cones = [c for c, held in zip(f.maximal_cones, inside) if not held]
+    if any(c.ambient_dim != f.ambient_dim for c in f.maximal_cones):
+        raise InvalidInput("dimension mismatch in cone membership")
     w = _point_ints(ray_p)
-    for c in compress(f.maximal_cones, inside):
-        for i, row in enumerate(c.dual_basis()[0][: c.dim]):
-            if sum(map(mul, row, w)):
+    supports = [_support(c, w) for c in f.maximal_cones]
+    if all(m is None for m in supports):
+        raise InvalidInput("subdivision ray lies outside the support of the fan")
+    new_cones = [c for c, m in zip(f.maximal_cones, supports) if m is None]
+    for c, m in zip(f.maximal_cones, supports):
+        for i in range(c.dim):
+            if m is not None and m >> i & 1:
                 facet = [*c.gens[:i], *c.gens[i + 1 :]]
                 new_cones.append(cone([*facet, ray_p], lattice=c.lattice, ambient_dim=c.ambient_dim, _lat=lat))
     return fan(new_cones)
 
 
 def _rows_on_weights(c: RationalCone, gens: Sequence[Vector]) -> list[tuple[int, ...]]:
-    """The rows of the cone's dual basis (see `_holds`) as integer linear
+    """The rows of the cone's dual basis (see `_support`) as integer linear
     forms in generator weights.
 
     Row r holds rows[r] . (s g) for each g in gens, where s is the one lcm of
@@ -450,7 +470,9 @@ def covered_by(target: RationalCone, cover: Sequence[RationalCone], shortcut: bo
     one its path through the splits fixed, so a cover cone holds the whole
     cell exactly when its span rows vanish identically on the weights and
     its nonzero facet rows are positive on the cell: the verdict is exact
-    and read off signs.
+    and read off signs.  A cover with more than ``MAX_COVER_ROWS`` distinct
+    rows is refused with BoundExceeded before any cell, and a walk past
+    ``MAX_COVER_CELLS`` cells when it gets there.
     """
     cover = list(cover)
     for c in cover:
@@ -461,7 +483,7 @@ def covered_by(target: RationalCone, cover: Sequence[RationalCone], shortcut: bo
     gens, k = target.gens, len(target.gens)
     if shortcut:
         points = [_point_ints(g) for g in gens]
-        if any(all(_holds(c, w) for w in points) for c in cover):
+        if any(all(_support(c, w) is not None for w in points) for c in cover):
             return True
 
     # the distinct nonzero rows in order, primitive with a positive first
@@ -480,8 +502,14 @@ def covered_by(target: RationalCone, cover: Sequence[RationalCone], shortcut: bo
         if None not in facets:
             holders.append(facets)
     funcs = list(distinct)
+    if len(funcs) > MAX_COVER_ROWS:
+        raise BoundExceeded(f"{len(funcs)} distinct rows cut the cone, above the bound {MAX_COVER_ROWS}")
+    cells = [0]
 
     def cell_covered(constraints, signs: tuple[bool, ...]) -> bool:
+        cells[0] += 1
+        if cells[0] > MAX_COVER_CELLS:
+            raise BoundExceeded(f"deciding the cover visits more than {MAX_COVER_CELLS} cells, above the bound")
         if not _eliminate(k, [], constraints):
             return True
         if len(signs) == len(funcs):

@@ -13,7 +13,8 @@ instances are immutable in value and safe to share between threads.  Weyl
 group elements are integer matrices over one denominator; Fraction appears
 only in the values handed out.  Enumerating a Weyl group walks the orbit of
 rho on integer weight coordinates and builds each element's matrix once,
-and the longest element is built by rank-one updates too.
+and the longest element and the simple reflections are built by the same
+rank-one update, w times s_i.
 """
 
 from __future__ import annotations
@@ -166,9 +167,6 @@ class RootSystem(Record):
             return coords[beta]
         except KeyError:
             raise InvalidInput(f"{beta} is not a root of {self.label}") from None
-
-    def height(self, beta: Vector) -> Q:
-        return sum(self.simple_root_coords(beta), Q(0))
 
     def positive_root_vectors(self) -> list[Vector]:
         # ties inside one height level break toward lower simple-root indices
@@ -387,19 +385,11 @@ def identity_element(dim: int) -> WeylElement:
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    """The reflection s_i, 1-based as in the usual numbering.
-
-    x - <x, alpha_i^vee> alpha_i is x - 2 (a . x) a / n for the integer
-    row a of alpha_i scaled by any positive factor and n = a . a, so s_i is
-    the integer rows n I - 2 a a^T over n, reduced to canonical form.
-    """
+    """The reflection s_i, 1-based as in the usual numbering: the identity
+    times s_i, one rank-one update (`_times_reflection`)."""
     if not 1 <= i <= rs.rank:
         raise InvalidInput(f"simple reflection index {i} out of range for {rs.label}")
-    (a,), _ = _common_ints([rs.simple_roots[i - 1]])
-    n = sum(x * x for x in a)
-    rows = [[n * (r == c) - 2 * x * y for c, y in enumerate(a)] for r, x in enumerate(a)]
-    g = gcd(n, *(x for row in rows for x in row))
-    return WeylElement._from_ints(tuple(tuple(x // g for x in row) for row in rows), n // g, (i,))
+    return _times_reflection(identity_element(rs.ambient_dim), *_reflection_step(rs.simple_roots[i - 1]), (i,))
 
 
 def coordinate_swap(dim: int, i: int, j: int) -> WeylElement:
@@ -480,7 +470,7 @@ def weyl_enumerate(rs: RootSystem, bound: int = 2000) -> list[WeylElement]:
             f"Weyl group of {rs.label} has order {order}, above the bound {bound}"
         )
     cartan = [[x.numerator for x in row] for row in rs.cartan]
-    steps = _reflection_steps(rs)
+    steps = [_reflection_step(alpha) for alpha in rs.simple_roots]
     ident = identity_element(rs.ambient_dim)
     rho = (1,) * rs.rank
     seen = {rho}
@@ -507,15 +497,12 @@ def weyl_enumerate(rs: RootSystem, bound: int = 2000) -> list[WeylElement]:
     return _sorted_by_matrix(elements)
 
 
-def _reflection_steps(rs: RootSystem) -> list[tuple[list[int], int, int]]:
-    """Each simple root as a primitive integer row a, with 2 / (a . a) = p / q
-    in lowest terms: the data of a rank-one update by its reflection."""
-    steps = []
-    for alpha in rs.simple_roots:
-        a = _primitive_ints(alpha)
-        n = sum(x * x for x in a)
-        steps.append((a, 2 // gcd(2, n), n // gcd(2, n)))
-    return steps
+def _reflection_step(alpha: Vector) -> tuple[list[int], int, int]:
+    """A root as a primitive integer row a, with 2 / (a . a) = p / q in lowest
+    terms: the data of a rank-one update by its reflection."""
+    a = _primitive_ints(alpha)
+    n = sum(x * x for x in a)
+    return a, 2 // gcd(2, n), n // gcd(2, n)
 
 
 def _times_reflection(
@@ -530,19 +517,6 @@ def _times_reflection(
     for row in w._rows:
         k = p * sum(map(mul, row, a))
         rows.append(tuple([q * x - k * y for x, y in zip(row, a)]) if k or q > 1 else row)
-    return _canonical(rows, q * w._den, word)
-
-
-def _reflection_times(
-    a: Sequence[int], p: int, q: int, w: WeylElement, word: Optional[tuple[int, ...]]
-) -> WeylElement:
-    """s_a w, the left-hand twin of ``_times_reflection``: s_a x is
-    x - (p / q) a (a . x), so s_a w is q N - p a (a^T N) over q d, for
-    w = N over d.  A row where a vanishes is kept as it is when q is 1."""
-    u = [p * sum(map(mul, a, col)) for col in zip(*w._rows)]
-    rows = []
-    for x, row in zip(a, w._rows):
-        rows.append(tuple([q * y - x * z for y, z in zip(row, u)]) if x or q > 1 else row)
     return _canonical(rows, q * w._den, word)
 
 
@@ -620,11 +594,15 @@ def longest_element(rs: RootSystem) -> WeylElement:
     The descent runs on integer fundamental-weight coordinates, where rho is
     (1, ..., 1), <lambda, alpha_k^vee> is lambda_k and s_i subtracts lambda_i
     times row i of the Cartan matrix, the weight coordinates of alpha_i.
-    Each step multiplies on the left by s_i, one rank-one update.
+    Each step multiplies on the right by s_i, one rank-one update
+    (`_times_reflection`), and puts i in front of the word.  A descent
+    through s_(i_1), ..., s_(i_m) gives w0 = s_(i_m) ... s_(i_1), as the
+    word says; the right products build s_(i_1) ... s_(i_m), its inverse,
+    which is w0 again because w0 is an involution.
     """
     cartan = [[x.numerator for x in row] for row in rs.cartan]
     v, target = [1] * rs.rank, [-1] * rs.rank
-    steps = _reflection_steps(rs)
+    steps = [_reflection_step(alpha) for alpha in rs.simple_roots]
     w0 = identity_element(rs.ambient_dim)
     num_pos = len(rs.roots) // 2
     while v != target:
@@ -632,7 +610,7 @@ def longest_element(rs: RootSystem) -> WeylElement:
         if i is None or len(w0.word) > num_pos:
             raise InvariantViolation(f"descent from rho to -rho failed in {rs.label}")
         v = [x - v[i] * a for x, a in zip(v, cartan[i])]
-        w0 = _reflection_times(*steps[i], w0, (i + 1,) + w0.word)
+        w0 = _times_reflection(w0, *steps[i], (i + 1,) + w0.word)
     if len(w0.word) != num_pos:
         raise InvariantViolation(f"longest element of {rs.label} has wrong length")
     # on integer rows: w0, N over d, sends p/s to minus q/s exactly when N p = -d q

@@ -8,14 +8,14 @@ chamber.  Only the embeddings instantiated by group compactifications and
 their contractions are modeled; colors are opaque symbols with a recorded
 image in the lattice.  The colored faces of a top cone are answered from the
 supports of the extreme rays of its valuation-weight cone, found once per
-top, and an extension is checked from the largest source cone down.
+top, the top is checked from its own colored faces, and an extension is
+checked from the largest source cone down.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from operator import mul
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from ._record import Record
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
@@ -34,12 +34,13 @@ from .linalg import (
 )
 from .polyhedra import (
     RationalCone,
+    _coordinate_support,
     _face,
     _face_subsets,
-    _holds,
     _point_ints,
     _ray_keys,
     _rows_on_weights,
+    _support,
     _text,
     cone,
     contains,
@@ -142,22 +143,6 @@ def _relint_meets_valuation(c: RationalCone, vcone: RationalCone) -> bool:
     return _eliminate(k, eqs, ineqs)
 
 
-def validate_colored_cone(cc: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vector]) -> None:
-    for d in cc.colors:
-        if d not in rho:
-            raise InvalidInput(f"color {d!r} has no recorded lattice image")
-        if not contains(cc.cone, rho[d]):
-            raise InvalidInput(f"color {d!r} maps outside its colored cone")
-    color_rays = {primitive_direction(rho[d]) for d in cc.colors}
-    for g in cc.cone.gens:
-        if not contains(vcone, g) and primitive_direction(g) not in color_rays:
-            raise InvalidInput(
-                f"generator {g} is neither a valuation-cone element nor a color image"
-            )
-    if not _relint_meets_valuation(cc.cone, vcone):
-        raise InvalidInput("colored cone has no interior valuation point")
-
-
 def _check_face_bound(dim: int) -> None:
     if 2 ** min(dim, 64) > MAX_COLORED_FACES:  # min: no huge power for a huge rank
         raise BoundExceeded(
@@ -179,10 +164,13 @@ def _colored_faces(top: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vect
     each face is asked `_relint_meets_valuation` instead.  A color lands in
     the face on S exactly when it lies in the top with its coordinates in
     the generators supported in S, so each color's coordinates are read
-    once.  A cone with more than ``MAX_COLORED_FACES`` faces is refused with
-    BoundExceeded before any work.
+    once.  A top of another ambient dimension than the valuation cone, and
+    then one with more than ``MAX_COLORED_FACES`` faces (BoundExceeded), are
+    refused before any work; an invalid top gets its faces all the same.
     """
     c = top.cone
+    if c.ambient_dim != vcone.ambient_dim:
+        raise InvalidInput("dimension mismatch in cone membership")
     _check_face_bound(c.dim)
     rows = _rows_on_weights(vcone, c.gens)
     rays = _extreme_ray_supports(c.dim, rows[vcone.dim :], rows[: vcone.dim], MAX_COLORED_FACES)
@@ -206,30 +194,35 @@ def _mask(subset: Iterable[int]) -> int:
     return sum(1 << i for i in subset)
 
 
-def _coordinate_support(c: RationalCone, v: Sequence) -> Optional[int]:
-    """The bitmask of v's nonzero coordinates in the cone's generators, or
-    None when v lies off the cone."""
-    if len(v) != c.ambient_dim:
-        raise InvalidInput("dimension mismatch in cone membership")
-    w = _point_ints(v)
-    dots = [sum(map(mul, row, w)) for row in c.dual_basis()[0]]
-    if any(dots[c.dim :]) or any(x < 0 for x in dots[: c.dim]):
-        return None
-    return _mask(i for i, x in enumerate(dots[: c.dim]) if x)
-
-
 def colored_fan_from_top(
     rs: RootSystem,
     top: ColoredCone,
     boundary_names: Optional[Mapping[Vector, str]] = None,
 ) -> ColoredFan:
-    """The colored faces of one validated colored cone, whose relative
-    interiors are disjoint, ordered by generator index subset of the top: as
-    their generator tuples, because `cone` sorts the top's generators."""
+    """The colored faces of one colored cone, whose relative interiors are
+    disjoint, ordered by generator index subset of the top: as their
+    generator tuples, because `cone` sorts the top's generators.  The top is
+    checked from them: its face on every generator is there exactly when its
+    relative interior meets the valuation cone, and carries exactly the
+    colors inside it; a generator's own face is there exactly when it lies
+    in the valuation cone."""
     rho = standard_rho_table(rs)
     vcone = valuation_cone(rs)
-    validate_colored_cone(top, vcone, rho)
-    cones = tuple(cc for _, cc in sorted(_colored_faces(top, vcone, rho), key=lambda face: face[0]))
+    for d in top.colors:
+        if d not in rho:
+            raise InvalidInput(f"color {d!r} has no recorded lattice image")
+    faces = dict(_colored_faces(top, vcone, rho))
+    whole = faces.get(tuple(range(top.cone.dim)))
+    for d in top.colors:
+        if whole is not None and d not in whole.colors:
+            raise InvalidInput(f"color {d!r} maps outside its colored cone")
+    color_rays = {primitive_direction(rho[d]) for d in top.colors}
+    for i, g in enumerate(top.cone.gens):
+        if (i,) not in faces and primitive_direction(g) not in color_rays:
+            raise InvalidInput(f"generator {g} is neither a valuation-cone element nor a color image")
+    if whole is None:
+        raise InvalidInput("colored cone has no interior valuation point")
+    cones = tuple(cc for _, cc in sorted(faces.items()))
     names = dict(boundary_names or {})
     for cc in cones:
         if cc.cone.dim == 1:
@@ -344,7 +337,8 @@ def extends_to_morphism(
         if any(ids <= m_ids and colors <= m_colors for m_ids, m_colors in mapped):
             continue
         if not any(
-            all(d in dominant or d in tc.colors for d in colors) and all(_holds(tc.cone, points[r]) for r in ids)
+            all(d in dominant or d in tc.colors for d in colors)
+            and all(_support(tc.cone, points[r]) is not None for r in ids)
             for tc in target.cones
         ):
             return False

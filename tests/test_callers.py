@@ -2,7 +2,9 @@
 `weylfans`, and each non-dunder method of such a class, is named (by a
 `Name`, an `Attribute` or an import) somewhere in src/ outside its own
 definition, or is the console script `cli.main`.  An exported name counts,
-because `__init__` imports it.  A name named only inside definitions
+because `__init__` imports it; a `Name` bound inside its enclosing function
+(a parameter or a local, as `height` in `positive_root_vectors`) names
+that local, not a definition, and does not count.  A name named only inside definitions
 without a caller has no caller either.  The few names kept for a caller
 outside src/ are listed below with their reason, and each of them must
 really have no caller in src/, so the list cannot go stale.  A second
@@ -23,6 +25,7 @@ ALLOWED = {
     ("rootsys", "RootSystem.reflection_matrix"): (
         "the Fraction oracle that tests/test_integer_root_data.py compares simple_reflection against"
     ),
+    ("rootsys", "RootSystem.simple_root_coords"): "the README Layout row names it and tests read it",
 }
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -40,11 +43,23 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
-def _references(node, enclosing=()):
+def _locals(fn):
+    """The names a function binds: its parameters and every name stored or
+    deleted anywhere inside it, less those it declares global or nonlocal."""
+    args = fn.args
+    params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a}
+    stored = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, (ast.Store, ast.Del))}
+    declared = {name for n in ast.walk(fn) if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+    return (params | stored) - declared
+
+
+def _references(node, enclosing=(), local=frozenset()):
     """(name, enclosing definitions) of each Name, Attribute and imported
-    name under `node`."""
+    name under `node`; a Name bound by an enclosing function is its local
+    and is left out."""
     if isinstance(node, ast.Name):
-        yield node.id, enclosing
+        if node.id not in local:
+            yield node.id, enclosing
     elif isinstance(node, ast.Attribute):
         yield node.attr, enclosing
     elif isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -52,8 +67,10 @@ def _references(node, enclosing=()):
             yield alias.name.rsplit(".", 1)[-1], enclosing
     if isinstance(node, DEFS):
         enclosing = enclosing + (node,)
+        if not isinstance(node, ast.ClassDef):
+            local = local | _locals(node)
     for child in ast.iter_child_nodes(node):
-        yield from _references(child, enclosing)
+        yield from _references(child, enclosing, local)
 
 
 def _uncalled():

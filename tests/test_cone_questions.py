@@ -523,7 +523,7 @@ def test_fan_validation_reads_shared_generators_not_ray_membership(monkeypatch):
         assert _outcome(cones) == expected
         with monkeypatch.context() as m:
             m.setattr(polyhedra, "_certified_complete", lambda *args: False)
-            m.setattr(polyhedra, "_holds", refuse)
+            m.setattr(polyhedra, "_support", refuse)
             m.setattr(polyhedra, "contains", refuse)
             assert _outcome(cones) == expected
         verdicts[expected is None] += 1

@@ -8,13 +8,14 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from old_kernels import holds
 from test_colored_face_relation import _hand_fan, _hand_fans, _outcome
 from test_cone_questions import WONDERFUL_TYPES, _independent
 
 from weylfans import spherical
 from weylfans.errors import InvalidInput
 from weylfans.linalg import _common_ints, _int_mat_vec, _unit, qv
-from weylfans.polyhedra import _face_subsets, _holds, _point_ints, cone, contains, faces, zero_cone
+from weylfans.polyhedra import _face_subsets, _point_ints, cone, contains, faces, zero_cone
 from weylfans.rootsys import build_root_system
 from weylfans.spherical import (
     ColoredCone,
@@ -55,7 +56,7 @@ def _old_extends_to_morphism(source, target, lattice_map=None, dominant_colors=(
         for tc in target.cones:
             if mapped and len(mapped[0]) != tc.cone.ambient_dim:
                 raise InvalidInput("dimension mismatch in cone membership")
-            if all(_holds(tc.cone, w) for w in points) and all(
+            if all(holds(tc.cone, w) for w in points) and all(
                 d in dominant or d in tc.colors for d in cc.colors
             ):
                 found = True

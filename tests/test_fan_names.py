@@ -12,6 +12,7 @@ divisor now refuse it with InvalidInput naming the ray."""
 import json
 import random
 
+from old_kernels import holds
 from test_colored_face_relation import _hand_fans, _outcome
 from test_extreme_ray_faces import _mixed_fan
 
@@ -19,7 +20,7 @@ from weylfans import jsonio, spherical
 from weylfans.errors import InvalidInput
 from weylfans.linalg import _common_ints, _int_mat_vec, qm
 from weylfans.polyhedra import (
-    Fan, RationalCone, _holds, _point_ints, _ray_keys, _text, _walls, contains, is_complete, star_subdivision,
+    Fan, RationalCone, _point_ints, _ray_keys, _text, _walls, contains, is_complete, star_subdivision,
 )
 from weylfans.rootsys import build_root_system
 from weylfans.spherical import ColoredFan, OrbitPoset, _relint_meets_valuation
@@ -93,7 +94,7 @@ def _old_extends_to_morphism(source, target, lattice_map=None, dominant_colors=(
         if any(ids <= m_ids and colors <= m_colors for m_ids, m_colors in mapped):
             continue
         if not any(
-            all(d in dominant or d in tc.colors for d in colors) and all(_holds(tc.cone, points[r]) for r in ids)
+            all(d in dominant or d in tc.colors for d in colors) and all(holds(tc.cone, points[r]) for r in ids)
             for tc in target.cones
         ):
             return False

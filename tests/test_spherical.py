@@ -23,8 +23,6 @@ from weylfans.spherical import (
     picard_presentation,
     spinor_divisor_ledger,
     standard_rho_table,
-    valuation_cone,
-    validate_colored_cone,
     wonderful_anticanonical_divisor,
     wonderful_colored_fan,
     wonderful_divisor_ledger,
@@ -209,19 +207,18 @@ def test_is_complete_embedding():
 def test_colored_cone_validation():
     rs = build_root_system("C2")
     rho = standard_rho_table(rs)
-    vcone = valuation_cone(rs)
     # a cone whose interior misses the valuation cone is rejected
     bad = ColoredCone(cone=cone([rho[color_symbol(1)]], ambient_dim=2), colors=frozenset({color_symbol(1)}))
-    with pytest.raises(InvalidInput):
-        validate_colored_cone(bad, vcone, rho)
+    with pytest.raises(InvalidInput, match="^colored cone has no interior valuation point$"):
+        colored_fan_from_top(rs, bad)
     # a generator that is neither a valuation element nor a color image
     bad2 = ColoredCone(cone=cone([(1, 0)], ambient_dim=2), colors=frozenset())
-    with pytest.raises(InvalidInput):
-        validate_colored_cone(bad2, vcone, rho)
+    with pytest.raises(InvalidInput, match="is neither a valuation-cone element nor a color image$"):
+        colored_fan_from_top(rs, bad2)
     # a color mapping outside its own cone
     bad3 = ColoredCone(cone=cone([(-1, 0)], ambient_dim=2), colors=frozenset({color_symbol(1)}))
-    with pytest.raises(InvalidInput):
-        validate_colored_cone(bad3, vcone, rho)
+    with pytest.raises(InvalidInput, match=r"^color 'D\(w1\)' maps outside its colored cone$"):
+        colored_fan_from_top(rs, bad3)
 
 
 RANK_LE8 = (
