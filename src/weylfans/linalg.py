@@ -11,7 +11,8 @@ product.  Nothing here caches them: `cone` and `faces` fill a cone's rows,
 and root systems keep their own.  Beside it sit `_primitive_ints`, the one
 reduction of a row to coprime integers, Smith normal form over the integers,
 which tracks one transform, the inverse of the column transform, and also
-decides smoothness, and one feasibility question, `_eliminate`: a yes/no
+decides smoothness below full lattice rank (at full rank one determinant
+off `_echelon` decides it), and one feasibility question, `_eliminate`: a yes/no
 answer for a system of linear equalities and inequalities, on integer rows
 throughout, which every cone question of the package reduces to.  Its dual
 form, the double description of a cone in the nonnegative orthant,

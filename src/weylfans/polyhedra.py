@@ -39,7 +39,7 @@ from typing import Iterable, Optional, Sequence
 from ._record import Record
 from .errors import BoundExceeded, InvalidInput
 from .linalg import (
-    Matrix, Vector, _common_ints, _dual_rows, _eliminate, _int_row, _int_unit, _primitive_ints,
+    Matrix, Vector, _common_ints, _dual_rows, _echelon, _eliminate, _int_row, _int_unit, _primitive_ints,
     primitive_direction, qm, qv, smith_normal_form,
 )
 
@@ -246,12 +246,21 @@ def faces(c: RationalCone) -> list[RationalCone]:
 
 
 def is_smooth(c: RationalCone) -> bool:
-    """True when the primitive generators extend to a basis of the lattice."""
+    """True when the primitive generators extend to a basis of the lattice:
+    their lattice coordinates are integers and, for a cone of full lattice
+    rank, have determinant 1 or -1 (one `_echelon`), or else one invariant
+    factor 1 per generator (Smith normal form)."""
     if not c.gens:
         return True
     rows, s = _lattice_ints(c.lattice, c.gens, rows=c._lat)
+    if s != 1:
+        return False
+    if len(rows) == c.lattice_rank():
+        # a square integer matrix is invertible over Z exactly when |det| = 1
+        _, pivots, d = _echelon(rows, reduced=False)
+        return len(pivots) == len(rows) and abs(d) == 1
     # exactly when their integer coordinates have one invariant factor 1 per row
-    return s == 1 and smith_normal_form(rows)[0].count(1) == len(rows)
+    return smith_normal_form(rows)[0].count(1) == len(rows)
 
 
 class Fan(Record):
@@ -323,21 +332,31 @@ def _face_compatible(c1: RationalCone, c2: RationalCone, key1: Sequence[int], ke
     return _eliminate(len(free), [], ineqs)
 
 
-def _walls(cones: Sequence[RationalCone], keys: Sequence[Sequence[int]]) -> Optional[dict]:
+def _walls(cones: Sequence[RationalCone], keys: Sequence[Sequence[int]]) -> Optional[list]:
     """The pseudomanifold test of a simplicial fan's maximal cones, named by
-    their keys: each wall, a key less one index, mapped to the (cone
-    position, generator position) of every maximal cone it lies in; None
-    unless every maximal cone spans the lattice rank and every wall lies in
-    exactly two of them."""
+    their keys: the two sides of each wall, a key less one index, as
+    ((cone position, generator position), (cone position, generator
+    position)); None unless every maximal cone spans the lattice rank and
+    every wall lies in exactly two of them.  A wall is named by its sorted
+    indices, a tuple, and closed at its second side; a third side refuses,
+    and then no wall is left with one side exactly when the closed walls
+    count every side twice."""
     r = cones[0].lattice_rank()
     if any(c.dim != r for c in cones):
         return None
-    walls: dict[frozenset, list[tuple[int, int]]] = {}
+    walls: dict[tuple, Optional[tuple[int, int]]] = {}
+    pairs = []
     for n, key in enumerate(keys):
-        ids = frozenset(key)
-        for i in ids:
-            walls.setdefault(ids - {i}, []).append((n, key.index(i)))
-    return walls if all(len(sides) == 2 for sides in walls.values()) else None
+        ids = tuple(sorted(key))
+        for i, x in enumerate(ids):
+            wall, side = ids[:i] + ids[i + 1 :], (n, key.index(x))
+            other = walls.setdefault(wall, side)
+            if other is not side:
+                if other is None:
+                    return None
+                walls[wall] = None
+                pairs.append((other, side))
+    return pairs if 2 * len(pairs) == r * len(keys) else None
 
 
 def _certified_complete(cones: Sequence[RationalCone], keys: Sequence[Sequence[int]], rays: Sequence[Vector]) -> bool:
@@ -362,7 +381,7 @@ def _certified_complete(cones: Sequence[RationalCone], keys: Sequence[Sequence[i
     rows, _ = cones[0].dual_basis()
     if any(sum(map(mul, row, w)) for row in rows[len(cones[0].gens) :] for w in ints):
         return False
-    for (a, i), (b, j) in walls.values():
+    for (a, i), (b, j) in walls:
         if sum(map(mul, cones[a].dual_basis()[0][i], ints[keys[b][j]])) >= 0:
             return False
     point = _point_ints([sum(col) for col in zip(*cones[0].gens)])

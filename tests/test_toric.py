@@ -61,11 +61,22 @@ def test_small_chamber_fans():
     assert is_complete(a2)
 
 
-def test_chamber_fan_bound():
-    from weylfans.errors import BoundExceeded
+def test_chamber_fan_bound(monkeypatch):
+    """E7's 2,903,040 chambers are refused under the default bound before
+    the walk sets up its first row, and an explicit bound refuses a group
+    just above it; E6's 51,840 chambers are the default bound."""
+    from weylfans import toric
 
-    with pytest.raises(BoundExceeded):
-        weyl_chamber_fan(build_root_system("E6"))
+    def no_walk(*args):
+        raise AssertionError("the walk started past the bound")
+
+    assert toric.MAX_CHAMBERS == weyl_order(build_root_system("E6")) == 51_840
+    for name in ("_common_ints", "_dual_rows"):
+        monkeypatch.setattr(toric, name, no_walk)
+    with pytest.raises(BoundExceeded, match="order 2903040, above the bound 51840"):
+        weyl_chamber_fan(build_root_system("E7"))
+    with pytest.raises(BoundExceeded, match="order 48, above the bound 47"):
+        weyl_chamber_fan(build_root_system("B3"), bound=47)
 
 
 def test_f4_subtorus_fan():
