@@ -15,14 +15,12 @@ transvection.  The orthogonal one takes its Cayley transform from one
 fraction-free elimination, with one exact division per entry when the
 public Fraction basis is built.  Their integer draws read
 ``rng.getrandbits`` with ``randint``'s own rejection, so the stream is that
-of ``randint``.  A sampled subspace keeps its primitive integer rows beside
-the basis, and the involution image keeps them negated; the invariant and
-the equality test read them there, and read them off the basis of a
-subspace built by hand.  The fraction-free echelon of a subspace's rows,
-taken as [B2 | B1], is kept on the subspace on first use: the invariant
-reads its pivots, and equality reduces each row of the second subspace
-against it, as the same elimination would an appended last row, and stops
-at the first row that stays nonzero.
+of ``randint``.  A subspace keeps two caches (`IsotropicSubspace`): its
+primitive integer rows, which the invariant and the equality test read,
+and the fraction-free echelon of those rows, taken as [B2 | B1]: the
+invariant reads its pivots, and equality reduces each row of the second
+subspace against it, as the same elimination would an appended last row,
+and stops at the first row that stays nonzero.
 """
 
 from __future__ import annotations
@@ -33,9 +31,8 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd
 from operator import mul
-from typing import Optional
 
-from ._record import Record
+from ._record import Record, cached, keep
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
 from .linalg import Matrix, _echelon, _int_unit, _primitive_ints, qm, rank
 
@@ -105,49 +102,41 @@ def _signed_permutation(index: tuple[tuple[int, int], ...]) -> Matrix:
     return tuple(tuple(Q(sign if c == j else 0) for c in range(n)) for j, sign in index)
 
 
-class IsotropicSubspace(Record):
-    """A subspace given by the rows of its basis.
-
-    The samplers, the base points and `tau_image` also keep the primitive
-    integer rows of the basis, row by row, as `_ints`, out of equality,
-    hashing and repr (`_with_ints` writes them before the subspace is
-    returned); a subspace built directly has none, and its rows are read
-    off the basis on each use.  `_ech`, also outside equality, hashing and
-    repr, is the fraction-free echelon of those rows as [B2 | B1], written
-    on first use by `_stacked_echelon`; the write is idempotent, as
-    `RationalCone.dual_basis`'s is.
-    """
-
-    space: DoubledSpace
-    basis: Matrix  # rows span the subspace
-    _ints: Optional[tuple] = None
-    _ech: Optional[tuple] = None
-
-
-def _int_rows(v: IsotropicSubspace):
-    """The primitive integer rows of the basis: the kept ones, else read off."""
-    if v._ints is not None:
-        return v._ints
+def _basis_ints(v: IsotropicSubspace) -> list[list[int]]:
+    """The primitive integer rows of the basis, read off it."""
     dim = v.space.dim
     if any(len(row) != dim for row in v.basis):
         raise InvalidInput(f"basis rows must have {dim} entries, the dimension of the doubled space")
     return [_primitive_ints(row) for row in v.basis]
 
 
-def _stacked_echelon(v: IsotropicSubspace, rows) -> tuple:
-    """`_echelon([B2 | B1], reduced=False)` of the subspace's integer rows,
-    kept on the subspace."""
-    if v._ech is None:
-        m = v.space.block_dim
-        object.__setattr__(v, "_ech", _echelon([row[m:] + row[:m] for row in rows], reduced=False))
-    return v._ech
+def _stacked_echelon(v: IsotropicSubspace) -> tuple:
+    """`_echelon([B2 | B1], reduced=False)` of the subspace's integer rows."""
+    m = v.space.block_dim
+    return _echelon([row[m:] + row[:m] for row in v._ints], reduced=False)
 
 
-def _with_ints(space: DoubledSpace, basis: Matrix, ints: Optional[tuple]) -> IsotropicSubspace:
-    """The subspace with this basis, keeping its primitive integer rows."""
-    v = IsotropicSubspace(space, basis)
-    object.__setattr__(v, "_ints", ints)
-    return v
+class IsotropicSubspace(Record):
+    """A subspace given by the rows of its basis.
+
+    Two caches sit beside the basis, out of equality, hashing and repr,
+    kept by the `_record` protocol: ``_ints``, the primitive integer rows
+    of the basis, row by row, which the samplers, the base points and
+    `tau_image` hand over and a subspace built directly reads off its
+    basis; and ``_ech``, their fraction-free echelon as [B2 | B1].
+    """
+
+    space: DoubledSpace
+    basis: Matrix  # rows span the subspace
+    _ints: tuple = cached(_basis_ints)
+    _ech: tuple = cached(_stacked_echelon)
+
+    def __init__(self, space: DoubledSpace, basis: Matrix, *, _ints=None):
+        set_ = object.__setattr__
+        set_(self, "space", space)
+        set_(self, "basis", basis)
+        if _ints is not None:
+            keep(self, "_ints", _ints)
 
 
 def _diagonal_rows(space: DoubledSpace, i: int) -> tuple[int, ...]:
@@ -168,13 +157,13 @@ def _split_rows(space: DoubledSpace) -> tuple[tuple[int, ...], ...]:
 def diagonal_subspace(space: DoubledSpace) -> IsotropicSubspace:
     """The graph of the identity: the base point with invariant zero."""
     rows = tuple(_diagonal_rows(space, i) for i in range(space.block_dim))
-    return _with_ints(space, qm(rows), rows)
+    return IsotropicSubspace(space, qm(rows), _ints=rows)
 
 
 def split_subspace(space: DoubledSpace) -> IsotropicSubspace:
     """A direct sum of maximal isotropics from each factor: invariant n."""
     rows = _split_rows(space)
-    return _with_ints(space, qm(rows), rows)
+    return IsotropicSubspace(space, qm(rows), _ints=rows)
 
 
 def intersection_invariant(v: IsotropicSubspace) -> int:
@@ -186,12 +175,12 @@ def intersection_invariant(v: IsotropicSubspace) -> int:
     form, so it is surfaced as an internal invariant violation rather than
     a value.
     """
-    rows = _int_rows(v)
+    rows = v._ints
     space = v.space
     m = space.block_dim
     # the kept elimination of [B2 | B1] gives the rank of the rows and, from
     # its pivots in the first m columns, the rank of B2
-    pivots = _stacked_echelon(v, rows)[1] if len(rows) == m else ()
+    pivots = v._ech[1] if len(rows) == m else ()
     if len(pivots) != m:
         raise InvalidInput("subspace is not of maximal isotropic dimension")
     index = _form_index(space)
@@ -297,7 +286,7 @@ def random_maximal_isotropic(space: DoubledSpace, seed: int) -> IsotropicSubspac
             multiples = (0, pc, 2 * pc, -2 * pc, -pc)
             cols = [q * c + multiples[y] for c, y in zip(cols, v)]
         rows = tuple(tuple(_primitive_ints(row)) for row in zip(*(_unpack(c, w, len(rows)) for c in cols)))
-        return _with_ints(space, qm(rows), rows)
+        return IsotropicSubspace(space, qm(rows), _ints=rows)
     for _ in range(32):
         draws = iter(_randints(rng, -3, 3, dim * (dim - 1) // 2))
         s_rows = [[0] * dim for _ in range(dim)]
@@ -324,7 +313,7 @@ def random_maximal_isotropic(space: DoubledSpace, seed: int) -> IsotropicSubspac
             g = gcd(*nums) if d > 0 else -gcd(*nums)
             ints.append(tuple(x // g for x in nums))
             basis.append(tuple(Q(x, d) for x in nums))
-        return _with_ints(space, tuple(basis), tuple(ints))
+        return IsotropicSubspace(space, tuple(basis), _ints=tuple(ints))
     raise InvariantViolation("all Cayley transform draws were singular")
 
 
@@ -334,10 +323,12 @@ def _tau_rows(rows, m: int) -> tuple:
 
 def tau_image(v: IsotropicSubspace) -> IsotropicSubspace:
     """Image under the involution fixing the first summand and negating the
-    second; negated kept rows stay primitive and are kept."""
+    second; kept integer rows, negated, stay primitive and are handed over.
+    Rows not yet kept are not built here, so a subspace the invariant
+    refuses still has an image."""
     m = v.space.block_dim
-    ints = None if v._ints is None else _tau_rows(v._ints, m)
-    return _with_ints(v.space, qm(_tau_rows(v.basis, m)), ints)
+    ints = vars(v).get("_ints")
+    return IsotropicSubspace(v.space, qm(_tau_rows(v.basis, m)), _ints=None if ints is None else _tau_rows(ints, m))
 
 
 def _reduces_to_zero(ech: tuple, x) -> bool:
@@ -359,11 +350,11 @@ def subspaces_equal(a: IsotropicSubspace, b: IsotropicSubspace) -> bool:
     their span, so each row of b, as [B2 | B1], is reduced against a's kept
     echelon, and the first row that stays nonzero answers no; dependent rows
     of a rank the whole stack."""
-    ra, rb = _int_rows(a), _int_rows(b)
+    ra, rb = a._ints, b._ints
     k = len(ra)
     if a.space != b.space or len(rb) != k:
         return False
-    ech = _stacked_echelon(a, ra)
+    ech = a._ech
     if len(ech[1]) < k:
         return rank([*ra, *rb]) == k
     m = a.space.block_dim

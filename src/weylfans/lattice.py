@@ -2,10 +2,10 @@
 
 A LatticeVector is an exact rational coordinate tuple tagged with the basis
 it is written in; it also keeps those coordinates as integers over one
-denominator, out of its value: a converted vector gets the integers of its
-change, and a hand-built one reads them off on first use.  Each change of
-basis is one integer matrix over one denominator per (source, target) pair,
-held on the root system and filled on first use.  Into the ambient model it
+denominator, a cache out of its value (`_record`): a converted vector is
+handed the integers of its change.  Each change of basis is one integer
+matrix over one denominator per (source, target) pair, held on the root
+system and filled on first use.  Into the ambient model it
 is the transposed basis rows.  Out of it, it is the dual basis the root
 system already holds (the simple coroots for fundamental-weight
 coordinates, the fundamental weights for simple-coroot ones, the simple
@@ -24,9 +24,9 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from math import gcd
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ._record import Record
+from ._record import Record, cached, keep
 from .errors import BasisChangeError, InvalidInput
 from .linalg import (
     Matrix,
@@ -66,11 +66,10 @@ class LatticeVector(Record):
     rs: RootSystem
     basis: str
     coords: Vector
-    # the coordinates as integers over one denominator d > 0, (ints, d):
-    # written by to_basis, else read off coords on first use (`_int_coords`)
-    _ints: Optional[tuple] = None
+    # the coordinates as integers over one denominator d > 0, (ints, d)
+    _ints: tuple = cached(lambda v: (_scaled_ints(v.coords, s := _row_scale(v.coords)), s))
 
-    def __init__(self, rs: RootSystem, basis: str, coords: Vector):
+    def __init__(self, rs: RootSystem, basis: str, coords: Vector, *, _ints=None):
         if basis not in BASIS_TAGS:
             raise InvalidInput(f"unknown basis tag {basis!r}")
         expected = rs.ambient_dim if basis == "ambient" else rs.rank
@@ -80,6 +79,8 @@ class LatticeVector(Record):
         set_(self, "rs", rs)
         set_(self, "basis", basis)
         set_(self, "coords", qv(coords))
+        if _ints is not None:
+            keep(self, "_ints", _ints)
 
     def ambient(self) -> Vector:
         return to_basis(self, "ambient").coords
@@ -112,20 +113,11 @@ def _change(rs: RootSystem, source: str, target: str) -> tuple[tuple[tuple[int, 
     return change
 
 
-def _int_coords(v: LatticeVector) -> tuple[list[int], int]:
-    """The coordinates of v as integers over one denominator: the kept ones,
-    else read off its coordinates and kept; the write is idempotent."""
-    if v._ints is None:
-        s = _row_scale(v.coords)
-        object.__setattr__(v, "_ints", (_scaled_ints(v.coords, s), s))
-    return v._ints
-
-
 def _convert(v: LatticeVector, target: str) -> tuple[list[int], int]:
     """The coordinates of v in the target basis as integers over one
     denominator; off the root span an ambient vector raises BasisChangeError."""
     rows, d = _change(v.rs, v.basis, target)
-    ints, s = _int_coords(v)
+    ints, s = v._ints
     dots = [sum(map(mul, row, ints)) for row in rows]
     k = v.rs.ambient_dim if target == "ambient" else v.rs.rank
     if any(dots[k:]):
@@ -182,9 +174,7 @@ def to_basis(v: LatticeVector, target_tag: str) -> LatticeVector:
     if target_tag == v.basis:
         return v
     dots, den = _convert(v, target_tag)
-    w = LatticeVector(v.rs, target_tag, tuple(Q(x, den) for x in dots))
-    object.__setattr__(w, "_ints", (dots, den))
-    return w
+    return LatticeVector(v.rs, target_tag, tuple(Q(x, den) for x in dots), _ints=(dots, den))
 
 
 def pair(weight_side: LatticeVector, coweight_side: LatticeVector) -> Q:
@@ -200,7 +190,7 @@ def pair(weight_side: LatticeVector, coweight_side: LatticeVector) -> Q:
 
 def _ambient_ints(v: LatticeVector) -> tuple[list[int], int]:
     """The ambient coordinates of v as integers over one denominator."""
-    return _int_coords(v) if v.basis == "ambient" else _convert(v, "ambient")
+    return v._ints if v.basis == "ambient" else _convert(v, "ambient")
 
 
 def weight_root_index(rs: RootSystem) -> int:

@@ -36,7 +36,7 @@ from math import gcd
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
-from ._record import Record
+from ._record import Record, cached, keep
 from .errors import BoundExceeded, InvalidInput
 from .linalg import (
     Matrix, Vector, _common_ints, _dual_rows, _echelon, _eliminate, _int_row, _int_unit, _primitive_ints,
@@ -60,20 +60,21 @@ class RationalCone(Record):
     """A simplicial cone: independent generators, primitive in the lattice.
 
     Two integer solves are kept on the cone, out of equality, hashing and
-    repr.  The dual basis of the generators: `cone` and `faces` fill it, a
-    caller that knows it may hand it over (``_dual``), and `dual_basis`
-    fills it on first use for a cone built directly.  The lattice's dual
-    rows, read by `_lattice_ints` (``_lat``, None for the standard lattice
-    or when not handed over): a caller building many cones on one lattice
-    solves it once and hands the rows to each, and faces share them.  The
-    one later write, `dual_basis`'s, is idempotent, so cones stay safe to
-    share between threads.
+    repr, written by the `_record` protocol.  ``_dual``, the dual basis
+    (N, d) of the generators: the rows of N/d read the coordinates of a
+    vector in the generators, then the equations of their span (unit rows
+    over 1 for the zero cone).  `cone` and `faces` hand it over, as does a
+    caller that knows it, and a cone built directly solves it on first
+    read.  ``_lat``, the lattice's dual rows, read by `_lattice_ints`
+    (None for the standard lattice or when not handed over): a caller
+    building many cones on one lattice solves it once and hands the rows to
+    each, and faces share them.
     """
 
     ambient_dim: int
     gens: Matrix
     lattice: Optional[Matrix] = None
-    _dual: Optional[tuple] = None
+    _dual: tuple = cached(lambda c: _dual_rows(c.gens, c.ambient_dim))
     _lat: Optional[tuple] = None
 
     def __init__(self, ambient_dim: int, gens: Matrix, lattice: Optional[Matrix] = None, *, _dual=None, _lat=None):
@@ -81,16 +82,9 @@ class RationalCone(Record):
         set_(self, "ambient_dim", ambient_dim)
         set_(self, "gens", gens)
         set_(self, "lattice", lattice)
-        set_(self, "_dual", _dual)
-        set_(self, "_lat", _lat)
-
-    def dual_basis(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(N, d): the rows of N/d read the coordinates of a vector in the
-        generators, then the equations of their span; unit rows over 1 for
-        the zero cone."""
-        if self._dual is None:
-            object.__setattr__(self, "_dual", _dual_rows(self.gens, self.ambient_dim))
-        return self._dual
+        if _dual is not None:
+            keep(self, "_dual", _dual)
+        keep(self, "_lat", _lat)
 
     @property
     def dim(self) -> int:
@@ -199,7 +193,7 @@ def _support(c: RationalCone, w: Sequence[int]) -> Optional[int]:
     None off the cone (a span row nonzero or a facet row negative at it);
     the point is integers up to a positive scale, which changes no sign."""
     k = len(c.gens)
-    dots = [sum(map(mul, row, w)) for row in c.dual_basis()[0]]
+    dots = [sum(map(mul, row, w)) for row in c._dual[0]]
     if any(dots[k:]):
         return None
     m = 0
@@ -233,7 +227,7 @@ def _face(c: RationalCone, s: Sequence[int]) -> RationalCone:
     reordered: its own generators' rows first, then the other generators'
     rows and the span equations, which together vanish exactly on the
     face's span."""
-    rows, d = c.dual_basis()
+    rows, d = c._dual
     order = [*s, *(i for i in range(c.dim) if i not in s)]
     dual = (tuple(rows[i] for i in order) + rows[c.dim :], d)
     return RationalCone(c.ambient_dim, tuple(c.gens[i] for i in s), c.lattice, _dual=dual, _lat=c._lat)
@@ -268,21 +262,14 @@ class Fan(Record):
 
     Its ray names, the sorted distinct rays and each maximal cone's indices
     into them (`_ray_keys`), are kept on the fan, out of equality, hashing
-    and repr: `fan` hands over the names it has found, and the constructor
-    finds them for a fan built directly.
+    and repr, by the `_record` protocol: `fan` hands over the names it has
+    found, and the constructor finds them for a fan built directly.
     """
 
     ambient_dim: int
     maximal_cones: tuple[RationalCone, ...]
     lattice: Optional[Matrix] = None
-    _names: Optional[tuple] = None
-
-    def __init__(self, ambient_dim: int, maximal_cones, lattice: Optional[Matrix] = None, *, _names=None):
-        set_ = object.__setattr__
-        set_(self, "ambient_dim", ambient_dim)
-        set_(self, "maximal_cones", maximal_cones)
-        set_(self, "lattice", lattice)
-        set_(self, "_names", _ray_keys([c.gens for c in maximal_cones]) if _names is None else _names)
+    _names: tuple = cached(lambda f: _ray_keys([c.gens for c in f.maximal_cones]), eager=True)
 
     def rays(self) -> tuple[Vector, ...]:
         return tuple(self._names[0])
@@ -378,11 +365,11 @@ def _certified_complete(cones: Sequence[RationalCone], keys: Sequence[Sequence[i
         return False
     ints = [_point_ints(g) for g in rays]
     # a cone built directly may lie off its lattice's span, so one plane is checked
-    rows, _ = cones[0].dual_basis()
+    rows, _ = cones[0]._dual
     if any(sum(map(mul, row, w)) for row in rows[len(cones[0].gens) :] for w in ints):
         return False
     for (a, i), (b, j) in walls:
-        if sum(map(mul, cones[a].dual_basis()[0][i], ints[keys[b][j]])) >= 0:
+        if sum(map(mul, cones[a]._dual[0][i], ints[keys[b][j]])) >= 0:
             return False
     point = _point_ints([sum(col) for col in zip(*cones[0].gens)])
     return all(_support(c, point) is None for c in cones[1:])
@@ -476,7 +463,7 @@ def _rows_on_weights(c: RationalCone, gens: Sequence[Vector]) -> list[tuple[int,
     the point sum_g w_g g, as a function of the weights w.
     """
     cols, _ = _common_ints(gens)
-    return [tuple(sum(map(mul, row, col)) for col in cols) for row in c.dual_basis()[0]]
+    return [tuple(sum(map(mul, row, col)) for col in cols) for row in c._dual[0]]
 
 
 def covered_by(target: RationalCone, cover: Sequence[RationalCone], shortcut: bool = True) -> bool:

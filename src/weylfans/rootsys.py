@@ -8,8 +8,7 @@ and coweights, the highest root) is computed once at construction time and
 frozen.  The roots are closed in integer simple-root coordinates under the
 integer Cartan matrix, and each root keeps those integer coordinates; the
 Fraction-keyed map that ``simple_root_coords`` reads and the lattice
-module's basis changes are filled on first use, by idempotent writes, so
-instances are immutable in value and safe to share between threads.  Weyl
+module's basis changes are caches, kept by the `_record` protocol.  Weyl
 group elements are integer matrices over one denominator; Fraction appears
 only in the values handed out.  Enumerating a Weyl group walks the orbit of
 rho on integer weight coordinates and builds each element's matrix once,
@@ -25,7 +24,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from ._record import Record
+from ._record import Record, cached
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
 from .linalg import (
     Matrix,
@@ -120,6 +119,13 @@ def _nonzero(columns: Iterable[Sequence[int]]) -> list[list[tuple[int, int]]]:
     return [[(j, x) for j, x in enumerate(col) if x] for col in columns]
 
 
+def _fraction_coords(rs: RootSystem) -> dict:
+    """Each root's integer simple-root coordinates as Fractions, keyed by
+    the root; the few distinct entries are each built once."""
+    entry = {x: Q(x) for x in {x for c in rs._simple_coords for x in c}}.__getitem__
+    return {b: tuple(map(entry, c)) for b, c in zip(rs.roots, rs._simple_coords)}
+
+
 class RootSystem(Record):
     """A simple root system with its derived lattice data."""
 
@@ -136,19 +142,15 @@ class RootSystem(Record):
     fundamental_coweights: Matrix
     highest_root: Vector
     rho: Vector
-    # the integer simple-root coordinates of each root, aligned with roots
+    # the integer simple-root coordinates of each root, aligned with roots,
+    # handed over by build_root_system
     _simple_coords: tuple
-    # root -> its Fraction simple-root coordinates, built on first use
-    _coords_by_root: Optional[dict] = None
-    # (source tag, target tag) -> (integer rows, denominator), filled on
-    # first use by the lattice module; each write stores the same value
-    _basis_changes: dict
-
-    def __init__(self, *args, _simple_coords: tuple, **kwargs):
-        super().__init__(*args, **kwargs)
-        object.__setattr__(self, "_simple_coords", _simple_coords)
-        # one fresh dict per root system: a shared one would mix types' changes
-        object.__setattr__(self, "_basis_changes", {})
+    # root -> its Fraction simple-root coordinates
+    _coords_by_root: dict = cached(_fraction_coords)
+    # (source tag, target tag) -> (integer rows, denominator), filled by the
+    # lattice module, where every thread writes an entry with one value; one
+    # dict per root system, made at its construction
+    _basis_changes: dict = cached(lambda rs: {}, eager=True)
 
     def __hash__(self) -> int:
         # the label determines the system, so equal systems hash equal, and
@@ -157,14 +159,8 @@ class RootSystem(Record):
 
     def simple_root_coords(self, beta: Vector) -> Vector:
         """Coordinates of a root in the simple-root basis, always integral."""
-        coords = self._coords_by_root
-        if coords is None:
-            # the few distinct entries are each built once
-            entry = {x: Q(x) for x in {x for c in self._simple_coords for x in c}}.__getitem__
-            coords = {b: tuple(map(entry, c)) for b, c in zip(self.roots, self._simple_coords)}
-            object.__setattr__(self, "_coords_by_root", coords)
         try:
-            return coords[beta]
+            return self._coords_by_root[beta]
         except KeyError:
             raise InvalidInput(f"{beta} is not a root of {self.label}") from None
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import Iterable, Mapping, Optional
 
-from ._record import Record
+from ._record import Record, cached
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
 from .linalg import (
     Matrix,
@@ -108,11 +108,9 @@ class ColoredFan(Record):
     rho_table: Mapping[str, Vector]
     colors: tuple[str, ...]  # the abstract color set of the open orbit
     boundary_names: Mapping[Vector, str]  # ray of the fan -> divisor symbol
-    _names: Optional[tuple] = None  # (rays, each cone's indices into them), out of equality
-
-    def __post_init__(self):
-        # faces share their top's generator objects, so this hashes each ray once
-        object.__setattr__(self, "_names", _ray_keys([cc.cone.gens for cc in self.cones]))
+    # (rays, each cone's indices into them), out of equality; faces share
+    # their top's generator objects, so this hashes each ray once
+    _names: tuple = cached(lambda f: _ray_keys([cc.cone.gens for cc in f.cones]), eager=True)
 
     def boundary_divisors(self) -> tuple[tuple[str, Vector], ...]:
         """(name, ray) of every ray of the fan; a ray without a boundary

@@ -30,7 +30,7 @@ def holds(c, w, strict=False):
     span rows vanish at it and the facet rows are nonnegative (positive when
     strict); the positive d and scale change no sign."""
     k = len(c.gens)
-    dots = [sum(map(mul, row, w)) for row in c.dual_basis()[0]]
+    dots = [sum(map(mul, row, w)) for row in c._dual[0]]
     if any(dots[k:]):
         return False
     return all(x > 0 for x in dots[:k]) if strict else all(x >= 0 for x in dots[:k])
@@ -48,7 +48,7 @@ def coordinate_support(c, v):
     if len(v) != c.ambient_dim:
         raise InvalidInput("dimension mismatch in cone membership")
     w = _point_ints(v)
-    dots = [sum(map(mul, row, w)) for row in c.dual_basis()[0]]
+    dots = [sum(map(mul, row, w)) for row in c._dual[0]]
     if any(dots[c.dim :]) or any(x < 0 for x in dots[: c.dim]):
         return None
     return sum(1 << i for i, x in enumerate(dots[: c.dim]) if x)
@@ -65,7 +65,7 @@ def star_subdivision(f, ray):
     new_cones = [c for c, held in zip(f.maximal_cones, inside) if not held]
     w = _point_ints(ray_p)
     for c in compress(f.maximal_cones, inside):
-        for i, row in enumerate(c.dual_basis()[0][: c.dim]):
+        for i, row in enumerate(c._dual[0][: c.dim]):
             if sum(map(mul, row, w)):
                 facet = [*c.gens[:i], *c.gens[i + 1 :]]
                 new_cones.append(cone([*facet, ray_p], lattice=c.lattice, ambient_dim=c.ambient_dim, _lat=lat))

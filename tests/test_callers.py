@@ -105,9 +105,10 @@ def test_every_name_in_src_has_a_caller():
     assert sorted(set(ALLOWED) - uncalled) == []
 
 
-# the definitions that name a fan's rays, where the fan is built; every other
-# reader reads the names kept on the fan
-RAY_KEY_CALLERS = {("polyhedra", "fan"), ("polyhedra", "Fan.__init__"), ("spherical", "ColoredFan.__post_init__")}
+# the definitions that name a fan's rays, where the fan is built: `fan`, and
+# the cache declarations in the `Fan` and `ColoredFan` class bodies; every
+# other reader reads the names kept on the fan
+RAY_KEY_CALLERS = {("polyhedra", "fan"), ("polyhedra", "Fan"), ("spherical", "ColoredFan")}
 
 
 def _calls(node, module, enclosing=""):

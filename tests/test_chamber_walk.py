@@ -122,7 +122,7 @@ def test_chamber_fans_match_the_group_path(label):
     assert new == old and new.maximal_cones == old.maximal_cones
     k = rs.rank
     for c in new.maximal_cones:
-        rows, d = c.dual_basis()
+        rows, d = c._dual
         assert d > 0 and len(rows) == rs.ambient_dim
         for j, g in enumerate(c.gens):
             assert [sum(Q(x) * y for x, y in zip(row, g)) for row in rows] == [d * (i == j) for i in range(k)] + [0] * (

@@ -1,12 +1,18 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from weylfans import jsonio
 from weylfans.cli import main
 from weylfans.linalg import rank
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *args):
@@ -544,3 +550,13 @@ def test_verify_command(capsys):
     assert run_cli(capsys, "verify", "--case", "missing-case")[0] == 2
     # an empty case name is a missing case, not the whole casebook
     assert run_cli(capsys, "verify", "--case", "")[:2] == (2, "")
+
+
+def test_python_m_weylfans_runs_the_command(capsys):
+    """`python -m weylfans` writes what `cli.main` writes, to stdout and
+    stderr, and exits with its code, also on a usage error (exit 2)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    for argv, want in ((["verify", "--case", "e8-weyl-order", "--json"], 0), (["root-system"], 2)):
+        done = subprocess.run([sys.executable, "-m", "weylfans", *argv], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, *argv)
+        assert done.returncode == want

@@ -530,7 +530,7 @@ def test_fan_validation_reads_shared_generators_not_ray_membership(monkeypatch):
     assert min(verdicts.values()) >= 40
 
 
-def test_dual_rows_fill_once_under_threads():
+def test_dual_rows_fill_once_under_threads(monkeypatch):
     """Six threads fill and read the rows of the same fresh cones, and take
     their faces, which read their rows off the cone's."""
     rng = random.Random(61)
@@ -543,7 +543,9 @@ def test_dual_rows_fill_once_under_threads():
         points = [qv([Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)]) for _ in range(3)]
         specs.append((dim, tuple(gens), points))
     cones = [RationalCone(dim, gens) for dim, gens, _ in specs]
-    assert all(c._dual is None for c in cones)
+    # no cone holds rows yet: the reads below solve each, in one thread or more
+    solved, solve = [], polyhedra._dual_rows
+    monkeypatch.setattr(polyhedra, "_dual_rows", lambda gens, dim: solved.append(gens) or solve(gens, dim))
     barrier = threading.Barrier(6)
     results, errors = [None] * 6, []
 
@@ -554,8 +556,8 @@ def test_dual_rows_fill_once_under_threads():
             answers = {}
             for i in order:
                 c = cones[i]
-                face_rows = [(f, f.dual_basis(), [contains(f, p) for p in specs[i][2]]) for f in faces(c)]
-                answers[i] = (c.dual_basis(), [contains(c, p) for p in specs[i][2]], face_rows)
+                face_rows = [(f, f._dual, [contains(f, p) for p in specs[i][2]]) for f in faces(c)]
+                answers[i] = (c._dual, [contains(c, p) for p in specs[i][2]], face_rows)
             results[t] = [answers[i] for i in range(len(cones))]
         except Exception as exc:  # reported below
             errors.append(exc)
@@ -564,8 +566,10 @@ def test_dual_rows_fill_once_under_threads():
     for th in threads:
         th.start()
     for th in threads:
-        th.join()
+        th.join(timeout=60)
+    assert not any(th.is_alive() for th in threads)
     assert not errors and all(r == results[0] for r in results)
+    assert {id(g) for g in solved} == {id(c.gens) for c in cones} and len(solved) <= 6 * len(cones)
     for c, (dim, gens, points), (dual, answers, face_rows) in zip(cones, specs, results[0]):
         rows, d = dual
         assert c._dual == dual and d > 0

@@ -151,7 +151,7 @@ def test_chamber_rows_from_the_group_answer_like_their_own_solve():
         fresh = [_fresh(c) for c in f.maximal_cones]
         k = f.maximal_cones[0].dim
         for c, g in zip(f.maximal_cones, fresh):
-            (rows, d), (own, e) = c.dual_basis(), g.dual_basis()
+            (rows, d), (own, e) = c._dual, g._dual
             assert d > 0
             # at each generator the facet rows over d read its coordinates
             # (G2's group elements have denominator 3)

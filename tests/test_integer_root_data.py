@@ -29,11 +29,12 @@ from old_linalg import (
 )
 from test_linalg import _old_coords_in_basis
 
-from weylfans import jsonio
+from weylfans import isotropic, jsonio
 from weylfans import lattice as lat
-from weylfans import rootsys
+from weylfans import rootsys, toric
 from weylfans.errors import BasisChangeError, InvariantViolation
 from weylfans.linalg import _unit, qm, qv
+from weylfans.polyhedra import Fan, RationalCone, is_complete
 from weylfans.rootsys import (
     RootSystem,
     WeylElement,
@@ -382,10 +383,27 @@ def test_basis_changes_match_old_ambient_route():
     assert rejected > 0
 
 
+def _iso_answers(v, flip):
+    """The invariant of a subspace and whether its involution image equals
+    it, asked in either order (the first one asked builds its echelon)."""
+    if flip:
+        fixed = isotropic.subspaces_equal(v, isotropic.tau_image(v))
+        return isotropic.intersection_invariant(v), fixed
+    return isotropic.intersection_invariant(v), isotropic.subspaces_equal(v, isotropic.tau_image(v))
+
+
+def _fan_answers(dim, cones, lattice):
+    """The names of a fan built directly on the cones, and its completeness."""
+    f = Fan(dim, cones, lattice)
+    return f.rays(), f._names[1], is_complete(f)
+
+
 def test_lazy_views_are_safe_to_share_between_threads():
-    # the basis-change matrices on a root system and the Fraction view of a
-    # composed element are filled on first use by whichever thread asks
-    # first; every thread must read the same answers
+    # the basis-change matrices on a root system, the Fraction view of a
+    # composed element, and a hand-built subspace's integer rows and echelon
+    # are filled on first use by whichever thread asks first, and a fan
+    # built directly names its rays; every thread must read the answers one
+    # thread reads
     # a fresh E7 through the constructor, whose basis-change cache starts empty
     rs = RootSystem(
         **{k: v for k, v in vars(build_root_system("E7")).items() if k not in ("_basis_changes", "_coords_by_root")}
@@ -397,19 +415,32 @@ def test_lazy_views_are_safe_to_share_between_threads():
         [_old_to_basis_coords(v, target) for target in lat.BASIS_TAGS] for v in vectors
     ]
     expected_matrices = [WeylElement._from_ints(w._rows, w._den, w.word).matrix for w in group]
+    spaces = (isotropic.symplectic_doubled(2), isotropic.symplectic_doubled(3), isotropic.orthogonal_doubled(2))
+    samples = [isotropic.random_maximal_isotropic(space, seed) for space in spaces for seed in range(4)]
+    samples += [isotropic.split_subspace(space) for space in spaces]
+    subspaces = [isotropic.IsotropicSubspace(v.space, v.basis) for v in samples]
+    expected_iso = [_iso_answers(isotropic.IsotropicSubspace(v.space, v.basis), False) for v in samples]
+    chamber = toric.weyl_chamber_fan(build_root_system("B3"))
+    cones = tuple(RationalCone(c.ambient_dim, c.gens, c.lattice) for c in chamber.maximal_cones)
+    expected_fan = (chamber.rays(), chamber._names[1], True)
+    assert _fan_answers(chamber.ambient_dim, cones, chamber.lattice) == expected_fan
     failures = []
 
-    def work():
+    def work(t):
         for v, expected in zip(vectors, expected_coords):
             if [lat.to_basis(v, target).coords for target in lat.BASIS_TAGS] != expected:
                 failures.append("to_basis")
         if [w.matrix for w in group] != expected_matrices:
             failures.append("matrix")
+        if [_iso_answers(v, t % 2) for v in subspaces] != expected_iso:
+            failures.append("isotropic")
+        if _fan_answers(chamber.ambient_dim, cones, chamber.lattice) != expected_fan:
+            failures.append("fan")
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work) for _ in range(6)]
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
         for t in threads:
             t.start()
         for t in threads:
@@ -418,6 +449,7 @@ def test_lazy_views_are_safe_to_share_between_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+    assert {k for k, _ in expected_iso} == {0, 2, 3} and {f for _, f in expected_iso} == {False, True}
     # every (source, target) asked for, and the four (ambient, target) dual
     # rows that the changes between two bases reuse
     assert len(rs._basis_changes) == 4 * 4 + 4

@@ -307,9 +307,9 @@ def test_kept_rows_are_still_checked():
     space = symplectic_doubled(2)
     summand = tuple(tuple(int(i == j) for j in range(space.dim)) for i in range(4))
     with pytest.raises(InvalidInput, match="does not vanish"):
-        intersection_invariant(isotropic._with_ints(space, qm(summand), summand))
+        intersection_invariant(IsotropicSubspace(space, qm(summand), _ints=summand))
     with pytest.raises(InvalidInput, match="maximal isotropic dimension"):
-        intersection_invariant(isotropic._with_ints(space, qm(summand[:3]), summand[:3]))
+        intersection_invariant(IsotropicSubspace(space, qm(summand[:3]), _ints=summand[:3]))
 
 
 # --- the draw stream ---------------------------------------------------------
@@ -412,7 +412,7 @@ def test_one_gcd_per_row_matches_the_per_step_gcd(n, count):
 
 def fresh(v):
     """v with the same kept integer rows and no kept echelon."""
-    return isotropic._with_ints(v.space, v.basis, v._ints)
+    return IsotropicSubspace(v.space, v.basis, _ints=v._ints)
 
 
 def as_lists(ech):
@@ -424,7 +424,7 @@ def as_lists(ech):
 
 def stacked_echelon(v):
     m = v.space.block_dim
-    return as_lists(_echelon([row[m:] + row[:m] for row in isotropic._int_rows(v)], reduced=False))
+    return as_lists(_echelon([row[m:] + row[:m] for row in v._ints], reduced=False))
 
 
 def kept_samples():
@@ -479,14 +479,19 @@ def test_kept_echelon_on_empty_foreign_and_ragged_subspaces():
     # subspaces of two spaces are unequal, before any elimination
     a, b = split_subspace(space), split_subspace(other)
     assert not subspaces_equal(a, b) and not subspaces_equal(b, a)
-    assert a._ech is None and b._ech is None
+    assert "_ech" not in vars(a) and "_ech" not in vars(b)
     # rows of the wrong length are refused, and leave no echelon behind
     v = random_maximal_isotropic(space, 3)
     ragged = hand_built(v, [row[:-1] for row in v.basis])
     for call in (lambda: subspaces_equal(ragged, v), lambda: subspaces_equal(v, ragged), lambda: intersection_invariant(ragged)):
         with pytest.raises(InvalidInput, match="basis rows must have 8 entries"):
             call()
-    assert ragged._ech is None
+    # the involution still takes them, and a zero row, building no rows for either
+    for w in (ragged, hand_built(v, [[0] * 8] * 4)):
+        image = tau_image(w)
+        assert image.basis == qm([(*r[:4], *(-x for x in r[4:])) for r in w.basis])
+        assert "_ints" not in vars(w) and "_ints" not in vars(image)
+    assert "_ints" not in vars(ragged) and "_ech" not in vars(ragged)
 
 
 def test_kept_echelon_leaves_equality_hash_and_repr_alone():
@@ -495,7 +500,7 @@ def test_kept_echelon_leaves_equality_hash_and_repr_alone():
         w = fresh(v)
         intersection_invariant(v)
         subspaces_equal(v, tau_image(v))
-        assert v._ech is not None and w._ech is None
+        assert "_ech" in vars(v) and "_ech" not in vars(w)
         assert v == w and w == v and (hash(v), repr(v)) == before == (hash(w), repr(w))
 
 

@@ -289,7 +289,7 @@ def test_dual_basis_matches_old_coordinate_routines():
         c = cone(basis)
         old_dual = _old_dual_rows(c.gens)
         d = linalg._dual_rows(c.gens, dim)[1]
-        assert [tuple(Q(x, d) for x in row) for row in c.dual_basis()[0][:k]] == list(old_dual[:k])
+        assert [tuple(Q(x, d) for x in row) for row in c._dual[0][:k]] == list(old_dual[:k])
         for _ in range(4):
             lam = [Q(rng.randint(-1, 4), rng.randint(1, 2)) for _ in range(k)]
             v = mat_vec(transpose(basis), lam)

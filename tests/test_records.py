@@ -2,9 +2,11 @@
 `@dataclass(frozen=True)` declarations they replace (`old_records`): on
 library-built instances of each of them, equality, hashing, repr, the
 refusal of assignment and deletion, and the `__post_init__` checks agree
-with an oracle copy whose nested values are oracle copies too.  The
-command-line entry point imports neither `dataclasses` nor `inspect`."""
+with an oracle copy whose nested values are oracle copies too.  Only
+`_record` writes an underscore field.  The command-line entry point
+imports neither `dataclasses` nor `inspect`."""
 
+import ast
 import dataclasses
 import os
 import subprocess
@@ -15,7 +17,7 @@ import old_records
 import pytest
 
 from weylfans import casebook, isotropic, lattice, polyhedra, rootsys, spherical, toric
-from weylfans._record import Record
+from weylfans._record import Record, cached
 from weylfans.errors import InvalidInput
 from weylfans.lattice import LatticeVector
 from weylfans.polyhedra import RationalCone, cone
@@ -78,9 +80,9 @@ def _instances():
     spaces = [isotropic.symplectic_doubled(2), isotropic.symplectic_doubled(2), isotropic.orthogonal_doubled(2)]
     reports = [casebook.run_case(case) for case in ("g2-surface", "g2-surface", "og-orbits")]
     quadrant = cone([[1, 0], [0, 1]])
-    # equal cones, one with its dual basis filled by `cone` and one without
+    # equal cones, one with its dual basis handed over by `cone` and one without
     bare = RationalCone(2, quadrant.gens)
-    assert bare._dual is None and quadrant._dual is not None
+    assert "_dual" not in vars(bare) and "_dual" in vars(quadrant)
     return {
         "RootSystem": [b3, c3, _rebuilt(b3)],
         "LatticeVector": [
@@ -160,6 +162,8 @@ def test_records_of_different_classes_are_never_equal():
 def test_root_systems_do_not_share_basis_changes():
     b3 = build_root_system("B3")
     first, second = _rebuilt(b3), _rebuilt(b3)
+    # made at construction, before any read
+    assert "_basis_changes" in vars(first)
     assert first == second == b3 and first._simple_coords is b3._simple_coords
     assert first._basis_changes == second._basis_changes == {}
     lattice.to_basis(lattice.vector(first, [1, 0, 0], "simple_root"), "fund_weight")
@@ -170,15 +174,18 @@ def test_root_systems_do_not_share_basis_changes():
 def test_fans_keep_their_names_out_of_their_value():
     """A fan from `fan` and the same fan built directly are one value with
     the same names; a colored fan rebuilt from its fields names its cones
-    alike (its dict fields leave it unhashable)."""
+    alike (its dict fields leave it unhashable).  Both name them when they
+    are built."""
     a2 = build_root_system("A2")
     chamber = toric.weyl_chamber_fan(a2)
     for f in (chamber, polyhedra.star_subdivision(chamber, (1, 1, -2)), polyhedra.fan([cone([[1, 0], [0, 1]])])):
         direct = polyhedra.Fan(f.ambient_dim, f.maximal_cones, f.lattice)
+        assert "_names" in vars(direct), "named at construction, before any read"
         assert direct == f and hash(direct) == hash(f) and repr(direct) == repr(f)
         assert direct._names == f._names and direct._names is not f._names
     for f in spherical.blowup_chain_fans(3):
         rebuilt = spherical.ColoredFan(f.rank, f.cones, f.valuation_cone, f.rho_table, f.colors, f.boundary_names)
+        assert "_names" in vars(rebuilt)
         assert rebuilt == f and repr(rebuilt) == repr(f)
         assert rebuilt._names == f._names
 
@@ -224,3 +231,49 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# the underscore fields that are no cache: handed over at construction, with
+# a default (the standard lattice) or without one
+PLAIN_FIELDS = {("RationalCone", "_lat"), ("RootSystem", "_simple_coords")}
+
+
+def _is_setattr(node):
+    return isinstance(node, ast.Attribute) and node.attr == "__setattr__" and getattr(node.value, "id", None) == "object"
+
+
+def _writes(tree, writer):
+    """(name written, line) of each call in a module whose function
+    `writer` accepts; a name that is not a string constant is None."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and writer(n.func):
+            name = n.args[1] if len(n.args) > 1 else None
+            yield (name.value if isinstance(name, ast.Constant) else None), n.lineno
+
+
+def test_only_record_writes_underscore_fields():
+    """No `object.__setattr__` outside `_record.py`, called directly or
+    through a name bound to it, writes an underscore name; `keep` there
+    writes only declared underscore fields; and every underscore field of a
+    record class is a cache declared with `cached` or one of the plain
+    fields above.  So a further cache is declared, not hand-written."""
+    fields = [(c, n) for c in _record_classes() for n in c.__annotations__ if n.startswith("_")]
+    plain = {(c.__name__, n) for c, n in fields if not isinstance(c.__dict__.get(n), cached)}
+    assert plain == PLAIN_FIELDS and len(fields) > len(plain)
+    assert RationalCone._lat is None and "_simple_coords" not in RootSystem.__dict__
+    sources = sorted((SRC / "weylfans").glob("*.py"))
+    assert len(sources) > 10
+    kept = 0
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign) and _is_setattr(n.value) for t in n.targets}
+        writes = list(_writes(tree, lambda f: _is_setattr(f) or getattr(f, "id", None) in aliases))
+        if path.name == "_record.py":
+            assert writes, "the protocol's writes are found"
+            continue
+        bad = [(name, line) for name, line in writes if name is None or name.startswith("_")]
+        assert bad == [], f"{path.name} writes underscore fields: {bad}"
+        keeps = list(_writes(tree, lambda f: getattr(f, "id", None) == "keep"))
+        assert [w for w in keeps if w[0] not in {n for _, n in fields}] == [], path.name
+        kept += len(keeps)
+    assert kept > 0
