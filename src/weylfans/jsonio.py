@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import BoundExceeded, InvalidInput
 from .linalg import Vector, _dual_rows, qm, qv
-from .polyhedra import Fan, cone, fan
+from .polyhedra import Fan, _cones, fan
 from .rootsys import RootSystem, WeylElement, build_root_system
 
 
@@ -129,8 +129,7 @@ def fan_from_json(data: Mapping) -> Fan:
     for ids in cone_indices:
         if any(type(i) is not int or not 0 <= i < len(rays) for i in ids):
             raise InvalidInput(f"fan cone {ids} needs integer ray indices in 0..{len(rays) - 1}")
-    cones = [cone([rays[i] for i in ids], lattice=lattice, ambient_dim=dim, _lat=lat) for ids in cone_indices]
-    return fan(cones)
+    return fan(_cones(rays, cone_indices, dim, lattice, lat))
 
 
 def weyl_element_to_json(w: WeylElement) -> dict:

@@ -412,12 +412,10 @@ def _eliminate(num_vars: int, eqs: Sequence[Constraint], ineqs: Sequence[Constra
     return all(row[-1] <= 0 for row in system)
 
 
-def _extreme_ray_supports(
-    num_vars: int, eqs: Sequence[Sequence[int]], ineqs: Sequence[Sequence[int]], bound: int
-) -> Optional[list[int]]:
+def _extreme_ray_supports(num_vars: int, ineqs: Sequence[Sequence[int]], bound: int) -> Optional[list[int]]:
     """The supports, as bitmasks of coordinates, of the extreme rays of the
-    pointed cone {w >= 0 : eq . w = 0, ineq . w >= 0} on integer rows; None
-    once the ray list passes ``bound``.
+    pointed cone {w >= 0 : ineq . w >= 0} on integer rows; None once the ray
+    list passes ``bound``.
 
     Double description (Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda
     and Prodon, "Double description method revisited", 1996): start from
@@ -425,21 +423,14 @@ def _extreme_ray_supports(
     the bitmask of the constraints it is tight on, the orthant's first.  A
     ray positive and a ray negative on the new row are combined by
     `_cancel` only when they are adjacent, which is when no third ray is
-    tight on every constraint both are; an equality keeps only the rays on
-    its hyperplane and these combinations.  The rays stay nonnegative, so a
+    tight on every constraint both are.  The rays stay nonnegative, so a
     ray's support is the complement of its orthant bits.
     """
     full = (1 << num_vars) - 1
     rays = [(_int_unit(num_vars, i), full & ~(1 << i)) for i in range(num_vars)]
-    rows = [(row, True) for row in eqs] + [(row, False) for row in ineqs]
-    for bit, (row, equality) in enumerate(rows, num_vars):
+    for bit, row in enumerate(ineqs, num_vars):
         values = [sum(map(mul, row, ray)) for ray, _ in rays]
-        kept = []
-        for (ray, tight), x in zip(rays, values):
-            if x == 0:
-                kept.append((ray, tight | 1 << bit))
-            elif x > 0 and not equality:
-                kept.append((ray, tight))
+        kept = [(ray, tight | (x == 0) << bit) for (ray, tight), x in zip(rays, values) if x >= 0]
         pos = [i for i, x in enumerate(values) if x > 0]
         neg = [i for i, x in enumerate(values) if x < 0]
         for i in pos:

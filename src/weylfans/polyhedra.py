@@ -2,17 +2,18 @@
 
 Cones are given by linearly independent generator lists, stored primitive
 with respect to a reference lattice (the standard integer lattice unless a
-basis is supplied).  `cone` works on integer rows from its input on: on
-the standard lattice the generators are primitive integer rows,
-deduplicated and sorted as int tuples, and Fraction appears only in the
-public generators built from them.  A reference lattice is read through
-its dual rows, integer dot products with no elimination, solved once per
-fan by the callers that build many cones on one lattice and kept on the
-cones, with no module-level cache.  Each cone carries its integer
+basis is supplied).  The cones on one ray list are built by one call,
+`_cones`, and `cone` is its one-list case: each distinct ray is read once,
+as its primitive integer row, which names it, with one Fraction tuple
+shared by every cone on it, and the generators are deduplicated and
+sorted as those rows.  A reference lattice is read through its dual rows,
+integer dot products with no elimination, solved once per fan by the
+callers that build many cones on one lattice, handed to `_cones` and kept
+on the cones, with no module-level cache.  Each cone carries its integer
 description, the dual basis (N, d) of its generators: integer rows over
 one denominator d > 0, whose first rows are the facet functionals and the
 remaining rows the equations of the span, from one elimination per cone
-built by `cone`, or handed over where the structure gives it (the
+built by `_cones`, or handed over where the structure gives it (the
 valuation cone, the Weyl chambers); its faces read theirs off these rows.
 Every cone question reads them exactly: membership and a point's support in
 the generators by one reader, `_support`, the signs of integer dot products
@@ -40,7 +41,7 @@ from ._record import Record, cached, keep
 from .errors import BoundExceeded, InvalidInput
 from .linalg import (
     Matrix, Vector, _common_ints, _dual_rows, _echelon, _eliminate, _int_row, _int_unit, _primitive_ints,
-    primitive_direction, qm, qv, smith_normal_form,
+    qm, qv, smith_normal_form,
 )
 
 # Pairs of maximal cones `fan` checks one by one when its certificate fails,
@@ -63,12 +64,12 @@ class RationalCone(Record):
     repr, written by the `_record` protocol.  ``_dual``, the dual basis
     (N, d) of the generators: the rows of N/d read the coordinates of a
     vector in the generators, then the equations of their span (unit rows
-    over 1 for the zero cone).  `cone` and `faces` hand it over, as does a
+    over 1 for the zero cone).  `_cones` and `faces` hand it over, as does a
     caller that knows it, and a cone built directly solves it on first
     read.  ``_lat``, the lattice's dual rows, read by `_lattice_ints`
     (None for the standard lattice or when not handed over): a caller
     building many cones on one lattice solves it once and hands the rows to
-    each, and faces share them.
+    `_cones`, which keeps them on each cone, and faces share them.
     """
 
     ambient_dim: int
@@ -131,52 +132,81 @@ def _lattice_ints(
     return [[x // g for x in row[:k]] for row in dots], d * s // g
 
 
-def _primitivize(vectors: Sequence[Vector], lattice: Optional[Matrix], rows: Optional[tuple] = None) -> list[Vector]:
-    """Each vector scaled to the primitive lattice vector on its ray, all
-    read from one lattice solve, or from its ``rows`` (`_lattice_ints`)."""
+def _primitive_rows(vectors: Sequence[Vector], lattice: Optional[Matrix], rows: Optional[tuple] = None) -> tuple:
+    """Each nonzero vector scaled to the primitive lattice vector on its ray,
+    as integer rows over one denominator s > 0, the lattice rows' (1 on the
+    standard lattice), so the rows order as the vectors do; all read from
+    one lattice solve, or from its ``rows`` (`_lattice_ints`)."""
     if lattice is None:
-        return [primitive_direction(g) for g in vectors]
+        return [tuple(_primitive_ints(g)) for g in vectors], 1
     coords, _ = _lattice_ints(lattice, vectors, "generator {}", rows)
-    prim = [_primitive_ints(c) for c in coords]
     # the primitive integer combinations of the lattice rows, on their integer rows over s
     ints, s = _common_ints(lattice)
     cols = tuple(zip(*ints))
-    return [tuple(Q(sum(map(mul, col, c)), s) for col in cols) for c in prim]
+    return [tuple(sum(map(mul, col, p)) for col in cols) for p in map(_primitive_ints, coords)], s
+
+
+def _primitivize(vectors: Sequence[Vector], lattice: Optional[Matrix], rows: Optional[tuple] = None) -> list[Vector]:
+    """`_primitive_rows` as Fraction vectors."""
+    ints, s = _primitive_rows(vectors, lattice, rows)
+    return [tuple(Q(x, s) for x in row) for row in ints]
+
+
+def _cones(
+    rays: Sequence[Vector], keys: Iterable[Sequence[int]], dim: int, lattice: Optional[Matrix] = None, lat=None
+) -> list[RationalCone]:
+    """The simplicial cones on index lists into one list of Fraction rays,
+    each as `cone` builds it on its rays and refused as `cone` refuses it,
+    cone by cone in order: a generator of another length, then one off the
+    lattice (the first of the cone's), then dependent generators.
+
+    Each distinct ray a cone uses is read once, where the first cone uses
+    it: a zero ray is dropped, and a nonzero one scaled to its primitive
+    integer row over the lattice's denominator (`_primitive_rows`), which
+    names it, with one Fraction tuple per row shared by every cone on it.
+    A cone dedupes and sorts its rows, which order as its generators do,
+    and solves its dual basis on them, or on the Fraction generators on a
+    reference lattice.  ``lat`` hands over the lattice's dual rows, solved
+    once by a caller building many cones on it; without them each cone
+    that reads a new ray solves the lattice, and its cones keep None.
+    """
+    named: dict[int, tuple[int, ...]] = {}
+    shared: dict[tuple[int, ...], Vector] = {}
+    cones = []
+    for ids in keys:
+        if any(len(rays[i]) != dim for i in ids):
+            raise InvalidInput("cone generators of mixed dimension")
+        new = [i for i in dict.fromkeys(ids) if i not in named and any(rays[i])]
+        if new:
+            ints, s = _primitive_rows([rays[i] for i in new], lattice, lat)
+            for i, row in zip(new, ints):
+                named[i] = row
+                shared.setdefault(row, tuple(Q(x, s) for x in row))
+        rows = sorted({named[i] for i in ids if i in named})
+        gens = tuple(map(shared.__getitem__, rows))
+        try:
+            dual = _dual_rows(rows if lattice is None else gens, dim)
+        except InvalidInput:
+            raise InvalidInput("cone generators must be linearly independent (simplicial cones only)") from None
+        cones.append(RationalCone(dim, gens, lattice, _dual=dual, _lat=lat))
+    return cones
 
 
 def cone(
-    generators: Iterable[Sequence],
-    lattice: Optional[Matrix] = None,
-    ambient_dim: Optional[int] = None,
-    *,
-    _lat: Optional[tuple] = None,
+    generators: Iterable[Sequence], lattice: Optional[Matrix] = None, ambient_dim: Optional[int] = None
 ) -> RationalCone:
     """Build a simplicial cone; dependent generator sets are rejected.
 
-    On the standard lattice the generators are primitive integer rows,
-    deduplicated and sorted as int tuples (which order as their Fractions
-    do), and the dual basis is solved on those rows; ``_lat`` hands over the
-    dual rows of a reference lattice, solved once by the caller
-    (`_lattice_ints`)."""
+    The one-list case of `_cones`: on the standard lattice the generators
+    are primitive integer rows, deduplicated and sorted as int tuples (which
+    order as their Fractions do), and the dual basis is solved on those
+    rows; a reference lattice is solved once for the cone."""
     gens = [qv(g) for g in generators]
     if ambient_dim is None:
         if not gens:
             raise InvalidInput("a generator-free cone needs an explicit ambient dimension")
         ambient_dim = len(gens[0])
-    if any(len(g) != ambient_dim for g in gens):
-        raise InvalidInput("cone generators of mixed dimension")
-    nonzero = [g for g in gens if any(g)]
-    if lattice is None:
-        rows = sorted({tuple(_primitive_ints(g)) for g in nonzero})
-        prim = tuple(tuple(map(Q, row)) for row in rows)
-    else:
-        lattice = qm(lattice)
-        prim = rows = tuple(sorted(set(_primitivize(nonzero, lattice, _lat))))
-    try:
-        dual = _dual_rows(rows, ambient_dim)
-    except InvalidInput:
-        raise InvalidInput("cone generators must be linearly independent (simplicial cones only)") from None
-    return RationalCone(ambient_dim, prim, lattice, _dual=dual, _lat=_lat)
+    return _cones(gens, [range(len(gens))], ambient_dim, None if lattice is None else qm(lattice))[0]
 
 
 def zero_cone(ambient_dim: int, lattice: Optional[Matrix] = None) -> RationalCone:
@@ -434,24 +464,22 @@ def star_subdivision(f: Fan, ray: Sequence) -> Fan:
     """Subdivide at a ray of the fan's ambient dimension (checked before any
     lattice is read) in its support: cones containing it are replaced by joins
     with their facets that avoid it, the facets opposite the generators where
-    the ray's coordinate is nonzero, both read off one `_support` per cone."""
+    the ray's coordinate is nonzero, both read off one `_support` per cone,
+    and the joins, named by indices into the fan's rays, are built by one
+    `_cones` call."""
     if len(ray) != f.ambient_dim:
         raise InvalidInput(f"subdivision ray has length {len(ray)}, not the fan's ambient dimension {f.ambient_dim}")
     lat = f.maximal_cones[0]._lat
-    (ray_p,) = _primitivize([qv(ray)], f.lattice, lat)
+    (w,), _ = _primitive_rows([qv(ray)], f.lattice, lat)
     if any(c.ambient_dim != f.ambient_dim for c in f.maximal_cones):
         raise InvalidInput("dimension mismatch in cone membership")
-    w = _point_ints(ray_p)
     supports = [_support(c, w) for c in f.maximal_cones]
     if all(m is None for m in supports):
         raise InvalidInput("subdivision ray lies outside the support of the fan")
-    new_cones = [c for c, m in zip(f.maximal_cones, supports) if m is None]
-    for c, m in zip(f.maximal_cones, supports):
-        for i in range(c.dim):
-            if m is not None and m >> i & 1:
-                facet = [*c.gens[:i], *c.gens[i + 1 :]]
-                new_cones.append(cone([*facet, ray_p], lattice=c.lattice, ambient_dim=c.ambient_dim, _lat=lat))
-    return fan(new_cones)
+    rays, keys = f._names
+    joins = [(*k[:i], *k[i + 1 :], len(rays)) for k, m in zip(keys, supports) if m for i in range(len(k)) if m >> i & 1]
+    kept = [c for c, m in zip(f.maximal_cones, supports) if m is None]
+    return fan(kept + _cones([*rays, qv(ray)], joins, f.ambient_dim, f.lattice, lat))
 
 
 def _rows_on_weights(c: RationalCone, gens: Sequence[Vector]) -> list[tuple[int, ...]]:

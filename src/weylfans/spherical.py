@@ -159,19 +159,21 @@ def _colored_faces(top: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vect
     coordinate, so their supports are the unions of the supports of P's
     extreme rays, found once per top (`_extreme_ray_supports`), as bitmasks
     of generator indices.  Should the ray list pass ``MAX_COLORED_FACES``,
-    each face is asked `_relint_meets_valuation` instead.  A color lands in
-    the face on S exactly when it lies in the top with its coordinates in
-    the generators supported in S, so each color's coordinates are read
-    once.  A top of another ambient dimension than the valuation cone, and
-    then one with more than ``MAX_COLORED_FACES`` faces (BoundExceeded), are
-    refused before any work; an invalid top gets its faces all the same.
+    or the valuation cone given be of lower dimension, each face is asked
+    `_relint_meets_valuation` instead.  A color lands in the face on S
+    exactly when it lies in the top with its coordinates in the generators
+    supported in S, so each color's coordinates are read once.  A top of
+    another ambient dimension than the valuation cone, and then one with
+    more than ``MAX_COLORED_FACES`` faces (BoundExceeded), are refused
+    before any work; an invalid top gets its faces all the same.
     """
     c = top.cone
     if c.ambient_dim != vcone.ambient_dim:
         raise InvalidInput("dimension mismatch in cone membership")
     _check_face_bound(c.dim)
     rows = _rows_on_weights(vcone, c.gens)
-    rays = _extreme_ray_supports(c.dim, rows[vcone.dim :], rows[: vcone.dim], MAX_COLORED_FACES)
+    # the library's valuation cone is full-dimensional: its rows are all facet rows
+    rays = None if rows[vcone.dim :] else _extreme_ray_supports(c.dim, rows, MAX_COLORED_FACES)
     if rays is None:
         supports = {_mask(s) for s in _face_subsets(c.dim) if _relint_meets_valuation(_face(c, s), vcone)}
     else:

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 from ._record import Record
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
 from .linalg import Vector, _common_ints, _dual_rows, _scaled_ints, qm, qv, rank, saturation_basis
-from .polyhedra import Fan, RationalCone, _certified_complete, _primitivize, cone, fan, is_complete, is_smooth
+from .polyhedra import Fan, RationalCone, _certified_complete, _cones, _primitivize, fan, is_complete, is_smooth
 from .rootsys import RootSystem, WeylElement, weyl_order
 
 
@@ -130,9 +130,10 @@ def subtorus_closure_fan(
     if len(lattice) != len(plane):
         raise InvalidInput("plane spanning vectors are linearly dependent")
     images = [[w.apply(b) for b in plane] for w in wprime]
+    keys = [range(t * len(plane), (t + 1) * len(plane)) for t in range(len(images))]
     lat = _dual_rows(lattice, rs.ambient_dim)
     try:
-        cones = [cone(img, lattice=lattice, ambient_dim=rs.ambient_dim, _lat=lat) for img in images]
+        cones = _cones([r for img in images for r in img], keys, rs.ambient_dim, lattice, lat)
     except InvalidInput as exc:
         # a cone refuses a generator off its lattice, here the plane's; its
         # other refusals keep their own message

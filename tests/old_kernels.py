@@ -18,9 +18,11 @@ from itertools import compress
 from math import gcd
 from operator import mul
 
+from old_cones import cone, primitivize
+
 from weylfans.errors import InvalidInput
 from weylfans.linalg import _common_ints, primitive_direction, qv
-from weylfans.polyhedra import _point_ints, _primitivize, cone, fan
+from weylfans.polyhedra import _point_ints, fan
 from weylfans.rootsys import WeylElement, _canonical
 from weylfans.spherical import _relint_meets_valuation
 
@@ -58,7 +60,7 @@ def star_subdivision(f, ray):
     if len(ray) != f.ambient_dim:
         raise InvalidInput(f"subdivision ray has length {len(ray)}, not the fan's ambient dimension {f.ambient_dim}")
     lat = f.maximal_cones[0]._lat
-    (ray_p,) = _primitivize([qv(ray)], f.lattice, lat)
+    (ray_p,) = primitivize([qv(ray)], f.lattice, lat)
     inside = [contains(c, ray_p) for c in f.maximal_cones]
     if not any(inside):
         raise InvalidInput("subdivision ray lies outside the support of the fan")

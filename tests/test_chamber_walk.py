@@ -101,15 +101,21 @@ def test_closed_forms_read_the_classification():
     assert max(weyl_order(build_root_system(t)) for t in WALKED + LARGEST) == MAX_CHAMBERS
 
 
-@pytest.mark.parametrize("label", WALKED)
-def test_chamber_fans_match_closed_forms(label):
-    """|W| maximal cones on the counted rays, complete, every chamber smooth,
-    each built under the default bound."""
+def _closed_form_fan(label):
+    """The chamber fan, checked against the closed forms."""
     order, rays = _closed_forms(label)
     f = weyl_chamber_fan(build_root_system(label))
     assert (len(f.maximal_cones), len(f.rays())) == (order, rays)
     assert is_complete(f)
     assert all(is_smooth(c) for c in f.maximal_cones)
+    return f
+
+
+@pytest.mark.parametrize("label", WALKED)
+def test_chamber_fans_match_closed_forms(label):
+    """|W| maximal cones on the counted rays, complete, every chamber smooth,
+    each built under the default bound."""
+    _closed_form_fan(label)
 
 
 @pytest.mark.parametrize("label", SMALL)
@@ -215,13 +221,24 @@ def test_walls_match_frozenset_walls():
 
 if __name__ == "__main__":
     # The closed-form check on the largest types, which Tier-1 leaves out,
-    # one type per whole process: PYTHONPATH=src python tests/test_chamber_walk.py E6
+    # one type per whole process, then the fan read back from its document:
+    # PYTHONPATH=src python tests/test_chamber_walk.py E6
+    import json
     import resource
     import sys
     import time
 
     for label in sys.argv[1:] or LARGEST:
         start = time.perf_counter()
-        test_chamber_fans_match_closed_forms(label)
+        f = _closed_form_fan(label)
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"{label}: closed forms hold, {time.perf_counter() - start:.2f} s, peak RSS {peak:.0f} MB")
+        text = jsonio.dumps(jsonio.fan_to_json(f))
+        start = time.perf_counter()
+        g = jsonio.fan_from_json(json.loads(text))
+        read = time.perf_counter() - start
+        assert g == f and g._names == f._names and jsonio.dumps(jsonio.fan_to_json(g)) == text
+        rays, keys = g._names
+        assert all(x is rays[k] for c, key in zip(g.maximal_cones, keys) for x, k in zip(c.gens, key))
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"{label}: read back from its document, {read:.2f} s, peak RSS {peak:.0f} MB")

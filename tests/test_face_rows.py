@@ -13,7 +13,7 @@ from itertools import combinations
 import old_linalg
 import pytest
 
-from weylfans import linalg, polyhedra, spherical
+from weylfans import linalg, polyhedra
 from weylfans.casebook import _e8_wprime, _f4_wprime
 from weylfans.errors import InvalidInput
 from weylfans.linalg import _int_unit, qm, qv, rank
@@ -289,22 +289,22 @@ def test_star_subdivision_matches_the_facet_loop():
 
 
 def _counting(monkeypatch):
-    """Count `_dual_rows` solves in polyhedra and `cone` calls from polyhedra
-    and spherical."""
+    """Count `_dual_rows` solves in polyhedra and the cones `_cones` builds,
+    which `cone` in polyhedra and spherical and `star_subdivision` call."""
     counts = {"rows": 0, "cone": 0}
-    dual_rows, make = polyhedra._dual_rows, polyhedra.cone
+    dual_rows, make = polyhedra._dual_rows, polyhedra._cones
 
     def rows(*a):
         counts["rows"] += 1
         return dual_rows(*a)
 
-    def counted_cone(*a, **kw):
-        counts["cone"] += 1
-        return make(*a, **kw)
+    def counted_cones(*a, **kw):
+        built = make(*a, **kw)
+        counts["cone"] += len(built)
+        return built
 
     monkeypatch.setattr(polyhedra, "_dual_rows", rows)
-    for module in (polyhedra, spherical):
-        monkeypatch.setattr(module, "cone", counted_cone)
+    monkeypatch.setattr(polyhedra, "_cones", counted_cones)
     return counts
 
 

@@ -24,7 +24,8 @@ from weylfans._record import Record
 from weylfans.errors import BoundExceeded, InvalidInput
 from weylfans.linalg import _dual_rows, qm, qv, rank, saturation_basis
 from weylfans.polyhedra import (
-    RationalCone, _certified_complete, _lattice_ints, _ray_keys, cone, contains, covered_by, faces, fan, is_smooth,
+    RationalCone, _certified_complete, _cones, _lattice_ints, _ray_keys, cone, contains, covered_by, faces, fan,
+    is_smooth,
 )
 from weylfans.rootsys import RootSystem, build_root_system
 from weylfans.spherical import blowup_chain_fans, valuation_cone, wonderful_colored_fan
@@ -82,7 +83,10 @@ def test_cones_match_the_fraction_path():
             old = _outcome(lambda: fraction_cone(gens, lattice, dim))
             rows = None if lattice is None else _dual_rows(lattice, dim)
             for lat in (None, rows):
-                new = _outcome(lambda: cone(gens, lattice, dim, _lat=lat))
+                if lat is None:
+                    new = _outcome(lambda: cone(gens, lattice, dim))
+                else:
+                    new = _outcome(lambda: _cones([qv(g) for g in gens], [range(len(gens))], dim, lattice, lat)[0])
                 if isinstance(old, tuple):
                     assert new == old
                 else:
