@@ -156,19 +156,18 @@ def _cones(
     rays: Sequence[Vector], keys: Iterable[Sequence[int]], dim: int, lattice: Optional[Matrix] = None, lat=None
 ) -> list[RationalCone]:
     """The simplicial cones on index lists into one list of Fraction rays,
-    each as `cone` builds it on its rays and refused as `cone` refuses it,
-    cone by cone in order: a generator of another length, then one off the
-    lattice (the first of the cone's), then dependent generators.
+    refused cone by cone in order: a generator of another length, then the
+    cone's first generator off the lattice, then dependent generators.
 
-    Each distinct ray a cone uses is read once, where the first cone uses
-    it: a zero ray is dropped, and a nonzero one scaled to its primitive
-    integer row over the lattice's denominator (`_primitive_rows`), which
-    names it, with one Fraction tuple per row shared by every cone on it.
-    A cone dedupes and sorts its rows, which order as its generators do,
-    and solves its dual basis on them, or on the Fraction generators on a
-    reference lattice.  ``lat`` hands over the lattice's dual rows, solved
-    once by a caller building many cones on it; without them each cone
-    that reads a new ray solves the lattice, and its cones keep None.
+    Each ray is read once, where the first cone uses it: a zero ray is
+    dropped, and a nonzero one scaled to its primitive integer row over the
+    lattice rows' denominator (`_primitive_rows`), which names it and has
+    one Fraction tuple shared by every cone on it.  A cone dedupes and sorts
+    its rows, which order as its generators do, and solves its dual basis
+    on them, or on its Fraction generators on a reference lattice.  ``lat``
+    hands over the lattice's dual rows, solved once by a caller building
+    many cones on it, and each cone keeps them; without them each cone that
+    reads a new ray solves the lattice.
     """
     named: dict[int, tuple[int, ...]] = {}
     shared: dict[tuple[int, ...], Vector] = {}
