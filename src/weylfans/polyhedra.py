@@ -9,13 +9,15 @@ shared by every cone on it, and the generators are deduplicated and
 sorted as those rows.  A reference lattice is read through its dual rows,
 integer dot products with no elimination, solved once per fan by the
 callers that build many cones on one lattice, handed to `_cones` and kept
-on the cones, with no module-level cache.  Each cone carries its integer
-description, the dual basis (N, d) of its generators: integer rows over
-one denominator d > 0, whose first rows are the facet functionals and the
-remaining rows the equations of the span, from one elimination per cone
-built by `_cones`, or handed over where the structure gives it (the
-valuation cone, the Weyl chambers); its faces read theirs off these rows.
-Every cone question reads them exactly: membership and a point's support in
+on the cones (``_lat``), with no module-level cache.  Each cone carries
+two more integer caches: its generators as integer rows over one
+denominator (``_ints``), built on first read, and their dual basis (N, d)
+(``_dual``): integer rows over one denominator d > 0, whose first rows are
+the facet functionals and the remaining rows the equations of the span,
+from one elimination per cone built by `_cones`, or handed over where the
+structure gives it (the valuation cone, the Weyl chambers); its faces read
+theirs off these rows.  Every cone question reads them exactly, and none
+rescales a cone's Fraction generators: membership and a point's support in
 the generators by one reader, `_support`, the signs of integer dot products
 with the point scaled to integers; fan validity first by a certificate
 linear in the cones, which accepts exactly the complete fans (a
@@ -60,13 +62,15 @@ MAX_COVER_CELLS = 20_000
 class RationalCone(Record):
     """A simplicial cone: independent generators, primitive in the lattice.
 
-    Two integer solves are kept on the cone, out of equality, hashing and
+    Three integer caches are kept on the cone, out of equality, hashing and
     repr, written by the `_record` protocol.  ``_dual``, the dual basis
     (N, d) of the generators: the rows of N/d read the coordinates of a
     vector in the generators, then the equations of their span (unit rows
     over 1 for the zero cone).  `_cones` and `faces` hand it over, as does a
     caller that knows it, and a cone built directly solves it on first
-    read.  ``_lat``, the lattice's dual rows, read by `_lattice_ints`
+    read.  ``_ints``, the generators as integer rows over one denominator
+    (`_common_ints`), built on first read, is what every cone question
+    reads of them.  ``_lat``, the lattice's dual rows, read by `_lattice_ints`
     (None for the standard lattice or when not handed over): a caller
     building many cones on one lattice solves it once and hands the rows to
     `_cones`, which keeps them on each cone, and faces share them.
@@ -76,6 +80,7 @@ class RationalCone(Record):
     gens: Matrix
     lattice: Optional[Matrix] = None
     _dual: tuple = cached(lambda c: _dual_rows(c.gens, c.ambient_dim))
+    _ints: tuple = cached(lambda c: _common_ints(c.gens))
     _lat: Optional[tuple] = None
 
     def __init__(self, ambient_dim: int, gens: Matrix, lattice: Optional[Matrix] = None, *, _dual=None, _lat=None):
@@ -105,24 +110,26 @@ def _text(v: Iterable) -> str:
 
 
 def _lattice_ints(
-    lattice: Optional[Matrix], vectors: Sequence[Vector], name: str = "vector", rows: Optional[tuple] = None
+    lattice: Optional[Matrix], vectors: Sequence[Vector], name: str = "vector", rows: Optional[tuple] = None,
+    ints: tuple = (),
 ) -> tuple[list[list[int]], int]:
     """Coordinates in the lattice rows (the standard lattice for None), as
     integer rows over their least common denominator, read as integer dot
     products with the lattice's dual rows (N, d) = `_dual_rows` of L: the
     first k rows of N/d give the coordinates and the others vanish exactly
     on the span.  ``rows`` hands over that solve, made once per lattice by
-    a caller building many cones on it; without it this call solves.  A
+    a caller building many cones on it; without it this call solves, and
+    ``ints``, a cone's ``_ints``, hands over the vectors' `_common_ints`.  A
     vector of another length (checked before any solve) or off the span is
     refused, named by ``name.format(v)``, v written as (1/2, -3): the first
     vector an off-span row does not vanish on."""
     if lattice is None or not vectors:
-        return _common_ints(vectors)
+        return ints or _common_ints(vectors)
     k, dim = len(lattice), len(lattice[0]) if lattice else len(vectors[0])
     off = [v for v in vectors if len(v) != dim]
     if not off:
         n, d = rows if rows is not None else _dual_rows(lattice, dim)
-        ints, s = _common_ints(vectors)
+        ints, s = ints or _common_ints(vectors)
         dots = [[sum(map(mul, row, w)) for row in n] for w in ints]
         off = [v for v, x in zip(vectors, dots) if any(x[k:])]
     if off:
@@ -212,11 +219,6 @@ def zero_cone(ambient_dim: int, lattice: Optional[Matrix] = None) -> RationalCon
     return RationalCone(ambient_dim=ambient_dim, gens=(), lattice=qm(lattice) if lattice else None)
 
 
-def _point_ints(v: Sequence) -> Sequence[int]:
-    """A positive integer multiple of a rational point."""
-    return _int_row(v if all(type(x) is int or type(x) is Q for x in v) else qv(v))
-
-
 def _support(c: RationalCone, w: Sequence[int]) -> Optional[int]:
     """The bitmask of a point's nonzero coordinates in the generators, or
     None off the cone (a span row nonzero or a facet row negative at it);
@@ -237,7 +239,7 @@ def _coordinate_support(c: RationalCone, v: Sequence) -> Optional[int]:
     """`_support` of a rational point of the cone's ambient dimension."""
     if len(v) != c.ambient_dim:
         raise InvalidInput("dimension mismatch in cone membership")
-    return _support(c, _point_ints(v))
+    return _support(c, _int_row(qv(v)))
 
 
 def contains(c: RationalCone, v: Sequence, strict: bool = False) -> bool:
@@ -275,7 +277,7 @@ def is_smooth(c: RationalCone) -> bool:
     factor 1 per generator (Smith normal form)."""
     if not c.gens:
         return True
-    rows, s = _lattice_ints(c.lattice, c.gens, rows=c._lat)
+    rows, s = _lattice_ints(c.lattice, c.gens, rows=c._lat, ints=c._ints)
     if s != 1:
         return False
     if len(rows) == c.lattice_rank():
@@ -333,7 +335,7 @@ def _face_compatible(c1: RationalCone, c2: RationalCone, key1: Sequence[int], ke
     pair is refused without testing ray membership.
     """
     shared = set(key1) & set(key2)
-    extras2 = [h for h, r in zip(c2.gens, key2) if r not in shared]
+    extras2 = [h for h, r in zip(c2._ints[0], key2) if r not in shared]
     if not extras2 and len(shared) == len(c1.gens):
         return True
     # the functional is u = sum a_j N_j over the rows N_j of c1's dual basis:
@@ -392,7 +394,7 @@ def _certified_complete(cones: Sequence[RationalCone], keys: Sequence[Sequence[i
     walls = _walls(cones, keys)
     if walls is None:
         return False
-    ints = [_point_ints(g) for g in rays]
+    ints = [_int_row(g) for g in rays]
     # a cone built directly may lie off its lattice's span, so one plane is checked
     rows, _ = cones[0]._dual
     if any(sum(map(mul, row, w)) for row in rows[len(cones[0].gens) :] for w in ints):
@@ -400,7 +402,7 @@ def _certified_complete(cones: Sequence[RationalCone], keys: Sequence[Sequence[i
     for (a, i), (b, j) in walls:
         if sum(map(mul, cones[a]._dual[0][i], ints[keys[b][j]])) >= 0:
             return False
-    point = _point_ints([sum(col) for col in zip(*cones[0].gens)])
+    point = [sum(col) for col in zip(*cones[0]._ints[0])]
     return all(_support(c, point) is None for c in cones[1:])
 
 
@@ -481,16 +483,15 @@ def star_subdivision(f: Fan, ray: Sequence) -> Fan:
     return fan(kept + _cones([*rays, qv(ray)], joins, f.ambient_dim, f.lattice, lat))
 
 
-def _rows_on_weights(c: RationalCone, gens: Sequence[Vector]) -> list[tuple[int, ...]]:
+def _rows_on_weights(c: RationalCone, ints: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """The rows of the cone's dual basis (see `_support`) as integer linear
     forms in generator weights.
 
-    Row r holds rows[r] . (s g) for each g in gens, where s is the one lcm of
-    all the generators' denominators: a positive multiple of rows[r] read at
-    the point sum_g w_g g, as a function of the weights w.
+    It takes integer rows s g over one s > 0, another cone's ``_ints``: row
+    r holds rows[r] . (s g) for each generator g, a positive multiple of
+    rows[r] read at the point sum_g w_g g, as a function of the weights w.
     """
-    cols, _ = _common_ints(gens)
-    return [tuple(sum(map(mul, row, col)) for col in cols) for row in c._dual[0]]
+    return [tuple(sum(map(mul, row, col)) for col in ints) for row in c._dual[0]]
 
 
 def covered_by(target: RationalCone, cover: Sequence[RationalCone], shortcut: bool = True) -> bool:
@@ -513,9 +514,8 @@ def covered_by(target: RationalCone, cover: Sequence[RationalCone], shortcut: bo
             raise InvalidInput("cover cones live in a different ambient space")
     if not target.gens:
         return bool(cover)
-    gens, k = target.gens, len(target.gens)
+    points, k = target._ints[0], len(target.gens)
     if shortcut:
-        points = [_point_ints(g) for g in gens]
         if any(all(_support(c, w) is not None for w in points) for c in cover):
             return True
 
@@ -527,7 +527,7 @@ def covered_by(target: RationalCone, cover: Sequence[RationalCone], shortcut: bo
     holders = []
     for c in cover:
         facets = []
-        for r, psi in enumerate(_rows_on_weights(c, gens)):
+        for r, psi in enumerate(_rows_on_weights(c, points)):
             if any(psi):
                 g = gcd(*psi) * (1 if next(x for x in psi if x) > 0 else -1)
                 j = distinct.setdefault(tuple(x // g for x in psi), len(distinct))

@@ -26,6 +26,7 @@ from .linalg import (
     _eliminate,
     _extreme_ray_supports,
     _int_mat_vec,
+    _int_row,
     _int_unit,
     _unit,
     primitive_direction,
@@ -37,7 +38,6 @@ from .polyhedra import (
     _coordinate_support,
     _face,
     _face_subsets,
-    _point_ints,
     _ray_keys,
     _rows_on_weights,
     _support,
@@ -135,7 +135,7 @@ def _relint_meets_valuation(c: RationalCone, vcone: RationalCone) -> bool:
     if c.ambient_dim != vcone.ambient_dim:
         raise InvalidInput("dimension mismatch in cone membership")
     k, facets = len(c.gens), len(vcone.gens)
-    rows = _rows_on_weights(vcone, c.gens)
+    rows = _rows_on_weights(vcone, c._ints[0])
     eqs = [(row, 0) for row in rows[facets:]]
     ineqs = [(_int_unit(k, i), 1) for i in range(k)] + [(row, 0) for row in rows[:facets]]
     return _eliminate(k, eqs, ineqs)
@@ -171,7 +171,7 @@ def _colored_faces(top: ColoredCone, vcone: RationalCone, rho: Mapping[str, Vect
     if c.ambient_dim != vcone.ambient_dim:
         raise InvalidInput("dimension mismatch in cone membership")
     _check_face_bound(c.dim)
-    rows = _rows_on_weights(vcone, c.gens)
+    rows = _rows_on_weights(vcone, c._ints[0])
     # the library's valuation cone is full-dimensional: its rows are all facet rows
     rays = None if rows[vcone.dim :] else _extreme_ray_supports(c.dim, rows, MAX_COLORED_FACES)
     if rays is None:
@@ -326,7 +326,7 @@ def extends_to_morphism(
         raise InvalidInput("dimension mismatch in cone membership")
     # a positive multiple of each image: membership is scale-invariant
     if lattice_map is None:
-        points = [_point_ints(r) for r in rays]
+        points = [_int_row(r) for r in rays]
     else:
         rows, _ = _common_ints(qm(lattice_map))
         points = [_int_mat_vec(rows, 1, r)[0] for r in rays]

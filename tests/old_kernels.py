@@ -11,9 +11,13 @@ which built the longest element, and the ``simple_reflection`` that built
 its rows by hand; the package right-multiplies with ``_times_reflection``
 for both.  And ``validate_colored_cone``, which re-derived a colored top's
 validity with one elimination and a ``contains`` per color and generator,
-where the package reads it off the top's own colored faces.
+where the package reads it off the top's own colored faces.  The
+``_point_ints`` they all scale points with, which the package replaced by
+each cone's kept integer rows (``_ints``) and, for an outside point,
+`_int_row` of its Fraction vector, is kept here too.
 """
 
+from fractions import Fraction as Q
 from itertools import compress
 from math import gcd
 from operator import mul
@@ -21,10 +25,15 @@ from operator import mul
 from old_cones import cone, primitivize
 
 from weylfans.errors import InvalidInput
-from weylfans.linalg import _common_ints, primitive_direction, qv
-from weylfans.polyhedra import _point_ints, fan
+from weylfans.linalg import _common_ints, _int_row, primitive_direction, qv
+from weylfans.polyhedra import fan
 from weylfans.rootsys import WeylElement, _canonical
 from weylfans.spherical import _relint_meets_valuation
+
+
+def _point_ints(v):
+    """A positive integer multiple of a rational point."""
+    return _int_row(v if all(type(x) is int or type(x) is Q for x in v) else qv(v))
 
 
 def holds(c, w, strict=False):

@@ -61,6 +61,7 @@ class RationalCone:
     gens: Matrix
     lattice: Optional[Matrix] = None
     _dual: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _ints: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _lat: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 

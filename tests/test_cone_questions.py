@@ -30,7 +30,9 @@ from test_linalg import _old_coords_in_basis, _old_dual_rows, _old_nullspace
 
 from weylfans import polyhedra, spherical
 from weylfans.errors import InvalidInput
-from weylfans.linalg import _eliminate, _int_unit, _unit, is_zero_vector, primitive_direction, qm, qv, rank
+from weylfans.linalg import (
+    _common_ints, _eliminate, _int_unit, _unit, is_zero_vector, primitive_direction, qm, qv, rank,
+)
 from weylfans.polyhedra import RationalCone, _rows_on_weights, cone, contains, covered_by, faces, zero_cone
 from weylfans.rootsys import build_root_system
 from weylfans.toric import weyl_chamber_fan
@@ -90,7 +92,7 @@ def _set_face_compatible(c1, c2, rays_in_c1, rays_in_c2):
     k = len(c1.gens)
     free = [j for j, g in enumerate(c1.gens) if g not in s1]
     free += range(k, c1.ambient_dim)
-    on_h = _rows_on_weights(c1, extras2)
+    on_h = _rows_on_weights(c1, _common_ints(extras2)[0])
     ineqs = [(_unit(len(free), i), 1) for i, j in enumerate(free) if j < k]
     ineqs += [(tuple(-on_h[j][t] for j in free), 1) for t in range(len(extras2))]
     return _old_feasible(len(free), [], ineqs) is not None
@@ -229,7 +231,7 @@ def _membership_face_compatible(c1, c2, ids1, ids2, rays_in_c1, rays_in_c2):
         return True
     k = len(c1.gens)
     free = [*(j for j, r in enumerate(ids1) if r not in s1), *range(k, c1.ambient_dim)]
-    on_h = _rows_on_weights(c1, extras2)
+    on_h = _rows_on_weights(c1, _common_ints(extras2)[0])
     ineqs = [(_int_unit(len(free), i), 1) for i, j in enumerate(free) if j < k]
     ineqs += [(tuple(-on_h[j][t] for j in free), 1) for t in range(len(extras2))]
     return _eliminate(len(free), [], ineqs)

@@ -8,14 +8,14 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from old_kernels import holds
+from old_kernels import _point_ints, holds
 from test_colored_face_relation import _hand_fan, _hand_fans, _outcome
 from test_cone_questions import WONDERFUL_TYPES, _independent
 
 from weylfans import spherical
 from weylfans.errors import InvalidInput
 from weylfans.linalg import _common_ints, _int_mat_vec, _unit, qv
-from weylfans.polyhedra import _face_subsets, _point_ints, cone, contains, faces, zero_cone
+from weylfans.polyhedra import _face_subsets, cone, contains, faces, zero_cone
 from weylfans.rootsys import build_root_system
 from weylfans.spherical import (
     ColoredCone,

@@ -12,7 +12,7 @@ divisor now refuse it with InvalidInput naming the ray."""
 import json
 import random
 
-from old_kernels import holds
+from old_kernels import _point_ints, holds
 from test_colored_face_relation import _hand_fans, _outcome
 from test_extreme_ray_faces import _mixed_fan
 
@@ -20,7 +20,7 @@ from weylfans import jsonio, spherical
 from weylfans.errors import InvalidInput
 from weylfans.linalg import _common_ints, _int_mat_vec, qm
 from weylfans.polyhedra import (
-    Fan, RationalCone, _point_ints, _ray_keys, _text, _walls, contains, is_complete, star_subdivision,
+    Fan, RationalCone, _ray_keys, _text, _walls, contains, is_complete, star_subdivision,
 )
 from weylfans.rootsys import build_root_system
 from weylfans.spherical import ColoredFan, OrbitPoset, _relint_meets_valuation

@@ -265,9 +265,46 @@ def test_root_systems_hash_their_label():
         hash(Plain("x", [1]))
 
 
+def _direct_cones():
+    """Fresh cones built directly, with no rows handed over: the B2 and A3
+    chambers on the coweight lattice, and seeded cones on Fraction
+    generators, non-primitive and now and then dependent."""
+    cones = []
+    for label in ("B2", "A3"):
+        for c in weyl_chamber_fan(build_root_system(label)).maximal_cones:
+            cones.append(RationalCone(c.ambient_dim, c.gens, c.lattice))
+    rng = random.Random(3405)
+    for _ in range(24):
+        dim = rng.randint(1, 4)
+        gens = [qv([Q(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(dim)]) for _ in range(dim)]
+        if rng.random() < 0.25:
+            gens[1:] = [tuple(2 * x for x in gens[0])]
+        cones.append(RationalCone(dim, tuple(gens[: rng.randint(1, len(gens))])))
+    return cones
+
+
+def _direct_answers(cones, backwards=False):
+    """`is_smooth` of each cone, and whether the cones of its ambient
+    dimension up to two places on either side in the list cover it, with
+    the shortcut on and off, joined at every other cone by the cone on its
+    doubled generators; asked from the last cone back when ``backwards``,
+    listed in order."""
+    out = {}
+    for i in reversed(range(len(cones))) if backwards else range(len(cones)):
+        c = cones[i]
+        cover = [d for d in cones[max(i - 2, 0) : i] + cones[i + 1 : i + 3] if d.ambient_dim == c.ambient_dim]
+        if i % 2:
+            cover.append(RationalCone(c.ambient_dim, tuple(tuple(2 * x for x in g) for g in c.gens), c.lattice))
+        out[i] = [_outcome(lambda: is_smooth(c))] + [_outcome(lambda: covered_by(c, cover, s)) for s in (True, False)]
+    return [out[i] for i in range(len(cones))]
+
+
 def test_fans_build_alike_under_threads():
     """Six threads build colored and chamber fans at once and ask their
-    shared cones, with the serial answers."""
+    shared cones, with the serial answers.  They also ask `covered_by` and
+    `is_smooth` of one list of fresh cones built directly, so each cone's
+    kept generator rows are first read inside the concurrent calls, and
+    get the answers a single thread gets from its own fresh copies."""
 
     def work():
         out = [jsonio.colored_fan_to_json(f) for f in blowup_chain_fans(4)]
@@ -280,14 +317,16 @@ def test_fans_build_alike_under_threads():
         return out, shared_answers
 
     shared = fan(cone(c.gens, c.lattice, c.ambient_dim) for c in weyl_chamber_fan(build_root_system("B2")).maximal_cones)
-    serial = work()
+    serial = work(), _direct_answers(_direct_cones())
+    direct = _direct_cones()
+    assert not any("_ints" in vars(c) for c in direct)
     barrier = threading.Barrier(6)
     results, errors = [None] * 6, []
 
     def run(t):
         try:
             barrier.wait()
-            results[t] = work()
+            results[t] = work(), _direct_answers(direct, backwards=t % 2 == 1)
         except Exception as exc:  # reported below
             errors.append(exc)
 
@@ -303,3 +342,6 @@ def test_fans_build_alike_under_threads():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert not errors and all(r == serial for r in results)
+    assert all(vars(c)["_ints"] == linalg._common_ints(c.gens) for c in direct)
+    assert {a[0] for a in serial[1]} >= {True, False} and {a[2] for a in serial[1]} >= {True, False}
+    assert any(isinstance(x, tuple) for a in serial[1] for x in a)

@@ -428,7 +428,7 @@ def _pair_system(c1, c2, vcone):
     cone's facets at least 0 on the point they give."""
     from weylfans.polyhedra import _rows_on_weights
 
-    gens = c1.gens
+    gens, _ = linalg._common_ints(c1.gens)
     eqs, ineqs = [], [(linalg._int_unit(len(gens), i), 1) for i in range(len(gens))]
     for c, bound in ((c2, 1), (vcone, 0)):
         rows = _rows_on_weights(c, gens)

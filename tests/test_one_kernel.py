@@ -20,7 +20,7 @@ from weylfans import polyhedra
 from weylfans.errors import BoundExceeded, InvalidInput
 from weylfans.linalg import _unit, primitive_direction, qv
 from weylfans.polyhedra import (
-    MAX_COVER_ROWS, _coordinate_support, _point_ints, _support, cone, contains, covered_by, fan, faces,
+    MAX_COVER_ROWS, _coordinate_support, _support, cone, contains, covered_by, fan, faces,
     star_subdivision, zero_cone,
 )
 from weylfans.rootsys import (
@@ -80,8 +80,8 @@ def test_support_readers_match_the_old_copies():
             if got[0] == "raises":
                 seen["refused"] += 1
                 continue
-            assert _support(c, _point_ints(v)) == got[1]
-            for w in (_point_ints(v), [3 * x for x in _point_ints(v)]):
+            assert _support(c, old._point_ints(v)) == got[1]
+            for w in (old._point_ints(v), [3 * x for x in old._point_ints(v)]):
                 assert (_support(c, w) is not None) == old.holds(c, w)
             m = got[1]
             seen["off" if m is None else "interior" if m == (1 << c.dim) - 1 else "boundary"] += 1

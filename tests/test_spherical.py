@@ -160,8 +160,8 @@ def test_extension_scales_each_generator_once(monkeypatch):
     zero = next(cc for cc in fans[0].cones if not cc.cone.gens)
     fans += [_with_cones(fans[0], (zero,)), _with_cones(fans[-1], ())]
     scaled = []
-    real = spherical._point_ints
-    monkeypatch.setattr(spherical, "_point_ints", lambda v: scaled.append(v) or real(v))
+    real = spherical._int_row
+    monkeypatch.setattr(spherical, "_int_row", lambda v: scaled.append(v) or real(v))
     seen = {True: 0, False: 0, "refused": 0}
     for source in fans:
         for target in fans:
