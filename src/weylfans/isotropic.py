@@ -12,15 +12,18 @@ that width per row, so a step is O(dim) big-integer operations; every row
 is scaled by the step's denominator q, which moves no row off its ray, and
 is unpacked and reduced to primitive once per draw, after the last
 transvection.  The orthogonal one takes its Cayley transform from one
-fraction-free elimination, with one exact division per entry when the
-public Fraction basis is built.  Their integer draws read
+forward fraction-free elimination of [I + A | J] and a back substitution
+in integers, with one exact division per entry.  Their integer draws read
 ``rng.getrandbits`` with ``randint``'s own rejection, so the stream is that
-of ``randint``.  A subspace keeps two caches (`IsotropicSubspace`): its
-primitive integer rows, which the invariant and the equality test read,
-and the fraction-free echelon of those rows, taken as [B2 | B1]: the
-invariant reads its pivots, and equality reduces each row of the second
-subspace against it, as the same elimination would an appended last row,
-and stops at the first row that stays nonzero.
+of ``randint``.  A subspace built here keeps its basis as integer rows over
+one denominator and builds the Fraction basis on first read; the
+involution image hands the rows over negated and builds none.  A subspace
+keeps two more caches (`IsotropicSubspace`): its primitive integer rows,
+which the invariant and the equality test read, and the fraction-free
+echelon of those rows, taken as [B2 | B1]: the invariant reads its pivots,
+and equality reduces each row of the second subspace against it, as the
+same elimination would an appended last row, and stops at the first row
+that stays nonzero.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from operator import mul
 
 from ._record import Record, cached, keep
 from .errors import BoundExceeded, InvalidInput, InvariantViolation
-from .linalg import Matrix, _echelon, _int_unit, _primitive_ints, qm, rank
+from .linalg import Matrix, _common_ints, _echelon, _int_unit, _primitive_ints, qm, rank
 
 # the largest half rank random_maximal_isotropic samples; the stratum tables
 # themselves are closed formulas and take any half rank
@@ -102,6 +105,23 @@ def _signed_permutation(index: tuple[tuple[int, int], ...]) -> Matrix:
     return tuple(tuple(Q(sign if c == j else 0) for c in range(n)) for j, sign in index)
 
 
+def _num_basis(v: IsotropicSubspace) -> Matrix:
+    """The Fraction basis, read off the kept integer rows over their one
+    denominator."""
+    rows, d = v._num
+    # Q(x) takes an int without the gcd Q(x, d) pays
+    if d == 1:
+        return tuple(tuple(map(Q, row)) for row in rows)
+    return tuple(tuple(Q(x, d) for x in row) for row in rows)
+
+
+def _basis_num(v: IsotropicSubspace) -> tuple:
+    """The basis, coerced by `qm`, as integer rows over its one least
+    common denominator."""
+    rows, d = _common_ints(qm(v.basis))
+    return tuple(map(tuple, rows)), d
+
+
 def _basis_ints(v: IsotropicSubspace) -> list[list[int]]:
     """The primitive integer rows of the basis, read off it."""
     dim = v.space.dim
@@ -119,15 +139,20 @@ def _stacked_echelon(v: IsotropicSubspace) -> tuple:
 class IsotropicSubspace(Record):
     """A subspace given by the rows of its basis.
 
-    Two caches sit beside the basis, out of equality, hashing and repr,
-    kept by the `_record` protocol: ``_ints``, the primitive integer rows
-    of the basis, row by row, which the samplers, the base points and
-    `tau_image` hand over and a subspace built directly reads off its
-    basis; and ``_ech``, their fraction-free echelon as [B2 | B1].
+    A subspace built here keeps its basis as integer rows over one
+    denominator, ``_num``, and builds the Fraction ``basis`` from them on
+    first read (`_kept`); one built by hand is given its basis, and reads
+    ``_num`` off it when asked.  Two more caches sit beside the basis, out
+    of equality, hashing and repr, kept by the `_record` protocol:
+    ``_ints``, the primitive integer rows of the basis, row by row, which
+    the samplers, the base points and `tau_image` hand over and a subspace
+    built directly reads off its basis; and ``_ech``, their fraction-free
+    echelon as [B2 | B1].
     """
 
     space: DoubledSpace
-    basis: Matrix  # rows span the subspace
+    basis: Matrix = cached(_num_basis)  # rows span the subspace
+    _num: tuple = cached(_basis_num)
     _ints: tuple = cached(_basis_ints)
     _ech: tuple = cached(_stacked_echelon)
 
@@ -137,6 +162,18 @@ class IsotropicSubspace(Record):
         set_(self, "basis", basis)
         if _ints is not None:
             keep(self, "_ints", _ints)
+
+
+def _kept(space: DoubledSpace, rows: tuple, d: int, ints: tuple | None) -> IsotropicSubspace:
+    """A subspace with basis rows / d, kept as (rows, d) beside its
+    primitive rows ints when they are given; its Fraction basis is built
+    on first read."""
+    v = object.__new__(IsotropicSubspace)
+    object.__setattr__(v, "space", space)
+    keep(v, "_num", (rows, d))
+    if ints is not None:
+        keep(v, "_ints", ints)
+    return v
 
 
 def _diagonal_rows(space: DoubledSpace, i: int) -> tuple[int, ...]:
@@ -157,13 +194,13 @@ def _split_rows(space: DoubledSpace) -> tuple[tuple[int, ...], ...]:
 def diagonal_subspace(space: DoubledSpace) -> IsotropicSubspace:
     """The graph of the identity: the base point with invariant zero."""
     rows = tuple(_diagonal_rows(space, i) for i in range(space.block_dim))
-    return IsotropicSubspace(space, qm(rows), _ints=rows)
+    return _kept(space, rows, 1, rows)
 
 
 def split_subspace(space: DoubledSpace) -> IsotropicSubspace:
     """A direct sum of maximal isotropics from each factor: invariant n."""
     rows = _split_rows(space)
-    return IsotropicSubspace(space, qm(rows), _ints=rows)
+    return _kept(space, rows, 1, rows)
 
 
 def intersection_invariant(v: IsotropicSubspace) -> int:
@@ -237,10 +274,11 @@ def random_maximal_isotropic(space: DoubledSpace, seed: int) -> IsotropicSubspac
     Symplectic spaces move a split subspace by a product of symplectic
     transvections; orthogonal spaces move the diagonal by the Cayley
     transform (I - A)(I + A)^-1 of a form-antisymmetric integer matrix A,
-    redrawing on the rare singular draw.  One fraction-free elimination
-    gives d and the integer matrix d (I + A)^-1 J, where the columns of J
-    span the diagonal; the transform equals 2 (I + A)^-1 - I, so each basis
-    entry is one integer over d, reduced by one exact division.  Half ranks
+    redrawing on the rare singular draw.  One forward fraction-free
+    elimination of [I + A | J], where the columns of J span the diagonal,
+    gives d = det(I + A), and back substitution in integers the integer
+    matrix d (I + A)^-1 J; the transform equals 2 (I + A)^-1 - I, so each
+    basis row is integers over d, kept so until the basis is read.  Half ranks
     above ``MAX_HALF_RANK`` are refused with BoundExceeded before the first
     draw.
     """
@@ -286,7 +324,7 @@ def random_maximal_isotropic(space: DoubledSpace, seed: int) -> IsotropicSubspac
             multiples = (0, pc, 2 * pc, -2 * pc, -pc)
             cols = [q * c + multiples[y] for c, y in zip(cols, v)]
         rows = tuple(tuple(_primitive_ints(row)) for row in zip(*(_unpack(c, w, len(rows)) for c in cols)))
-        return IsotropicSubspace(space, qm(rows), _ints=rows)
+        return _kept(space, rows, 1, rows)
     for _ in range(32):
         draws = iter(_randints(rng, -3, 3, dim * (dim - 1) // 2))
         s_rows = [[0] * dim for _ in range(dim)]
@@ -301,19 +339,28 @@ def random_maximal_isotropic(space: DoubledSpace, seed: int) -> IsotropicSubspac
             [int(r == c) + sign * x for c, x in enumerate(s_rows[j])] + [int(r % m == c) for c in range(m)]
             for r, (j, sign) in enumerate(index)
         ]
-        # Gauss-Jordan on [I + A | J] leaves d * [I | (I + A)^-1 J]
-        reduced, pivots, d = _echelon(aug)
+        # the forward elimination of [I + A | J] leaves [U | Y], U upper
+        # triangular with d = det(I + A) its last pivot
+        u, pivots, d = _echelon(aug, reduced=False)
         if pivots != list(range(dim)):
             continue
-        # the diagonal's row i is column i of J; its image (2 (I + A)^-1 - I) J_i
-        # is (2 N_i - d J_i) / d with N_i column i of the reduced right block
-        ints, basis = [], []
+        # N = d (I + A)^-1 J = d U^-1 Y is an integer matrix, so back
+        # substitution, N_r = (d Y_r - sum_{j>r} U_rj N_j) / U_rr, divides
+        # exactly.  Each column of N is found from its last entry up, held
+        # last entry first, as is each row's U_rj for j > r
+        back = [(row, row[r], row[dim - 1 : r : -1]) for r, row in enumerate(u)][::-1]
+        nums, ints = [], []
         for i in range(m):
-            nums = [2 * row[dim + i] - d * (r % m == i) for r, row in enumerate(reduced)]
-            g = gcd(*nums) if d > 0 else -gcd(*nums)
-            ints.append(tuple(x // g for x in nums))
-            basis.append(tuple(Q(x, d) for x in nums))
-        return IsotropicSubspace(space, tuple(basis), _ints=tuple(ints))
+            col = []
+            for row, pv, tail in back:
+                col.append((d * row[dim + i] - sum(map(mul, tail, col))) // pv)
+            # the diagonal's row i is column i of J; its image (2 (I + A)^-1 - I) J_i
+            # is (2 N_i - d J_i) / d with N_i column i of N
+            num = tuple(2 * x - d * (r % m == i) for r, x in enumerate(reversed(col)))
+            g = gcd(*num) if d > 0 else -gcd(*num)
+            nums.append(num)
+            ints.append(tuple(x // g for x in num))
+        return _kept(space, tuple(nums), d, tuple(ints))
     raise InvariantViolation("all Cayley transform draws were singular")
 
 
@@ -323,12 +370,14 @@ def _tau_rows(rows, m: int) -> tuple:
 
 def tau_image(v: IsotropicSubspace) -> IsotropicSubspace:
     """Image under the involution fixing the first summand and negating the
-    second; kept integer rows, negated, stay primitive and are handed over.
-    Rows not yet kept are not built here, so a subspace the invariant
+    second: the kept rows over their denominator, and the primitive rows
+    once kept, negated, are handed over, so no Fraction is built.  Primitive
+    rows not yet kept are not built here, so a subspace the invariant
     refuses still has an image."""
     m = v.space.block_dim
+    rows, d = v._num
     ints = vars(v).get("_ints")
-    return IsotropicSubspace(v.space, qm(_tau_rows(v.basis, m)), _ints=None if ints is None else _tau_rows(ints, m))
+    return _kept(v.space, _tau_rows(rows, m), d, None if ints is None else _tau_rows(ints, m))
 
 
 def _reduces_to_zero(ech: tuple, x) -> bool:

@@ -147,6 +147,7 @@ class DoubledSpace:
 class IsotropicSubspace:
     space: DoubledSpace
     basis: Matrix
+    _num: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _ints: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _ech: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 

@@ -103,10 +103,16 @@ def _instances():
         "PicardPresentation": [spherical.picard_presentation(x) for x in divisor_ledgers],
         "FormalDivisor": [spherical.wonderful_anticanonical_divisor(rs) for rs in (c3, a2, c3)],
         "DoubledSpace": spaces,
+        # sampled, base and involution images, each with its basis built on first read
         "IsotropicSubspace": [
             isotropic.random_maximal_isotropic(spaces[0], 1),
             isotropic.random_maximal_isotropic(spaces[1], 1),
             isotropic.diagonal_subspace(spaces[2]),
+            isotropic.random_maximal_isotropic(spaces[2], 4),
+            isotropic.tau_image(isotropic.random_maximal_isotropic(spaces[0], 1)),
+            isotropic.tau_image(isotropic.random_maximal_isotropic(spaces[2], 4)),
+            isotropic.tau_image(isotropic.split_subspace(spaces[0])),
+            isotropic.IsotropicSubspace(spaces[0], isotropic.split_subspace(spaces[0]).basis),
         ],
         "SampleReport": [
             isotropic.check_equal_intersections(spaces[0], 3, seed=9),
@@ -224,6 +230,25 @@ def test_shared_constructor_refuses_bad_arguments():
     with pytest.raises(TypeError, match="unexpected keyword argument 'source'"):
         casebook.Expected(1, provenance="tabulated", source="x")
     assert toric.SurfaceBlowupLedger((("H", 3),)).history == ()
+
+
+def test_a_public_cache_is_built_on_first_read_unless_given():
+    """A public field declared with `cached` is no default: the shared
+    constructor writes it when given and otherwise leaves it to its first
+    read, which equality, the hash and the repr make."""
+
+    class Halves(Record):
+        doubled: int
+        half: int = cached(lambda r: r._twice // 2)
+        _twice: int = cached(lambda r: 2 * r.half)
+
+    lazy, given = Halves(3, _twice=8), Halves(3, 4)
+    assert Halves._defaults == {} and "half" not in vars(lazy)
+    assert lazy == given and hash(lazy) == hash(given) and repr(lazy) == repr(given)
+    assert repr(lazy).endswith(".Halves(doubled=3, half=4)")
+    assert vars(lazy)["half"] == 4 and given._twice == 8
+    with pytest.raises(TypeError, match="missing required argument 'doubled'"):
+        Halves()
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
