@@ -9,12 +9,10 @@ with the value equality (equal records hash equal).  A field whose name
 starts with an underscore is kept out of all three.  It is either a plain
 field handed over at construction, with or without a default, or a cache,
 declared ``_name: type = cached(build)``, whose value ``build(record)``
-reads off the record's fields.  A public field may be declared a cache
-too, ``name: type = cached(build)``, for a record that keeps its value in
-a cheaper form until it is read: it stays part of the value, so equality,
-the hash and the repr build it on first read, from underscore fields a
-constructor handed over.  The shared constructor takes it like any public
-field, and leaves it to its first read when it is not given.
+reads off the record's fields.  A class that writes its own ``__init__``
+may declare a public field with `cached` too (``IsotropicSubspace.basis``):
+it stays part of the value, so equality, the hash and the repr build it on
+first read.
 
 Every underscore field is written by one protocol, this module's.
 Assigning or deleting an attribute raises AttributeError.  A cache takes
@@ -97,9 +95,7 @@ class Record:
         if cls.__dict__.get("__hash__") is None:
             cls.__hash__ = __hash__
         cls._fields = names
-        # a public cache is no default: a constructor not given it leaves it to its first read
-        given = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
-        cls._defaults = {n: v for n, v in given.items() if not isinstance(v, cached)}
+        cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
         hidden = [n for n in cls.__annotations__ if n.startswith("_")]
         cls._declared = names + tuple(hidden)
         cls._eager = {n: cls.__dict__[n].build for n in hidden if getattr(cls.__dict__.get(n), "eager", False)}

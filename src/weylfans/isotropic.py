@@ -141,13 +141,13 @@ class IsotropicSubspace(Record):
 
     A subspace built here keeps its basis as integer rows over one
     denominator, ``_num``, and builds the Fraction ``basis`` from them on
-    first read (`_kept`); one built by hand is given its basis, and reads
-    ``_num`` off it when asked.  Two more caches sit beside the basis, out
-    of equality, hashing and repr, kept by the `_record` protocol:
-    ``_ints``, the primitive integer rows of the basis, row by row, which
-    the samplers, the base points and `tau_image` hand over and a subspace
-    built directly reads off its basis; and ``_ech``, their fraction-free
-    echelon as [B2 | B1].
+    first read (`_kept`); one built by hand is given its basis, which
+    `tau_image` negates, and reads ``_num`` off it only when asked.  Two
+    more caches sit beside the basis, out of equality, hashing and repr,
+    kept by the `_record` protocol: ``_ints``, the primitive integer rows
+    of the basis, row by row, which the samplers, the base points and
+    `tau_image` hand over and a subspace built directly reads off its
+    basis; and ``_ech``, their fraction-free echelon as [B2 | B1].
     """
 
     space: DoubledSpace
@@ -370,14 +370,19 @@ def _tau_rows(rows, m: int) -> tuple:
 
 def tau_image(v: IsotropicSubspace) -> IsotropicSubspace:
     """Image under the involution fixing the first summand and negating the
-    second: the kept rows over their denominator, and the primitive rows
-    once kept, negated, are handed over, so no Fraction is built.  Primitive
-    rows not yet kept are not built here, so a subspace the invariant
-    refuses still has an image."""
+    second.  A subspace built here hands over its kept rows over their
+    denominator, negated, so no Fraction is built; one built by hand has its
+    basis negated as given and coerced by `qm`.  Primitive rows once kept are
+    handed over negated; rows not yet kept are not built here, so a subspace
+    the invariant refuses still has an image."""
     m = v.space.block_dim
-    rows, d = v._num
     ints = vars(v).get("_ints")
-    return _kept(v.space, _tau_rows(rows, m), d, None if ints is None else _tau_rows(ints, m))
+    if ints is not None:
+        ints = _tau_rows(ints, m)
+    num = vars(v).get("_num")
+    if num is None:
+        return IsotropicSubspace(v.space, qm(_tau_rows(v.basis, m)), _ints=ints)
+    return _kept(v.space, _tau_rows(num[0], m), num[1], ints)
 
 
 def _reduces_to_zero(ech: tuple, x) -> bool:

@@ -37,11 +37,11 @@ def test_pairs_on_one_tree():
 def test_reports_that_differ_stop_the_tool(monkeypatch):
     calls = []
 
-    def run_once(src, case, seed):
+    def run_once(src, case):
         calls.append(src)
         return 0.1, json.dumps({"tree": src})
 
     monkeypatch.setattr(case_pairs, "run_once", run_once)
     with pytest.raises(SystemExit, match="run 1: the two trees' g2-surface reports differ"):
-        case_pairs.pairs("left", "right", "g2-surface", 3, 0)
+        case_pairs.pairs("left", "right", "g2-surface", 3)
     assert calls == ["left", "right"]

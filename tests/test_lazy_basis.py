@@ -5,8 +5,9 @@ compared with the eager subspace the parent code built (`old_isotropic`):
 the basis read first, or first through equality, the hash or the repr, is
 the same tuple of `Fraction` rows, and the involution image of a kept
 subspace builds no Fraction.  A subspace built by hand keeps the basis it
-is given, and its involution image matches the old one also on rows the
-invariant refuses.  Six threads that read fresh subspaces at once see the
+is given, and its involution image negates that basis as the old one did:
+it matches also on rows the invariant refuses, and refuses with TypeError
+the entries the old negation refused.  Six threads that read fresh subspaces at once see the
 values one thread sees."""
 
 import random
@@ -128,12 +129,25 @@ def test_hand_built_subspaces_keep_their_basis_and_map_as_before():
             v, o = IsotropicSubspace(space, basis), old_isotropic.IsotropicSubspace(space, basis)
             assert v.basis is basis and list(vars(v)) == ["space", "basis"]
             image, old = tau_image(v), old_isotropic.tau_image(o)
-            # the primitive rows are not read here, so a refused basis maps too
-            assert "_ints" not in vars(v) and "_ints" not in vars(image)
+            # the basis is negated as given: no cache is written on v, and
+            # the primitive rows are not read, so a refused basis maps too
+            assert list(vars(v)) == ["space", "basis"] and "_ints" not in vars(image)
             assert image.basis == old.basis and image == old and repr(image) == repr(old)
             assert_fraction_rows(image.basis)
             rows, d = v._num
             assert [[Q(x, d) for x in row] for row in rows] == [list(map(Q, row)) for row in basis]
+
+
+@pytest.mark.parametrize("entry", ["1/2", None, object()])
+def test_involution_image_of_a_hand_built_subspace_refuses_what_negation_refuses(entry):
+    space = symplectic_doubled(1)
+    basis = [[1, 0, 1, 0], [0, 1, 0, entry]]
+    with pytest.raises(TypeError, match="bad operand type for unary -"):
+        old_isotropic.tau_image(old_isotropic.IsotropicSubspace(space, basis))
+    v = IsotropicSubspace(space, basis)
+    with pytest.raises(TypeError, match="bad operand type for unary -"):
+        tau_image(v)
+    assert list(vars(v)) == ["space", "basis"]
 
 
 def test_handed_over_rows_are_kept_on_hand_built_subspaces():

@@ -232,25 +232,6 @@ def test_shared_constructor_refuses_bad_arguments():
     assert toric.SurfaceBlowupLedger((("H", 3),)).history == ()
 
 
-def test_a_public_cache_is_built_on_first_read_unless_given():
-    """A public field declared with `cached` is no default: the shared
-    constructor writes it when given and otherwise leaves it to its first
-    read, which equality, the hash and the repr make."""
-
-    class Halves(Record):
-        doubled: int
-        half: int = cached(lambda r: r._twice // 2)
-        _twice: int = cached(lambda r: 2 * r.half)
-
-    lazy, given = Halves(3, _twice=8), Halves(3, 4)
-    assert Halves._defaults == {} and "half" not in vars(lazy)
-    assert lazy == given and hash(lazy) == hash(given) and repr(lazy) == repr(given)
-    assert repr(lazy).endswith(".Halves(doubled=3, half=4)")
-    assert vars(lazy)["half"] == 4 and given._twice == 8
-    with pytest.raises(TypeError, match="missing required argument 'doubled'"):
-        Halves()
-
-
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     code = "import sys, weylfans.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}

@@ -3,7 +3,7 @@
 Each run starts one Python process per tree, the first tree alternating
 from run to run (A then B, B then A, ...).  A process imports the package
 from its tree, runs the case once in process with
-``casebook.run_case(case, seed)`` and times that call with
+``casebook.run_case(case, 0)`` and times that call with
 ``time.perf_counter``; interpreter start and imports are not timed.  The
 two trees must give byte-equal ``to_json()`` reports, serialized with
 ``json.dumps``, in every run, or the tool stops with exit 1.  It prints one
@@ -12,7 +12,7 @@ the medians, B over A.
 
 Run it from anywhere as:
 
-    python tools/case_pairs.py SRC_A SRC_B CASE [--runs N] [--seed S]
+    python tools/case_pairs.py SRC_A SRC_B CASE [--runs N]
 
 where SRC_A and SRC_B are directories holding the ``weylfans`` package
 (a checkout's ``src``).
@@ -31,36 +31,35 @@ CHILD = """
 import json, sys, time
 from weylfans import casebook
 start = time.perf_counter()
-report = casebook.run_case(sys.argv[1], int(sys.argv[2]))
+report = casebook.run_case(sys.argv[1], 0)
 elapsed = time.perf_counter() - start
 print(json.dumps({"s": elapsed, "report": json.dumps(report.to_json())}))
 """
 
 
-def run_once(src: str, case: str, seed: int) -> tuple[float, str]:
+def run_once(src: str, case: str) -> tuple[float, str]:
     """(seconds, report JSON) of one fresh process on the tree at src."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONHASHSEED="0")
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, case, str(seed)], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", CHILD, case], capture_output=True, text=True, env=env, check=True
     )
     out = json.loads(done.stdout.splitlines()[-1])
     return out["s"], out["report"]
 
 
-def pairs(src_a: str, src_b: str, case: str, runs: int, seed: int) -> dict:
+def pairs(src_a: str, src_b: str, case: str, runs: int) -> dict:
     times: dict[str, list[float]] = {"a": [], "b": []}
     trees = {"a": src_a, "b": src_b}
     for i in range(runs):
         reports = {}
         for side in ("a", "b") if i % 2 == 0 else ("b", "a"):
-            elapsed, reports[side] = run_once(trees[side], case, seed)
+            elapsed, reports[side] = run_once(trees[side], case)
             times[side].append(round(elapsed, 6))
         if reports["a"] != reports["b"]:
             raise SystemExit(f"run {i + 1}: the two trees' {case} reports differ")
     med = {side: statistics.median(ts) for side, ts in times.items()}
     return {
         "case": case,
-        "seed": seed,
         "runs": runs,
         "a": {"src": src_a, "median_s": med["a"], "times_s": times["a"]},
         "b": {"src": src_b, "median_s": med["b"], "times_s": times["b"]},
@@ -75,11 +74,10 @@ def main(argv: list[str]) -> int:
     parser.add_argument("src_b")
     parser.add_argument("case")
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    print(json.dumps(pairs(args.src_a, args.src_b, args.case, args.runs, args.seed), indent=2))
+    print(json.dumps(pairs(args.src_a, args.src_b, args.case, args.runs), indent=2))
     return 0
 
 
